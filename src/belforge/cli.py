@@ -6,6 +6,7 @@ Exit codes: 0 success, 1 usage error, 2 data error, 3 I/O error.
 """
 
 import argparse
+import contextlib
 import io
 import json
 import logging
@@ -34,6 +35,7 @@ SUBCOMMANDS = [
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
+        self.print_usage(sys.stderr)
         raise UsageError(message)
 
 
@@ -65,15 +67,21 @@ def _build_parser():
     return parser
 
 
+@contextlib.contextmanager
 def _open_input(path, what, mode="r"):
+    """Open an input file for a ``with`` block; a UTF-8 decoding error
+    raised inside the block becomes a DataError naming the file."""
     if not path:
         raise UsageError(f"config does not name a path for {what}")
     try:
-        if "b" in mode:
-            return open(path, mode)
-        return open(path, mode, encoding="utf-8")
+        f = open(path, mode, encoding=None if "b" in mode else "utf-8")
     except OSError as e:
         raise ArtifactError(f"cannot open {what} at {path}: {e}") from e
+    with f:
+        try:
+            yield f
+        except UnicodeDecodeError as e:
+            raise DataError(f"{what} at {path} is not valid UTF-8: {e}") from e
 
 
 def _summary(payload):
@@ -286,7 +294,7 @@ def cmd_index_build(cfg, args):
     ontology = _load_ontology(cfg)
     if not ontology:
         raise DataError("cannot build an index from an empty ontology")
-    embeddings = np.vstack([enc.encode(params, r.text) for r in ontology])
+    embeddings = enc.encode_batch(params, [r.text for r in ontology])
     ids = np.array([r.term_id for r in ontology], dtype=np.int64)
 
     icfg = cfg["index"]
@@ -319,38 +327,47 @@ def _load_link_stack(cfg, args):
     return params, transform, index, id_to_cui, ontology
 
 
-def cmd_link(cfg, args):
-    params, transform, index, id_to_cui, _ontology = _load_link_stack(cfg, args)
-    top_k = args.top_k or cfg["index"]["top_k"]
+def _top_k(cfg, args):
+    top_k = getattr(args, "top_k", None)
+    name = "--top-k"
+    if top_k is None:
+        top_k, name = cfg["index"]["top_k"], "index.top_k"
+    if isinstance(top_k, bool) or not isinstance(top_k, int) or top_k < 1:
+        raise UsageError(f"{name} must be an integer of at least 1, got {top_k!r}")
+    return top_k
 
-    def link_one(mention):
-        cui, neighbors = index_mod.link_mention(
-            mention, params, transform, index, id_to_cui, top_k=top_k)
-        return {
-            "mention": mention, "predicted_cui": cui,
-            "score": neighbors[0].score,
-            "top_k": [{"term_id": n.term_id, "cui": id_to_cui[n.term_id],
-                       "score": n.score} for n in neighbors],
-        }
+
+def _link_payload(mention, result, id_to_cui):
+    if isinstance(result, DataError):
+        return {"mention": mention, "error": str(result)}
+    cui, neighbors = result
+    return {
+        "mention": mention, "predicted_cui": cui,
+        "score": neighbors[0].score,
+        "top_k": [{"term_id": n.term_id, "cui": id_to_cui[n.term_id],
+                   "score": n.score} for n in neighbors],
+    }
+
+
+def cmd_link(cfg, args):
+    top_k = _top_k(cfg, args)
+    if args.mention is None and not args.input:
+        raise UsageError("link requires --mention or --input")
+    params, transform, index, id_to_cui, _ontology = _load_link_stack(cfg, args)
 
     if args.mention is not None:
-        result = link_one(args.mention)
-        _summary(result)
+        result = index_mod.link_mention(args.mention, params, transform, index,
+                                        id_to_cui, top_k=top_k)
+        _summary(_link_payload(args.mention, result, id_to_cui))
         return 0
-    if not args.input:
-        raise UsageError("link requires --mention or --input")
-    lines = []
-    errors = 0
     with _open_input(args.input, "mention list") as f:
-        for raw in f:
-            mention = raw.rstrip("\n")
-            try:
-                lines.append(json.dumps(link_one(mention), sort_keys=True,
-                                        separators=(",", ":")))
-            except DataError as e:
-                errors += 1
-                lines.append(json.dumps({"mention": mention, "error": str(e)},
-                                        sort_keys=True, separators=(",", ":")))
+        mentions = [raw.rstrip("\n") for raw in f]
+    results = index_mod.link_mentions(mentions, params, transform, index,
+                                      id_to_cui, top_k=top_k)
+    lines = [json.dumps(_link_payload(m, r, id_to_cui), sort_keys=True,
+                        separators=(",", ":"))
+             for m, r in zip(mentions, results)]
+    errors = sum(isinstance(r, DataError) for r in results)
     write_text_atomic(cfg["paths"]["link_output"],
                       "\n".join(lines) + ("\n" if lines else ""))
     _summary({"command": "link", "mentions": len(lines), "errors": errors})
@@ -359,6 +376,7 @@ def cmd_link(cfg, args):
 
 def cmd_evaluate(cfg, args):
     paths = cfg["paths"]
+    top_k = _top_k(cfg, args)
     params, transform, index, id_to_cui, ontology = _load_link_stack(cfg, args)
     with _open_input(paths["gold_corpus"], "gold corpus") as f:
         gold_slice = corpus_mod.parse_corpus(f)
@@ -376,17 +394,11 @@ def cmd_evaluate(cfg, args):
             rows, _ = onto_mod.parse_relations(f)
         graph = eval_mod.build_relation_graph(rows)
 
-    predictions = {}
-    for g in gold:
-        if g.mention in predictions:
-            continue
-        try:
-            cui, _ = index_mod.link_mention(
-                g.mention, params, transform, index, id_to_cui,
-                top_k=cfg["index"]["top_k"])
-            predictions[g.mention] = cui
-        except DataError:
-            pass
+    mentions = list(dict.fromkeys(g.mention for g in gold))
+    results = index_mod.link_mentions(mentions, params, transform, index,
+                                      id_to_cui, top_k=top_k)
+    predictions = {m: r[0] for m, r in zip(mentions, results)
+                   if not isinstance(r, DataError)}
     report = eval_mod.evaluate(predictions, gold, graph,
                                metadata={"seed": cfg["seed"]})
     write_text_atomic(paths["report"], eval_mod.report_to_json(report) + "\n")
@@ -427,7 +439,7 @@ def run(argv):
     parser = _build_parser()
     args = parser.parse_args(argv)
     if not args.command:
-        raise UsageError("a subcommand is required")
+        parser.error("a subcommand is required")
     logging.basicConfig(stream=sys.stderr,
                         level=logging.ERROR if args.quiet else logging.INFO,
                         format="%(levelname)s %(name)s: %(message)s")
@@ -443,7 +455,6 @@ def main(argv=None):
         return run(sys.argv[1:] if argv is None else argv)
     except UsageError as e:
         sys.stderr.write(f"usage error: {e}\n")
-        _build_parser().print_usage(sys.stderr)
         return 1
     except (DataError, NetworkError) as e:
         sys.stderr.write(f"data error: {e}\n")

@@ -10,9 +10,12 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import artifacts
-from .features import featurize
+from .features import featurize_batch
 
 NORM_EPS = 1e-12
+# texts hashed per featurize_batch call by encode_batch; bounds the hashing
+# temporaries however many texts are encoded
+ENCODE_BATCH = 1024
 
 
 @dataclass
@@ -60,9 +63,13 @@ def init_params(seed, n_min=2, n_max=4, buckets=4096, hidden=64, dim=32,
     )
 
 
+def featurize_texts(params, texts):
+    return featurize_batch(texts, params.n_min, params.n_max, params.buckets,
+                           lowercase=params.lowercase)
+
+
 def featurize_text(params, text):
-    return featurize(text, params.n_min, params.n_max, params.buckets,
-                     lowercase=params.lowercase)
+    return featurize_texts(params, [text])[0]
 
 
 def forward_features(params, indices, values):
@@ -78,11 +85,23 @@ def forward_features(params, indices, values):
     return out, (indices, values, z, h, e, norm, out)
 
 
+def encode_batch(params, texts):
+    """Embed a list of strings as the rows of a len(texts) x dim matrix.
+
+    Texts are featurized ENCODE_BATCH at a time; each row then goes through
+    forward_features on its own, so it equals encode(params, text) bit for
+    bit wherever the text sits in the list.
+    """
+    rows = []
+    for start in range(0, len(texts), ENCODE_BATCH):
+        feats = featurize_texts(params, texts[start:start + ENCODE_BATCH])
+        rows.extend(forward_features(params, idx, vals)[0] for idx, vals in feats)
+    return np.vstack(rows) if rows else np.zeros((0, params.dim))
+
+
 def encode(params, text):
     """Embed a string; unit-L2 output when normalization is active."""
-    indices, values = featurize_text(params, text)
-    out, _ = forward_features(params, indices, values)
-    return out
+    return encode_batch(params, [text])[0]
 
 
 def backward_features(params, cache, upstream):

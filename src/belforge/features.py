@@ -1,40 +1,26 @@
-"""Character n-gram feature hashing with lane selection.
+"""Character n-gram feature hashing, vectorized over a batch of texts.
 
-The hashing kernel exists twice: a Cython extension (belforge._fastfeat)
-and a pure-Python fallback (belforge._pyfeat). The compiled lane is picked
-at import when available; set BELFORGE_FORCE_PYTHON=1 to force the
-fallback. Both lanes produce identical output (FNV-1a 64-bit over UTF-8
-bytes, modulo the bucket count), so artifacts are lane-independent.
+Each n-gram is hashed with FNV-1a 64-bit over its UTF-8 bytes, modulo the
+bucket count. The hashes of all texts in a batch are computed together in
+numpy: the texts are concatenated into one UTF-8 buffer, characters are
+located by their lead bytes, and the hash of every n-gram is extended from
+the hash of its (n-1)-gram prefix one character at a time.
 """
-
-import os
 
 import numpy as np
 
-from . import _pyfeat
 from .errors import UnencodableTextError
-
-try:
-    from . import _fastfeat
-except ImportError:
-    _fastfeat = None
-
-if os.environ.get("BELFORGE_FORCE_PYTHON"):
-    _fastfeat = None
-
-HAVE_FAST_LANE = _fastfeat is not None
-_kernel = _fastfeat.ngram_hash_counts if HAVE_FAST_LANE else _pyfeat.ngram_hash_counts
 
 BOUNDARY_START = "^"
 BOUNDARY_END = "$"
 
+_FNV_OFFSET = np.uint64(0xCBF29CE484222325)
+_FNV_PRIME = np.uint64(0x100000001B3)
 
-def featurize(text, n_min, n_max, buckets, lowercase=False):
-    """Hash the char n-grams of ``text`` into a sparse count vector.
 
-    The text is trimmed, optionally lowercased, and wrapped with boundary
-    markers before n-gram extraction. Returns (indices, counts): sorted
-    int64 bucket indices and their float64 counts.
+def prepare(text, lowercase=False):
+    """The string whose n-grams are hashed: ``text`` trimmed, optionally
+    lowercased, and wrapped with boundary markers.
 
     Raises UnencodableTextError if the text is empty after trimming.
     """
@@ -43,16 +29,61 @@ def featurize(text, n_min, n_max, buckets, lowercase=False):
         raise UnencodableTextError("empty text cannot be featurized")
     if lowercase:
         stripped = stripped.lower()
-    wrapped = BOUNDARY_START + stripped + BOUNDARY_END
-    counts = _kernel(wrapped, n_min, n_max, buckets)
-    indices = np.array(sorted(counts), dtype=np.int64)
-    values = np.array([counts[i] for i in indices], dtype=np.float64)
-    return indices, values
+    return BOUNDARY_START + stripped + BOUNDARY_END
 
 
-def kernel_lanes():
-    """Expose both kernels for benchmarking / equivalence tests."""
-    lanes = {"python": _pyfeat.ngram_hash_counts}
-    if _fastfeat is not None:
-        lanes["cython"] = _fastfeat.ngram_hash_counts
-    return lanes
+def featurize_batch(texts, n_min, n_max, buckets, lowercase=False):
+    """Hash the char n-grams of every text into a sparse count vector.
+
+    Each text is first passed through ``prepare``. Returns one
+    (indices, counts) pair per text: sorted int64 bucket indices and their
+    float64 counts.
+
+    Raises UnencodableTextError if any text is empty after trimming or
+    holds a lone surrogate, which has no UTF-8 encoding.
+    """
+    wrapped = [prepare(t, lowercase) for t in texts]
+    try:
+        data = np.frombuffer("".join(wrapped).encode("utf-8"), dtype=np.uint8)
+    except UnicodeEncodeError as e:
+        raise UnencodableTextError(f"text is not encodable as UTF-8: {e}") from e
+    # byte offset of every character, plus the end of the buffer
+    offsets = np.append(np.flatnonzero((data & 0xC0) != 0x80), data.size)
+    char_bytes = np.diff(offsets)
+    widest = int(char_bytes.max(initial=1))
+    lengths = np.fromiter(map(len, wrapped), dtype=np.int64, count=len(wrapped))
+    text_of = np.repeat(np.arange(len(wrapped), dtype=np.int64), lengths)
+    nchars = offsets.size - 1
+    # characters from c to the end of its text, c included
+    room = np.repeat(np.cumsum(lengths), lengths) - np.arange(nchars)
+    modulus = np.uint64(buckets)
+
+    keys = [np.zeros(0, dtype=np.int64)]
+    h = np.full(nchars, _FNV_OFFSET, dtype=np.uint64)
+    for n in range(1, n_max + 1):
+        # h[c] extends to the n-gram that starts at character c
+        h = h[:max(nchars - n + 1, 0)]
+        last = slice(n - 1, nchars)
+        lo = offsets[last]
+        h ^= data[lo]
+        h *= _FNV_PRIME
+        for k in range(1, widest):
+            more = np.flatnonzero(char_bytes[last] > k)
+            h[more] = (h[more] ^ data[lo[more] + k]) * _FNV_PRIME
+        if n >= n_min:
+            inside = np.flatnonzero(room[:h.size] >= n)
+            keys.append(text_of[inside] * buckets
+                        + (h[inside] % modulus).astype(np.int64))
+
+    # buckets is at most the W1 column count, so text * buckets fits int64
+    keys, counts = np.unique(np.concatenate(keys), return_counts=True)
+    text_ids = keys // buckets
+    indices = keys - text_ids * buckets
+    values = counts.astype(np.float64)
+    bounds = np.searchsorted(text_ids, np.arange(len(wrapped) + 1))
+    return [(indices[a:b], values[a:b]) for a, b in zip(bounds[:-1], bounds[1:])]
+
+
+def featurize(text, n_min, n_max, buckets, lowercase=False):
+    """featurize_batch for one text: returns its (indices, counts)."""
+    return featurize_batch([text], n_min, n_max, buckets, lowercase)[0]

@@ -7,8 +7,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import artifacts
-from .encoder import NORM_EPS, encode
+from .encoder import NORM_EPS, encode_batch
 from .errors import DataError
+from .features import prepare
 
 
 @dataclass
@@ -27,8 +28,9 @@ class FlatIndex:
 @dataclass
 class IvfIndex:
     centroids: np.ndarray  # nlist x k
-    list_rows: list        # per centroid: m x k matrix of unit rows
-    list_ids: list         # per centroid: m term_ids
+    rows: np.ndarray       # n x k unit rows, grouped by list
+    ids: np.ndarray        # n term_ids, in row order
+    offsets: np.ndarray    # nlist + 1; list c is rows[offsets[c]:offsets[c + 1]]
     nprobe: int = 8
 
 
@@ -94,7 +96,20 @@ def build_flat(vectors, ids):
 
 
 def _rank(scores, ids, top_k):
-    order = np.lexsort((ids, -scores))[:top_k]
+    """The top_k rows by score descending, ties by ascending id.
+
+    Only the rows scoring at or above the k-th score go through the lexsort.
+    """
+    if top_k < 1:
+        raise ValueError(f"top_k={top_k} must be at least 1")
+    neg = -scores
+    if top_k < neg.size:
+        kth = np.partition(neg, top_k - 1)[top_k - 1]
+        # a NaN kth keeps every row, as the full lexsort would rank them
+        keep = np.flatnonzero(~(neg > kth))
+        neg, ids = neg[keep], ids[keep]
+        scores = scores[keep]
+    order = np.lexsort((ids, neg))[:top_k]
     return [Neighbor(term_id=int(ids[i]), score=float(scores[i])) for i in order]
 
 
@@ -151,13 +166,10 @@ def build_ivf(vectors, ids, nlist, seed=0, kmeans_iters=10):
         if np.array_equal(new_assign, assign):
             break
         assign = new_assign
-    list_rows = []
-    list_ids = []
-    for c in range(nlist):
-        mask = assign == c
-        list_rows.append(rows[mask])
-        list_ids.append(ids[mask])
-    return IvfIndex(centroids=centroids, list_rows=list_rows, list_ids=list_ids)
+    order = np.argsort(assign, kind="stable")
+    sizes = np.bincount(assign, minlength=nlist)
+    return IvfIndex(centroids=centroids, rows=rows[order], ids=ids[order],
+                    offsets=np.concatenate(([0], np.cumsum(sizes))))
 
 
 def search_ivf(index, query, top_k=10, nprobe=None):
@@ -175,31 +187,57 @@ def search_ivf(index, query, top_k=10, nprobe=None):
     q = _unit_rows(np.asarray(query, dtype=float))
     cd = np.sum((index.centroids - q) ** 2, axis=1)
     probe = np.lexsort((np.arange(nlist), cd))[:nprobe]
-    rows = [index.list_rows[c] for c in probe if len(index.list_rows[c])]
-    idlists = [index.list_ids[c] for c in probe if len(index.list_ids[c])]
-    if not rows:
+    spans = [slice(index.offsets[c], index.offsets[c + 1]) for c in probe]
+    V = np.concatenate([index.rows[s] for s in spans])
+    if not V.shape[0]:
         return []
-    V = np.vstack(rows)
-    ids = np.concatenate(idlists)
+    ids = np.concatenate([index.ids[s] for s in spans])
     return _rank(V @ q, ids, top_k)
+
+
+def link_mentions(texts, params, transform, index, id_to_cui, top_k=10,
+                  nprobe=None):
+    """Encode, compress and search; the predicted CUI is the top neighbor's.
+
+    The texts are featurized together; each one is then projected, scored
+    and ranked on its own, so a mention gets the same result alone as in
+    any batch. Returns, per text, (predicted_cui, neighbors) or the
+    DataError it raised: the mention cannot be encoded or the index has no
+    candidates.
+    """
+    results = [None] * len(texts)
+    todo = []
+    for i, text in enumerate(texts):
+        try:
+            prepare(text)
+            todo.append(i)
+        except DataError as e:
+            results[i] = e
+    embeddings = encode_batch(params, [texts[i] for i in todo])
+    for i, emb in zip(todo, embeddings):
+        try:
+            q = apply_pca(transform, emb)
+            if isinstance(index, IvfIndex):
+                neighbors = search_ivf(index, q, top_k=top_k, nprobe=nprobe)
+            else:
+                neighbors = search_flat(index, q, top_k=top_k)
+            if not neighbors:
+                raise DataError("no candidates: index is empty")
+            results[i] = (id_to_cui[neighbors[0].term_id], neighbors)
+        except DataError as e:
+            results[i] = e
+    return results
 
 
 def link_mention(text, params, transform, index, id_to_cui, top_k=10,
                  nprobe=None):
-    """Encode, compress and search; the predicted CUI is the top neighbor's.
-
-    Returns (predicted_cui, neighbors). Raises DataError when the index is
-    empty or the mention cannot be encoded.
-    """
-    emb = encode(params, text)
-    q = apply_pca(transform, emb)
-    if isinstance(index, IvfIndex):
-        neighbors = search_ivf(index, q, top_k=top_k, nprobe=nprobe)
-    else:
-        neighbors = search_flat(index, q, top_k=top_k)
-    if not neighbors:
-        raise DataError("no candidates: index is empty")
-    return id_to_cui[neighbors[0].term_id], neighbors
+    """link_mentions for one text: returns (predicted_cui, neighbors) and
+    raises its DataError."""
+    result = link_mentions([text], params, transform, index, id_to_cui,
+                           top_k=top_k, nprobe=nprobe)[0]
+    if isinstance(result, DataError):
+        raise result
+    return result
 
 
 def save_pca(path, transform):
@@ -226,27 +264,15 @@ def load_flat(path):
 
 
 def save_ivf(path, index):
-    sizes = np.array([len(i) for i in index.list_ids], dtype=np.int64)
     artifacts.save_artifact(
         path, "ivf-index", {"nprobe": index.nprobe},
-        {"centroids": index.centroids,
-         "rows": np.vstack([r for r in index.list_rows if len(r)])
-                 if sizes.sum() else np.zeros((0, index.centroids.shape[1])),
-         "ids": np.concatenate(index.list_ids) if sizes.sum()
-                else np.zeros(0, dtype=np.int64),
-         "sizes": sizes})
+        {"centroids": index.centroids, "rows": index.rows, "ids": index.ids,
+         "sizes": np.diff(index.offsets)})
 
 
 def load_ivf(path):
     meta, arrays = artifacts.load_artifact(path, "ivf-index")
-    sizes = arrays["sizes"]
-    list_rows = []
-    list_ids = []
-    off = 0
-    for sz in sizes:
-        sz = int(sz)
-        list_rows.append(arrays["rows"][off:off + sz])
-        list_ids.append(arrays["ids"][off:off + sz])
-        off += sz
-    return IvfIndex(centroids=arrays["centroids"], list_rows=list_rows,
-                    list_ids=list_ids, nprobe=int(meta["nprobe"]))
+    return IvfIndex(centroids=arrays["centroids"], rows=arrays["rows"],
+                    ids=arrays["ids"],
+                    offsets=np.concatenate(([0], np.cumsum(arrays["sizes"]))),
+                    nprobe=int(meta["nprobe"]))

@@ -257,11 +257,9 @@ def train_epoch(pairs, params, train_cfg, mining_cfg, loss_cfg,
         for p in batch:
             texts.extend((p.term_a, p.term_b))
             labels.extend((p.cui, p.cui))
-        feats = []
-        for t in texts:
-            if t not in cache:
-                cache[t] = enc.featurize_text(params, t)
-            feats.append(cache[t])
+        missing = [t for t in dict.fromkeys(texts) if t not in cache]
+        cache.update(zip(missing, enc.featurize_texts(params, missing)))
+        feats = [cache[t] for t in texts]
 
         outs = []
         fwd_caches = []

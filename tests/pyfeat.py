@@ -1,6 +1,8 @@
-"""Pure-Python character n-gram hashing kernel (fallback lane).
+"""Pure-Python character n-gram hashing: the reference that
+belforge.features.featurize_batch must reproduce bit for bit.
 
-Bit-compatible with the compiled belforge._fastfeat extension.
+FNV-1a 64-bit over the UTF-8 bytes of each character n-gram, modulo the
+bucket count, one n-gram at a time.
 """
 
 _FNV_OFFSET = 0xCBF29CE484222325

@@ -95,6 +95,20 @@ def run_pipeline(config, upto="evaluate"):
             break
 
 
+def run_links(root, config, mentions="griep\nkoorts\nhartinfarct\n"):
+    """link --input over a mention file into links_flat.jsonl and
+    links_ivf.jsonl; returns their paths."""
+    (root / "mentions.txt").write_text(mentions, encoding="utf-8")
+    outputs = {}
+    for kind in ("flat", "ivf"):
+        out = root / "out" / f"links_{kind}.jsonl"
+        assert main(["link", "--config", config, "--quiet", "--index", kind,
+                     "--input", str(root / "mentions.txt"),
+                     "--set", f"paths.link_output={out}"]) == 0
+        outputs[kind] = out
+    return outputs
+
+
 class TestPipeline:
     def test_end_to_end(self, workspace, capsys):
         root, config = workspace
@@ -148,15 +162,41 @@ class TestPipeline:
     def test_rerun_byte_identical(self, workspace):
         root, config = workspace
         run_pipeline(config)
+        run_links(root, config)
         first = {}
         for name in ("ontology.jsonl", "corpus.xml", "train.xml", "val.xml",
                      "pretrain_pairs.txt", "pretrained.params",
                      "finetuned.params", "pca.bin", "flat.index", "ivf.index",
-                     "report.json"):
+                     "report.json", "links_flat.jsonl", "links_ivf.jsonl"):
             first[name] = (root / "out" / name).read_bytes()
         run_pipeline(config)
+        run_links(root, config)
         for name, blob in first.items():
             assert (root / "out" / name).read_bytes() == blob, name
+
+    def test_batch_links_equal_single_mentions(self, workspace, capsys):
+        root, config = workspace
+        run_pipeline(config, upto="index-build")
+        mentions = ["griep", "", "koorts", "griep", "   ", "Hartinfarct!",
+                    "koorts", "suikerziekte"]
+        outputs = run_links(root, config, "\n".join(mentions) + "\n")
+        for kind, path in outputs.items():
+            lines = path.read_text(encoding="utf-8").splitlines()
+            assert len(lines) == len(mentions)
+            capsys.readouterr()
+            for mention, line in zip(mentions, lines):
+                code = main(["link", "--config", config, "--quiet",
+                             "--index", kind, "--mention", mention])
+                out = capsys.readouterr().out
+                if mention.strip():
+                    assert code == 0
+                    assert out.rstrip("\n") == line, (kind, mention)
+                else:
+                    # the error stays in place in the batch output
+                    assert code == 2
+                    assert json.loads(line) == {
+                        "mention": mention,
+                        "error": "empty text cannot be featurized"}
 
     def test_stats_command(self, workspace, capsys):
         _root, config = workspace
@@ -219,3 +259,44 @@ class TestExitCodes:
         root, config = workspace
         (root / "concepts.psv").unlink()
         assert main(["ontology-build", "--config", config, "--quiet"]) == 3
+
+    def test_top_k_below_one_usage(self, workspace, capsys):
+        root, config = workspace
+        run_pipeline(config, upto="index-build")
+        capsys.readouterr()
+        for extra in (["--top-k", "0"], ["--top-k", "-1"],
+                      ["--set", "index.top_k=0"]):
+            assert main(["link", "--config", config, "--quiet",
+                         "--mention", "griep"] + extra) == 1, extra
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert len(captured.err.splitlines()) == 1
+            assert "top_k" in captured.err or "--top-k" in captured.err
+        assert main(["evaluate", "--config", config, "--quiet",
+                     "--set", "index.top_k=-3"]) == 1
+        assert len(capsys.readouterr().err.splitlines()) == 1
+        assert not (root / "out" / "report.json").exists()
+
+    def test_non_utf8_mention_file_data_error(self, workspace, capsys):
+        root, config = workspace
+        run_pipeline(config, upto="index-build")
+        bad = root / "mentions.txt"
+        bad.write_bytes(b"griep\nko\xffrts\n")
+        capsys.readouterr()
+        assert main(["link", "--config", config, "--quiet",
+                     "--input", str(bad)]) == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        assert str(bad) in err and "UTF-8" in err
+        assert not (root / "out" / "links.jsonl").exists()
+
+    def test_non_utf8_ontology_data_error(self, workspace, capsys):
+        root, config = workspace
+        run_pipeline(config, upto="corpus-compile")
+        ontology = root / "out" / "ontology.jsonl"
+        ontology.write_bytes(ontology.read_bytes() + b"\xff\xfe\n")
+        capsys.readouterr()
+        assert main(["corpus-subset", "--config", config, "--quiet"]) == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        assert "ontology at out/ontology.jsonl" in err and "UTF-8" in err

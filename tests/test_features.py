@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import belforge.features as features
-from belforge._pyfeat import fnv1a_64, ngram_hash_counts
 from belforge.errors import UnencodableTextError
+from pyfeat import fnv1a_64, ngram_hash_counts
 
 
 def test_two_char_word_trigrams():
@@ -56,14 +58,58 @@ def test_counts_accumulate():
     assert list(counts.values()) == [3.0]
 
 
-@pytest.mark.skipif(not features.HAVE_FAST_LANE, reason="extension not built")
-def test_lanes_bit_identical():
-    lanes = features.kernel_lanes()
-    rng = np.random.default_rng(7)
-    samples = ["hartinfarct", "café könig", "Ж漢字x🙂", "a", "x" * 50]
-    samples += ["".join(chr(int(c)) for c in rng.integers(32, 2000, 12))
-                for _ in range(50)]
-    for text in samples:
-        for n_min, n_max in [(1, 1), (2, 4), (3, 5)]:
-            assert (lanes["python"](text, n_min, n_max, 4096)
-                    == lanes["cython"](text, n_min, n_max, 4096))
+# any UTF-8 encodable code point, plus a pool that forces multi-byte
+# characters next to each other: Latin-1, CJK, combining marks, astral
+# symbols, case pairs whose lowercase changes length, and whitespace
+CHARS = st.one_of(st.characters(codec="utf-8"),
+                  st.sampled_from("aZé漢\u0301\u0308\U0001F642\U0001D538İ \t"))
+TEXTS = st.lists(st.text(alphabet=CHARS, max_size=16), max_size=8)
+SETTINGS = [(1, 1, 4096), (2, 4, 4096), (3, 5, 1 << 20), (1, 3, 7), (4, 6, 64)]
+
+
+def oracle(text, n_min, n_max, buckets, lowercase):
+    stripped = text.strip().lower() if lowercase else text.strip()
+    counts = ngram_hash_counts("^" + stripped + "$", n_min, n_max, buckets)
+    indices = np.array(sorted(counts), dtype=np.int64)
+    return indices, np.array([counts[i] for i in indices], dtype=np.float64)
+
+
+def assert_same(got, want):
+    assert got[0].dtype == np.int64 and got[1].dtype == np.float64
+    assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(texts=TEXTS, setting=st.sampled_from(SETTINGS), lowercase=st.booleans())
+def test_batch_matches_oracle_and_single_calls(texts, setting, lowercase):
+    n_min, n_max, buckets = setting
+    if any(not t.strip() for t in texts):
+        with pytest.raises(UnencodableTextError):
+            features.featurize_batch(texts, n_min, n_max, buckets, lowercase)
+        texts = [t for t in texts if t.strip()]
+    batch = features.featurize_batch(texts, n_min, n_max, buckets, lowercase)
+    assert len(batch) == len(texts)
+    for text, got in zip(texts, batch):
+        assert_same(got, oracle(text, n_min, n_max, buckets, lowercase))
+        assert_same(got, features.featurize(text, n_min, n_max, buckets,
+                                            lowercase=lowercase))
+
+
+@settings(max_examples=50, derandomize=True, database=None, deadline=None)
+@given(blank=st.text(alphabet=" \t\n\r\u00a0\u2003\u3000", max_size=6),
+       others=TEXTS)
+def test_whitespace_only_rejected_in_any_batch(blank, others):
+    with pytest.raises(UnencodableTextError):
+        features.featurize(blank, 2, 4, 4096)
+    with pytest.raises(UnencodableTextError):
+        features.featurize_batch(["ok"] + others + [blank], 2, 4, 4096)
+
+
+def test_empty_batch():
+    assert features.featurize_batch([], 2, 4, 4096) == []
+
+
+def test_lone_surrogate_rejected():
+    # what a command-line argument holding a non-UTF-8 byte decodes to
+    with pytest.raises(UnencodableTextError):
+        features.featurize_batch(["griep", "ko\udcffrts"], 2, 4, 4096)

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from belforge import encoder as enc
 from belforge import index as ix
@@ -132,6 +134,51 @@ class TestFlat:
             ix.build_flat(np.ones((2, 2)), [1])
 
 
+def lexsort_rank_oracle(scores, ids, top_k):
+    """The ranking contract on every row: score descending, then term_id
+    ascending (NaN scores last)."""
+    order = np.lexsort((ids, -scores))[:top_k]
+    return ids[order].tolist(), scores[order]
+
+
+# few distinct values, so that ties straddle the k-th score; NaN and -0.0
+# included
+SCORES = st.lists(st.one_of(st.sampled_from([1.0, 0.5, 0.0, -0.0, -0.5, np.nan]),
+                            st.floats(-1, 1)), min_size=1, max_size=40)
+
+
+class TestRank:
+    @settings(max_examples=300, derandomize=True, database=None, deadline=None)
+    @given(scores=SCORES, data=st.data())
+    def test_matches_full_lexsort(self, scores, data):
+        scores = np.array(scores)
+        n = scores.size
+        ids = np.array(data.draw(st.permutations(range(n))), dtype=np.int64) * 7
+        top_k = data.draw(st.integers(1, n + 3))
+        got = ix._rank(scores, ids, top_k)
+        want_ids, want_scores = lexsort_rank_oracle(scores, ids, top_k)
+        assert [nb.term_id for nb in got] == want_ids
+        assert np.array_equal([nb.score for nb in got], want_scores, equal_nan=True)
+
+    def test_ties_at_kth_score_break_by_id(self):
+        scores = np.array([0.9, 0.5, 0.5, 0.7, 0.5, 0.5, 0.1])
+        ids = np.array([60, 50, 40, 30, 20, 10, 0])
+        assert [nb.term_id for nb in ix._rank(scores, ids, 3)] == [60, 30, 10]
+        assert [nb.term_id for nb in ix._rank(scores, ids, 5)] == \
+            [60, 30, 10, 20, 40]
+
+    def test_top_k_at_least_n_returns_all(self):
+        scores = np.array([0.2, 0.8, 0.2])
+        ids = np.array([5, 6, 4])
+        for top_k in (3, 4, 100):
+            assert [nb.term_id for nb in ix._rank(scores, ids, top_k)] == [6, 4, 5]
+
+    def test_top_k_below_one_rejected(self):
+        for top_k in (0, -1):
+            with pytest.raises(ValueError):
+                ix._rank(np.array([0.1, 0.2]), np.array([0, 1]), top_k)
+
+
 class TestIvf:
     def test_nprobe_equals_nlist_matches_flat(self):
         rng = np.random.default_rng(7)
@@ -192,8 +239,9 @@ class TestIvf:
         a = ix.build_ivf(V, np.arange(100), nlist=8, seed=3)
         b = ix.build_ivf(V, np.arange(100), nlist=8, seed=3)
         assert np.array_equal(a.centroids, b.centroids)
-        for ra, rb in zip(a.list_ids, b.list_ids):
-            assert np.array_equal(ra, rb)
+        assert np.array_equal(a.rows, b.rows)
+        assert np.array_equal(a.ids, b.ids)
+        assert np.array_equal(a.offsets, b.offsets)
 
     def test_nlist_out_of_range(self):
         with pytest.raises(DataError):
