@@ -72,19 +72,27 @@ def load_artifact(path, kind: str):
         raise ArtifactError(f"cannot read artifact {path}: {e}") from e
     if blob[:4] != MAGIC:
         raise ArtifactError(f"{path}: not a belforge artifact")
+    if len(blob) < 12:
+        raise ArtifactError(f"{path}: truncated artifact prefix")
     version, hdr_len = struct.unpack("<II", blob[4:12])
     if version != VERSION:
         raise ArtifactError(f"{path}: unsupported artifact version {version}")
-    header = json.loads(blob[12:12 + hdr_len].decode("utf-8"))
-    if header["kind"] != kind:
-        raise ArtifactError(f"{path}: artifact kind {header['kind']!r}, expected {kind!r}")
+    try:
+        header = json.loads(blob[12:12 + hdr_len].decode("utf-8"))
+        found, meta, specs = header["kind"], header["meta"], header["arrays"]
+    except (ValueError, KeyError, TypeError) as e:
+        raise ArtifactError(f"{path}: corrupt artifact header: {e!r}") from e
+    if found != kind:
+        raise ArtifactError(f"{path}: artifact kind {found!r}, expected {kind!r}")
     arrays = {}
     off = 12 + hdr_len
-    for spec in header["arrays"]:
+    for spec in specs:
         dt = np.dtype(spec["dtype"]).newbyteorder("<")
         count = int(np.prod(spec["shape"], dtype=np.int64)) if spec["shape"] else 1
         nbytes = dt.itemsize * count
+        if off + nbytes > len(blob):
+            raise ArtifactError(f"{path}: truncated artifact payload")
         a = np.frombuffer(blob[off:off + nbytes], dtype=dt).reshape(spec["shape"])
         arrays[spec["name"]] = a.astype(dt.newbyteorder("="))
         off += nbytes
-    return header["meta"], arrays
+    return meta, arrays

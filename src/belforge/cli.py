@@ -116,13 +116,8 @@ def _train_configs(cfg, epochs=None):
         batch_size=t["batch_size"],
         epochs=epochs if epochs is not None else t["epochs"],
         seed=cfg["seed"])
-    mining_cfg = train_mod.MiningConfig(
-        margin=cfg["mining"]["margin"],
-        sample_anchors=cfg["mining"]["sample_anchors"])
-    loss_cfg = train_mod.MsLossConfig(
-        alpha=cfg["loss"]["alpha"], beta=cfg["loss"]["beta"],
-        base=cfg["loss"]["base"])
-    return train_cfg, mining_cfg, loss_cfg
+    return (train_cfg, train_mod.MiningConfig(**cfg["mining"]),
+            train_mod.MsLossConfig(**cfg["loss"]))
 
 
 def _resolve_params_path(cfg, args):
@@ -207,10 +202,13 @@ def cmd_corpus_subset(cfg, args):
     paths = cfg["paths"]
     with _open_input(paths["corpus"], "corpus") as f:
         full = corpus_mod.parse_corpus(f)
+    ratio = cfg["corpus"]["split_ratio"]
+    if not isinstance(ratio, (int, float)) or not 0 < ratio < 1:
+        raise UsageError(f"corpus.split_ratio must be in (0, 1), got {ratio!r}")
     ontology = _load_ontology(cfg)
     train, val = corpus_mod.build_star_subset(
-        full.sentences, full.mentions, ontology,
-        split_ratio=cfg["corpus"]["split_ratio"], seed=cfg["seed"])
+        full.sentences, full.mentions, ontology, split_ratio=ratio,
+        seed=cfg["seed"])
     for part, path in ((train, paths["train_corpus"]), (val, paths["val_corpus"])):
         buf = io.StringIO()
         corpus_mod.serialize_corpus(part, buf)
@@ -290,6 +288,9 @@ def cmd_finetune(cfg, args):
 
 def cmd_index_build(cfg, args):
     paths = cfg["paths"]
+    icfg = cfg["index"]
+    for key in ("pca_k", "nlist", "nprobe"):
+        _at_least_one(icfg[key], f"index.{key}")
     params = enc.load_params(_resolve_params_path(cfg, args))
     ontology = _load_ontology(cfg)
     if not ontology:
@@ -297,7 +298,6 @@ def cmd_index_build(cfg, args):
     embeddings = enc.encode_batch(params, [r.text for r in ontology])
     ids = np.array([r.term_id for r in ontology], dtype=np.int64)
 
-    icfg = cfg["index"]
     k = min(icfg["pca_k"], embeddings.shape[0] - 1, embeddings.shape[1])
     transform = index_mod.fit_pca(embeddings, k)
     compressed = index_mod.apply_pca(transform, embeddings)
@@ -327,14 +327,16 @@ def _load_link_stack(cfg, args):
     return params, transform, index, id_to_cui, ontology
 
 
+def _at_least_one(value, name):
+    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+        raise UsageError(f"{name} must be an integer of at least 1, got {value!r}")
+    return value
+
+
 def _top_k(cfg, args):
-    top_k = getattr(args, "top_k", None)
-    name = "--top-k"
-    if top_k is None:
-        top_k, name = cfg["index"]["top_k"], "index.top_k"
-    if isinstance(top_k, bool) or not isinstance(top_k, int) or top_k < 1:
-        raise UsageError(f"{name} must be an integer of at least 1, got {top_k!r}")
-    return top_k
+    if getattr(args, "top_k", None) is not None:
+        return _at_least_one(args.top_k, "--top-k")
+    return _at_least_one(cfg["index"]["top_k"], "index.top_k")
 
 
 def _link_payload(mention, result, id_to_cui):
@@ -444,7 +446,7 @@ def run(argv):
                         level=logging.ERROR if args.quiet else logging.INFO,
                         format="%(levelname)s %(name)s: %(message)s")
     cfg = load_config(args.config)
-    apply_overrides(cfg, args.set)
+    cfg = apply_overrides(cfg, args.set)
     if args.seed is not None:
         cfg["seed"] = args.seed
     return _HANDLERS[args.command](cfg, args)

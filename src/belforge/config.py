@@ -1,5 +1,5 @@
 """Pipeline configuration: one JSON file, deep-merged over defaults, with
-dotted-key command-line overrides.
+dotted-key command-line overrides. Both may only name keys that DEFAULTS has.
 """
 
 import copy
@@ -75,7 +75,7 @@ DEFAULTS = {
         "batch_size": 512,
         "epochs": 1,
     },
-    "mining": {"margin": 0.2, "sample_anchors": False},
+    "mining": {"margin": 0.2},
     "loss": {"alpha": 2.0, "beta": 50.0, "base": 0.5},
     "finetune": {"per_mention_cap": 50, "epochs": 1},
     "index": {"pca_k": 256, "nlist": 64, "nprobe": 8, "kmeans_iters": 10, "top_k": 10},
@@ -92,6 +92,20 @@ def _deep_merge(base, override):
     return out
 
 
+def _check_keys(node, schema, where=""):
+    """Raise UsageError for the first key of ``node`` that ``schema`` lacks,
+    or that is a section in one and a plain value in the other."""
+    for key, value in node.items():
+        dotted = where + key
+        if key not in schema:
+            raise UsageError(f"unknown config key {dotted!r}")
+        if isinstance(value, dict) != isinstance(schema[key], dict):
+            kind = "section" if isinstance(schema[key], dict) else "plain value"
+            raise UsageError(f"config key {dotted!r} must be a {kind}")
+        if isinstance(value, dict):
+            _check_keys(value, schema[key], dotted + ".")
+
+
 def load_config(path):
     try:
         with open(path, encoding="utf-8") as f:
@@ -102,12 +116,13 @@ def load_config(path):
         raise DataError(f"config {path} is not valid JSON: {e}") from e
     if not isinstance(user, dict):
         raise DataError(f"config {path}: top level must be a JSON object")
+    _check_keys(user, DEFAULTS)
     return _deep_merge(DEFAULTS, user)
 
 
 def apply_overrides(cfg, overrides):
-    """Apply ``section.key=value`` overrides; values parse as JSON, falling
-    back to plain strings."""
+    """Merge ``section.key=value`` overrides into a copy of ``cfg``; values
+    parse as JSON, falling back to plain strings."""
     for item in overrides:
         if "=" not in item:
             raise UsageError(f"override {item!r} is not of the form key=value")
@@ -116,11 +131,8 @@ def apply_overrides(cfg, overrides):
             value = json.loads(raw)
         except ValueError:
             value = raw
-        node = cfg
-        keys = dotted.split(".")
-        for key in keys[:-1]:
-            if not isinstance(node.get(key), dict):
-                node[key] = {}
-            node = node[key]
-        node[keys[-1]] = value
+        for key in reversed(dotted.split(".")):
+            value = {key: value}
+        _check_keys(value, DEFAULTS)
+        cfg = _deep_merge(cfg, value)
     return cfg

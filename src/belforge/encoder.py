@@ -82,7 +82,7 @@ def forward_features(params, indices, values):
         out = e / norm
     else:
         out = e
-    return out, (indices, values, z, h, e, norm, out)
+    return out, (indices, values, z, h, norm, out)
 
 
 def encode_batch(params, texts):
@@ -104,34 +104,31 @@ def encode(params, text):
     return encode_batch(params, [text])[0]
 
 
-def backward_features(params, cache, upstream):
-    """Gradients of upstream . output w.r.t. params, given a forward cache.
-
-    Returns (g_W2, g_b2, g_b1, indices, w1_cols) where the W1 gradient is
-    nonzero only at ``indices`` with column block ``w1_cols`` (hidden x nnz);
-    callers accumulating over a batch can scatter-add without densifying.
-    """
-    indices, values, z, h, e, norm, out = cache
-    if params.normalize_output and norm >= NORM_EPS:
-        # out = e/|e|; J^T u = (u - (u.out) out) / |e|
-        g_e = (upstream - (upstream @ out) * out) / norm
-    else:
-        g_e = upstream
-    g_W2 = np.outer(g_e, h)
-    g_b2 = g_e
-    g_h = (params.W2.T @ g_e) * (z > 0.0)
-    w1_cols = np.outer(g_h, values)
-    return g_W2, g_b2, g_h, indices, w1_cols
+def backward_batch(params, caches, dE):
+    """Gradients of sum_i dE[i] . output_i w.r.t. every parameter, given the
+    forward caches of a batch of rows; one GEMM per weight matrix."""
+    indices, values, Z, H, norms, outs = zip(*caches)
+    Z, H, outs, norms = np.vstack(Z), np.vstack(H), np.vstack(outs), np.array(norms)
+    G = np.asarray(dE, dtype=float)
+    if params.normalize_output:
+        # out = e/|e|; J^T u = (u - (u.out) out) / |e| on the normalized rows
+        proj = np.sum(G * outs, axis=1, keepdims=True) * outs
+        G = np.where((norms >= NORM_EPS)[:, None],
+                     (G - proj) / np.maximum(norms, NORM_EPS)[:, None], G)
+    G_h = (G @ params.W2) * (Z > 0.0)
+    # the batch's dense n-gram count matrix lives only for the W1 GEMM
+    X = np.zeros((len(caches), params.buckets))
+    X[np.repeat(np.arange(len(caches)), [len(i) for i in indices]),
+      np.concatenate(indices)] = np.concatenate(values)
+    return EncoderGrads(W1=G_h.T @ X, b1=G_h.sum(axis=0),
+                        W2=G.T @ H, b2=G.sum(axis=0))
 
 
 def encode_backward(params, text, upstream):
     """Exact gradients of upstream . encode(params, text) for every parameter."""
     indices, values = featurize_text(params, text)
     _, cache = forward_features(params, indices, values)
-    g_W2, g_b2, g_b1, idx, w1_cols = backward_features(params, cache, upstream)
-    g_W1 = np.zeros_like(params.W1)
-    np.add.at(g_W1, (slice(None), idx), w1_cols)
-    return EncoderGrads(W1=g_W1, b1=g_b1, W2=g_W2, b2=g_b2)
+    return backward_batch(params, [cache], [upstream])
 
 
 def save_params(path, params):

@@ -1,5 +1,5 @@
-"""Self-alignment training: positive pair generation, online hard triplet
-mining, Multi-Similarity loss with exact gradients, and the epoch loop.
+"""Self-alignment training: positive pair generation, online mining of every
+in-batch pair, Multi-Similarity loss with exact gradients, and the epoch loop.
 """
 
 import json
@@ -25,9 +25,6 @@ class PositivePair:
 @dataclass
 class MiningConfig:
     margin: float = 0.2
-    # deviation knob: mine from one sampled anchor per label group instead
-    # of enumerating every same-label ordered pair
-    sample_anchors: bool = False
 
 
 @dataclass
@@ -44,13 +41,6 @@ class TrainConfig:
     batch_size: int = 512
     epochs: int = 1
     seed: int = 0
-
-
-@dataclass(frozen=True)
-class Triplet:
-    anchor_idx: int
-    positive_idx: int
-    negative_idx: int
 
 
 def generate_pretrain_pairs(ontology):
@@ -133,65 +123,15 @@ def _mining_masks(distances, labels, margin):
     D[a,p] >= D[a,n] + margin, i.e. D[a,p] >= min-negative-distance + margin;
     symmetrically (a, n) is active iff max-positive-distance >= D[a,n] + margin.
     """
-    labels = np.asarray(labels, dtype=object)
-    same = labels[:, None] == labels[None, :]
+    _, codes = np.unique(np.asarray(labels), return_inverse=True)
+    diff = codes[:, None] != codes[None, :]
+    same = ~diff
     np.fill_diagonal(same, False)
-    diff = labels[:, None] != labels[None, :]
 
-    inf = np.inf
-    min_neg = np.where(diff, distances, inf).min(axis=1)
-    max_pos = np.where(same, distances, -inf).max(axis=1)
+    min_neg = np.where(diff, distances, np.inf).min(axis=1)
+    max_pos = np.where(same, distances, -np.inf).max(axis=1)
     pos_mask = same & (distances >= min_neg[:, None] + margin)
     neg_mask = diff & (max_pos[:, None] >= distances + margin)
-    return pos_mask, neg_mask
-
-
-def mine_hard_triplets(embeddings, labels, config, rng=None):
-    """Enumerate triplets violating the margin condition: every (anchor,
-    positive, negative) with anchor/positive sharing a label, negative not,
-    and distance(a, p) >= distance(a, n) + margin.
-    """
-    embeddings = np.asarray(embeddings, dtype=float)
-    if embeddings.ndim == 1:
-        embeddings = embeddings[:, None]
-    n = embeddings.shape[0]
-    labels = list(labels)
-    dist = _pairwise_distances(embeddings)
-
-    if config.sample_anchors:
-        rng = rng or np.random.default_rng(0)
-        anchors = []
-        by_label = {}
-        for i, lab in enumerate(labels):
-            by_label.setdefault(lab, []).append(i)
-        for lab in sorted(by_label, key=str):
-            idxs = by_label[lab]
-            if len(idxs) > 1:
-                anchors.append(idxs[rng.integers(len(idxs))])
-        anchors = sorted(anchors)
-    else:
-        anchors = range(n)
-
-    triplets = []
-    for a in anchors:
-        pos = [p for p in range(n) if p != a and labels[p] == labels[a]]
-        neg = [m for m in range(n) if labels[m] != labels[a]]
-        if not pos or not neg:
-            continue
-        dp = dist[a, pos]
-        dn = dist[a, neg]
-        viol = dp[:, None] >= dn[None, :] + config.margin
-        for pi, ni in zip(*np.nonzero(viol)):
-            triplets.append(Triplet(a, pos[pi], neg[ni]))
-    return triplets
-
-
-def _masks_from_triplets(n, triplets):
-    pos_mask = np.zeros((n, n), dtype=bool)
-    neg_mask = np.zeros((n, n), dtype=bool)
-    for t in triplets:
-        pos_mask[t.anchor_idx, t.positive_idx] = True
-        neg_mask[t.anchor_idx, t.negative_idx] = True
     return pos_mask, neg_mask
 
 
@@ -220,25 +160,14 @@ def _ms_loss_masks(similarities, pos_mask, neg_mask, config):
     return loss, grad
 
 
-def ms_loss(similarities, labels, mined, config):
-    """Loss over the positives/negatives appearing in mined triplets.
-
-    Returns (loss, dL/dS). The loss is averaged over anchors with at least
-    one mined pair; an empty mined set yields (0, zero matrix).
-    """
-    S = np.asarray(similarities, dtype=float)
-    pos_mask, neg_mask = _masks_from_triplets(S.shape[0], mined)
-    return _ms_loss_masks(S, pos_mask, neg_mask, config)
-
-
 def train_epoch(pairs, params, train_cfg, mining_cfg, loss_cfg,
                 epoch_index=0, feature_cache=None):
     """One pass over the positive pairs. Returns (updated params, mean loss).
 
     Pairs are shuffled deterministically from (seed, epoch_index); within
-    each batch both pair elements are encoded, triplets are mined online,
-    and the Multi-Similarity loss over cosine similarities is
-    backpropagated with decoupled weight decay.
+    each batch both pair elements are encoded, every in-batch pair that
+    violates the margin is mined online, and the Multi-Similarity loss over
+    cosine similarities is backpropagated with decoupled weight decay.
     """
     if not pairs:
         raise DataError("cannot train on an empty pair list")
@@ -247,6 +176,7 @@ def train_epoch(pairs, params, train_cfg, mining_cfg, loss_cfg,
     rng = np.random.default_rng([train_cfg.seed, epoch_index])
     order = rng.permutation(len(pairs))
     bs = max(train_cfg.batch_size, 1)
+    lr, wd = train_cfg.learning_rate, train_cfg.weight_decay
 
     losses = []
     mined_any = False
@@ -261,12 +191,8 @@ def train_epoch(pairs, params, train_cfg, mining_cfg, loss_cfg,
         cache.update(zip(missing, enc.featurize_texts(params, missing)))
         feats = [cache[t] for t in texts]
 
-        outs = []
-        fwd_caches = []
-        for idx, vals in feats:
-            out, c = enc.forward_features(params, idx, vals)
-            outs.append(out)
-            fwd_caches.append(c)
+        outs, fwd_caches = zip(*(enc.forward_features(params, idx, vals)
+                                 for idx, vals in feats))
         E = np.vstack(outs)
 
         # cosine similarities via row normalization (identity for the
@@ -276,49 +202,24 @@ def train_epoch(pairs, params, train_cfg, mining_cfg, loss_cfg,
         U = E / safe[:, None]
         S = U @ U.T
 
-        dist = _pairwise_distances(E)
-        if mining_cfg.sample_anchors:
-            triplets = mine_hard_triplets(E, labels, mining_cfg, rng=rng)
-            pos_mask, neg_mask = _masks_from_triplets(len(labels), triplets)
-        else:
-            pos_mask, neg_mask = _mining_masks(dist, labels, mining_cfg.margin)
+        pos_mask, neg_mask = _mining_masks(_pairwise_distances(E), labels,
+                                           mining_cfg.margin)
         loss, G = _ms_loss_masks(S, pos_mask, neg_mask, loss_cfg)
         losses.append(loss)
-        if pos_mask.any() or neg_mask.any():
-            mined_any = True
+        mined_any = mined_any or pos_mask.any() or neg_mask.any()
 
-            dU = (G + G.T) @ U
-            # back through the row normalization
-            dE = (dU - (np.sum(dU * U, axis=1, keepdims=True)) * U) / safe[:, None]
-            dE[norms < enc.NORM_EPS] = 0.0
-
-            g_W1 = np.zeros_like(params.W1)
-            g_b1 = np.zeros_like(params.b1)
-            g_W2 = np.zeros_like(params.W2)
-            g_b2 = np.zeros_like(params.b2)
-            for i, c in enumerate(fwd_caches):
-                gw2, gb2, gh, idx, w1_cols = enc.backward_features(params, c, dE[i])
-                g_W2 += gw2
-                g_b2 += gb2
-                g_b1 += gh
-                g_W1[:, idx] += w1_cols
-
-            lr, wd = train_cfg.learning_rate, train_cfg.weight_decay
-            params.W1 -= lr * (g_W1 + wd * params.W1)
-            params.b1 -= lr * (g_b1 + wd * params.b1)
-            params.W2 -= lr * (g_W2 + wd * params.W2)
-            params.b2 -= lr * (g_b2 + wd * params.b2)
-        else:
-            # zero mined triplets: pure decay step would surprise; apply the
-            # same update rule with zero gradient for consistency
-            lr, wd = train_cfg.learning_rate, train_cfg.weight_decay
-            params.W1 -= lr * wd * params.W1
-            params.b1 -= lr * wd * params.b1
-            params.W2 -= lr * wd * params.W2
-            params.b2 -= lr * wd * params.b2
+        dU = (G + G.T) @ U
+        # back through the row normalization
+        dE = (dU - (np.sum(dU * U, axis=1, keepdims=True)) * U) / safe[:, None]
+        dE[norms < enc.NORM_EPS] = 0.0
+        grads = enc.backward_batch(params, fwd_caches, dE)
+        # a batch that mined nothing has zero gradients: a pure decay step
+        for name in ("W1", "b1", "W2", "b2"):
+            w = getattr(params, name)
+            w -= lr * (getattr(grads, name) + wd * w)
 
     if not mined_any:
-        log.warning("epoch %d: no batch produced any mined triplets", epoch_index)
+        log.warning("epoch %d: no batch produced any mined pairs", epoch_index)
     return params, float(np.mean(losses)) if losses else 0.0
 
 

@@ -20,6 +20,7 @@ from belforge import training as tr
 from belforge.cli import main as cli_main
 from helpers import (make_perturbed_mentions, make_synthetic_ontology,
                      mentions_as_slice, random_unit_rows, random_word)
+from oracles import Triplet, masks_from_triplets, mine_hard_triplets, ms_loss
 
 
 def term(tid, cui, text, vocab="MDRDUT", lang="DUT", code="0"):
@@ -253,11 +254,19 @@ def test_criterion_04():
         E = rng.normal(size=(n, 6))
         labels = [str(rng.integers(0, 6)) for _ in range(n)]
         for margin in (0.0, 0.2, 1.0):
-            mined = tr.mine_hard_triplets(E, labels,
-                                          tr.MiningConfig(margin=margin))
+            mined = mine_hard_triplets(E, labels,
+                                       tr.MiningConfig(margin=margin))
             got = {(t.anchor_idx, t.positive_idx, t.negative_idx)
                    for t in mined}
-            mismatches += got != _brute_force_triplets(E, labels, margin)
+            want = _brute_force_triplets(E, labels, margin)
+            mismatches += got != want
+            # the miner that trains, against the oracle projected to masks
+            want_pos, want_neg = masks_from_triplets(
+                n, [Triplet(*t) for t in want])
+            pos, neg = tr._mining_masks(tr._pairwise_distances(E), labels,
+                                        margin)
+            mismatches += not (np.array_equal(pos, want_pos)
+                               and np.array_equal(neg, want_neg))
     assert mismatches == 0
     assert time.perf_counter() - start < 10.0
 
@@ -298,7 +307,7 @@ def test_criterion_05():
     # similarity 0.9 and a negative at 0.8, alpha=2, beta=50, base=0.5
     S = np.array([[1.0, 0.9, 0.8], [0.9, 1.0, 0.0], [0.8, 0.0, 1.0]])
     cfg = tr.MsLossConfig(alpha=2.0, beta=50.0, base=0.5)
-    loss, _ = tr.ms_loss(S, ["a", "a", "b"], [tr.Triplet(0, 1, 2)], cfg)
+    loss, _ = ms_loss(S, ["a", "a", "b"], [Triplet(0, 1, 2)], cfg)
     assert abs(loss - 0.4856) < 1e-3
 
     rng = np.random.default_rng(50)
@@ -308,18 +317,18 @@ def test_criterion_05():
         E = random_unit_rows(rng, n, 3)
         sims = E @ E.T
         labels = [str(rng.integers(0, 3)) for _ in range(n)]
-        mined = tr.mine_hard_triplets(E, labels, tr.MiningConfig(margin=0.2))
+        mined = mine_hard_triplets(E, labels, tr.MiningConfig(margin=0.2))
         if mined:
-            _, grad = tr.ms_loss(sims, labels, mined, cfg)
+            _, grad = ms_loss(sims, labels, mined, cfg)
             step = 1e-6
             num = np.zeros_like(sims)
             for i in range(n):
                 for j in range(n):
                     P = sims.copy()
                     P[i, j] += step
-                    hi, _ = tr.ms_loss(P, labels, mined, cfg)
+                    hi, _ = ms_loss(P, labels, mined, cfg)
                     P[i, j] -= 2 * step
-                    lo, _ = tr.ms_loss(P, labels, mined, cfg)
+                    lo, _ = ms_loss(P, labels, mined, cfg)
                     num[i, j] = (hi - lo) / (2 * step)
             assert _rel_err(grad, num, floor=1e-4) < 1e-4
 

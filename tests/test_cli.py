@@ -300,3 +300,66 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert len(err.splitlines()) == 1
         assert "ontology at out/ontology.jsonl" in err and "UTF-8" in err
+
+    def test_truncated_params_artifact_io(self, workspace, capsys):
+        root, config = workspace
+        run_pipeline(config, upto="train")
+        params = root / "out" / "pretrained.params"
+        params.write_bytes(params.read_bytes()[:-100])
+        capsys.readouterr()
+        assert main(["index-build", "--config", config, "--quiet"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1
+        assert "pretrained.params" in captured.err
+        assert "Traceback" not in captured.err
+
+    @pytest.mark.parametrize("in_file, overrides", [
+        ({"train": {"epoch": 3}}, []),
+        ({"mining": {"sample_anchors": True}}, []),
+        ({"ontology": {"column_map": {"cui": 0, "lang": 1}}}, []),
+        ({"index": 5}, []),
+        ({"seed": {"value": 1}}, []),
+        ({}, ["train.epoch=3"]),
+        ({}, ["mining.sample_anchors=true"]),
+        ({}, ["ontology.column_map.lang=1"]),
+        ({}, ["paths=null"]),
+        ({}, ["seed.value=1"]),
+    ])
+    def test_unknown_config_key_usage(self, workspace, capsys, in_file,
+                                      overrides):
+        root, config = workspace
+        cfg = json.loads((root / "config.json").read_text())
+        cfg.update(in_file)
+        (root / "config.json").write_text(json.dumps(cfg))
+        argv = ["ontology-build", "--config", config, "--quiet"]
+        for item in overrides:
+            argv += ["--set", item]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1
+        assert "config key" in captured.err
+        assert not (root / "out" / "ontology.jsonl").exists()
+
+    @pytest.mark.parametrize("stage, upto, override", [
+        ("corpus-subset", "corpus-compile", "corpus.split_ratio=0"),
+        ("corpus-subset", "corpus-compile", "corpus.split_ratio=1"),
+        ("corpus-subset", "corpus-compile", "corpus.split_ratio=-0.5"),
+        ("corpus-subset", "corpus-compile", "corpus.split_ratio=\"half\""),
+        ("index-build", "train", "index.pca_k=0"),
+        ("index-build", "train", "index.nlist=0"),
+        ("index-build", "train", "index.nprobe=0"),
+        ("index-build", "train", "index.nprobe=-2"),
+    ])
+    def test_out_of_range_setting_usage(self, workspace, capsys, stage, upto,
+                                        override):
+        _root, config = workspace
+        run_pipeline(config, upto=upto)
+        capsys.readouterr()
+        assert main([stage, "--config", config, "--quiet",
+                     "--set", override]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1
+        assert override.split("=")[0] in captured.err

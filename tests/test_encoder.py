@@ -114,6 +114,33 @@ def test_gradcheck_random_draws():
         assert_close_rel(g.b2, num["b2"])
 
 
+@pytest.mark.parametrize("normalize_output", [True, False])
+def test_backward_batch_equals_sum_of_rows(normalize_output):
+    rng = np.random.default_rng(4)
+    p = small_params(17, buckets=4096, normalize_output=normalize_output)
+    p.b1 = rng.normal(scale=0.1, size=p.hidden)
+    dead = "qqqq"
+    dead_idx, _ = enc.featurize_text(p, dead)
+    # a row whose hidden units are all off has a zero pre-normalization
+    # vector: its output skips the normalization Jacobian
+    p.W1[:, dead_idx] = -10.0
+    words = []
+    while len(words) < 9:
+        w = random_word(rng, 3, 9)
+        if not set(enc.featurize_text(p, w)[0]) & set(dead_idx):
+            words.append(w)
+    texts = words[:4] + [dead] + words[4:] + [words[0]]
+    caches = [enc.forward_features(p, *enc.featurize_text(p, t))[1]
+              for t in texts]
+    assert np.linalg.norm(caches[4][-1]) == 0.0
+    dE = rng.normal(size=(len(texts), p.dim))
+    got = enc.backward_batch(p, caches, dE)
+    for name in ("W1", "b1", "W2", "b2"):
+        want = sum(getattr(enc.encode_backward(p, t, u), name)
+                   for t, u in zip(texts, dE))
+        assert np.allclose(getattr(got, name), want, rtol=1e-12, atol=1e-15)
+
+
 def test_zero_upstream_zero_grads():
     p = small_params(9)
     g = enc.encode_backward(p, "koorts", np.zeros(p.dim))

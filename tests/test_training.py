@@ -9,6 +9,7 @@ from belforge import training as tr
 from belforge.errors import DataError
 from belforge.ontology import OntologyRecord
 from helpers import make_synthetic_ontology, mentions_as_slice
+from oracles import Triplet, masks_from_triplets, mine_hard_triplets, ms_loss
 
 
 def brute_force_triplets(embeddings, labels, margin):
@@ -101,20 +102,20 @@ class TestMining:
     def test_identical_embeddings_no_triplets(self):
         E = np.ones((4, 3))
         labels = ["a", "a", "b", "b"]
-        assert tr.mine_hard_triplets(E, labels, tr.MiningConfig(margin=0.2)) == []
+        assert mine_hard_triplets(E, labels, tr.MiningConfig(margin=0.2)) == []
 
     def test_hand_computed_selected(self):
         # 1-D: anchor 0, positive at 1.0, negative at 0.5 -> 1.0 >= 0.5+0.2
         E = np.array([0.0, 1.0, 0.5])
         labels = ["x", "x", "y"]
-        triplets = tr.mine_hard_triplets(E, labels, tr.MiningConfig(margin=0.2))
-        assert tr.Triplet(0, 1, 2) in triplets
+        triplets = mine_hard_triplets(E, labels, tr.MiningConfig(margin=0.2))
+        assert Triplet(0, 1, 2) in triplets
 
     def test_hand_computed_not_selected(self):
         E = np.array([0.0, 0.6, 0.5])
         labels = ["x", "x", "y"]
-        triplets = tr.mine_hard_triplets(E, labels, tr.MiningConfig(margin=0.2))
-        assert tr.Triplet(0, 1, 2) not in triplets
+        triplets = mine_hard_triplets(E, labels, tr.MiningConfig(margin=0.2))
+        assert Triplet(0, 1, 2) not in triplets
 
     @pytest.mark.parametrize("margin", [0.0, 0.2, 1.0])
     def test_matches_brute_force(self, margin):
@@ -123,7 +124,7 @@ class TestMining:
             n = int(rng.integers(2, 33))
             E = rng.normal(size=(n, 4))
             labels = [str(rng.integers(0, 5)) for _ in range(n)]
-            mined = tr.mine_hard_triplets(E, labels, tr.MiningConfig(margin=margin))
+            mined = mine_hard_triplets(E, labels, tr.MiningConfig(margin=margin))
             got = {(t.anchor_idx, t.positive_idx, t.negative_idx) for t in mined}
             assert got == brute_force_triplets(E, labels, margin)
 
@@ -134,8 +135,8 @@ class TestMining:
             n = int(rng.integers(2, 25))
             E = rng.normal(size=(n, 3))
             labels = [str(rng.integers(0, 4)) for _ in range(n)]
-            mined = tr.mine_hard_triplets(E, labels, tr.MiningConfig(margin=margin))
-            want_pos, want_neg = tr._masks_from_triplets(n, mined)
+            mined = mine_hard_triplets(E, labels, tr.MiningConfig(margin=margin))
+            want_pos, want_neg = masks_from_triplets(n, mined)
             dist = tr._pairwise_distances(E)
             got_pos, got_neg = tr._mining_masks(dist, labels, margin)
             assert np.array_equal(got_pos, want_pos)
@@ -148,7 +149,7 @@ class TestMsLoss:
 
     def test_empty_mined(self):
         S = np.eye(3)
-        loss, grad = tr.ms_loss(S, ["a", "a", "b"], [], self.cfg())
+        loss, grad = ms_loss(S, ["a", "a", "b"], [], self.cfg())
         assert loss == 0.0 and np.all(grad == 0)
 
     def test_hand_value(self):
@@ -156,8 +157,8 @@ class TestMsLoss:
         S = np.array([[1.0, 0.9, 0.8],
                       [0.9, 1.0, 0.0],
                       [0.8, 0.0, 1.0]])
-        mined = [tr.Triplet(0, 1, 2)]
-        loss, _ = tr.ms_loss(S, ["a", "a", "b"], mined, self.cfg())
+        mined = [Triplet(0, 1, 2)]
+        loss, _ = ms_loss(S, ["a", "a", "b"], mined, self.cfg())
         expected = (math.log1p(math.exp(-2 * 0.4)) / 2
                     + math.log1p(math.exp(50 * 0.3)) / 50)
         assert abs(loss - 0.4856) < 1e-3
@@ -172,18 +173,18 @@ class TestMsLoss:
             E /= np.linalg.norm(E, axis=1, keepdims=True)
             S = E @ E.T
             labels = [str(rng.integers(0, 3)) for _ in range(n)]
-            mined = tr.mine_hard_triplets(E, labels, tr.MiningConfig(margin=0.2))
+            mined = mine_hard_triplets(E, labels, tr.MiningConfig(margin=0.2))
             if not mined:
                 continue
-            _, grad = tr.ms_loss(S, labels, mined, cfg)
+            _, grad = ms_loss(S, labels, mined, cfg)
             step = 1e-6
             for i in range(n):
                 for j in range(n):
                     P = S.copy()
                     P[i, j] += step
-                    hi, _ = tr.ms_loss(P, labels, mined, cfg)
+                    hi, _ = ms_loss(P, labels, mined, cfg)
                     P[i, j] -= 2 * step
-                    lo, _ = tr.ms_loss(P, labels, mined, cfg)
+                    lo, _ = ms_loss(P, labels, mined, cfg)
                     num = (hi - lo) / (2 * step)
                     denom = max(abs(num), abs(grad[i, j]), 1e-4)
                     assert abs(grad[i, j] - num) / denom < 1e-5
@@ -195,15 +196,15 @@ class TestMsLoss:
         E /= np.linalg.norm(E, axis=1, keepdims=True)
         S = E @ E.T
         labels = [str(rng.integers(0, 3)) for _ in range(n)]
-        mined = tr.mine_hard_triplets(E, labels, tr.MiningConfig(margin=0.1))
-        loss, grad = tr.ms_loss(S, labels, mined, self.cfg())
+        mined = mine_hard_triplets(E, labels, tr.MiningConfig(margin=0.1))
+        loss, grad = ms_loss(S, labels, mined, self.cfg())
         perm = rng.permutation(n)
         inv = np.argsort(perm)
         S_p = S[np.ix_(perm, perm)]
         labels_p = [labels[i] for i in perm]
-        mined_p = [tr.Triplet(int(inv[t.anchor_idx]), int(inv[t.positive_idx]),
+        mined_p = [Triplet(int(inv[t.anchor_idx]), int(inv[t.positive_idx]),
                               int(inv[t.negative_idx])) for t in mined]
-        loss_p, grad_p = tr.ms_loss(S_p, labels_p, mined_p, self.cfg())
+        loss_p, grad_p = ms_loss(S_p, labels_p, mined_p, self.cfg())
         assert abs(loss - loss_p) < 1e-12
         assert np.allclose(grad_p, grad[np.ix_(perm, perm)])
 
@@ -211,8 +212,8 @@ class TestMsLoss:
         S = np.array([[1.0, 0.7, 0.6],
                       [0.7, 1.0, 0.1],
                       [0.6, 0.1, 1.0]])
-        mined = [tr.Triplet(0, 1, 2)]
-        _, grad = tr.ms_loss(S, ["a", "a", "b"], mined, self.cfg())
+        mined = [Triplet(0, 1, 2)]
+        _, grad = ms_loss(S, ["a", "a", "b"], mined, self.cfg())
         assert grad[0, 1] < 0  # increasing a positive similarity lowers loss
         assert grad[0, 2] > 0  # increasing a negative similarity raises loss
 
