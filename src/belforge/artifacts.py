@@ -6,12 +6,15 @@ container format so loading can validate kind and version up front:
     magic b"BELF" | u32 version | u32 header_len | header JSON (utf-8)
     | raw array payloads, little-endian C-order, in header order
 
-The header carries ``kind``, arbitrary metadata, and per-array dtype/shape.
+The header carries ``kind``, arbitrary metadata, per-array dtype/shape and
+the sha256 of the payload.
 Writes are atomic (temp file + rename) so interrupted runs never leave a
 partial artifact at its final path.
 """
 
+import hashlib
 import json
+import math
 import os
 import struct
 import tempfile
@@ -22,6 +25,8 @@ from .errors import ArtifactError
 
 MAGIC = b"BELF"
 VERSION = 1
+# dtype kinds save_artifact writes: bool, signed and unsigned int, float, unicode
+ARRAY_KINDS = "biufU"
 
 
 def write_atomic(path, data: bytes):
@@ -45,8 +50,16 @@ def write_text_atomic(path, text: str):
 
 
 def save_artifact(path, kind: str, meta: dict, arrays: dict):
-    """Serialize named numpy arrays plus JSON metadata to one file."""
+    """Serialize named numpy arrays plus JSON metadata to one file.
+
+    The header records the sha256 of the payload; it is returned too.
+    """
     names = sorted(arrays)
+    payload = [np.ascontiguousarray(a, dtype=a.dtype.newbyteorder("<")).tobytes()
+               for a in (arrays[n] for n in names)]
+    digest = hashlib.sha256()
+    for part in payload:
+        digest.update(part)
     header = {
         "kind": kind,
         "meta": meta,
@@ -54,45 +67,103 @@ def save_artifact(path, kind: str, meta: dict, arrays: dict):
             {"name": n, "dtype": str(arrays[n].dtype), "shape": list(arrays[n].shape)}
             for n in names
         ],
+        "sha256": digest.hexdigest(),
     }
     hdr = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
-    parts = [MAGIC, struct.pack("<II", VERSION, len(hdr)), hdr]
-    for n in names:
-        le = arrays[n].dtype.newbyteorder("<")
-        parts.append(np.ascontiguousarray(arrays[n], dtype=le).tobytes())
-    write_atomic(path, b"".join(parts))
+    write_atomic(path, b"".join([MAGIC, struct.pack("<II", VERSION, len(hdr)), hdr]
+                                + payload))
+    return header["sha256"]
 
 
-def load_artifact(path, kind: str):
-    """Load an artifact, checking magic, version and kind. Returns (meta, arrays)."""
+def _array_layout(path, spec):
+    """(name, little-endian dtype, shape, byte count) of one header entry."""
     try:
-        with open(path, "rb") as f:
-            blob = f.read()
-    except OSError as e:
-        raise ArtifactError(f"cannot read artifact {path}: {e}") from e
-    if blob[:4] != MAGIC:
+        name, dtype, shape = spec["name"], spec["dtype"], spec["shape"]
+    except (KeyError, TypeError) as e:
+        raise ArtifactError(f"{path}: corrupt artifact header: {e!r}") from e
+    if not isinstance(name, str):
+        raise ArtifactError(f"{path}: corrupt artifact header: array name {name!r}")
+    try:
+        dt = np.dtype(dtype) if isinstance(dtype, str) else None
+    except (TypeError, ValueError):
+        dt = None
+    if dt is None or dt.kind not in ARRAY_KINDS or dt.itemsize == 0:
+        raise ArtifactError(f"{path}: array {name!r} has unsupported dtype {dtype!r}")
+    if not isinstance(shape, list) or not all(type(d) is int and d >= 0 for d in shape):
+        raise ArtifactError(f"{path}: array {name!r} has invalid shape {shape!r}")
+    return name, dt.newbyteorder("<"), shape, dt.itemsize * math.prod(shape)
+
+
+class _Entries(dict):
+    """Header entries by name; a missing one is an ArtifactError naming it."""
+
+    def __init__(self, path, what, entries):
+        super().__init__(entries)
+        self.path, self.what = path, what
+
+    def __missing__(self, name):
+        raise ArtifactError(f"{self.path}: artifact has no {self.what} {name!r}")
+
+
+def _read_artifact(f, path, kind):
+    size = os.fstat(f.fileno()).st_size
+    prefix = f.read(12)
+    if prefix[:4] != MAGIC:
         raise ArtifactError(f"{path}: not a belforge artifact")
-    if len(blob) < 12:
+    if len(prefix) < 12:
         raise ArtifactError(f"{path}: truncated artifact prefix")
-    version, hdr_len = struct.unpack("<II", blob[4:12])
+    version, hdr_len = struct.unpack("<II", prefix[4:])
     if version != VERSION:
         raise ArtifactError(f"{path}: unsupported artifact version {version}")
+    if 12 + hdr_len > size:
+        raise ArtifactError(f"{path}: truncated artifact header")
     try:
-        header = json.loads(blob[12:12 + hdr_len].decode("utf-8"))
+        header = json.loads(f.read(hdr_len).decode("utf-8"))
         found, meta, specs = header["kind"], header["meta"], header["arrays"]
+        digest = header.get("sha256")
+        if not (isinstance(meta, dict) and isinstance(specs, list)
+                and isinstance(digest, (str, type(None)))):
+            raise TypeError("meta, arrays or sha256 of the wrong type")
     except (ValueError, KeyError, TypeError) as e:
         raise ArtifactError(f"{path}: corrupt artifact header: {e!r}") from e
     if found != kind:
         raise ArtifactError(f"{path}: artifact kind {found!r}, expected {kind!r}")
+    layout = [_array_layout(path, spec) for spec in specs]
+    if len({name for name, *_ in layout}) != len(layout):
+        raise ArtifactError(f"{path}: corrupt artifact header: repeated array name")
+    # sizes are checked against the file before any array is allocated
+    declared = sum(nbytes for *_, nbytes in layout)
+    stored = size - 12 - hdr_len
+    if declared > stored:
+        raise ArtifactError(f"{path}: truncated artifact payload")
+    if declared < stored:
+        raise ArtifactError(
+            f"{path}: {stored - declared} trailing bytes after the artifact payload")
     arrays = {}
-    off = 12 + hdr_len
-    for spec in specs:
-        dt = np.dtype(spec["dtype"]).newbyteorder("<")
-        count = int(np.prod(spec["shape"], dtype=np.int64)) if spec["shape"] else 1
-        nbytes = dt.itemsize * count
-        if off + nbytes > len(blob):
+    for name, dt, shape, nbytes in layout:
+        try:
+            a = np.empty(shape, dtype=dt)
+        except (ValueError, OverflowError) as e:
+            raise ArtifactError(
+                f"{path}: array {name!r} has invalid shape {shape!r}") from e
+        if f.readinto(a.reshape(-1).view(np.uint8)) != nbytes:
             raise ArtifactError(f"{path}: truncated artifact payload")
-        a = np.frombuffer(blob[off:off + nbytes], dtype=dt).reshape(spec["shape"])
-        arrays[spec["name"]] = a.astype(dt.newbyteorder("="))
-        off += nbytes
-    return meta, arrays
+        arrays[name] = a.astype(dt.newbyteorder("="), copy=False)
+    return (_Entries(path, "meta entry", meta), _Entries(path, "array", arrays),
+            digest)
+
+
+def load_artifact(path, kind: str):
+    """Load an artifact, checking magic, version, header and kind.
+
+    Returns (meta, arrays, sha256), where sha256 is the payload digest the
+    header records (None in artifacts written before headers carried one);
+    it is not recomputed. A missing meta entry or array is an ArtifactError
+    when looked up. The file is read once, each array straight into its own
+    buffer.
+    """
+    try:
+        with open(path, "rb") as f:
+            return _read_artifact(f, path, kind)
+    except OSError as e:
+        raise ArtifactError(f"cannot read artifact {path}: {e}") from e

@@ -203,7 +203,7 @@ def cmd_corpus_subset(cfg, args):
     with _open_input(paths["corpus"], "corpus") as f:
         full = corpus_mod.parse_corpus(f)
     ratio = cfg["corpus"]["split_ratio"]
-    if not isinstance(ratio, (int, float)) or not 0 < ratio < 1:
+    if not 0 < ratio < 1:
         raise UsageError(f"corpus.split_ratio must be in (0, 1), got {ratio!r}")
     ontology = _load_ontology(cfg)
     train, val = corpus_mod.build_star_subset(
@@ -291,22 +291,32 @@ def cmd_index_build(cfg, args):
     icfg = cfg["index"]
     for key in ("pca_k", "nlist", "nprobe"):
         _at_least_one(icfg[key], f"index.{key}")
-    params = enc.load_params(_resolve_params_path(cfg, args))
+    params_path = _resolve_params_path(cfg, args)
+    params = enc.load_params(params_path)
+    if params.sha256 is None:
+        raise ArtifactError(f"{params_path}: params artifact records no payload "
+                            "digest; rerun train or finetune to rewrite it")
     ontology = _load_ontology(cfg)
     if not ontology:
         raise DataError("cannot build an index from an empty ontology")
     embeddings = enc.encode_batch(params, [r.text for r in ontology])
     ids = np.array([r.term_id for r in ontology], dtype=np.int64)
+    cuis = [r.cui for r in ontology]
+    groups = [r.group for r in ontology]
 
     k = min(icfg["pca_k"], embeddings.shape[0] - 1, embeddings.shape[1])
     transform = index_mod.fit_pca(embeddings, k)
+    transform.params_sha256 = params.sha256
     compressed = index_mod.apply_pca(transform, embeddings)
-    flat = index_mod.build_flat(compressed, ids)
+    flat = index_mod.build_flat(compressed, ids, cuis, groups)
     nlist = min(icfg["nlist"], len(ids))
     ivf = index_mod.build_ivf(compressed, ids, nlist, seed=cfg["seed"],
-                              kmeans_iters=icfg["kmeans_iters"])
+                              kmeans_iters=icfg["kmeans_iters"], cuis=cuis,
+                              groups=groups)
     ivf.nprobe = min(icfg["nprobe"], nlist)
-    index_mod.save_pca(paths["pca"], transform)
+    pca_sha256 = index_mod.save_pca(paths["pca"], transform)
+    for index in (flat, ivf):
+        index.params_sha256, index.pca_sha256 = params.sha256, pca_sha256
     index_mod.save_flat(paths["flat_index"], flat)
     index_mod.save_ivf(paths["ivf_index"], ivf)
     _summary({"command": "index-build", "terms": len(ids), "pca_k": k,
@@ -315,20 +325,31 @@ def cmd_index_build(cfg, args):
 
 
 def _load_link_stack(cfg, args):
-    params = enc.load_params(_resolve_params_path(cfg, args))
-    transform = index_mod.load_pca(cfg["paths"]["pca"])
+    """The params, PCA and index artifacts, refused unless index-build made
+    the PCA and index together from these params, plus the index's
+    term_id -> CUI table."""
+    paths = cfg["paths"]
+    params_path = _resolve_params_path(cfg, args)
+    params = enc.load_params(params_path)
+    transform = index_mod.load_pca(paths["pca"])
     kind = getattr(args, "index_kind", None) or "flat"
-    if kind == "ivf":
-        index = index_mod.load_ivf(cfg["paths"]["ivf_index"])
-    else:
-        index = index_mod.load_flat(cfg["paths"]["flat_index"])
-    ontology = _load_ontology(cfg)
-    id_to_cui = {r.term_id: r.cui for r in ontology}
-    return params, transform, index, id_to_cui, ontology
+    index_path = paths["ivf_index" if kind == "ivf" else "flat_index"]
+    index = (index_mod.load_ivf if kind == "ivf" else index_mod.load_flat)(index_path)
+    if index.cuis is None or index.groups is None or index.pca_sha256 is None:
+        raise ArtifactError(f"{index_path}: index carries no term table or "
+                            "provenance; rerun index-build")
+    if index.pca_sha256 != transform.sha256:
+        raise ArtifactError(f"{index_path} and {paths['pca']} were not built "
+                            "together; rerun index-build")
+    if not params.sha256 == transform.params_sha256 == index.params_sha256:
+        raise ArtifactError(f"{params_path} is not the params artifact the index "
+                            "was built from; rerun index-build")
+    id_to_cui = dict(zip(index.ids.tolist(), index.cuis.tolist()))
+    return params, transform, index, id_to_cui
 
 
 def _at_least_one(value, name):
-    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+    if value < 1:
         raise UsageError(f"{name} must be an integer of at least 1, got {value!r}")
     return value
 
@@ -355,7 +376,7 @@ def cmd_link(cfg, args):
     top_k = _top_k(cfg, args)
     if args.mention is None and not args.input:
         raise UsageError("link requires --mention or --input")
-    params, transform, index, id_to_cui, _ontology = _load_link_stack(cfg, args)
+    params, transform, index, id_to_cui = _load_link_stack(cfg, args)
 
     if args.mention is not None:
         result = index_mod.link_mention(args.mention, params, transform, index,
@@ -379,12 +400,14 @@ def cmd_link(cfg, args):
 def cmd_evaluate(cfg, args):
     paths = cfg["paths"]
     top_k = _top_k(cfg, args)
-    params, transform, index, id_to_cui, ontology = _load_link_stack(cfg, args)
+    params, transform, index, id_to_cui = _load_link_stack(cfg, args)
     with _open_input(paths["gold_corpus"], "gold corpus") as f:
         gold_slice = corpus_mod.parse_corpus(f)
+    # a CUI's group is that of its lowest term_id, whatever the index order
+    order = np.argsort(index.ids, kind="stable")
     group_by_cui = {}
-    for r in ontology:
-        group_by_cui.setdefault(r.cui, r.group)
+    for cui, group in zip(index.cuis[order].tolist(), index.groups[order].tolist()):
+        group_by_cui.setdefault(cui, group)
     gold = [
         eval_mod.GoldMention(mention=m.anchor, gold_cui=m.cui,
                              group=group_by_cui.get(m.cui, "OTHER"))

@@ -1,5 +1,6 @@
 """Pipeline configuration: one JSON file, deep-merged over defaults, with
-dotted-key command-line overrides. Both may only name keys that DEFAULTS has.
+dotted-key command-line overrides. Both may only name keys that DEFAULTS has,
+with values of the type of the default where it is not None.
 """
 
 import copy
@@ -92,18 +93,33 @@ def _deep_merge(base, override):
     return out
 
 
+def _leaf_type_ok(value, default):
+    """Whether ``value`` has the type of a non-None default: an int passes
+    for a float, a bool never passes for an int."""
+    if isinstance(default, bool) or isinstance(value, bool):
+        return isinstance(value, bool) and isinstance(default, bool)
+    if isinstance(default, float):
+        return isinstance(value, (int, float))
+    return isinstance(value, type(default))
+
+
 def _check_keys(node, schema, where=""):
     """Raise UsageError for the first key of ``node`` that ``schema`` lacks,
-    or that is a section in one and a plain value in the other."""
+    that is a section in one and a plain value in the other, or whose value
+    has another type than a non-None default."""
     for key, value in node.items():
         dotted = where + key
         if key not in schema:
             raise UsageError(f"unknown config key {dotted!r}")
-        if isinstance(value, dict) != isinstance(schema[key], dict):
-            kind = "section" if isinstance(schema[key], dict) else "plain value"
+        default = schema[key]
+        if isinstance(value, dict) != isinstance(default, dict):
+            kind = "section" if isinstance(default, dict) else "plain value"
             raise UsageError(f"config key {dotted!r} must be a {kind}")
         if isinstance(value, dict):
-            _check_keys(value, schema[key], dotted + ".")
+            _check_keys(value, default, dotted + ".")
+        elif default is not None and not _leaf_type_ok(value, default):
+            raise UsageError(f"config key {dotted!r} must be of type "
+                             f"{type(default).__name__}, got {value!r}")
 
 
 def load_config(path):

@@ -16,6 +16,7 @@ from xml.sax.saxutils import escape, quoteattr
 
 import numpy as np
 
+from .artifacts import write_atomic
 from .errors import DataError, NetworkError
 from .wikitext import DEFAULT_ABBREVIATIONS, DEFAULT_DROP_PREFIXES, split_sentences, strip_wikitext
 
@@ -156,9 +157,7 @@ def load_article_map_sparql(endpoint, site_url, property_id="P2892",
     if raw is None:
         raw = (fetcher or _default_fetcher)(url)
         if cache_path:
-            os.makedirs(cache_dir, exist_ok=True)
-            with open(cache_path, "wb") as f:
-                f.write(raw)
+            write_atomic(cache_path, raw)
 
     try:
         payload = json.loads(raw)

@@ -10,6 +10,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import artifacts
+from .errors import ArtifactError
 from .features import featurize_batch
 
 NORM_EPS = 1e-12
@@ -31,10 +32,13 @@ class EncoderParams:
     b2: np.ndarray  # dim
     normalize_output: bool = True
     lowercase: bool = False
+    # payload digest of the artifact these weights were loaded from
+    sha256: str | None = None
 
     def copy(self):
+        """A copy to train: its weights will no longer be the artifact's."""
         return replace(self, W1=self.W1.copy(), b1=self.b1.copy(),
-                       W2=self.W2.copy(), b2=self.b2.copy())
+                       W2=self.W2.copy(), b2=self.b2.copy(), sha256=None)
 
 
 @dataclass
@@ -137,22 +141,22 @@ def save_params(path, params):
         "hidden": params.hidden, "dim": params.dim,
         "normalize_output": params.normalize_output, "lowercase": params.lowercase,
     }
-    artifacts.save_artifact(path, "encoder-params", meta,
-                            {"W1": params.W1, "b1": params.b1,
-                             "W2": params.W2, "b2": params.b2})
+    return artifacts.save_artifact(path, "encoder-params", meta,
+                                   {"W1": params.W1, "b1": params.b1,
+                                    "W2": params.W2, "b2": params.b2})
 
 
 def load_params(path):
-    meta, arrays = artifacts.load_artifact(path, "encoder-params")
+    meta, arrays, sha256 = artifacts.load_artifact(path, "encoder-params")
     params = EncoderParams(
         n_min=meta["n_min"], n_max=meta["n_max"], buckets=meta["buckets"],
         hidden=meta["hidden"], dim=meta["dim"],
         W1=arrays["W1"], b1=arrays["b1"], W2=arrays["W2"], b2=arrays["b2"],
         normalize_output=meta["normalize_output"], lowercase=meta["lowercase"],
+        sha256=sha256,
     )
     if params.W1.shape != (params.hidden, params.buckets) or \
        params.W2.shape != (params.dim, params.hidden) or \
        params.b1.shape != (params.hidden,) or params.b2.shape != (params.dim,):
-        from .errors import ArtifactError
         raise ArtifactError(f"{path}: parameter shapes do not match declared dimensions")
     return params

@@ -17,12 +17,18 @@ class PcaTransform:
     mean: np.ndarray          # d
     projection: np.ndarray    # d x k, orthonormal columns
     explained_variance: np.ndarray  # k, non-increasing
+    params_sha256: str | None = None  # digest of the params it was fitted for
+    sha256: str | None = None  # payload digest of the artifact it was loaded from
 
 
 @dataclass
 class FlatIndex:
     vectors: np.ndarray  # n x k, unit rows
     ids: np.ndarray      # n term_ids
+    cuis: np.ndarray | None = None    # n CUIs, row-aligned with ids
+    groups: np.ndarray | None = None  # n semantic groups, row-aligned with ids
+    params_sha256: str | None = None  # digests of the params and PCA artifacts
+    pca_sha256: str | None = None     # the index was built with
 
 
 @dataclass
@@ -32,6 +38,10 @@ class IvfIndex:
     ids: np.ndarray        # n term_ids, in row order
     offsets: np.ndarray    # nlist + 1; list c is rows[offsets[c]:offsets[c + 1]]
     nprobe: int = 8
+    cuis: np.ndarray | None = None    # n CUIs, in row order
+    groups: np.ndarray | None = None  # n semantic groups, in row order
+    params_sha256: str | None = None  # digests of the params and PCA artifacts
+    pca_sha256: str | None = None     # the index was built with
 
 
 @dataclass
@@ -87,12 +97,21 @@ def apply_pca(transform, vector):
     return _unit_rows(apply_pca_raw(transform, v))
 
 
-def build_flat(vectors, ids):
+def _term_table(ids, cuis, groups):
+    """The CUI and group arrays, checked to be row-aligned with ids."""
+    table = [None if a is None else np.asarray(a, dtype=str) for a in (cuis, groups)]
+    if any(a is not None and a.shape != ids.shape for a in table):
+        raise DataError("index: cui or group count != id count")
+    return table
+
+
+def build_flat(vectors, ids, cuis=None, groups=None):
     V = _unit_rows(vectors)
     ids = np.asarray(ids, dtype=np.int64)
     if V.shape[0] != ids.shape[0]:
         raise DataError("flat index: row count != id count")
-    return FlatIndex(vectors=V, ids=ids)
+    cuis, groups = _term_table(ids, cuis, groups)
+    return FlatIndex(vectors=V, ids=ids, cuis=cuis, groups=groups)
 
 
 def _rank(scores, ids, top_k):
@@ -146,11 +165,13 @@ def _assign(rows, centroids):
     return np.argmin(d2, axis=1)
 
 
-def build_ivf(vectors, ids, nlist, seed=0, kmeans_iters=10):
+def build_ivf(vectors, ids, nlist, seed=0, kmeans_iters=10, cuis=None,
+              groups=None):
     """Inverted-file index: k-means++ seeded centroids, Lloyd refinement,
     each row stored in the list of its nearest centroid."""
     rows = _unit_rows(vectors)
     ids = np.asarray(ids, dtype=np.int64)
+    cuis, groups = _term_table(ids, cuis, groups)
     n = rows.shape[0]
     if nlist < 1 or nlist > n:
         raise DataError(f"ivf: nlist={nlist} out of range for {n} rows")
@@ -169,7 +190,9 @@ def build_ivf(vectors, ids, nlist, seed=0, kmeans_iters=10):
     order = np.argsort(assign, kind="stable")
     sizes = np.bincount(assign, minlength=nlist)
     return IvfIndex(centroids=centroids, rows=rows[order], ids=ids[order],
-                    offsets=np.concatenate(([0], np.cumsum(sizes))))
+                    offsets=np.concatenate(([0], np.cumsum(sizes))),
+                    cuis=None if cuis is None else cuis[order],
+                    groups=None if groups is None else groups[order])
 
 
 def search_ivf(index, query, top_k=10, nprobe=None):
@@ -241,38 +264,56 @@ def link_mention(text, params, transform, index, id_to_cui, top_k=10,
 
 
 def save_pca(path, transform):
-    artifacts.save_artifact(path, "pca-transform", {},
-                            {"mean": transform.mean,
-                             "projection": transform.projection,
-                             "explained_variance": transform.explained_variance})
+    return artifacts.save_artifact(
+        path, "pca-transform", {"params_sha256": transform.params_sha256},
+        {"mean": transform.mean, "projection": transform.projection,
+         "explained_variance": transform.explained_variance})
 
 
 def load_pca(path):
-    _meta, arrays = artifacts.load_artifact(path, "pca-transform")
+    meta, arrays, sha256 = artifacts.load_artifact(path, "pca-transform")
     return PcaTransform(mean=arrays["mean"], projection=arrays["projection"],
-                        explained_variance=arrays["explained_variance"])
+                        explained_variance=arrays["explained_variance"],
+                        params_sha256=meta.get("params_sha256"), sha256=sha256)
+
+
+def _index_parts(index):
+    """Meta and term-table arrays shared by both index kinds."""
+    meta = {"params_sha256": index.params_sha256, "pca_sha256": index.pca_sha256}
+    arrays = {name: a for name, a in (("cuis", index.cuis), ("groups", index.groups))
+              if a is not None}
+    return meta, arrays
+
+
+def _index_fields(meta, arrays):
+    return {"cuis": arrays.get("cuis"), "groups": arrays.get("groups"),
+            "params_sha256": meta.get("params_sha256"),
+            "pca_sha256": meta.get("pca_sha256")}
 
 
 def save_flat(path, index):
-    artifacts.save_artifact(path, "flat-index", {},
-                            {"vectors": index.vectors, "ids": index.ids})
+    meta, arrays = _index_parts(index)
+    artifacts.save_artifact(path, "flat-index", meta,
+                            {"vectors": index.vectors, "ids": index.ids, **arrays})
 
 
 def load_flat(path):
-    _meta, arrays = artifacts.load_artifact(path, "flat-index")
-    return FlatIndex(vectors=arrays["vectors"], ids=arrays["ids"])
+    meta, arrays, _sha256 = artifacts.load_artifact(path, "flat-index")
+    return FlatIndex(vectors=arrays["vectors"], ids=arrays["ids"],
+                     **_index_fields(meta, arrays))
 
 
 def save_ivf(path, index):
+    meta, arrays = _index_parts(index)
     artifacts.save_artifact(
-        path, "ivf-index", {"nprobe": index.nprobe},
+        path, "ivf-index", {"nprobe": index.nprobe, **meta},
         {"centroids": index.centroids, "rows": index.rows, "ids": index.ids,
-         "sizes": np.diff(index.offsets)})
+         "sizes": np.diff(index.offsets), **arrays})
 
 
 def load_ivf(path):
-    meta, arrays = artifacts.load_artifact(path, "ivf-index")
+    meta, arrays, _sha256 = artifacts.load_artifact(path, "ivf-index")
     return IvfIndex(centroids=arrays["centroids"], rows=arrays["rows"],
                     ids=arrays["ids"],
                     offsets=np.concatenate(([0], np.cumsum(arrays["sizes"]))),
-                    nprobe=int(meta["nprobe"]))
+                    nprobe=int(meta["nprobe"]), **_index_fields(meta, arrays))

@@ -1,8 +1,11 @@
+import hashlib
 import json
 import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from belforge.artifacts import MAGIC, VERSION, load_artifact, save_artifact
 from belforge.errors import ArtifactError
@@ -16,6 +19,20 @@ def _header(**fields):
     return json.dumps(fields).encode("utf-8")
 
 
+def _edit_header(blob, edit):
+    """The artifact ``blob`` with ``edit`` applied to its parsed header."""
+    hdr_len = struct.unpack("<I", blob[8:12])[0]
+    header = json.loads(blob[12:12 + hdr_len])
+    edit(header)
+    return _with_header(json.dumps(header).encode("utf-8")) + blob[12 + hdr_len:]
+
+
+def _set_array(field, value):
+    def edit(header):
+        header["arrays"][0][field] = value
+    return edit
+
+
 @pytest.fixture
 def artifact(tmp_path):
     path = tmp_path / "a.bin"
@@ -24,7 +41,7 @@ def artifact(tmp_path):
 
 
 def test_roundtrip(artifact):
-    meta, arrays = load_artifact(artifact, "demo")
+    meta, arrays, _sha256 = load_artifact(artifact, "demo")
     assert meta == {"n": 3}
     assert np.array_equal(arrays["x"], np.arange(6.0).reshape(2, 3))
 
@@ -44,3 +61,117 @@ def test_corrupt_artifact_is_artifact_error(artifact, corrupt, message):
     artifact.write_bytes(corrupt(artifact.read_bytes()))
     with pytest.raises(ArtifactError, match=message):
         load_artifact(artifact, "demo")
+
+
+@pytest.mark.parametrize("edit, message", [
+    (_set_array("dtype", "nope"), "unsupported dtype 'nope'"),
+    (_set_array("dtype", "O"), "unsupported dtype"),
+    (_set_array("dtype", "<c16"), "unsupported dtype"),
+    (_set_array("dtype", "|S8"), "unsupported dtype"),
+    (_set_array("dtype", "<U0"), "unsupported dtype"),
+    (_set_array("dtype", "(2,)<f8"), "unsupported dtype"),
+    (_set_array("dtype", ["<f8"]), "unsupported dtype"),
+    (_set_array("shape", [-1]), "invalid shape"),
+    (_set_array("shape", [2, -3]), "invalid shape"),
+    (_set_array("shape", [2.0, 3]), "invalid shape"),
+    (_set_array("shape", [True, 6]), "invalid shape"),
+    (_set_array("shape", "6"), "invalid shape"),
+    (_set_array("shape", [10 ** 12, 10 ** 12]), "truncated artifact payload"),
+    (lambda h: h["arrays"].append({"name": "z", "dtype": "<f8",
+                                   "shape": [0, 10 ** 30, 10 ** 30]}),
+     "invalid shape"),
+    (lambda h: h["arrays"].append({"name": "z", "dtype": "<f8", "shape": [0] * 70}),
+     "invalid shape"),
+    (_set_array("shape", [1]), "trailing bytes"),
+    (_set_array("name", 7), "corrupt artifact header"),
+    (lambda h: h["arrays"][0].pop("shape"), "corrupt artifact header"),
+    (lambda h: h["arrays"].append(dict(h["arrays"][0], shape=[0])),
+     "repeated array name"),
+    (lambda h: h.update(arrays=[7]), "corrupt artifact header"),
+    (lambda h: h.update(meta=[]), "corrupt artifact header"),
+    (lambda h: h.update(sha256=5), "corrupt artifact header"),
+])
+def test_bad_array_header_is_artifact_error(artifact, edit, message):
+    artifact.write_bytes(_edit_header(artifact.read_bytes(), edit))
+    with pytest.raises(ArtifactError, match=message):
+        load_artifact(artifact, "demo")
+
+
+def test_trailing_bytes_are_artifact_error(artifact):
+    artifact.write_bytes(artifact.read_bytes() + b"\0")
+    with pytest.raises(ArtifactError, match="1 trailing bytes"):
+        load_artifact(artifact, "demo")
+
+
+def test_header_longer_than_file_is_artifact_error(artifact):
+    blob = artifact.read_bytes()
+    artifact.write_bytes(blob[:8] + struct.pack("<I", 2 ** 32 - 1) + blob[12:])
+    with pytest.raises(ArtifactError, match="truncated artifact header"):
+        load_artifact(artifact, "demo")
+
+
+def test_missing_entry_is_artifact_error(artifact):
+    meta, arrays, _sha256 = load_artifact(artifact, "demo")
+    with pytest.raises(ArtifactError, match="no array 'y'"):
+        arrays["y"]
+    with pytest.raises(ArtifactError, match="no meta entry 'm'"):
+        meta["m"]
+    assert arrays.get("y") is None
+
+
+def test_every_dtype_kind_roundtrips(tmp_path):
+    arrays = {
+        "b": np.array([True, False, True]),
+        "i8": np.arange(-3, 3, dtype=np.int8),
+        "u16": np.arange(5, dtype=np.uint16).reshape(5, 1),
+        "i64": np.array(-(2 ** 40), dtype=np.int64),
+        "f32": np.linspace(0, 1, 4, dtype=np.float32),
+        "f64be": np.arange(4.0).astype(">f8"),
+        "u": np.array(["C0000001", "ß", "\U0001F600x", ""]),
+        "empty": np.zeros((0, 3)),
+    }
+    path = tmp_path / "k.bin"
+    digest = save_artifact(path, "demo", {}, arrays)
+    _meta, back, sha256 = load_artifact(path, "demo")
+    assert sha256 == digest
+    assert sorted(back) == sorted(arrays)
+    for name, a in arrays.items():
+        got = back[name]
+        assert got.shape == a.shape and got.dtype.kind == a.dtype.kind
+        assert np.array_equal(got, a)
+        assert got.dtype.isnative and got.flags.writeable
+
+
+def test_digest_is_sha256_of_payload(artifact):
+    blob = artifact.read_bytes()
+    hdr_len = struct.unpack("<I", blob[8:12])[0]
+    header = json.loads(blob[12:12 + hdr_len])
+    assert header["sha256"] == hashlib.sha256(blob[12 + hdr_len:]).hexdigest()
+    assert load_artifact(artifact, "demo")[2] == header["sha256"]
+
+
+def test_header_without_digest_loads_as_none(artifact):
+    artifact.write_bytes(_edit_header(artifact.read_bytes(),
+                                      lambda h: h.pop("sha256")))
+    assert load_artifact(artifact, "demo")[2] is None
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 10 ** 6), st.integers(0, 255)),
+                min_size=1, max_size=4),
+       st.integers(min_value=-8, max_value=8))
+def test_mutated_artifact_loads_or_is_artifact_error(tmp_path_factory, edits,
+                                                     resize):
+    path = tmp_path_factory.mktemp("fuzz") / "m.bin"
+    save_artifact(path, "demo", {"n": 3},
+                  {"x": np.arange(6.0).reshape(2, 3), "ids": np.arange(4),
+                   "cuis": np.array(["C1", "C22"]), "ok": np.array([True])})
+    blob = bytearray(path.read_bytes())
+    for pos, byte in edits:
+        blob[pos % len(blob)] = byte
+    blob = blob + bytes(resize) if resize >= 0 else blob[:resize]
+    path.write_bytes(bytes(blob))
+    try:
+        load_artifact(path, "demo")
+    except ArtifactError:
+        pass

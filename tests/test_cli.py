@@ -1,8 +1,10 @@
 import json
 import os
+import struct
 
 import pytest
 
+from belforge import index as index_mod
 from belforge.cli import main
 
 CONCEPTS = """\
@@ -224,6 +226,153 @@ class TestPipeline:
         assert len(json.loads(capsys.readouterr().out)["loss_log"]) == 3
 
 
+def link_outputs(root, config, capsys):
+    """Every output of the link stack: link --mention stdout (flat and IVF),
+    link --input files (flat and IVF), evaluate's report and stdout."""
+    outputs = {}
+    for kind in ("flat", "ivf"):
+        for mention in ("griep", "koorts", "Hartinfarct!"):
+            capsys.readouterr()
+            assert main(["link", "--config", config, "--quiet", "--index", kind,
+                         "--mention", mention]) == 0
+            outputs[kind, mention] = capsys.readouterr().out
+    for kind, path in run_links(root, config).items():
+        outputs[kind, "input"] = path.read_bytes()
+    for kind in ("flat", "ivf"):
+        capsys.readouterr()
+        assert main(["evaluate", "--config", config, "--quiet",
+                     "--index", kind]) == 0
+        outputs[kind, "evaluate"] = capsys.readouterr().out
+        outputs[kind, "report"] = (root / "out" / "report.json").read_bytes()
+    return outputs
+
+
+def assert_io_error(config, capsys, argv, *fragments):
+    """``argv`` exits 3 with one stderr line holding every fragment."""
+    capsys.readouterr()
+    assert main(argv + ["--config", config, "--quiet"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1, captured.err
+    for fragment in fragments:
+        assert fragment in captured.err
+
+
+LINK_CALLS = [["link", "--mention", "griep"],
+              ["link", "--mention", "griep", "--index", "ivf"],
+              ["evaluate"], ["evaluate", "--index", "ivf"]]
+
+
+class TestLinkStack:
+    def test_outputs_do_not_need_the_ontology(self, workspace, capsys):
+        root, config = workspace
+        run_pipeline(config, upto="index-build")
+        with_ontology = link_outputs(root, config, capsys)
+        (root / "out" / "ontology.jsonl").unlink()
+        assert link_outputs(root, config, capsys) == with_ontology
+
+    def test_ontology_edited_after_index_build(self, workspace, capsys):
+        root, config = workspace
+        run_pipeline(config, upto="index-build")
+        before = link_outputs(root, config, capsys)
+        # keep one record and move it to a new CUI and term_id
+        ontology = root / "out" / "ontology.jsonl"
+        record = json.loads(ontology.read_text().splitlines()[0])
+        record.update(term_id=99, cui="C9999999")
+        ontology.write_text(json.dumps(record) + "\n")
+        assert link_outputs(root, config, capsys) == before
+
+    def test_retrained_params_are_refused(self, workspace, capsys):
+        root, config = workspace
+        run_pipeline(config, upto="index-build")
+        assert main(["finetune", "--config", config, "--quiet",
+                     "--epochs", "3"]) == 0
+        for argv in LINK_CALLS:
+            assert_io_error(config, capsys, argv, "finetuned.params",
+                            "rerun index-build")
+
+    def test_params_named_on_the_command_line_are_checked(self, workspace,
+                                                          capsys):
+        _root, config = workspace
+        run_pipeline(config, upto="index-build")
+        assert_io_error(config, capsys, ["link", "--mention", "griep",
+                                         "--params", "out/pretrained.params"],
+                        "pretrained.params", "rerun index-build")
+
+    def test_pca_from_another_build_is_refused(self, workspace, capsys):
+        root, config = workspace
+        run_pipeline(config, upto="index-build")
+        old_pca = (root / "out" / "pca.bin").read_bytes()
+        assert main(["index-build", "--config", config, "--quiet",
+                     "--set", "index.pca_k=4"]) == 0
+        (root / "out" / "pca.bin").write_bytes(old_pca)
+        for argv in LINK_CALLS:
+            assert_io_error(config, capsys, argv, "pca.bin", "built together")
+
+    def test_index_without_term_table_is_refused(self, workspace, capsys):
+        root, config = workspace
+        run_pipeline(config, upto="index-build")
+        for kind, name in (("flat", "flat.index"), ("ivf", "ivf.index")):
+            path = root / "out" / name
+            load, save = ((index_mod.load_ivf, index_mod.save_ivf) if kind == "ivf"
+                          else (index_mod.load_flat, index_mod.save_flat))
+            index = load(path)
+            index.cuis = index.groups = None
+            index.params_sha256 = index.pca_sha256 = None
+            save(path, index)
+            for argv in (["link", "--mention", "griep", "--index", kind],
+                         ["evaluate", "--index", kind]):
+                assert_io_error(config, capsys, argv, name, "rerun index-build")
+
+    def test_index_naming_other_params_is_refused(self, workspace, capsys):
+        root, config = workspace
+        run_pipeline(config, upto="index-build")
+        path = root / "out" / "flat.index"
+        index = index_mod.load_flat(path)
+        index.params_sha256 = "0" * 64
+        index_mod.save_flat(path, index)
+        assert_io_error(config, capsys, ["link", "--mention", "griep"],
+                        "finetuned.params", "rerun index-build")
+
+    def test_group_of_a_cui_is_that_of_its_lowest_term_id(self, workspace,
+                                                          capsys):
+        root, config = workspace
+        run_pipeline(config, upto="finetune")
+        # give every term its own group, so a CUI's terms disagree, and
+        # list the terms in descending term_id order
+        ontology = root / "out" / "ontology.jsonl"
+        records = [json.loads(line) for line in ontology.read_text().splitlines()]
+        for r in records:
+            r["group"] = f"G{r['term_id']}"
+        ontology.write_text("".join(json.dumps(r) + "\n" for r in records[::-1]))
+        assert main(["index-build", "--config", config, "--quiet"]) == 0
+        gold = {m.split('"')[0] for m in
+                (root / "out" / "val.xml").read_text().split('cui="')[1:]}
+        expected = {min((r["term_id"] for r in records if r["cui"] == cui),
+                        default=None) for cui in gold}
+        expected = sorted(f"G{t}" if t is not None else "OTHER" for t in expected)
+        for kind in ("flat", "ivf"):
+            assert main(["evaluate", "--config", config, "--quiet",
+                         "--index", kind]) == 0
+            report = json.loads((root / "out" / "report.json").read_text())
+            assert sorted(g["group"] for g in report["groups"]) == expected
+
+    def test_params_without_digest_are_refused_by_index_build(self, workspace,
+                                                               capsys):
+        root, config = workspace
+        run_pipeline(config, upto="finetune")
+        path = root / "out" / "finetuned.params"
+        blob = path.read_bytes()
+        hdr_len = struct.unpack("<I", blob[8:12])[0]
+        header = json.loads(blob[12:12 + hdr_len])
+        del header["sha256"]
+        hdr = json.dumps(header).encode("utf-8")
+        path.write_bytes(blob[:8] + struct.pack("<I", len(hdr)) + hdr
+                         + blob[12 + hdr_len:])
+        assert_io_error(config, capsys, ["index-build"], "finetuned.params",
+                        "no payload digest")
+
+
 class TestExitCodes:
     def test_unknown_subcommand_usage(self, workspace, capsys):
         _root, config = workspace
@@ -341,6 +490,50 @@ class TestExitCodes:
         assert len(captured.err.splitlines()) == 1
         assert "config key" in captured.err
         assert not (root / "out" / "ontology.jsonl").exists()
+
+    @pytest.mark.parametrize("in_file, overrides, key", [
+        ({"train": {"batch_size": "x"}}, [], "train.batch_size"),
+        ({"train": {"epochs": 1.5}}, [], "train.epochs"),
+        ({"train": {"epochs": True}}, [], "train.epochs"),
+        ({"encoder": {"normalize_output": 1}}, [], "encoder.normalize_output"),
+        ({"seed": "7"}, [], "seed"),
+        ({"paths": {"ontology": 5}}, [], "paths.ontology"),
+        ({"ontology": {"drop_vocabs": "SNOMEDCT_US"}}, [], "ontology.drop_vocabs"),
+        ({"ontology": {"column_map": {"cui": "0"}}}, [], "ontology.column_map.cui"),
+        ({}, ["train.batch_size=x"], "train.batch_size"),
+        ({}, ["train.batch_size=8.0"], "train.batch_size"),
+        ({}, ["index.top_k=true"], "index.top_k"),
+        ({}, ["loss.alpha=\"2\""], "loss.alpha"),
+        ({}, ["encoder.lowercase=0"], "encoder.lowercase"),
+        ({}, ["paths.report=null"], "paths.report"),
+    ])
+    def test_wrong_leaf_type_usage(self, workspace, capsys, in_file,
+                                   overrides, key):
+        root, config = workspace
+        cfg = json.loads((root / "config.json").read_text())
+        for section, value in in_file.items():
+            if isinstance(value, dict):
+                cfg.setdefault(section, {}).update(value)
+            else:
+                cfg[section] = value
+        (root / "config.json").write_text(json.dumps(cfg))
+        argv = ["ontology-build", "--config", config, "--quiet"]
+        for item in overrides:
+            argv += ["--set", item]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1
+        assert f"config key {key!r} must be of type" in captured.err
+        assert not (root / "out" / "ontology.jsonl").exists()
+
+    def test_int_accepted_for_float_leaf(self, workspace, capsys):
+        _root, config = workspace
+        run_pipeline(config, upto="pairs")
+        capsys.readouterr()
+        assert main(["train", "--config", config, "--quiet",
+                     "--set", "train.learning_rate=1", "--set", "loss.alpha=2",
+                     "--set", "train.epochs=0"]) == 0
 
     @pytest.mark.parametrize("stage, upto, override", [
         ("corpus-subset", "corpus-compile", "corpus.split_ratio=0"),

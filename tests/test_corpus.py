@@ -1,5 +1,6 @@
 import io
 import json
+import os
 
 import numpy as np
 import pytest
@@ -89,6 +90,40 @@ class TestSparql:
                 "https://example.org/sparql", "https://nl.wikipedia.org/",
                 fetcher=fetcher, cache_dir=str(tmp_path))
         assert len(calls) == 1
+
+    def test_failed_cache_write_leaves_no_entry(self, tmp_path, monkeypatch):
+        payload = json.dumps({"results": {"bindings": []}}).encode()
+        real_fdopen = os.fdopen
+
+        class HalfWriter:
+            """A file whose write stores half the data, then fails."""
+
+            def __init__(self, f):
+                self.f = f
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.f.close()
+
+            def write(self, data):
+                self.f.write(data[:len(data) // 2])
+                self.f.flush()
+                raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(os, "fdopen",
+                            lambda fd, mode: HalfWriter(real_fdopen(fd, mode)))
+        with pytest.raises(OSError):
+            corpus.load_article_map_sparql(
+                "https://example.org/sparql", "https://nl.wikipedia.org/",
+                fetcher=lambda url: payload, cache_dir=str(tmp_path))
+        assert os.listdir(tmp_path) == []
+        monkeypatch.undo()
+        amap = corpus.load_article_map_sparql(
+            "https://example.org/sparql", "https://nl.wikipedia.org/",
+            fetcher=lambda url: payload, cache_dir=str(tmp_path))
+        assert amap.entries == {} and len(os.listdir(tmp_path)) == 1
 
     def test_network_error(self):
         def fetcher(url):

@@ -251,29 +251,70 @@ class TestIvf:
 class TestSerialization:
     def test_pca_roundtrip(self, tmp_path):
         t = ix.fit_pca(np.random.default_rng(12).normal(size=(10, 5)), 3)
-        ix.save_pca(tmp_path / "p.pca", t)
+        t.params_sha256 = "ab" * 32
+        digest = ix.save_pca(tmp_path / "p.pca", t)
         back = ix.load_pca(tmp_path / "p.pca")
         assert np.array_equal(back.mean, t.mean)
         assert np.array_equal(back.projection, t.projection)
+        assert back.params_sha256 == t.params_sha256
+        assert back.sha256 == digest
+
+    @staticmethod
+    def term_table(n):
+        """Per-term CUIs and groups, with a CUI shared by two terms and
+        non-ASCII text."""
+        cuis = [f"C{i // 2:07d}" for i in range(n)]
+        groups = ["DISO", "CHEM", "PROC", "ANAT\u00e9"] * (n // 4) + ["X"] * (n % 4)
+        return cuis, groups
 
     def test_flat_roundtrip_search_equal(self, tmp_path):
         rng = np.random.default_rng(13)
-        flat = ix.build_flat(random_unit_rows(rng, 25, 4), np.arange(25))
+        cuis, groups = self.term_table(25)
+        ids = rng.permutation(100)[:25]
+        flat = ix.build_flat(random_unit_rows(rng, 25, 4), ids, cuis, groups)
+        flat.params_sha256, flat.pca_sha256 = "ab" * 32, "cd" * 32
         ix.save_flat(tmp_path / "f.idx", flat)
         back = ix.load_flat(tmp_path / "f.idx")
         q = random_unit_rows(rng, 1, 4)[0]
         assert as_tuples(ix.search_flat(back, q, 7)) == \
             as_tuples(ix.search_flat(flat, q, 7))
+        assert back.cuis.tolist() == cuis and back.groups.tolist() == groups
+        assert back.ids.tolist() == ids.tolist()
+        assert (back.params_sha256, back.pca_sha256) == ("ab" * 32, "cd" * 32)
 
     def test_ivf_roundtrip_search_equal(self, tmp_path):
         rng = np.random.default_rng(14)
-        ivf = ix.build_ivf(random_unit_rows(rng, 40, 5), np.arange(40), nlist=6)
+        cuis, groups = self.term_table(40)
+        ids = rng.permutation(100)[:40]
+        ivf = ix.build_ivf(random_unit_rows(rng, 40, 5), ids, nlist=6,
+                           cuis=cuis, groups=groups)
+        ivf.params_sha256, ivf.pca_sha256 = "ab" * 32, "cd" * 32
         ix.save_ivf(tmp_path / "i.idx", ivf)
         back = ix.load_ivf(tmp_path / "i.idx")
         q = random_unit_rows(rng, 1, 5)[0]
         for nprobe in (1, 3, 6):
             assert as_tuples(ix.search_ivf(back, q, 8, nprobe)) == \
                 as_tuples(ix.search_ivf(ivf, q, 8, nprobe))
+        # the term table follows the rows through the list grouping
+        row_of = {int(i): n for n, i in enumerate(ids)}
+        assert back.cuis.tolist() == [cuis[row_of[i]] for i in back.ids.tolist()]
+        assert back.groups.tolist() == [groups[row_of[i]] for i in back.ids.tolist()]
+        assert (back.params_sha256, back.pca_sha256) == ("ab" * 32, "cd" * 32)
+
+    def test_index_without_term_table_roundtrips(self, tmp_path):
+        rng = np.random.default_rng(15)
+        flat = ix.build_flat(random_unit_rows(rng, 5, 3), np.arange(5))
+        ix.save_flat(tmp_path / "f.idx", flat)
+        back = ix.load_flat(tmp_path / "f.idx")
+        assert back.cuis is None and back.groups is None
+        assert back.params_sha256 is None and back.pca_sha256 is None
+
+    def test_misaligned_term_table_is_data_error(self):
+        with pytest.raises(DataError, match="cui or group count"):
+            ix.build_flat(np.ones((3, 2)), [0, 1, 2], ["C1", "C2"], ["A"] * 3)
+        with pytest.raises(DataError, match="cui or group count"):
+            ix.build_ivf(np.ones((3, 2)), [0, 1, 2], 1, cuis=["C1"] * 3,
+                         groups=["A"])
 
 
 class TestLinkMention:
