@@ -104,6 +104,22 @@ class _Entries(dict):
     def __missing__(self, name):
         raise ArtifactError(f"{self.path}: artifact has no {self.what} {name!r}")
 
+    def _checked(self, name, ok, want):
+        value = self[name]
+        if not ok(value):
+            raise ArtifactError(
+                f"{self.path}: {self.what} {name!r} must be {want}, got {value!r}")
+        return value
+
+    def size(self, name):
+        """The entry, required to be an int (not a bool) of at least 1."""
+        return self._checked(name, lambda v: type(v) is int and v >= 1,
+                             "an integer of at least 1")
+
+    def flag(self, name):
+        """The entry, required to be a bool."""
+        return self._checked(name, lambda v: type(v) is bool, "true or false")
+
 
 def _read_artifact(f, path, kind):
     size = os.fstat(f.fileno()).st_size

@@ -48,7 +48,7 @@ def _build_parser():
         p.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
                        help="dotted config override, e.g. train.epochs=3")
         p.add_argument("--quiet", action="store_true",
-                       help="suppress progress output on stderr")
+                       help="write only errors to stderr")
         p.add_argument("--seed", type=int, help="override the pipeline seed")
         if name in ("train", "finetune"):
             p.add_argument("--epochs", type=int, help="number of training epochs")
@@ -82,6 +82,14 @@ def _open_input(path, what, mode="r"):
             yield f
         except UnicodeDecodeError as e:
             raise DataError(f"{what} at {path} is not valid UTF-8: {e}") from e
+
+
+def _read_json(path, what):
+    with _open_input(path, what) as f:
+        try:
+            return json.load(f)
+        except ValueError as e:
+            raise DataError(f"{what} at {path} is not valid JSON: {e}") from e
 
 
 def _summary(payload):
@@ -138,9 +146,11 @@ def _abbreviations(cfg):
 
 def cmd_ontology_build(cfg, args):
     paths = cfg["paths"]
+    column_map = cfg["ontology"]["column_map"]
+    for key, column in column_map.items():
+        _at_least(column, f"ontology.column_map.{key}", 0)
     with _open_input(paths["concepts"], "concepts") as f:
-        concepts, malformed = onto_mod.parse_concepts(
-            f, cfg["ontology"]["column_map"])
+        concepts, malformed = onto_mod.parse_concepts(f, column_map)
     sty = []
     if paths["semantic_types"]:
         with _open_input(paths["semantic_types"], "semantic types") as f:
@@ -151,8 +161,11 @@ def cmd_ontology_build(cfg, args):
             crosswalk, _ = onto_mod.parse_crosswalk(f)
     groups = onto_mod.SemanticGroupMap({})
     if paths["semantic_groups"]:
-        with _open_input(paths["semantic_groups"], "semantic groups") as f:
-            groups = onto_mod.SemanticGroupMap(json.load(f))
+        entries = _read_json(paths["semantic_groups"], "semantic groups")
+        if not isinstance(entries, dict):
+            raise DataError(f"semantic groups at {paths['semantic_groups']} "
+                            "must be a JSON object")
+        groups = onto_mod.SemanticGroupMap(entries)
 
     records, stats = onto_mod.build_ontology(
         concepts, sty, groups, crosswalk, _filter_config(cfg))
@@ -185,16 +198,20 @@ def cmd_corpus_compile(cfg, args):
     if paths["ontology"] and os.path.exists(paths["ontology"]):
         ontology = _load_ontology(cfg)
     with _open_input(paths["dump"], "wiki dump", mode="rb") as f:
-        sentences, mentions, stats = corpus_mod.compile_corpus(
+        sentences, mentions, stats, unbalanced = corpus_mod.compile_corpus(
             corpus_mod.parse_dump(f), amap,
             abbreviations=_abbreviations(cfg), ontology=ontology)
+    if unbalanced:
+        log.warning("unbalanced templates on %d pages of %s: the text after "
+                    "each unmatched '{{' was dropped", unbalanced, paths["dump"])
     full = corpus_mod.CorpusSlice(sentences=sentences, mentions=mentions)
     buf = io.StringIO()
     corpus_mod.serialize_corpus(full, buf)
     write_text_atomic(paths["corpus"], buf.getvalue())
     write_text_atomic(paths["corpus_stats"], stats.to_json() + "\n")
     _summary({"command": "corpus-compile", "sentences": stats.sentences,
-              "mentions": stats.mentions, "map_entries": len(amap.entries)})
+              "mentions": stats.mentions, "map_entries": len(amap.entries),
+              "unbalanced_templates": unbalanced})
     return 0
 
 
@@ -243,6 +260,9 @@ def _initial_params(cfg):
     if paths["params_init"] and os.path.exists(paths["params_init"]):
         return enc.load_params(paths["params_init"])
     e = cfg["encoder"]
+    for key in ("n_min", "buckets", "hidden", "dim"):
+        _at_least(e[key], f"encoder.{key}")
+    _at_least(e["n_max"], "encoder.n_max", e["n_min"])
     return enc.init_params(
         cfg["seed"], n_min=e["n_min"], n_max=e["n_max"], buckets=e["buckets"],
         hidden=e["hidden"], dim=e["dim"],
@@ -290,7 +310,7 @@ def cmd_index_build(cfg, args):
     paths = cfg["paths"]
     icfg = cfg["index"]
     for key in ("pca_k", "nlist", "nprobe"):
-        _at_least_one(icfg[key], f"index.{key}")
+        _at_least(icfg[key], f"index.{key}")
     params_path = _resolve_params_path(cfg, args)
     params = enc.load_params(params_path)
     if params.sha256 is None:
@@ -348,16 +368,17 @@ def _load_link_stack(cfg, args):
     return params, transform, index, id_to_cui
 
 
-def _at_least_one(value, name):
-    if value < 1:
-        raise UsageError(f"{name} must be an integer of at least 1, got {value!r}")
+def _at_least(value, name, least=1):
+    if value < least:
+        raise UsageError(f"{name} must be an integer of at least {least}, "
+                         f"got {value!r}")
     return value
 
 
 def _top_k(cfg, args):
     if getattr(args, "top_k", None) is not None:
-        return _at_least_one(args.top_k, "--top-k")
-    return _at_least_one(cfg["index"]["top_k"], "index.top_k")
+        return _at_least(args.top_k, "--top-k")
+    return _at_least(cfg["index"]["top_k"], "index.top_k")
 
 
 def _link_payload(mention, result, id_to_cui):
@@ -440,8 +461,7 @@ def cmd_stats(cfg, args):
     for key in ("ontology_stats", "corpus_stats"):
         path = cfg["paths"][key]
         if path and os.path.exists(path):
-            with open(path, encoding="utf-8") as f:
-                payload[key] = json.load(f)
+            payload[key] = _read_json(path, key.replace("_", " "))
     _summary(payload)
     return 0
 
@@ -472,6 +492,7 @@ def run(argv):
     cfg = apply_overrides(cfg, args.set)
     if args.seed is not None:
         cfg["seed"] = args.seed
+    _at_least(cfg["seed"], "seed", 0)
     return _HANDLERS[args.command](cfg, args)
 
 

@@ -1,6 +1,6 @@
 """Pipeline configuration: one JSON file, deep-merged over defaults, with
 dotted-key command-line overrides. Both may only name keys that DEFAULTS has,
-with values of the type of the default where it is not None.
+with values of each leaf's type (see ``_leaf_type``).
 """
 
 import copy
@@ -93,6 +93,26 @@ def _deep_merge(base, override):
     return out
 
 
+def _strings(value):
+    return isinstance(value, list) and all(isinstance(v, str) for v in value)
+
+
+def _subterm(entry):
+    return (isinstance(entry, dict) and set(entry) == {"pattern", "vocabs"}
+            and isinstance(entry["pattern"], str) and _strings(entry["vocabs"]))
+
+
+# leaves whose type their default cannot show: every other None default is an
+# optional string (a path, an endpoint) and every other list a list of strings
+_LEAF_TYPES = {
+    "corpus.abbreviations": ("list of str or null",
+                             lambda v: v is None or _strings(v)),
+    "ontology.descriptive_subterms": (
+        "list of {pattern: str, vocabs: list of str}",
+        lambda v: isinstance(v, list) and all(_subterm(e) for e in v)),
+}
+
+
 def _leaf_type_ok(value, default):
     """Whether ``value`` has the type of a non-None default: an int passes
     for a float, a bool never passes for an int."""
@@ -103,10 +123,21 @@ def _leaf_type_ok(value, default):
     return isinstance(value, type(default))
 
 
+def _leaf_type(dotted, default):
+    """(name, check) of the type the leaf ``dotted`` must have."""
+    if dotted in _LEAF_TYPES:
+        return _LEAF_TYPES[dotted]
+    if default is None:
+        return "str or null", lambda v: v is None or isinstance(v, str)
+    if isinstance(default, list):
+        return "list of str", _strings
+    return type(default).__name__, lambda v: _leaf_type_ok(v, default)
+
+
 def _check_keys(node, schema, where=""):
     """Raise UsageError for the first key of ``node`` that ``schema`` lacks,
     that is a section in one and a plain value in the other, or whose value
-    has another type than a non-None default."""
+    has another type than the leaf's (see ``_leaf_type``)."""
     for key, value in node.items():
         dotted = where + key
         if key not in schema:
@@ -117,9 +148,11 @@ def _check_keys(node, schema, where=""):
             raise UsageError(f"config key {dotted!r} must be a {kind}")
         if isinstance(value, dict):
             _check_keys(value, default, dotted + ".")
-        elif default is not None and not _leaf_type_ok(value, default):
-            raise UsageError(f"config key {dotted!r} must be of type "
-                             f"{type(default).__name__}, got {value!r}")
+            continue
+        want, ok = _leaf_type(dotted, default)
+        if not ok(value):
+            raise UsageError(f"config key {dotted!r} must be of type {want}, "
+                             f"got {value!r}")
 
 
 def load_config(path):

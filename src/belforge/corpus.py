@@ -133,6 +133,9 @@ def _default_fetcher(url):
         raise
     except OSError as e:
         raise NetworkError(f"SPARQL endpoint unreachable: {e}") from e
+    except ValueError as e:
+        endpoint = url.split("?", 1)[0]
+        raise NetworkError(f"SPARQL endpoint {endpoint!r} is not a URL") from e
 
 
 def load_article_map_sparql(endpoint, site_url, property_id="P2892",
@@ -225,36 +228,42 @@ def compile_corpus(pages, article_map, abbreviations=DEFAULT_ABBREVIATIONS,
                    drop_prefixes=DEFAULT_DROP_PREFIXES, ontology=None):
     """Select sentences containing at least one mapped hyperlink.
 
-    Returns (sentences, mentions, stats). Stats fields that require an
-    ontology (unseen mentions, unlinkable CUIs) are computed only when one
-    is supplied.
+    Returns (sentences, mentions, stats, unbalanced_templates), the last
+    being the number of pages whose template region was left unbalanced.
+    Stats fields that require an ontology (unseen mentions, unlinkable CUIs)
+    are computed only when one is supplied.
     """
     sentences = []
     mentions = []
+    unbalanced = 0
     for page in pages:
-        clean, links, _warn = strip_wikitext(page.wikitext, drop_prefixes)
-        spans = split_sentences(clean, abbreviations)
-        for s_start, s_end in spans:
-            in_span = [
-                lk for lk in links
-                if lk.start >= s_start and lk.end <= s_end
-                and normalize_title(lk.target) in article_map.entries
-            ]
-            if not in_span:
+        clean, links, warn = strip_wikitext(page.wikitext, drop_prefixes)
+        unbalanced += warn
+        mapped = [(lk, entry) for lk in links
+                  if (entry := article_map.entries.get(normalize_title(lk.target)))]
+        # links and spans are both ordered and disjoint: one merge assigns
+        # each link to the span holding it, if any
+        li = 0
+        for s_start, s_end in split_sentences(clean, abbreviations):
+            while li < len(mapped) and mapped[li][0].start < s_start:
+                li += 1
+            first = li
+            while li < len(mapped) and mapped[li][0].end <= s_end:
+                li += 1
+            if first == li:
                 continue
             sid = len(sentences)
             text = clean[s_start:s_end]
             sentences.append(SentenceRecord(
                 sentence_id=sid, page_title=page.title, text=text,
                 token_count=len(text.split())))
-            for lk in in_span:
-                qid, cui = article_map.entries[normalize_title(lk.target)]
+            for lk, (qid, cui) in mapped[first:li]:
                 mentions.append(MentionAnnotation(
                     sentence_id=sid, start=lk.start - s_start,
                     end=lk.end - s_start, anchor=lk.anchor,
                     target_title=lk.target, cui=cui, qid=qid))
     stats = compute_stats(sentences, mentions, ontology)
-    return sentences, mentions, stats
+    return sentences, mentions, stats, unbalanced
 
 
 def compute_stats(sentences, mentions, ontology=None):

@@ -149,12 +149,15 @@ def save_params(path, params):
 def load_params(path):
     meta, arrays, sha256 = artifacts.load_artifact(path, "encoder-params")
     params = EncoderParams(
-        n_min=meta["n_min"], n_max=meta["n_max"], buckets=meta["buckets"],
-        hidden=meta["hidden"], dim=meta["dim"],
+        n_min=meta.size("n_min"), n_max=meta.size("n_max"),
+        buckets=meta.size("buckets"), hidden=meta.size("hidden"),
+        dim=meta.size("dim"),
         W1=arrays["W1"], b1=arrays["b1"], W2=arrays["W2"], b2=arrays["b2"],
-        normalize_output=meta["normalize_output"], lowercase=meta["lowercase"],
-        sha256=sha256,
+        normalize_output=meta.flag("normalize_output"),
+        lowercase=meta.flag("lowercase"), sha256=sha256,
     )
+    if params.n_max < params.n_min:
+        raise ArtifactError(f"{path}: n_max {params.n_max} is below n_min {params.n_min}")
     if params.W1.shape != (params.hidden, params.buckets) or \
        params.W2.shape != (params.dim, params.hidden) or \
        params.b1.shape != (params.hidden,) or params.b2.shape != (params.dim,):

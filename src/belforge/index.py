@@ -316,4 +316,4 @@ def load_ivf(path):
     return IvfIndex(centroids=arrays["centroids"], rows=arrays["rows"],
                     ids=arrays["ids"],
                     offsets=np.concatenate(([0], np.cumsum(arrays["sizes"]))),
-                    nprobe=int(meta["nprobe"]), **_index_fields(meta, arrays))
+                    nprobe=meta.size("nprobe"), **_index_fields(meta, arrays))

@@ -19,6 +19,10 @@ _COMMENT_RE = re.compile(r"<!--.*?-->", re.S)
 _REF_RE = re.compile(r"<ref\b[^>/]*/>|<ref\b[^>]*>.*?</ref>", re.S | re.I)
 _HEADING_RE = re.compile(r"^(={1,6})\s*(.*?)\s*\1\s*$", re.M)
 _QUOTES_RE = re.compile(r"'{2,}")
+_BRACES_RE = re.compile(r"\{\{|\}\}")
+_BRACKETS_RE = re.compile(r"\[\[|\]\]")
+# '\s' and str.isspace() agree on every code point
+_BOUNDARY_RE = re.compile(r"[.!?]\s+")
 
 
 @dataclass
@@ -30,76 +34,64 @@ class LinkSpan:
 
 
 def _drop_templates(markup):
-    """Remove balanced {{...}} regions (nested). An unbalanced opener drops
-    the remainder of the region and counts one warning."""
+    """Remove balanced {{...}} regions (nested). A '}}' at depth 0 stays
+    text; an unbalanced opener drops the remainder and counts one warning."""
     out = []
-    i = 0
-    depth = 0
-    n = len(markup)
-    while i < n:
-        if markup.startswith("{{", i):
+    depth = kept = 0  # kept: start of the depth-0 text not yet copied
+    for m in _BRACES_RE.finditer(markup):
+        if m.group() == "{{":
+            if not depth:
+                out.append(markup[kept:m.start()])
             depth += 1
-            i += 2
-        elif depth and markup.startswith("}}", i):
-            depth -= 1
-            i += 2
         elif depth:
-            i += 1
-        else:
-            out.append(markup[i])
-            i += 1
-    return "".join(out), (1 if depth else 0)
+            depth -= 1
+            kept = m.end()
+    if depth:
+        return "".join(out), 1
+    out.append(markup[kept:])
+    return "".join(out), 0
 
 
 def _resolve_links(markup, drop_prefixes):
     """Convert [[T|a]] / [[T]] to anchor text, recording offsets into the
     cleaned string. Media/category links and nested-bracket constructs are
-    dropped entirely so pipes never leak into the output."""
+    dropped entirely so pipes never leak into the output; an opener without
+    a matching ']]' is dropped, its text kept."""
+    # one stack pass pairs every '[[' with its ']]': [start, end, nested]
+    openers, stack = [], []
+    for m in _BRACKETS_RE.finditer(markup):
+        if m.group() == "[[":
+            if stack:
+                stack[-1][2] = True
+            stack.append([m.start(), None, False])
+            openers.append(stack[-1])
+        elif stack:
+            stack.pop()[1] = m.end()
     pieces = []
     links = []
-    pos = 0  # length of cleaned output so far
-    i = 0
-    n = len(markup)
-    while i < n:
-        if markup.startswith("[[", i):
-            j = i + 2
-            depth = 1
-            nested = False
-            while j < n:
-                if markup.startswith("[[", j):
-                    depth += 1
-                    nested = True
-                    j += 2
-                elif markup.startswith("]]", j):
-                    depth -= 1
-                    j += 2
-                    if depth == 0:
-                        break
-                else:
-                    j += 1
-            if depth != 0:
-                # unbalanced opener: treat the brackets as plain text removal
-                i += 2
-                continue
-            inner = markup[i + 2:j - 2]
-            parts = inner.split("|")
-            target = parts[0].strip()
-            prefix = target.split(":", 1)[0].strip().lower() if ":" in target else ""
-            if nested or len(parts) > 2 or not target or prefix in drop_prefixes:
-                i = j
-                continue
-            anchor = parts[1] if len(parts) == 2 else target
-            # section anchors link to the page itself
-            page = target.split("#", 1)[0].strip() or target
-            if anchor:
-                pieces.append(anchor)
-                links.append(LinkSpan(pos, pos + len(anchor), anchor, page))
-                pos += len(anchor)
-            i = j
-        else:
-            pieces.append(markup[i])
-            pos += 1
-            i += 1
+    pos = i = 0  # pos: length of cleaned output so far
+    for start, end, nested in openers:
+        if start < i:  # inside a link already consumed
+            continue
+        pieces.append(markup[i:start])
+        pos += start - i
+        if end is None:
+            i = start + 2
+            continue
+        i = end
+        parts = markup[start + 2:end - 2].split("|")
+        target = parts[0].strip()
+        prefix = target.split(":", 1)[0].strip().lower() if ":" in target else ""
+        if nested or len(parts) > 2 or not target or prefix in drop_prefixes:
+            continue
+        anchor = parts[1] if len(parts) == 2 else target
+        # section anchors link to the page itself
+        page = target.split("#", 1)[0].strip() or target
+        if anchor:
+            pieces.append(anchor)
+            links.append(LinkSpan(pos, pos + len(anchor), anchor, page))
+            pos += len(anchor)
+    pieces.append(markup[i:])
     return "".join(pieces), links
 
 
@@ -129,34 +121,21 @@ def split_sentences(text, abbreviations=DEFAULT_ABBREVIATIONS):
     """
     abbrevs = {a.lower() for a in abbreviations}
     spans = []
-    n = len(text)
-    i = 0
-    # skip leading whitespace
-    while i < n and text[i].isspace():
-        i += 1
-    start = i
-    while i < n:
-        c = text[i]
-        if c in ".!?":
-            j = i + 1
-            while j < n and text[j].isspace():
-                j += 1
-            if j > i + 1 and j < n and (text[j].isupper() or text[j].isdigit()):
-                # token ending at the punctuation, for the abbreviation check
-                k = i
-                while k > 0 and not text[k - 1].isspace():
-                    k -= 1
-                token = text[k:i + 1].lower()
-                if not (c == "." and token in abbrevs):
-                    spans.append((start, i + 1))
-                    start = j
-                    i = j
-                    continue
-        i += 1
-    # trailing sentence: trim trailing whitespace
-    end = n
-    while end > start and text[end - 1].isspace():
-        end -= 1
+    start = len(text) - len(text.lstrip())
+    for m in _BOUNDARY_RE.finditer(text, start):
+        i, j = m.start(), m.end()
+        if j == len(text) or not (text[j].isupper() or text[j].isdigit()):
+            continue
+        if text[i] == ".":
+            # token ending at the punctuation, for the abbreviation check
+            k = i
+            while k > 0 and not text[k - 1].isspace():
+                k -= 1
+            if text[k:i + 1].lower() in abbrevs:
+                continue
+        spans.append((start, i + 1))
+        start = j
+    end = len(text.rstrip())
     if end > start:
         spans.append((start, end))
     return spans

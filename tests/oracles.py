@@ -1,12 +1,17 @@
-"""Reference implementations the tests compare the training path against:
+"""Reference implementations the tests compare production paths against:
 explicit triplet enumeration, its projection onto participation masks, and
-the Multi-Similarity loss over an enumerated triplet list."""
+the Multi-Similarity loss over an enumerated triplet list; the
+character-at-a-time wikitext cleanup and sentence splitter, and corpus
+compilation that filters every link against every sentence span."""
 
 from dataclasses import dataclass
 
 import numpy as np
 
+from belforge import wikitext
+from belforge.corpus import MentionAnnotation, SentenceRecord, normalize_title
 from belforge.training import _ms_loss_masks, _pairwise_distances
+from belforge.wikitext import DEFAULT_ABBREVIATIONS, DEFAULT_DROP_PREFIXES, LinkSpan
 
 
 @dataclass(frozen=True)
@@ -60,3 +65,157 @@ def ms_loss(similarities, labels, mined, config):
     S = np.asarray(similarities, dtype=float)
     pos_mask, neg_mask = masks_from_triplets(S.shape[0], mined)
     return _ms_loss_masks(S, pos_mask, neg_mask, config)
+
+
+def drop_templates(markup):
+    """Remove balanced {{...}} regions (nested). An unbalanced opener drops
+    the remainder of the region and counts one warning."""
+    out = []
+    i = 0
+    depth = 0
+    n = len(markup)
+    while i < n:
+        if markup.startswith("{{", i):
+            depth += 1
+            i += 2
+        elif depth and markup.startswith("}}", i):
+            depth -= 1
+            i += 2
+        elif depth:
+            i += 1
+        else:
+            out.append(markup[i])
+            i += 1
+    return "".join(out), (1 if depth else 0)
+
+
+def resolve_links(markup, drop_prefixes):
+    """Convert [[T|a]] / [[T]] to anchor text, recording offsets into the
+    cleaned string. Each opener rescans to its closer, or to the end of the
+    text when it has none."""
+    pieces = []
+    links = []
+    pos = 0  # length of cleaned output so far
+    i = 0
+    n = len(markup)
+    while i < n:
+        if markup.startswith("[[", i):
+            j = i + 2
+            depth = 1
+            nested = False
+            while j < n:
+                if markup.startswith("[[", j):
+                    depth += 1
+                    nested = True
+                    j += 2
+                elif markup.startswith("]]", j):
+                    depth -= 1
+                    j += 2
+                    if depth == 0:
+                        break
+                else:
+                    j += 1
+            if depth != 0:
+                # unbalanced opener: treat the brackets as plain text removal
+                i += 2
+                continue
+            inner = markup[i + 2:j - 2]
+            parts = inner.split("|")
+            target = parts[0].strip()
+            prefix = target.split(":", 1)[0].strip().lower() if ":" in target else ""
+            if nested or len(parts) > 2 or not target or prefix in drop_prefixes:
+                i = j
+                continue
+            anchor = parts[1] if len(parts) == 2 else target
+            # section anchors link to the page itself
+            page = target.split("#", 1)[0].strip() or target
+            if anchor:
+                pieces.append(anchor)
+                links.append(LinkSpan(pos, pos + len(anchor), anchor, page))
+                pos += len(anchor)
+            i = j
+        else:
+            pieces.append(markup[i])
+            pos += 1
+            i += 1
+    return "".join(pieces), links
+
+
+def strip_wikitext(markup, drop_prefixes=DEFAULT_DROP_PREFIXES):
+    """``wikitext.strip_wikitext`` with the character-loop template and link
+    passes."""
+    s = wikitext._COMMENT_RE.sub("", markup)
+    s = wikitext._REF_RE.sub("", s)
+    s, warnings = drop_templates(s)
+    s = wikitext._HEADING_RE.sub(r"\2", s)
+    s = wikitext._QUOTES_RE.sub("", s)
+    clean, links = resolve_links(s, drop_prefixes)
+    return clean, links, warnings
+
+
+def split_sentences(text, abbreviations=DEFAULT_ABBREVIATIONS):
+    """Split plain text into (start, end) sentence spans, one character at a
+    time."""
+    abbrevs = {a.lower() for a in abbreviations}
+    spans = []
+    n = len(text)
+    i = 0
+    # skip leading whitespace
+    while i < n and text[i].isspace():
+        i += 1
+    start = i
+    while i < n:
+        c = text[i]
+        if c in ".!?":
+            j = i + 1
+            while j < n and text[j].isspace():
+                j += 1
+            if j > i + 1 and j < n and (text[j].isupper() or text[j].isdigit()):
+                # token ending at the punctuation, for the abbreviation check
+                k = i
+                while k > 0 and not text[k - 1].isspace():
+                    k -= 1
+                token = text[k:i + 1].lower()
+                if not (c == "." and token in abbrevs):
+                    spans.append((start, i + 1))
+                    start = j
+                    i = j
+                    continue
+        i += 1
+    # trailing sentence: trim trailing whitespace
+    end = n
+    while end > start and text[end - 1].isspace():
+        end -= 1
+    if end > start:
+        spans.append((start, end))
+    return spans
+
+
+def compile_corpus(pages, article_map, abbreviations=DEFAULT_ABBREVIATIONS,
+                   drop_prefixes=DEFAULT_DROP_PREFIXES):
+    """(sentences, mentions) of ``corpus.compile_corpus``, through the oracle
+    cleanup and splitter, testing every link against every sentence span."""
+    sentences = []
+    mentions = []
+    for page in pages:
+        clean, links, _warn = strip_wikitext(page.wikitext, drop_prefixes)
+        for s_start, s_end in split_sentences(clean, abbreviations):
+            in_span = [
+                lk for lk in links
+                if lk.start >= s_start and lk.end <= s_end
+                and normalize_title(lk.target) in article_map.entries
+            ]
+            if not in_span:
+                continue
+            sid = len(sentences)
+            text = clean[s_start:s_end]
+            sentences.append(SentenceRecord(
+                sentence_id=sid, page_title=page.title, text=text,
+                token_count=len(text.split())))
+            for lk in in_span:
+                qid, cui = article_map.entries[normalize_title(lk.target)]
+                mentions.append(MentionAnnotation(
+                    sentence_id=sid, start=lk.start - s_start,
+                    end=lk.end - s_start, anchor=lk.anchor,
+                    target_title=lk.target, cui=cui, qid=qid))
+    return sentences, mentions

@@ -159,7 +159,7 @@ def test_criterion_02():
     amap = corpus_mod.load_article_map_tsv(io.StringIO(FIXTURE_MAP))
     assert len(amap.entries) == 6
     pages = corpus_mod.parse_dump(io.BytesIO(FIXTURE_DUMP.encode("utf-8")))
-    sentences, mentions, stats = corpus_mod.compile_corpus(pages, amap)
+    sentences, mentions, stats, _ = corpus_mod.compile_corpus(pages, amap)
 
     assert sentences == [
         corpus_mod.SentenceRecord(

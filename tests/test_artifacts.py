@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from belforge import encoder, index
 from belforge.artifacts import MAGIC, VERSION, load_artifact, save_artifact
 from belforge.errors import ArtifactError
 
@@ -175,3 +176,40 @@ def test_mutated_artifact_loads_or_is_artifact_error(tmp_path_factory, edits,
         load_artifact(path, "demo")
     except ArtifactError:
         pass
+
+
+def _saved_params(path):
+    encoder.save_params(path, encoder.init_params(0, buckets=16, hidden=4, dim=3))
+    return encoder.load_params
+
+
+def _saved_ivf(path):
+    vectors = np.random.default_rng(0).normal(size=(6, 3))
+    index.save_ivf(path, index.build_ivf(vectors, np.arange(6), 2, seed=0))
+    return index.load_ivf
+
+
+@pytest.mark.parametrize("save, entry, value", [
+    (_saved_ivf, "nprobe", "x"),
+    (_saved_ivf, "nprobe", 0),
+    (_saved_ivf, "nprobe", True),
+    (_saved_ivf, "nprobe", 2.0),
+    (_saved_params, "n_min", "2"),
+    (_saved_params, "n_min", 0),
+    (_saved_params, "n_max", None),
+    (_saved_params, "n_max", 1),
+    (_saved_params, "buckets", True),
+    (_saved_params, "hidden", -4),
+    (_saved_params, "dim", [3]),
+    (_saved_params, "normalize_output", 1),
+    (_saved_params, "lowercase", "false"),
+    (_saved_params, "lowercase", None),
+])
+def test_bad_meta_value_is_artifact_error(tmp_path, save, entry, value):
+    path = tmp_path / "a.bin"
+    load = save(path)
+    load(path)
+    path.write_bytes(_edit_header(path.read_bytes(),
+                                  lambda h: h["meta"].update({entry: value})))
+    with pytest.raises(ArtifactError, match=f"'{entry}'|n_max 1 is below n_min 2"):
+        load(path)

@@ -1,11 +1,15 @@
 import json
+import logging
 import os
 import struct
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from belforge import index as index_mod
-from belforge.cli import main
+from belforge.cli import SUBCOMMANDS, main
+from belforge.config import DEFAULTS
 
 CONCEPTS = """\
 C0000001|DUT|MDRDUT|10001|griep
@@ -120,6 +124,7 @@ class TestPipeline:
         assert summaries["ontology-build"]["records"] == 7
         assert summaries["corpus-compile"]["sentences"] == 4
         assert summaries["corpus-compile"]["mentions"] == 5
+        assert summaries["corpus-compile"]["unbalanced_templates"] == 0
         # five distinct anchors, all CUIs in the ontology
         assert summaries["corpus-subset"]["train_mentions"] == 2
         assert summaries["corpus-subset"]["val_mentions"] == 3
@@ -247,6 +252,17 @@ def link_outputs(root, config, capsys):
     return outputs
 
 
+def edit_header(path, edit):
+    """Rewrite the artifact at ``path`` with ``edit`` applied to its header."""
+    blob = path.read_bytes()
+    hdr_len = struct.unpack("<I", blob[8:12])[0]
+    header = json.loads(blob[12:12 + hdr_len])
+    edit(header)
+    hdr = json.dumps(header).encode("utf-8")
+    path.write_bytes(blob[:8] + struct.pack("<I", len(hdr)) + hdr
+                     + blob[12 + hdr_len:])
+
+
 def assert_io_error(config, capsys, argv, *fragments):
     """``argv`` exits 3 with one stderr line holding every fragment."""
     capsys.readouterr()
@@ -361,14 +377,8 @@ class TestLinkStack:
                                                                capsys):
         root, config = workspace
         run_pipeline(config, upto="finetune")
-        path = root / "out" / "finetuned.params"
-        blob = path.read_bytes()
-        hdr_len = struct.unpack("<I", blob[8:12])[0]
-        header = json.loads(blob[12:12 + hdr_len])
-        del header["sha256"]
-        hdr = json.dumps(header).encode("utf-8")
-        path.write_bytes(blob[:8] + struct.pack("<I", len(hdr)) + hdr
-                         + blob[12 + hdr_len:])
+        edit_header(root / "out" / "finetuned.params",
+                    lambda header: header.pop("sha256"))
         assert_io_error(config, capsys, ["index-build"], "finetuned.params",
                         "no payload digest")
 
@@ -506,6 +516,15 @@ class TestExitCodes:
         ({}, ["loss.alpha=\"2\""], "loss.alpha"),
         ({}, ["encoder.lowercase=0"], "encoder.lowercase"),
         ({}, ["paths.report=null"], "paths.report"),
+        ({}, ["paths.concepts=1"], "paths.concepts"),
+        ({}, ["paths.dump=true"], "paths.dump"),
+        ({}, ["corpus.sparql.endpoint=[]"], "corpus.sparql.endpoint"),
+        ({}, ["corpus.abbreviations=[1]"], "corpus.abbreviations"),
+        ({"ontology": {"drop_vocabs": [["DUT"]]}}, [], "ontology.drop_vocabs"),
+        ({"ontology": {"descriptive_subterms": [{"pattern": 1, "vocabs": []}]}},
+         [], "ontology.descriptive_subterms"),
+        ({"ontology": {"descriptive_subterms": [{"pattern": "x"}]}}, [],
+         "ontology.descriptive_subterms"),
     ])
     def test_wrong_leaf_type_usage(self, workspace, capsys, in_file,
                                    overrides, key):
@@ -544,6 +563,12 @@ class TestExitCodes:
         ("index-build", "train", "index.nlist=0"),
         ("index-build", "train", "index.nprobe=0"),
         ("index-build", "train", "index.nprobe=-2"),
+        ("train", "pairs", "seed=-1"),
+        ("index-build", "train", "seed=-1"),
+        ("train", "pairs", "encoder.hidden=0"),
+        ("train", "pairs", "encoder.n_min=0"),
+        ("train", "pairs", "encoder.n_max=1"),
+        ("ontology-build", "ontology-build", "ontology.column_map.text=-1"),
     ])
     def test_out_of_range_setting_usage(self, workspace, capsys, stage, upto,
                                         override):
@@ -556,3 +581,125 @@ class TestExitCodes:
         assert captured.out == ""
         assert len(captured.err.splitlines()) == 1
         assert override.split("=")[0] in captured.err
+
+    @pytest.mark.parametrize("setup, argv", [
+        (lambda root: (root / "out" / "ontology_stats.json").write_text("{x"),
+         ["stats"]),
+        (lambda root: (root / "groups.json").write_text("[1]"),
+         ["ontology-build"]),
+        (lambda root: None,
+         ["corpus-compile", "--set", "paths.article_map_tsv=null",
+          "--set", "corpus.sparql.endpoint=nowhere"]),
+    ])
+    def test_bad_input_data_error(self, workspace, capsys, setup, argv):
+        root, config = workspace
+        setup(root)
+        assert main(argv[:1] + ["--config", config, "--quiet"] + argv[1:]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1
+
+    @pytest.mark.parametrize("artifact, entry, value, argv", [
+        ("ivf.index", "nprobe", "x", ["--index", "ivf"]),
+        ("ivf.index", "nprobe", True, ["--index", "ivf"]),
+        ("finetuned.params", "lowercase", 0, []),
+        ("finetuned.params", "n_max", 1, []),
+    ])
+    def test_bad_artifact_meta_io(self, workspace, capsys, artifact, entry, value,
+                                  argv):
+        root, config = workspace
+        run_pipeline(config, upto="index-build")
+        edit_header(root / "out" / artifact,
+                    lambda header: header["meta"].update({entry: value}))
+        assert_io_error(config, capsys, ["link", "--mention", "griep"] + argv,
+                        artifact, entry)
+
+
+UNBALANCED_DUMP = DUMP.replace(
+    "<text>Over", "<text>{{Infobox [[Diabetes]] zonder einde. Over")
+
+
+class TestUnbalancedTemplates:
+    def test_count_in_summary_and_warning(self, workspace, capsys, caplog):
+        root, config = workspace
+        (root / "dump.xml").write_text(UNBALANCED_DUMP)
+        assert main(["corpus-compile", "--config", config]) == 0
+        captured = capsys.readouterr()
+        summary = json.loads(captured.out)
+        assert summary["unbalanced_templates"] == 1
+        assert summary["sentences"] == 2  # the second page lost its text
+        warnings = [r.getMessage() for r in caplog.records
+                    if r.levelno == logging.WARNING]
+        assert len(warnings) == 1 and "unbalanced templates on 1 pages" in warnings[0]
+        stats = json.loads((root / "out" / "corpus_stats.json").read_text())
+        assert "unbalanced_templates" not in stats
+
+    def test_no_warning_when_balanced(self, workspace, capsys, caplog):
+        _root, config = workspace
+        assert main(["corpus-compile", "--config", config]) == 0
+        assert json.loads(capsys.readouterr().out)["unbalanced_templates"] == 0
+        assert not [r for r in caplog.records if r.levelno == logging.WARNING]
+
+
+def _leaves(node, prefix=""):
+    for key, value in node.items():
+        if isinstance(value, dict):
+            yield from _leaves(value, prefix + key + ".")
+        else:
+            yield prefix + key, value
+
+
+# no '/' or '\\': a drawn string names nothing outside the working directory
+# and forms no URL with a host
+FUZZ_CHARS = "abxz01.-_ :[]{}\"',=tnul"
+fuzz_text = st.text(FUZZ_CHARS, max_size=8)
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers(-2, 3) | st.floats() | fuzz_text,
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(fuzz_text, inner, max_size=3),
+    max_leaves=6)
+
+
+def _typed_values(default):
+    """JSON values mostly of the type of ``default``."""
+    if isinstance(default, bool):
+        base = st.booleans()
+    elif isinstance(default, int):
+        base = st.integers(-2, 3)
+    elif isinstance(default, float):
+        base = st.integers(-2, 3) | st.floats()
+    elif isinstance(default, list):
+        base = st.lists(fuzz_text, max_size=3)
+    elif isinstance(default, str):
+        base = fuzz_text
+    else:
+        base = st.none() | fuzz_text | st.integers(-2, 3)
+    return st.one_of(base, base, base, json_values)
+
+
+LEAVES = dict(_leaves(DEFAULTS))
+typed_overrides = st.sampled_from(sorted(LEAVES)).flatmap(
+    lambda key: _typed_values(LEAVES[key]).map(
+        lambda value: f"{key}={json.dumps(value)}"))
+overrides = st.one_of(
+    typed_overrides, typed_overrides, typed_overrides,
+    st.tuples(st.sampled_from(sorted(LEAVES) + sorted(DEFAULTS)) | fuzz_text,
+              json_values.map(json.dumps) | fuzz_text).map("=".join),
+)
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.sampled_from(SUBCOMMANDS), st.lists(overrides, min_size=1, max_size=2))
+def test_random_overrides_end_in_an_exit_code(workspace, capsys, command, items):
+    """Every subcommand run on a built workspace with random --set items
+    returns a documented exit code instead of raising."""
+    root, config = workspace
+    if not (root / "out" / "ivf.index").exists():
+        run_pipeline(config, upto="index-build")
+    argv = [command, "--config", config, "--quiet"]
+    argv += {"link": ["--mention", "griep"], "pairs": ["--stage", "finetune"]}.get(command, [])
+    for item in items:
+        argv += ["--set", item]
+    assert main(argv) in (0, 1, 2, 3)
+    capsys.readouterr()

@@ -4,7 +4,10 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import oracles
 from belforge import corpus
 from belforge.errors import DataError, NetworkError
 from belforge.ontology import OntologyRecord
@@ -168,7 +171,7 @@ class TestCompileCorpus:
         pages = [corpus.WikiPage(1, "Pagina", 0,
                                  "Eerste zin hier. Dit noemt [[Hartinfarct|MI]] nu.")]
         amap = simple_map([("Hartinfarct", "Q42", "C0000001")])
-        sentences, mentions, stats = corpus.compile_corpus(iter(pages), amap)
+        sentences, mentions, stats, _ = corpus.compile_corpus(iter(pages), amap)
         assert len(sentences) == 1 and len(mentions) == 1
         s, m = sentences[0], mentions[0]
         assert s.text == "Dit noemt MI nu."
@@ -178,7 +181,7 @@ class TestCompileCorpus:
 
     def test_unmapped_target_not_selected(self):
         pages = [corpus.WikiPage(1, "P", 0, "Zie [[Onbekend artikel]] hier.")]
-        sentences, mentions, _ = corpus.compile_corpus(
+        sentences, mentions, _, _ = corpus.compile_corpus(
             iter(pages), simple_map([("Iets anders", "Q1", "C0000001")]))
         assert sentences == [] and mentions == []
 
@@ -191,7 +194,7 @@ class TestCompileCorpus:
         amap = simple_map([("Griep", "Q1", "C0000001"),
                            ("Koorts", "Q2", "C0000002"),
                            ("Diabetes", "Q3", "C0000003")])
-        sentences, mentions, stats = corpus.compile_corpus(iter(pages), amap)
+        sentences, mentions, stats, _ = corpus.compile_corpus(iter(pages), amap)
         by_id = {s.sentence_id: s for s in sentences}
         for m in mentions:
             assert by_id[m.sentence_id].text[m.start:m.end] == m.anchor
@@ -204,9 +207,35 @@ class TestCompileCorpus:
         amap = simple_map([("Griep", "Q1", "C0000001"),
                            ("Koorts", "Q2", "C0000999")])
         ontology = [OntologyRecord(0, "C0000001", "Griep", "V", "DISO")]
-        _, _, stats = corpus.compile_corpus(iter(pages), amap, ontology=ontology)
+        _, _, stats, _ = corpus.compile_corpus(iter(pages), amap, ontology=ontology)
         assert stats.unlinkable_cuis == 1  # C0000999 absent
         assert stats.unseen_mentions == 1  # "Koorts" not an ontology term
+
+    def test_unbalanced_templates_counted_per_page(self):
+        pages = [corpus.WikiPage(1, "A", 0, "{{a {{b}} [[Griep]]. {{c"),
+                 corpus.WikiPage(2, "B", 0, "[[Griep]] }} {{x}}."),
+                 corpus.WikiPage(3, "C", 0, "{{")]
+        amap = simple_map([("Griep", "Q1", "C0000001")])
+        sentences, _, _, unbalanced = corpus.compile_corpus(iter(pages), amap)
+        assert unbalanced == 2
+        assert [s.text for s in sentences] == ["Griep }} ."]
+
+
+# pieces of pages whose links fall inside, across and between sentences
+PAGE_PIECES = ["Zin", "een", "5", " ", "\u00a0", ". ", "! ", "? ", "ca. ", ".",
+               "[[Griep]]", "[[Koorts|hoge koorts]]", "[[griep|a. B]]",
+               "[[Griep| ]]", "[[Griep|x.]]", "[[Onbekend]]", "[[Bestand:Griep]]",
+               "{{sjabloon}}", "{{", "}}", "[[", "]]", "|"]
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(st.lists(st.lists(st.sampled_from(PAGE_PIECES), max_size=30).map("".join),
+                max_size=4))
+def test_compile_equals_oracle(texts):
+    pages = [corpus.WikiPage(i, f"P{i}", 0, t) for i, t in enumerate(texts)]
+    amap = simple_map([("Griep", "Q1", "C0000001"), ("Koorts", "Q2", "C0000002")])
+    sentences, mentions, _, _ = corpus.compile_corpus(iter(pages), amap)
+    assert (sentences, mentions) == oracles.compile_corpus(pages, amap)
 
 
 def star_fixture():

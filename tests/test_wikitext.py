@@ -1,6 +1,22 @@
-import numpy as np
+import time
 
-from belforge.wikitext import split_sentences, strip_wikitext
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import oracles
+from belforge import wikitext
+from belforge.wikitext import DEFAULT_DROP_PREFIXES, split_sentences, strip_wikitext
+
+# bracket- and punctuation-heavy pieces of wikitext: template and link
+# brackets in runs of one to three, a stray pipe, media prefixes, section
+# anchors, abbreviations, capitals, digits and non-ASCII whitespace
+PIECES = ["{{", "}}", "{{{", "}}}", "{", "}", "[[", "]]", "[[[", "]]]", "[", "]",
+          "|", "File:", "Bestand:", "categorie:", "#", ":", "a", "Zin", "é", "İ",
+          "5", "²", " ", "\u00a0", "\u2003", "\t", "\n", ".", "!", "?", "ca.",
+          "e.g.", "Dr.", "<!--", "-->", "<ref>", "</ref>", "''", "==", "x|y"]
+wikitexts = st.lists(st.sampled_from(PIECES), max_size=40).map("".join)
 
 
 class TestStripWikitext:
@@ -69,6 +85,44 @@ class TestStripWikitext:
                 assert clean[lk.start:lk.end] == lk.anchor
 
 
+    def test_depth_zero_closer_stays_literal(self):
+        clean, _, warn = strip_wikitext("a}} {{b}}c}}}")
+        assert clean == "a}} c}}}" and warn == 0
+
+    def test_unmatched_link_opener_is_dropped(self):
+        clean, links, _ = strip_wikitext("a [[b [[C]] d")
+        assert clean == "a b C d"
+        assert [(lk.start, lk.end, lk.target) for lk in links] == [(4, 5, "C")]
+
+
+@settings(max_examples=1500, derandomize=True, database=None, deadline=None)
+@given(wikitexts)
+def test_strip_wikitext_equals_oracle(markup):
+    assert strip_wikitext(markup) == oracles.strip_wikitext(markup)
+    assert wikitext._drop_templates(markup) == oracles.drop_templates(markup)
+    assert (wikitext._resolve_links(markup, DEFAULT_DROP_PREFIXES)
+            == oracles.resolve_links(markup, DEFAULT_DROP_PREFIXES))
+
+
+@settings(max_examples=1500, derandomize=True, database=None, deadline=None)
+@given(wikitexts, st.sampled_from([None, {"ca.", "e.g."}, {"zin.", "!", "a?", "a!"}, set()]))
+def test_split_sentences_equals_oracle(text, abbreviations):
+    args = () if abbreviations is None else (abbreviations,)
+    assert split_sentences(text, *args) == oracles.split_sentences(text, *args)
+    clean = strip_wikitext(text)[0]
+    assert split_sentences(clean, *args) == oracles.split_sentences(clean, *args)
+
+
+@pytest.mark.parametrize("piece", ["[[a ", "{{"])
+def test_pathological_page_is_linear(piece):
+    small = piece * 2000
+    assert strip_wikitext(small) == oracles.strip_wikitext(small)
+    page = piece * 50_000
+    start = time.perf_counter()
+    strip_wikitext(page)
+    assert time.perf_counter() - start < 2.0
+
+
 class TestSplitSentences:
     def test_two_sentences(self):
         text = "Dit is zin één. Dit is zin twee."
@@ -80,6 +134,10 @@ class TestSplitSentences:
     def test_abbreviation_no_split(self):
         spans = split_sentences("Neem ca. 5 mg per dag.", abbreviations={"ca."})
         assert len(spans) == 1
+
+    def test_abbreviation_check_applies_to_periods_only(self):
+        text = "Ja! Nee. Zo"
+        assert split_sentences(text, abbreviations={"ja!", "nee."}) == [(0, 3), (4, 11)]
 
     def test_empty(self):
         assert split_sentences("") == []
