@@ -93,7 +93,8 @@ def _read_json(path, what):
 
 
 def _summary(payload):
-    sys.stdout.write(json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n")
+    sys.stdout.write(json.dumps(payload, sort_keys=True, separators=(",", ":"),
+                                allow_nan=False) + "\n")
 
 
 def _filter_config(cfg):
@@ -119,6 +120,8 @@ def _load_ontology(cfg):
 
 def _train_configs(cfg, epochs=None):
     t = cfg["train"]
+    if min(cfg["loss"]["alpha"], cfg["loss"]["beta"]) <= 0:
+        raise UsageError(f"loss.alpha and loss.beta must be positive, got {cfg['loss']}")
     train_cfg = train_mod.TrainConfig(
         learning_rate=t["learning_rate"], weight_decay=t["weight_decay"],
         batch_size=t["batch_size"],
@@ -263,6 +266,9 @@ def _initial_params(cfg):
     for key in ("n_min", "buckets", "hidden", "dim"):
         _at_least(e[key], f"encoder.{key}")
     _at_least(e["n_max"], "encoder.n_max", e["n_min"])
+    if e["hidden"] * max(e["buckets"], e["dim"]) > 2 ** 28:  # before allocation
+        raise UsageError("encoder.hidden x encoder.buckets and encoder.hidden x "
+                         "encoder.dim must each be at most 2**28")
     return enc.init_params(
         cfg["seed"], n_min=e["n_min"], n_max=e["n_max"], buckets=e["buckets"],
         hidden=e["hidden"], dim=e["dim"],
@@ -332,8 +338,7 @@ def cmd_index_build(cfg, args):
     nlist = min(icfg["nlist"], len(ids))
     ivf = index_mod.build_ivf(compressed, ids, nlist, seed=cfg["seed"],
                               kmeans_iters=icfg["kmeans_iters"], cuis=cuis,
-                              groups=groups)
-    ivf.nprobe = min(icfg["nprobe"], nlist)
+                              groups=groups, nprobe=icfg["nprobe"])
     pca_sha256 = index_mod.save_pca(paths["pca"], transform)
     for index in (flat, ivf):
         index.params_sha256, index.pca_sha256 = params.sha256, pca_sha256

@@ -5,6 +5,7 @@ with values of each leaf's type (see ``_leaf_type``).
 
 import copy
 import json
+import sys
 
 from .errors import DataError, UsageError
 
@@ -115,11 +116,11 @@ _LEAF_TYPES = {
 
 def _leaf_type_ok(value, default):
     """Whether ``value`` has the type of a non-None default: an int passes
-    for a float, a bool never passes for an int."""
+    for a float, a bool never passes for an int, and a float must be finite."""
     if isinstance(default, bool) or isinstance(value, bool):
         return isinstance(value, bool) and isinstance(default, bool)
     if isinstance(default, float):
-        return isinstance(value, (int, float))
+        return isinstance(value, (int, float)) and abs(value) <= sys.float_info.max
     return isinstance(value, type(default))
 
 
@@ -131,7 +132,8 @@ def _leaf_type(dotted, default):
         return "str or null", lambda v: v is None or isinstance(v, str)
     if isinstance(default, list):
         return "list of str", _strings
-    return type(default).__name__, lambda v: _leaf_type_ok(v, default)
+    name = "finite float" if isinstance(default, float) else type(default).__name__
+    return name, lambda v: _leaf_type_ok(v, default)
 
 
 def _check_keys(node, schema, where=""):

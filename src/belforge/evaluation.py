@@ -48,7 +48,7 @@ def build_relation_graph(rows):
     return RelationGraph(adjacency=adj)
 
 
-def evaluate(predictions, gold, graph, per_group=True, metadata=None):
+def evaluate(predictions, gold, graph, metadata=None):
     """Score predictions against gold mentions.
 
     ``predictions`` maps mention string -> predicted CUI; a missing
@@ -70,16 +70,15 @@ def evaluate(predictions, gold, graph, per_group=True, metadata=None):
 
     n, acc, od = tally(gold)
     total = GroupResult(group="TOTAL", count=n, accuracy=acc, one_dist_accuracy=od)
+    by_group = {}
+    for g in gold:
+        by_group.setdefault(g.group, []).append(g)
     groups = []
-    if per_group:
-        by_group = {}
-        for g in gold:
-            by_group.setdefault(g.group, []).append(g)
-        for name in sorted(by_group):
-            gn, gacc, god = tally(by_group[name])
-            groups.append(GroupResult(group=name, count=gn, accuracy=gacc,
-                                      one_dist_accuracy=god))
-        groups.sort(key=lambda r: (-r.count, r.group))
+    for name in sorted(by_group):
+        gn, gacc, god = tally(by_group[name])
+        groups.append(GroupResult(group=name, count=gn, accuracy=gacc,
+                                  one_dist_accuracy=god))
+    groups.sort(key=lambda r: (-r.count, r.group))
     return EvalReport(groups=groups, total=total, metadata=dict(metadata or {}))
 
 

@@ -60,7 +60,7 @@ def featurize_batch(texts, n_min, n_max, buckets, lowercase=False):
 
     keys = [np.zeros(0, dtype=np.int64)]
     h = np.full(nchars, _FNV_OFFSET, dtype=np.uint64)
-    for n in range(1, n_max + 1):
+    for n in range(1, min(n_max, nchars) + 1):  # none longer than nchars
         # h[c] extends to the n-gram that starts at character c
         h = h[:max(nchars - n + 1, 0)]
         last = slice(n - 1, nchars)

@@ -8,7 +8,7 @@ import numpy as np
 
 from . import artifacts
 from .encoder import NORM_EPS, encode_batch
-from .errors import DataError
+from .errors import ArtifactError, DataError
 from .features import prepare
 
 
@@ -166,9 +166,9 @@ def _assign(rows, centroids):
 
 
 def build_ivf(vectors, ids, nlist, seed=0, kmeans_iters=10, cuis=None,
-              groups=None):
+              groups=None, nprobe=8):
     """Inverted-file index: k-means++ seeded centroids, Lloyd refinement,
-    each row stored in the list of its nearest centroid."""
+    each row in the list of its nearest centroid; nprobe is capped at nlist."""
     rows = _unit_rows(vectors)
     ids = np.asarray(ids, dtype=np.int64)
     cuis, groups = _term_table(ids, cuis, groups)
@@ -191,22 +191,16 @@ def build_ivf(vectors, ids, nlist, seed=0, kmeans_iters=10, cuis=None,
     sizes = np.bincount(assign, minlength=nlist)
     return IvfIndex(centroids=centroids, rows=rows[order], ids=ids[order],
                     offsets=np.concatenate(([0], np.cumsum(sizes))),
+                    nprobe=min(nprobe, nlist),
                     cuis=None if cuis is None else cuis[order],
                     groups=None if groups is None else groups[order])
 
 
 def search_ivf(index, query, top_k=10, nprobe=None):
-    """Scan the nprobe nearest centroids' lists; same ordering contract as
-    search_flat. nprobe > nlist is clamped with a warning."""
+    """Scan the nprobe nearest centroids' lists (every list when nprobe is
+    at least nlist); same ordering contract as search_flat."""
     nlist = index.centroids.shape[0]
-    if nprobe is None:
-        nprobe = index.nprobe
-    if nprobe > nlist:
-        import logging
-        logging.getLogger(__name__).warning(
-            "nprobe=%d clamped to nlist=%d", nprobe, nlist)
-        nprobe = nlist
-    nprobe = max(nprobe, 1)
+    nprobe = max(index.nprobe if nprobe is None else nprobe, 1)
     q = _unit_rows(np.asarray(query, dtype=float))
     cd = np.sum((index.centroids - q) ** 2, axis=1)
     probe = np.lexsort((np.arange(nlist), cd))[:nprobe]
@@ -218,8 +212,7 @@ def search_ivf(index, query, top_k=10, nprobe=None):
     return _rank(V @ q, ids, top_k)
 
 
-def link_mentions(texts, params, transform, index, id_to_cui, top_k=10,
-                  nprobe=None):
+def link_mentions(texts, params, transform, index, id_to_cui, top_k=10):
     """Encode, compress and search; the predicted CUI is the top neighbor's.
 
     The texts are featurized together; each one is then projected, scored
@@ -241,7 +234,7 @@ def link_mentions(texts, params, transform, index, id_to_cui, top_k=10,
         try:
             q = apply_pca(transform, emb)
             if isinstance(index, IvfIndex):
-                neighbors = search_ivf(index, q, top_k=top_k, nprobe=nprobe)
+                neighbors = search_ivf(index, q, top_k=top_k)
             else:
                 neighbors = search_flat(index, q, top_k=top_k)
             if not neighbors:
@@ -252,12 +245,11 @@ def link_mentions(texts, params, transform, index, id_to_cui, top_k=10,
     return results
 
 
-def link_mention(text, params, transform, index, id_to_cui, top_k=10,
-                 nprobe=None):
+def link_mention(text, params, transform, index, id_to_cui, top_k=10):
     """link_mentions for one text: returns (predicted_cui, neighbors) and
     raises its DataError."""
     result = link_mentions([text], params, transform, index, id_to_cui,
-                           top_k=top_k, nprobe=nprobe)[0]
+                           top_k=top_k)[0]
     if isinstance(result, DataError):
         raise result
     return result
@@ -313,6 +305,8 @@ def save_ivf(path, index):
 
 def load_ivf(path):
     meta, arrays, _sha256 = artifacts.load_artifact(path, "ivf-index")
+    if meta.size("nprobe") > len(arrays["centroids"]):
+        raise ArtifactError(f"{path}: nprobe exceeds nlist {len(arrays['centroids'])}")
     return IvfIndex(centroids=arrays["centroids"], rows=arrays["rows"],
                     ids=arrays["ids"],
                     offsets=np.concatenate(([0], np.cumsum(arrays["sizes"]))),

@@ -109,55 +109,55 @@ def read_pairs(stream):
     return pairs
 
 
-def _pairwise_distances(embeddings):
-    sq = np.sum(embeddings ** 2, axis=1)
-    d2 = sq[:, None] + sq[None, :] - 2.0 * (embeddings @ embeddings.T)
-    return np.sqrt(np.maximum(d2, 0.0))
+def _ms_step(E, U, labels, margin, config, work):
+    """Online mining and the Multi-Similarity loss of one n-row batch: (a, p)
+    is mined iff D[a,p] >= min-negative-distance + margin, (a, n) iff
+    max-positive-distance >= D[a,n] + margin, over the Gram-form distances D
+    of E. ``work`` holds two buffers of at least n*n floats. Returns (loss,
+    dL/dS over S = U U^T as a view of ``work``, mined positive (rows, cols),
+    mined negative (rows, cols)), the mined entries in row-major order."""
+    n = E.shape[0]
+    D, G = (w[:n * n].reshape(n, n) for w in work)
+    np.matmul(E, E.T, out=G)
+    G *= 2.0
+    sq = np.sum(E ** 2, axis=1)
+    np.add(sq[:, None], sq[None, :], out=D)
+    D -= G
+    np.sqrt(np.maximum(D, 0.0, out=D), out=D)
 
-
-def _mining_masks(distances, labels, margin):
-    """Boolean masks of the positives/negatives participating in violating
-    triplets, without materializing the O(B^3) enumeration.
-
-    (a, p) is an active positive iff some negative n of a satisfies
-    D[a,p] >= D[a,n] + margin, i.e. D[a,p] >= min-negative-distance + margin;
-    symmetrically (a, n) is active iff max-positive-distance >= D[a,n] + margin.
-    """
     _, codes = np.unique(np.asarray(labels), return_inverse=True)
     diff = codes[:, None] != codes[None, :]
     same = ~diff
     np.fill_diagonal(same, False)
+    max_pos = np.max(D, axis=1, initial=-np.inf, where=same)
+    min_neg = np.min(D, axis=1, initial=np.inf, where=diff)
+    pos = np.divmod(np.flatnonzero(same & (D >= min_neg[:, None] + margin)), n)
+    np.add(D, margin, out=G)
+    neg = np.divmod(np.flatnonzero(diff & (max_pos[:, None] >= G)), n)
 
-    min_neg = np.where(diff, distances, np.inf).min(axis=1)
-    max_pos = np.where(same, distances, -np.inf).max(axis=1)
-    pos_mask = same & (distances >= min_neg[:, None] + margin)
-    neg_mask = diff & (max_pos[:, None] >= distances + margin)
-    return pos_mask, neg_mask
-
-
-def _ms_loss_masks(similarities, pos_mask, neg_mask, config):
-    """Multi-Similarity loss and its exact gradient w.r.t. the similarity
-    matrix, given per-anchor positive/negative participation masks."""
-    S = np.asarray(similarities, dtype=float)
-    n = S.shape[0]
-    active = pos_mask.any(axis=1) | neg_mask.any(axis=1)
+    G.fill(0.0)
+    active = np.bincount(np.concatenate((pos[0], neg[0])), minlength=n) > 0
     n_active = int(active.sum())
-    grad = np.zeros_like(S)
     if n_active == 0:
-        return 0.0, grad
-
+        return 0.0, G, pos, neg
+    S = np.matmul(U, U.T, out=D)
     a, b, eps = config.alpha, config.beta, config.base
-    pos_exp = np.where(pos_mask, np.exp(-a * (S - eps)), 0.0)
-    neg_exp = np.where(neg_mask, np.exp(b * (S - eps)), 0.0)
-    pos_sum = pos_exp.sum(axis=1)
-    neg_sum = neg_exp.sum(axis=1)
-    per_anchor = (np.log1p(pos_sum) / a + np.log1p(neg_sum) / b)
+    pos_exp = np.exp(-a * (S[pos] - eps))
+    neg_exp = np.exp(b * (S[neg] - eps))
+    # row sums over zero-filled rows add the mined terms in a dense sum's order
+    D.fill(0.0)
+    D[pos] = pos_exp
+    pos_sum = D.sum(axis=1)
+    D[pos] = 0.0
+    D[neg] = neg_exp
+    neg_sum = D.sum(axis=1)
+    per_anchor = np.log1p(pos_sum) / a + np.log1p(neg_sum) / b
     loss = float(per_anchor[active].sum() / n_active)
 
     scale = active.astype(float) / n_active
-    grad += (-pos_exp / (1.0 + pos_sum)[:, None]) * scale[:, None]
-    grad += (neg_exp / (1.0 + neg_sum)[:, None]) * scale[:, None]
-    return loss, grad
+    G[pos] += (-pos_exp / (1.0 + pos_sum)[pos[0]]) * scale[pos[0]]
+    G[neg] += (neg_exp / (1.0 + neg_sum)[neg[0]]) * scale[neg[0]]
+    return loss, G, pos, neg
 
 
 def train_epoch(pairs, params, train_cfg, mining_cfg, loss_cfg,
@@ -177,22 +177,20 @@ def train_epoch(pairs, params, train_cfg, mining_cfg, loss_cfg,
     order = rng.permutation(len(pairs))
     bs = max(train_cfg.batch_size, 1)
     lr, wd = train_cfg.learning_rate, train_cfg.weight_decay
+    work = np.empty((2, (2 * min(bs, len(pairs))) ** 2))
 
     losses = []
     mined_any = False
     for start in range(0, len(order), bs):
         batch = [pairs[i] for i in order[start:start + bs]]
-        texts = []
-        labels = []
-        for p in batch:
-            texts.extend((p.term_a, p.term_b))
-            labels.extend((p.cui, p.cui))
-        missing = [t for t in dict.fromkeys(texts) if t not in cache]
+        texts = [t for p in batch for t in (p.term_a, p.term_b)]
+        labels = [p.cui for p in batch for _ in range(2)]
+        distinct = dict.fromkeys(texts)
+        missing = [t for t in distinct if t not in cache]
         cache.update(zip(missing, enc.featurize_texts(params, missing)))
-        feats = [cache[t] for t in texts]
-
-        outs, fwd_caches = zip(*(enc.forward_features(params, idx, vals)
-                                 for idx, vals in feats))
+        # a row's forward does not depend on the batch, so repeats share one
+        forward = {t: enc.forward_features(params, *cache[t]) for t in distinct}
+        outs, fwd_caches = zip(*(forward[t] for t in texts))
         E = np.vstack(outs)
 
         # cosine similarities via row normalization (identity for the
@@ -200,13 +198,11 @@ def train_epoch(pairs, params, train_cfg, mining_cfg, loss_cfg,
         norms = np.linalg.norm(E, axis=1)
         safe = np.maximum(norms, enc.NORM_EPS)
         U = E / safe[:, None]
-        S = U @ U.T
 
-        pos_mask, neg_mask = _mining_masks(_pairwise_distances(E), labels,
-                                           mining_cfg.margin)
-        loss, G = _ms_loss_masks(S, pos_mask, neg_mask, loss_cfg)
+        loss, G, pos, neg = _ms_step(E, U, labels, mining_cfg.margin,
+                                     loss_cfg, work)
         losses.append(loss)
-        mined_any = mined_any or pos_mask.any() or neg_mask.any()
+        mined_any = mined_any or pos[0].size > 0 or neg[0].size > 0
 
         dU = (G + G.T) @ U
         # back through the row normalization
@@ -238,6 +234,8 @@ def run_training(params, pairs, train_cfg, mining_cfg, loss_cfg, epochs,
         params, mean_loss = train_epoch(pairs, params, train_cfg, mining_cfg,
                                         loss_cfg, epoch_index=ep,
                                         feature_cache=cache)
+        if not np.isfinite(mean_loss):
+            raise DataError(f"epoch {ep}: mean loss {mean_loss} is not finite")
         loss_log.append(mean_loss)
         if checkpoint_dir:
             os.makedirs(checkpoint_dir, exist_ok=True)

@@ -1,16 +1,17 @@
 """Reference implementations the tests compare production paths against:
-explicit triplet enumeration, its projection onto participation masks, and
-the Multi-Similarity loss over an enumerated triplet list; the
-character-at-a-time wikitext cleanup and sentence splitter, and corpus
-compilation that filters every link against every sentence span."""
+explicit triplet enumeration, its projection onto participation masks, the
+dense mask miner and Multi-Similarity loss, and the training epoch composed
+from them with one forward per row; the character-at-a-time wikitext
+cleanup and sentence splitter, and corpus compilation that filters every
+link against every sentence span."""
 
 from dataclasses import dataclass
 
 import numpy as np
 
+from belforge import encoder as enc
 from belforge import wikitext
 from belforge.corpus import MentionAnnotation, SentenceRecord, normalize_title
-from belforge.training import _ms_loss_masks, _pairwise_distances
 from belforge.wikitext import DEFAULT_ABBREVIATIONS, DEFAULT_DROP_PREFIXES, LinkSpan
 
 
@@ -19,6 +20,95 @@ class Triplet:
     anchor_idx: int
     positive_idx: int
     negative_idx: int
+
+
+def pairwise_distances(embeddings):
+    sq = np.sum(embeddings ** 2, axis=1)
+    d2 = sq[:, None] + sq[None, :] - 2.0 * (embeddings @ embeddings.T)
+    return np.sqrt(np.maximum(d2, 0.0))
+
+
+def mining_masks(distances, labels, margin):
+    """Boolean masks of the positives/negatives participating in violating
+    triplets, without materializing the O(B^3) enumeration.
+
+    (a, p) is an active positive iff some negative n of a satisfies
+    D[a,p] >= D[a,n] + margin, i.e. D[a,p] >= min-negative-distance + margin;
+    symmetrically (a, n) is active iff max-positive-distance >= D[a,n] + margin.
+    """
+    _, codes = np.unique(np.asarray(labels), return_inverse=True)
+    diff = codes[:, None] != codes[None, :]
+    same = ~diff
+    np.fill_diagonal(same, False)
+
+    min_neg = np.where(diff, distances, np.inf).min(axis=1)
+    max_pos = np.where(same, distances, -np.inf).max(axis=1)
+    pos_mask = same & (distances >= min_neg[:, None] + margin)
+    neg_mask = diff & (max_pos[:, None] >= distances + margin)
+    return pos_mask, neg_mask
+
+
+def ms_loss_masks(similarities, pos_mask, neg_mask, config):
+    """Multi-Similarity loss and its exact gradient w.r.t. the similarity
+    matrix, given per-anchor positive/negative participation masks, with
+    every term evaluated densely."""
+    S = np.asarray(similarities, dtype=float)
+    active = pos_mask.any(axis=1) | neg_mask.any(axis=1)
+    n_active = int(active.sum())
+    grad = np.zeros_like(S)
+    if n_active == 0:
+        return 0.0, grad
+
+    a, b, eps = config.alpha, config.beta, config.base
+    pos_exp = np.where(pos_mask, np.exp(-a * (S - eps)), 0.0)
+    neg_exp = np.where(neg_mask, np.exp(b * (S - eps)), 0.0)
+    pos_sum = pos_exp.sum(axis=1)
+    neg_sum = neg_exp.sum(axis=1)
+    per_anchor = (np.log1p(pos_sum) / a + np.log1p(neg_sum) / b)
+    loss = float(per_anchor[active].sum() / n_active)
+
+    scale = active.astype(float) / n_active
+    grad += (-pos_exp / (1.0 + pos_sum)[:, None]) * scale[:, None]
+    grad += (neg_exp / (1.0 + neg_sum)[:, None]) * scale[:, None]
+    return loss, grad
+
+
+def train_epoch(pairs, params, train_cfg, mining_cfg, loss_cfg,
+                epoch_index=0, feature_cache=None):
+    """``training.train_epoch`` composed from the dense oracles above, with
+    a forward pass for every row of the batch, repeated texts included."""
+    params = params.copy()
+    cache = feature_cache if feature_cache is not None else {}
+    rng = np.random.default_rng([train_cfg.seed, epoch_index])
+    order = rng.permutation(len(pairs))
+    bs = max(train_cfg.batch_size, 1)
+    lr, wd = train_cfg.learning_rate, train_cfg.weight_decay
+    losses = []
+    for start in range(0, len(order), bs):
+        batch = [pairs[i] for i in order[start:start + bs]]
+        texts = [t for p in batch for t in (p.term_a, p.term_b)]
+        labels = [p.cui for p in batch for _ in range(2)]
+        missing = [t for t in dict.fromkeys(texts) if t not in cache]
+        cache.update(zip(missing, enc.featurize_texts(params, missing)))
+        outs, fwd_caches = zip(*(enc.forward_features(params, *cache[t])
+                                 for t in texts))
+        E = np.vstack(outs)
+        norms = np.linalg.norm(E, axis=1)
+        safe = np.maximum(norms, enc.NORM_EPS)
+        U = E / safe[:, None]
+        S = U @ U.T
+        pos_mask, neg_mask = mining_masks(pairwise_distances(E), labels,
+                                          mining_cfg.margin)
+        loss, G = ms_loss_masks(S, pos_mask, neg_mask, loss_cfg)
+        losses.append(loss)
+        dU = (G + G.T) @ U
+        dE = (dU - (np.sum(dU * U, axis=1, keepdims=True)) * U) / safe[:, None]
+        dE[norms < enc.NORM_EPS] = 0.0
+        grads = enc.backward_batch(params, fwd_caches, dE)
+        for name in ("W1", "b1", "W2", "b2"):
+            w = getattr(params, name)
+            w -= lr * (getattr(grads, name) + wd * w)
+    return params, float(np.mean(losses))
 
 
 def mine_hard_triplets(embeddings, labels, config):
@@ -31,7 +121,7 @@ def mine_hard_triplets(embeddings, labels, config):
         embeddings = embeddings[:, None]
     n = embeddings.shape[0]
     labels = list(labels)
-    dist = _pairwise_distances(embeddings)
+    dist = pairwise_distances(embeddings)
 
     triplets = []
     for a in range(n):
@@ -64,7 +154,7 @@ def ms_loss(similarities, labels, mined, config):
     """
     S = np.asarray(similarities, dtype=float)
     pos_mask, neg_mask = masks_from_triplets(S.shape[0], mined)
-    return _ms_loss_masks(S, pos_mask, neg_mask, config)
+    return ms_loss_masks(S, pos_mask, neg_mask, config)
 
 
 def drop_templates(markup):

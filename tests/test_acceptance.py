@@ -20,7 +20,7 @@ from belforge import training as tr
 from belforge.cli import main as cli_main
 from helpers import (make_perturbed_mentions, make_synthetic_ontology,
                      mentions_as_slice, random_unit_rows, random_word)
-from oracles import Triplet, masks_from_triplets, mine_hard_triplets, ms_loss
+from oracles import Triplet, mine_hard_triplets, ms_loss
 
 
 def term(tid, cui, text, vocab="MDRDUT", lang="DUT", code="0"):
@@ -260,13 +260,16 @@ def test_criterion_04():
                    for t in mined}
             want = _brute_force_triplets(E, labels, margin)
             mismatches += got != want
-            # the miner that trains, against the oracle projected to masks
-            want_pos, want_neg = masks_from_triplets(
-                n, [Triplet(*t) for t in want])
-            pos, neg = tr._mining_masks(tr._pairwise_distances(E), labels,
-                                        margin)
-            mismatches += not (np.array_equal(pos, want_pos)
-                               and np.array_equal(neg, want_neg))
+            # the miner that trains, against the oracle's (anchor, positive)
+            # and (anchor, negative) entries
+            U = E / np.maximum(np.linalg.norm(E, axis=1), enc.NORM_EPS)[:, None]
+            _, _, pos, neg = tr._ms_step(E, U, labels, margin,
+                                         tr.MsLossConfig(),
+                                         np.full((2, n * n), np.nan))
+            mismatches += set(zip(pos[0].tolist(), pos[1].tolist())) != \
+                {(a, p) for a, p, _ in want}
+            mismatches += set(zip(neg[0].tolist(), neg[1].tolist())) != \
+                {(a, m) for a, _, m in want}
     assert mismatches == 0
     assert time.perf_counter() - start < 10.0
 

@@ -3,6 +3,7 @@ import logging
 import os
 import struct
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -546,6 +547,19 @@ class TestExitCodes:
         assert f"config key {key!r} must be of type" in captured.err
         assert not (root / "out" / "ontology.jsonl").exists()
 
+    def test_non_finite_loss_is_a_data_error(self, workspace, capsys):
+        _root, config = workspace
+        run_pipeline(config, upto="pairs")
+        capsys.readouterr()
+        with np.errstate(over="ignore", invalid="ignore"):
+            rc = main(["train", "--config", config, "--quiet",
+                       "--set", "loss.alpha=1e6"])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "mean loss inf is not finite" in captured.err
+        assert not os.path.exists("out/pretrained.params")
+
     def test_int_accepted_for_float_leaf(self, workspace, capsys):
         _root, config = workspace
         run_pipeline(config, upto="pairs")
@@ -568,6 +582,17 @@ class TestExitCodes:
         ("train", "pairs", "encoder.hidden=0"),
         ("train", "pairs", "encoder.n_min=0"),
         ("train", "pairs", "encoder.n_max=1"),
+        ("train", "pairs", "encoder.hidden=" + "9" * 21),
+        ("train", "pairs", "encoder.dim=" + "9" * 21),
+        ("train", "pairs", "encoder.buckets=33554433"),  # x hidden 8 > 2^28
+        ("train", "pairs", "loss.alpha=0"),
+        ("train", "pairs", "loss.beta=-1"),
+        ("finetune", "finetune", "loss.beta=0"),
+        ("train", "pairs", "loss.alpha=NaN"),
+        ("train", "pairs", "train.learning_rate=Infinity"),
+        ("train", "pairs", "mining.margin=-Infinity"),
+        ("train", "pairs", "loss.base=1e400"),
+        ("train", "pairs", "train.weight_decay=" + "9" * 400),
         ("ontology-build", "ontology-build", "ontology.column_map.text=-1"),
     ])
     def test_out_of_range_setting_usage(self, workspace, capsys, stage, upto,
@@ -604,6 +629,7 @@ class TestExitCodes:
         ("ivf.index", "nprobe", True, ["--index", "ivf"]),
         ("finetuned.params", "lowercase", 0, []),
         ("finetuned.params", "n_max", 1, []),
+        ("ivf.index", "nprobe", 3, ["--index", "ivf"]),
     ])
     def test_bad_artifact_meta_io(self, workspace, capsys, artifact, entry, value,
                                   argv):

@@ -27,6 +27,17 @@ def test_deterministic():
     assert np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
 
 
+def test_n_max_beyond_the_texts_changes_nothing():
+    texts = ["ab", "hartinfarct"]
+    want = features.featurize_batch(texts, 2, 20, 4096)
+    for n_max in (21, 10 ** 20):
+        got = features.featurize_batch(texts, 2, n_max, 4096)
+        assert all(np.array_equal(g[0], w[0]) and np.array_equal(g[1], w[1])
+                   for g, w in zip(got, want))
+    assert all(idx.size == 0 for idx, _ in
+               features.featurize_batch(texts, 10 ** 20, 10 ** 20, 4096))
+
+
 def test_empty_text_rejected():
     with pytest.raises(UnencodableTextError):
         features.featurize("   ", 2, 4, 4096)

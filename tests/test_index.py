@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from belforge import encoder as enc
 from belforge import index as ix
-from belforge.errors import DataError
+from belforge.errors import ArtifactError, DataError
 from helpers import random_unit_rows
 
 
@@ -205,14 +205,13 @@ class TestIvf:
         assert as_tuples(ix.search_ivf(ivf, q, 5)) == \
             as_tuples(ix.search_flat(flat, q, 5))
 
-    def test_nprobe_clamped_with_warning(self, caplog):
+    def test_nprobe_above_nlist_scans_every_list(self):
         rng = np.random.default_rng(9)
         V = random_unit_rows(rng, 10, 3)
         ivf = ix.build_ivf(V, np.arange(10), nlist=2)
-        with caplog.at_level("WARNING"):
-            out = ix.search_ivf(ivf, V[0], top_k=3, nprobe=99)
+        out = ix.search_ivf(ivf, V[0], top_k=3, nprobe=99)
         assert len(out) == 3
-        assert any("clamped" in r.message for r in caplog.records)
+        assert as_tuples(out) == as_tuples(ix.search_ivf(ivf, V[0], 3, 2))
 
     def test_recall_on_clustered_data(self):
         rng = np.random.default_rng(10)
@@ -300,6 +299,14 @@ class TestSerialization:
         assert back.cuis.tolist() == [cuis[row_of[i]] for i in back.ids.tolist()]
         assert back.groups.tolist() == [groups[row_of[i]] for i in back.ids.tolist()]
         assert (back.params_sha256, back.pca_sha256) == ("ab" * 32, "cd" * 32)
+
+    def test_ivf_nprobe_above_nlist_refused(self, tmp_path):
+        rng = np.random.default_rng(15)
+        ivf = ix.build_ivf(random_unit_rows(rng, 12, 3), np.arange(12), nlist=3)
+        ivf.nprobe = 4
+        ix.save_ivf(tmp_path / "i.idx", ivf)
+        with pytest.raises(ArtifactError, match="nprobe exceeds nlist 3"):
+            ix.load_ivf(tmp_path / "i.idx")
 
     def test_index_without_term_table_roundtrips(self, tmp_path):
         rng = np.random.default_rng(15)

@@ -3,7 +3,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+import oracles
 from belforge import encoder as enc
 from belforge import training as tr
 from belforge.errors import DataError
@@ -30,6 +33,22 @@ def brute_force_triplets(embeddings, labels, margin):
                 if dp >= np.linalg.norm(E[a] - E[m]) + margin:
                     out.add((a, p, m))
     return out
+
+
+def fused_step(E, labels, margin, config, rows=None):
+    """``tr._ms_step`` on E and its unit rows formed as train_epoch forms
+    them, in a NaN-filled workspace sized for ``rows`` >= len(E) rows.
+    Returns (loss, dL/dS, positive mask, negative mask, unit rows)."""
+    n = len(E)
+    rows = rows or n
+    U = E / np.maximum(np.linalg.norm(E, axis=1), enc.NORM_EPS)[:, None]
+    loss, G, pos, neg = tr._ms_step(E, U, labels, margin, config,
+                                    np.full((2, rows * rows), np.nan))
+    pos_mask = np.zeros((n, n), dtype=bool)
+    neg_mask = np.zeros((n, n), dtype=bool)
+    pos_mask[pos] = True
+    neg_mask[neg] = True
+    return loss, G, pos_mask, neg_mask, U
 
 
 def orec(tid, cui, text):
@@ -137,8 +156,8 @@ class TestMining:
             labels = [str(rng.integers(0, 4)) for _ in range(n)]
             mined = mine_hard_triplets(E, labels, tr.MiningConfig(margin=margin))
             want_pos, want_neg = masks_from_triplets(n, mined)
-            dist = tr._pairwise_distances(E)
-            got_pos, got_neg = tr._mining_masks(dist, labels, margin)
+            _, _, got_pos, got_neg, _ = fused_step(E, labels, margin,
+                                                   tr.MsLossConfig())
             assert np.array_equal(got_pos, want_pos)
             assert np.array_equal(got_neg, want_neg)
 
@@ -218,6 +237,44 @@ class TestMsLoss:
         assert grad[0, 2] > 0  # increasing a negative similarity raises loss
 
 
+@st.composite
+def step_batches(draw):
+    """(E, labels, margin, loss config, workspace rows) of one batch: rows
+    plain or unit-normalized, optionally with a zero row and a repeated
+    row (one text twice in a batch), margins that mine nothing included,
+    and a workspace possibly larger than the batch (a ragged last batch)."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    n = draw(st.integers(2, 40))
+    E = rng.normal(size=(n, draw(st.integers(1, 6))))
+    if draw(st.booleans()):
+        E /= np.linalg.norm(E, axis=1, keepdims=True)
+    labels = [str(v) for v in rng.integers(0, draw(st.integers(1, 6)), n)]
+    if draw(st.booleans()):
+        E[int(rng.integers(n))] = 0.0
+    if draw(st.booleans()):
+        i, j = rng.integers(n, size=2)
+        E[j], labels[j] = E[i], labels[i]
+    margin = draw(st.sampled_from([0.0, 0.2, 1.0, 1e9]) | st.floats(-1, 3))
+    config = tr.MsLossConfig(alpha=draw(st.floats(0.1, 10)),
+                             beta=draw(st.floats(1, 80)),
+                             base=draw(st.floats(-1, 1)))
+    return E, labels, margin, config, n + draw(st.integers(0, 5))
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(step_batches())
+def test_fused_step_matches_dense_oracles_bit_for_bit(batch):
+    E, labels, margin, config, rows = batch
+    loss, G, pos, neg, U = fused_step(E, labels, margin, config, rows)
+    want_pos, want_neg = oracles.mining_masks(oracles.pairwise_distances(E),
+                                              labels, margin)
+    want_loss, want_G = oracles.ms_loss_masks(U @ U.T, want_pos, want_neg,
+                                              config)
+    assert np.array_equal(pos, want_pos) and np.array_equal(neg, want_neg)
+    assert loss == want_loss
+    assert G.tobytes() == want_G.tobytes()
+
+
 def tiny_setup(n_concepts=12, variants=3, seed=0):
     onto, _cores = make_synthetic_ontology(seed=seed, n_concepts=n_concepts,
                                            variants=variants, n_affixes=6)
@@ -273,6 +330,39 @@ class TestTrainEpoch:
         b, lb = tr.train_epoch(pairs, params, tc, mc, lc)
         assert la == lb
         assert np.array_equal(a.W1, b.W1) and np.array_equal(a.W2, b.W2)
+
+    @settings(max_examples=25, derandomize=True, database=None, deadline=None)
+    @given(normalize=st.booleans(), bs=st.integers(1, 40),
+           margin=st.sampled_from([0.0, 0.2, 1e9]), zero_row=st.booleans(),
+           seed=st.integers(0, 3))
+    @example(normalize=False, bs=7, margin=0.2, zero_row=False, seed=0)
+    @example(normalize=True, bs=10, margin=1e9, zero_row=False, seed=1)
+    # one batch, so the featureless texts still embed to zero when trained
+    @example(normalize=True, bs=40, margin=0.2, zero_row=True, seed=2)
+    def test_two_epochs_equal_oracle_composition(self, normalize, bs, margin,
+                                                 zero_row, seed):
+        """Two epochs of the fused step and one forward per distinct text
+        give the bits of the dense oracles with a forward per row. Every
+        text of the synthetic pairs is in two pairs; with n_min 4, "x" and
+        "y" have no n-grams and embed to zero under the initial params."""
+        onto, _ = make_synthetic_ontology(seed=seed, n_concepts=12,
+                                          variants=3, n_affixes=6)
+        pairs = tr.generate_pretrain_pairs(onto)
+        if zero_row:
+            pairs.append(tr.PositivePair("C9999999", "x", "y"))
+        params = enc.init_params(seed, n_min=4, n_max=5, buckets=512,
+                                 hidden=16, dim=8, normalize_output=normalize)
+        tc = tr.TrainConfig(learning_rate=0.05, weight_decay=0.01,
+                            batch_size=bs, seed=seed)
+        mc, lc = tr.MiningConfig(margin=margin), tr.MsLossConfig()
+        got, want = params, params
+        for ep in range(2):
+            got, got_loss = tr.train_epoch(pairs, got, tc, mc, lc, epoch_index=ep)
+            want, want_loss = oracles.train_epoch(pairs, want, tc, mc, lc,
+                                                  epoch_index=ep)
+            assert got_loss == want_loss
+        for name in ("W1", "b1", "W2", "b2"):
+            assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
 
     def test_empty_pairs_rejected(self):
         _, params = tiny_setup()
