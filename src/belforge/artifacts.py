@@ -111,10 +111,10 @@ class _Entries(dict):
                 f"{self.path}: {self.what} {name!r} must be {want}, got {value!r}")
         return value
 
-    def size(self, name):
-        """The entry, required to be an int (not a bool) of at least 1."""
-        return self._checked(name, lambda v: type(v) is int and v >= 1,
-                             "an integer of at least 1")
+    def size(self, name, least=1):
+        """The entry, required to be an int (not a bool) of at least ``least``."""
+        return self._checked(name, lambda v: type(v) is int and v >= least,
+                             f"an integer of at least {least}")
 
     def flag(self, name):
         """The entry, required to be a bool."""

@@ -283,7 +283,8 @@ def cmd_train(cfg, args):
     train_cfg, mining_cfg, loss_cfg = _train_configs(cfg, epochs=args.epochs)
     params, loss_log = train_mod.run_training(
         params, pairs, train_cfg, mining_cfg, loss_cfg, train_cfg.epochs,
-        checkpoint_dir=paths["checkpoint_dir"])
+        checkpoint_dir=paths["checkpoint_dir"],
+        start_epoch=0 if params.epoch is None else params.epoch + 1)
     enc.save_params(paths["params_pretrained"], params)
     train_mod.write_loss_log(paths["pretrain_loss_log"], loss_log)
     _summary({"command": "train", "epochs": train_cfg.epochs,

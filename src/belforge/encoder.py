@@ -6,6 +6,7 @@ is unit-L2, so cosine similarity equals the inner product.
 """
 
 from dataclasses import dataclass, replace
+from itertools import accumulate
 
 import numpy as np
 
@@ -14,7 +15,7 @@ from .errors import ArtifactError
 from .features import featurize_batch
 
 NORM_EPS = 1e-12
-# texts hashed per featurize_batch call by encode_batch; bounds the hashing
+# texts hashed and forwarded per call by encode_batch; bounds the
 # temporaries however many texts are encoded
 ENCODE_BATCH = 1024
 
@@ -34,11 +35,13 @@ class EncoderParams:
     lowercase: bool = False
     # payload digest of the artifact these weights were loaded from
     sha256: str | None = None
+    # for a training checkpoint, the index of the epoch that ended in it
+    epoch: int | None = None
 
     def copy(self):
         """A copy to train: its weights will no longer be the artifact's."""
-        return replace(self, W1=self.W1.copy(), b1=self.b1.copy(),
-                       W2=self.W2.copy(), b2=self.b2.copy(), sha256=None)
+        return replace(self, W1=self.W1.copy(), b1=self.b1.copy(), W2=self.W2.copy(),
+                       b2=self.b2.copy(), sha256=None, epoch=None)
 
 
 @dataclass
@@ -72,67 +75,56 @@ def featurize_texts(params, texts):
                            lowercase=params.lowercase)
 
 
-def featurize_text(params, text):
-    return featurize_texts(params, [text])[0]
-
-
-def forward_features(params, indices, values):
-    """Forward pass from a sparse feature vector; returns (output, cache)."""
-    z = params.W1[:, indices] @ values + params.b1
-    h = np.maximum(z, 0.0)
-    e = params.W2 @ h + params.b2
-    norm = float(np.linalg.norm(e))
-    if params.normalize_output and norm >= NORM_EPS:
-        out = e / norm
-    else:
-        out = e
-    return out, (indices, values, z, h, norm, out)
+def forward_batch(params, feats):
+    """Forward pass of sparse (indices, values) rows: (E, cache for backward_batch).
+    W1's columns are gathered once per batch, but each row's products are the
+    BLAS calls of a one-row forward on operands of the same layout, so a row
+    has the same bits in any batch. Only elementwise steps are batched."""
+    n = len(feats)
+    bounds = list(accumulate((len(i) for i, _ in feats), initial=0))
+    indices, values = (np.concatenate(a) for a in zip(*feats))
+    # a lone row shares no columns: its own gather is its operand
+    cols, pos = (indices, None) if n == 1 else np.unique(indices, return_inverse=True)
+    rows = np.ascontiguousarray(params.W1[:, cols].T)
+    # operands F-ordered hidden x nnz like W1[:, indices]; C order gives other bits
+    H = np.array([(rows if pos is None else rows[pos[a:b]]).T @ values[a:b]
+                  for a, b in zip(bounds, bounds[1:])])
+    np.maximum(np.add(H, params.b1, out=H), 0.0, out=H)
+    E = np.array([params.W2 @ h for h in H]) + params.b2
+    norms = np.sqrt([e @ e for e in E])  # 1-D dots; a batched sum reorders
+    if params.normalize_output:
+        np.divide(E, norms[:, None], out=E, where=(norms >= NORM_EPS)[:, None])
+    return E, (feats, H, E, norms)
 
 
 def encode_batch(params, texts):
-    """Embed a list of strings as the rows of a len(texts) x dim matrix.
-
-    Texts are featurized ENCODE_BATCH at a time; each row then goes through
-    forward_features on its own, so it equals encode(params, text) bit for
-    bit wherever the text sits in the list.
-    """
-    rows = []
-    for start in range(0, len(texts), ENCODE_BATCH):
-        feats = featurize_texts(params, texts[start:start + ENCODE_BATCH])
-        rows.extend(forward_features(params, idx, vals)[0] for idx, vals in feats)
-    return np.vstack(rows) if rows else np.zeros((0, params.dim))
+    """Embed a list of strings as the rows of a len(texts) x dim matrix,
+    ENCODE_BATCH texts per forward_batch; a row is the same bits wherever
+    its text sits in the list."""
+    chunks = [texts[s:s + ENCODE_BATCH] for s in range(0, len(texts), ENCODE_BATCH)]
+    parts = [forward_batch(params, featurize_texts(params, c))[0] for c in chunks]
+    return np.vstack(parts) if parts else np.zeros((0, params.dim))
 
 
-def encode(params, text):
-    """Embed a string; unit-L2 output when normalization is active."""
-    return encode_batch(params, [text])[0]
-
-
-def backward_batch(params, caches, dE):
-    """Gradients of sum_i dE[i] . output_i w.r.t. every parameter, given the
-    forward caches of a batch of rows; one GEMM per weight matrix."""
-    indices, values, Z, H, norms, outs = zip(*caches)
-    Z, H, outs, norms = np.vstack(Z), np.vstack(H), np.vstack(outs), np.array(norms)
+def backward_batch(params, cache, dE):
+    """Gradients of sum_i dE[i] . E[i] w.r.t. every parameter, given the
+    forward_batch cache (feats, H, E, norms) of a batch of rows; one GEMM
+    per weight matrix."""
+    feats, H, E, norms = cache
     G = np.asarray(dE, dtype=float)
     if params.normalize_output:
         # out = e/|e|; J^T u = (u - (u.out) out) / |e| on the normalized rows
-        proj = np.sum(G * outs, axis=1, keepdims=True) * outs
+        proj = np.sum(G * E, axis=1, keepdims=True) * E
         G = np.where((norms >= NORM_EPS)[:, None],
                      (G - proj) / np.maximum(norms, NORM_EPS)[:, None], G)
-    G_h = (G @ params.W2) * (Z > 0.0)
+    # H > 0 exactly where the pre-activation is
+    G_h = (G @ params.W2) * (H > 0.0)
     # the batch's dense n-gram count matrix lives only for the W1 GEMM
-    X = np.zeros((len(caches), params.buckets))
-    X[np.repeat(np.arange(len(caches)), [len(i) for i in indices]),
-      np.concatenate(indices)] = np.concatenate(values)
+    X = np.zeros((len(feats), params.buckets))
+    X[np.repeat(np.arange(len(feats)), [len(i) for i, _ in feats]),
+      np.concatenate([i for i, _ in feats])] = np.concatenate([v for _, v in feats])
     return EncoderGrads(W1=G_h.T @ X, b1=G_h.sum(axis=0),
                         W2=G.T @ H, b2=G.sum(axis=0))
-
-
-def encode_backward(params, text, upstream):
-    """Exact gradients of upstream . encode(params, text) for every parameter."""
-    indices, values = featurize_text(params, text)
-    _, cache = forward_features(params, indices, values)
-    return backward_batch(params, [cache], [upstream])
 
 
 def save_params(path, params):
@@ -141,6 +133,8 @@ def save_params(path, params):
         "hidden": params.hidden, "dim": params.dim,
         "normalize_output": params.normalize_output, "lowercase": params.lowercase,
     }
+    if params.epoch is not None:
+        meta["epoch"] = params.epoch
     return artifacts.save_artifact(path, "encoder-params", meta,
                                    {"W1": params.W1, "b1": params.b1,
                                     "W2": params.W2, "b2": params.b2})
@@ -155,6 +149,7 @@ def load_params(path):
         W1=arrays["W1"], b1=arrays["b1"], W2=arrays["W2"], b2=arrays["b2"],
         normalize_output=meta.flag("normalize_output"),
         lowercase=meta.flag("lowercase"), sha256=sha256,
+        epoch=meta.size("epoch", least=0) if "epoch" in meta else None,
     )
     if params.n_max < params.n_min:
         raise ArtifactError(f"{path}: n_max {params.n_max} is below n_min {params.n_min}")

@@ -5,7 +5,7 @@ in-batch pair, Multi-Similarity loss with exact gradients, and the epoch loop.
 import json
 import logging
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -109,6 +109,8 @@ def read_pairs(stream):
     return pairs
 
 
+# a diverging loss is reported by run_training, not by numpy warnings
+@np.errstate(over="ignore", invalid="ignore")
 def _ms_step(E, U, labels, margin, config, work):
     """Online mining and the Multi-Similarity loss of one n-row batch: (a, p)
     is mined iff D[a,p] >= min-negative-distance + margin, (a, n) iff
@@ -185,13 +187,13 @@ def train_epoch(pairs, params, train_cfg, mining_cfg, loss_cfg,
         batch = [pairs[i] for i in order[start:start + bs]]
         texts = [t for p in batch for t in (p.term_a, p.term_b)]
         labels = [p.cui for p in batch for _ in range(2)]
-        distinct = dict.fromkeys(texts)
-        missing = [t for t in distinct if t not in cache]
+        slot = {t: k for k, t in enumerate(dict.fromkeys(texts))}
+        missing = [t for t in slot if t not in cache]
         cache.update(zip(missing, enc.featurize_texts(params, missing)))
         # a row's forward does not depend on the batch, so repeats share one
-        forward = {t: enc.forward_features(params, *cache[t]) for t in distinct}
-        outs, fwd_caches = zip(*(forward[t] for t in texts))
-        E = np.vstack(outs)
+        E, (feats, H, _, fnorms) = enc.forward_batch(params, [cache[t] for t in slot])
+        row = [slot[t] for t in texts]
+        E = E[row]
 
         # cosine similarities via row normalization (identity for the
         # default unit-normalized encoder output)
@@ -208,7 +210,8 @@ def train_epoch(pairs, params, train_cfg, mining_cfg, loss_cfg,
         # back through the row normalization
         dE = (dU - (np.sum(dU * U, axis=1, keepdims=True)) * U) / safe[:, None]
         dE[norms < enc.NORM_EPS] = 0.0
-        grads = enc.backward_batch(params, fwd_caches, dE)
+        grads = enc.backward_batch(
+            params, ([feats[r] for r in row], H[row], E, fnorms[row]), dE)
         # a batch that mined nothing has zero gradients: a pure decay step
         for name in ("W1", "b1", "W2", "b2"):
             w = getattr(params, name)
@@ -240,7 +243,7 @@ def run_training(params, pairs, train_cfg, mining_cfg, loss_cfg, epochs,
         if checkpoint_dir:
             os.makedirs(checkpoint_dir, exist_ok=True)
             enc.save_params(os.path.join(checkpoint_dir, f"epoch_{ep:03d}.params"),
-                            params)
+                            replace(params, epoch=ep))
     return params, loss_log
 
 

@@ -1,9 +1,11 @@
 """Shared fixture generators for the test suite: random strings, synthetic
-synonym ontologies, and edit-distance perturbed mentions.
+synonym ontologies, and edit-distance perturbed mentions; one-text encoder
+helpers over the batch functions.
 """
 
 import numpy as np
 
+from belforge import encoder as enc
 from belforge.corpus import CorpusSlice, MentionAnnotation, SentenceRecord
 from belforge.ontology import OntologyRecord, TermRecord
 
@@ -103,3 +105,20 @@ def ontology_as_terms(records):
 def random_unit_rows(rng, n, k):
     M = rng.normal(size=(n, k))
     return M / np.linalg.norm(M, axis=1, keepdims=True)
+
+
+def encode(params, text):
+    """Embed one string: a one-text encode_batch."""
+    return enc.encode_batch(params, [text])[0]
+
+
+def featurize_text(params, text):
+    """The sparse (indices, counts) of one text under the params' hashing."""
+    return enc.featurize_texts(params, [text])[0]
+
+
+def encode_backward(params, text, upstream):
+    """Exact gradients of upstream . encode(params, text) for every
+    parameter: backward_batch over a one-row batch."""
+    _, cache = enc.forward_batch(params, [featurize_text(params, text)])
+    return enc.backward_batch(params, cache, np.asarray(upstream)[None, :])

