@@ -118,19 +118,6 @@ def _load_ontology(cfg):
         return onto_mod.parse_ontology(f)
 
 
-def _train_configs(cfg, epochs=None):
-    t = cfg["train"]
-    if min(cfg["loss"]["alpha"], cfg["loss"]["beta"]) <= 0:
-        raise UsageError(f"loss.alpha and loss.beta must be positive, got {cfg['loss']}")
-    train_cfg = train_mod.TrainConfig(
-        learning_rate=t["learning_rate"], weight_decay=t["weight_decay"],
-        batch_size=t["batch_size"],
-        epochs=epochs if epochs is not None else t["epochs"],
-        seed=cfg["seed"])
-    return (train_cfg, train_mod.MiningConfig(**cfg["mining"]),
-            train_mod.MsLossConfig(**cfg["loss"]))
-
-
 def _resolve_params_path(cfg, args):
     if getattr(args, "params", None):
         return args.params
@@ -276,40 +263,42 @@ def _initial_params(cfg):
 
 
 def cmd_train(cfg, args):
-    paths = cfg["paths"]
-    params = _initial_params(cfg)
-    with _open_input(paths["pretrain_pairs"], "pretrain pairs") as f:
+    """train and finetune, one self-alignment stage: on the pretrain pairs
+    from fresh (or params_init) params, or on the finetune pairs from the
+    pretrained params; finetune checkpoints go to a finetune/ subdirectory."""
+    paths, stage = cfg["paths"], args.command
+    if args.epochs is None:
+        epochs = _at_least(cfg[stage]["epochs"], f"{stage}.epochs", 0)
+    else:
+        epochs = _at_least(args.epochs, "--epochs", 0)
+    _at_least(cfg["train"]["batch_size"], "train.batch_size")
+    if min(cfg["loss"]["alpha"], cfg["loss"]["beta"]) <= 0:
+        raise UsageError(f"loss.alpha and loss.beta must be positive, got {cfg['loss']}")
+    checkpoint_dir = paths["checkpoint_dir"]
+    if stage == "train":
+        params = _initial_params(cfg)
+        prefix, out_key = "pretrain", "params_pretrained"
+    else:
+        src = paths["params_pretrained"]
+        if not src or not os.path.exists(src):
+            raise ArtifactError(f"finetune requires the pretrained params artifact at {src}")
+        params = enc.load_params(src)
+        prefix, out_key = "finetune", "params_finetuned"
+        checkpoint_dir = checkpoint_dir and os.path.join(checkpoint_dir, "finetune")
+    with _open_input(paths[f"{prefix}_pairs"], f"{prefix} pairs") as f:
         pairs = train_mod.read_pairs(f)
-    train_cfg, mining_cfg, loss_cfg = _train_configs(cfg, epochs=args.epochs)
+    # params that record an epoch (a checkpoint) resume after it
     params, loss_log = train_mod.run_training(
-        params, pairs, train_cfg, mining_cfg, loss_cfg, train_cfg.epochs,
-        checkpoint_dir=paths["checkpoint_dir"],
+        params, pairs,
+        train_mod.TrainConfig(**{**cfg["train"], "epochs": epochs}, seed=cfg["seed"]),
+        train_mod.MiningConfig(**cfg["mining"]), train_mod.MsLossConfig(**cfg["loss"]),
+        checkpoint_dir=checkpoint_dir,
         start_epoch=0 if params.epoch is None else params.epoch + 1)
-    enc.save_params(paths["params_pretrained"], params)
-    train_mod.write_loss_log(paths["pretrain_loss_log"], loss_log)
-    _summary({"command": "train", "epochs": train_cfg.epochs,
-              "pairs": len(pairs), "loss_log": loss_log})
-    return 0
-
-
-def cmd_finetune(cfg, args):
-    paths = cfg["paths"]
-    if not paths["params_pretrained"] or not os.path.exists(paths["params_pretrained"]):
-        raise ArtifactError(
-            f"finetune requires the pretrained params artifact at "
-            f"{paths['params_pretrained']}")
-    params = enc.load_params(paths["params_pretrained"])
-    with _open_input(paths["finetune_pairs"], "finetune pairs") as f:
-        pairs = train_mod.read_pairs(f)
-    epochs = args.epochs if args.epochs is not None else cfg["finetune"]["epochs"]
-    train_cfg, mining_cfg, loss_cfg = _train_configs(cfg, epochs=epochs)
-    params, loss_log = train_mod.run_training(
-        params, pairs, train_cfg, mining_cfg, loss_cfg, epochs,
-        checkpoint_dir=paths["checkpoint_dir"])
-    enc.save_params(paths["params_finetuned"], params)
-    train_mod.write_loss_log(paths["finetune_loss_log"], loss_log)
-    _summary({"command": "finetune", "epochs": epochs,
-              "pairs": len(pairs), "loss_log": loss_log})
+    enc.save_params(paths[out_key], params)
+    write_text_atomic(paths[f"{prefix}_loss_log"],
+                      json.dumps(loss_log, separators=(",", ":")) + "\n")
+    _summary({"command": stage, "epochs": epochs, "pairs": len(pairs),
+              "loss_log": loss_log})
     return 0
 
 
@@ -478,7 +467,7 @@ _HANDLERS = {
     "corpus-subset": cmd_corpus_subset,
     "pairs": cmd_pairs,
     "train": cmd_train,
-    "finetune": cmd_finetune,
+    "finetune": cmd_train,
     "index-build": cmd_index_build,
     "link": cmd_link,
     "evaluate": cmd_evaluate,

@@ -18,7 +18,7 @@ import numpy as np
 
 from .artifacts import write_atomic
 from .errors import DataError, NetworkError
-from .wikitext import DEFAULT_ABBREVIATIONS, DEFAULT_DROP_PREFIXES, split_sentences, strip_wikitext
+from .wikitext import DEFAULT_ABBREVIATIONS, split_sentences, strip_wikitext
 
 QID_RE = re.compile(r"^Q[0-9]+$")
 
@@ -225,7 +225,7 @@ def parse_dump(stream):
 
 
 def compile_corpus(pages, article_map, abbreviations=DEFAULT_ABBREVIATIONS,
-                   drop_prefixes=DEFAULT_DROP_PREFIXES, ontology=None):
+                   ontology=None):
     """Select sentences containing at least one mapped hyperlink.
 
     Returns (sentences, mentions, stats, unbalanced_templates), the last
@@ -237,7 +237,7 @@ def compile_corpus(pages, article_map, abbreviations=DEFAULT_ABBREVIATIONS,
     mentions = []
     unbalanced = 0
     for page in pages:
-        clean, links, warn = strip_wikitext(page.wikitext, drop_prefixes)
+        clean, links, warn = strip_wikitext(page.wikitext)
         unbalanced += warn
         mapped = [(lk, entry) for lk in links
                   if (entry := article_map.entries.get(normalize_title(lk.target)))]

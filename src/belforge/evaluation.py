@@ -97,18 +97,6 @@ def report_to_json(report):
     return json.dumps(payload, sort_keys=True, separators=(",", ":"))
 
 
-def report_from_json(text):
-    payload = json.loads(text)
-    groups = [GroupResult(group=g["group"], count=g["count"],
-                          accuracy=g["accuracy"],
-                          one_dist_accuracy=g["one_dist_accuracy"])
-              for g in payload["groups"]]
-    t = payload["total"]
-    total = GroupResult(group="TOTAL", count=t["count"], accuracy=t["accuracy"],
-                        one_dist_accuracy=t["one_dist_accuracy"])
-    return EvalReport(groups=groups, total=total, metadata=payload["metadata"])
-
-
 def render_report(report):
     """Aligned text table, groups by descending count, percentages with one
     decimal, total row last."""

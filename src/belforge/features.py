@@ -82,8 +82,3 @@ def featurize_batch(texts, n_min, n_max, buckets, lowercase=False):
     values = counts.astype(np.float64)
     bounds = np.searchsorted(text_ids, np.arange(len(wrapped) + 1))
     return [(indices[a:b], values[a:b]) for a, b in zip(bounds[:-1], bounds[1:])]
-
-
-def featurize(text, n_min, n_max, buckets, lowercase=False):
-    """featurize_batch for one text: returns its (indices, counts)."""
-    return featurize_batch([text], n_min, n_max, buckets, lowercase)[0]

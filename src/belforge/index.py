@@ -78,10 +78,6 @@ def apply_pca_raw(transform, vectors):
     return (V - transform.mean) @ transform.projection
 
 
-def reconstruct(transform, projected):
-    return np.asarray(projected, dtype=float) @ transform.projection.T + transform.mean
-
-
 def _unit_rows(M):
     M = np.asarray(M, dtype=float)
     norms = np.linalg.norm(M, axis=-1, keepdims=True)
@@ -196,14 +192,13 @@ def build_ivf(vectors, ids, nlist, seed=0, kmeans_iters=10, cuis=None,
                     groups=None if groups is None else groups[order])
 
 
-def search_ivf(index, query, top_k=10, nprobe=None):
-    """Scan the nprobe nearest centroids' lists (every list when nprobe is
-    at least nlist); same ordering contract as search_flat."""
+def search_ivf(index, query, top_k=10):
+    """Scan the index.nprobe nearest centroids' lists (every list when
+    nprobe is at least nlist); same ordering contract as search_flat."""
     nlist = index.centroids.shape[0]
-    nprobe = max(index.nprobe if nprobe is None else nprobe, 1)
     q = _unit_rows(np.asarray(query, dtype=float))
     cd = np.sum((index.centroids - q) ** 2, axis=1)
-    probe = np.lexsort((np.arange(nlist), cd))[:nprobe]
+    probe = np.lexsort((np.arange(nlist), cd))[:index.nprobe]
     spans = [slice(index.offsets[c], index.offsets[c + 1]) for c in probe]
     V = np.concatenate([index.rows[s] for s in spans])
     if not V.shape[0]:

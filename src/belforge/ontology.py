@@ -3,6 +3,7 @@ multi-step filter / crosswalk / enrichment pipeline down to a cleaned
 term list with per-step statistics.
 """
 
+import itertools
 import json
 import re
 from dataclasses import dataclass, field
@@ -11,11 +12,6 @@ from .errors import DataError
 
 CUI_RE = re.compile(r"^C[0-9]{7}$")
 TUI_RE = re.compile(r"^T[0-9]{3}$")
-
-SEMANTIC_GROUPS = frozenset({
-    "DISO", "CHEM", "PROC", "ANAT", "LIVB", "PHEN", "DEVI", "PHYS",
-    "ACTI", "OBJC", "GENE", "OCCU", "CONC", "OTHER",
-})
 
 
 @dataclass
@@ -92,119 +88,83 @@ class StepStats:
             sort_keys=True, separators=(",", ":"))
 
 
-def _split_line(line):
-    # UMLS-style rows end with a trailing pipe; a trailing empty field is noise
-    fields = line.rstrip("\n").split("|")
-    if fields and fields[-1] == "":
-        fields = fields[:-1]
-    return fields
-
-
-def parse_concepts(stream, column_map):
-    """Parse concept lines into TermRecords.
-
-    column_map names the field index for cui, language, vocab, source_code
-    and text. Malformed lines (too few fields, bad CUI, empty text) are
-    skipped and counted, not fatal. Returns (records, malformed_count).
-    """
-    needed = max(column_map.values()) + 1
+def _parse_rows(stream, needed, make):
+    """The records of a pipe-delimited file. Blank lines are skipped; a line
+    with fewer than ``needed`` fields, or one for which ``make(fields)``
+    returns None, is counted as malformed. Returns (records, malformed)."""
     records = []
     malformed = 0
     for line in stream:
         if not line.strip():
             continue
-        fields = _split_line(line)
-        if len(fields) < needed:
+        fields = line.rstrip("\n").split("|")
+        # UMLS-style rows end with a trailing pipe; a trailing empty field is noise
+        if fields[-1] == "":
+            fields.pop()
+        record = make(fields) if len(fields) >= needed else None
+        if record is None:
             malformed += 1
-            continue
-        cui = fields[column_map["cui"]].strip()
-        text = fields[column_map["text"]].strip()
-        if not CUI_RE.match(cui) or not text:
-            malformed += 1
-            continue
-        records.append(TermRecord(
-            term_id=len(records),
-            cui=cui,
-            language=fields[column_map["language"]].strip(),
-            vocab=fields[column_map["vocab"]].strip(),
-            source_code=fields[column_map["source_code"]].strip(),
-            text=text,
-        ))
+        else:
+            records.append(record)
     return records, malformed
 
 
-def parse_semantic_types(stream, column_map=None):
+def parse_concepts(stream, column_map):
+    """Parse concept lines into TermRecords with sequential term_ids.
+
+    column_map names the field index for cui, language, vocab, source_code
+    and text. Malformed lines (too few fields, bad CUI, empty text) are
+    skipped and counted, not fatal. Returns (records, malformed_count).
+    """
+    c_cui, c_lang, c_vocab, c_code, c_text = (
+        column_map[k] for k in ("cui", "language", "vocab", "source_code", "text"))
+    term_ids = itertools.count()
+
+    def make(fields):
+        cui = fields[c_cui].strip()
+        text = fields[c_text].strip()
+        if not CUI_RE.match(cui) or not text:
+            return None
+        return TermRecord(term_id=next(term_ids), cui=cui,
+                          language=fields[c_lang].strip(),
+                          vocab=fields[c_vocab].strip(),
+                          source_code=fields[c_code].strip(), text=text)
+    return _parse_rows(stream, max(column_map.values()) + 1, make)
+
+
+def parse_semantic_types(stream):
     """Parse cui|tui|type_name rows; malformed rows skipped and counted."""
-    cm = column_map or {"cui": 0, "tui": 1, "type_name": 2}
-    needed = max(cm.values()) + 1
-    rows = []
-    malformed = 0
-    for line in stream:
-        if not line.strip():
-            continue
-        fields = _split_line(line)
-        if len(fields) < needed:
-            malformed += 1
-            continue
-        cui = fields[cm["cui"]].strip()
-        tui = fields[cm["tui"]].strip()
+    def make(fields):
+        cui, tui = fields[0].strip(), fields[1].strip()
         if not CUI_RE.match(cui) or not TUI_RE.match(tui):
-            malformed += 1
-            continue
-        rows.append(SemanticTypeRow(cui=cui, tui=tui,
-                                    type_name=fields[cm["type_name"]].strip()))
-    return rows, malformed
+            return None
+        return SemanticTypeRow(cui=cui, tui=tui, type_name=fields[2].strip())
+    return _parse_rows(stream, 3, make)
 
 
-def parse_relations(stream, column_map=None):
-    """Parse cui1|rel|cui2|vocab rows. Self-loops are dropped at parse."""
-    cm = column_map or {"cui1": 0, "rel": 1, "cui2": 2, "vocab": 3}
-    needed = max(cm.values()) + 1
-    rows = []
-    malformed = 0
-    for line in stream:
-        if not line.strip():
-            continue
-        fields = _split_line(line)
-        if len(fields) < needed:
-            malformed += 1
-            continue
-        cui1 = fields[cm["cui1"]].strip()
-        cui2 = fields[cm["cui2"]].strip()
+def parse_relations(stream):
+    """Parse cui1|rel|cui2|vocab rows. Self-loops are dropped at parse and
+    are not malformed."""
+    def make(fields):
+        cui1, cui2 = fields[0].strip(), fields[2].strip()
         if not CUI_RE.match(cui1) or not CUI_RE.match(cui2):
-            malformed += 1
-            continue
-        if cui1 == cui2:
-            continue
-        rows.append(RelationRow(cui1=cui1, rel=fields[cm["rel"]].strip(),
-                                cui2=cui2, vocab=fields[cm["vocab"]].strip()))
-    return rows, malformed
+            return None
+        return RelationRow(cui1=cui1, rel=fields[1].strip(), cui2=cui2,
+                           vocab=fields[3].strip())
+    rows, malformed = _parse_rows(stream, 4, make)
+    return [r for r in rows if r.cui1 != r.cui2], malformed
 
 
-def parse_crosswalk(stream, column_map=None):
+def parse_crosswalk(stream):
     """Parse sctid|text rows from the external terminology."""
-    cm = column_map or {"sctid": 0, "text": 1}
-    needed = max(cm.values()) + 1
-    rows = []
-    malformed = 0
-    for line in stream:
-        if not line.strip():
-            continue
-        fields = _split_line(line)
-        if len(fields) < needed:
-            malformed += 1
-            continue
+    def make(fields):
         try:
-            sctid = int(fields[cm["sctid"]].strip())
+            sctid = int(fields[0].strip())
         except ValueError:
-            malformed += 1
-            continue
-        text = fields[cm["text"]].strip()
-        if sctid <= 0 or not text:
-            malformed += 1
-            continue
-        rows.append(CrosswalkRow(sctid=sctid, text=text))
-    return rows, malformed
+            return None
+        text = fields[1].strip()
+        return CrosswalkRow(sctid=sctid, text=text) if sctid > 0 and text else None
+    return _parse_rows(stream, 2, make)
 
 
 def crosswalk_terms(targets, bridge, vocab="SNOMEDCT_NL", language="DUT",

@@ -2,7 +2,6 @@
 in-batch pair, Multi-Similarity loss with exact gradients, and the epoch loop.
 """
 
-import json
 import logging
 import os
 from dataclasses import dataclass, replace
@@ -177,7 +176,7 @@ def train_epoch(pairs, params, train_cfg, mining_cfg, loss_cfg,
     cache = feature_cache if feature_cache is not None else {}
     rng = np.random.default_rng([train_cfg.seed, epoch_index])
     order = rng.permutation(len(pairs))
-    bs = max(train_cfg.batch_size, 1)
+    bs = train_cfg.batch_size
     lr, wd = train_cfg.learning_rate, train_cfg.weight_decay
     work = np.empty((2, (2 * min(bs, len(pairs))) ** 2))
 
@@ -222,18 +221,16 @@ def train_epoch(pairs, params, train_cfg, mining_cfg, loss_cfg,
     return params, float(np.mean(losses)) if losses else 0.0
 
 
-def run_training(params, pairs, train_cfg, mining_cfg, loss_cfg, epochs,
+def run_training(params, pairs, train_cfg, mining_cfg, loss_cfg,
                  checkpoint_dir=None, start_epoch=0):
-    """Run ``epochs`` training epochs, checkpointing per epoch.
+    """Run ``train_cfg.epochs`` training epochs, checkpointing per epoch.
 
-    epochs == 0 returns the input params unchanged (the 0-epoch baseline).
+    Zero epochs return the input params unchanged (the 0-epoch baseline).
     Returns (params, loss_log) with one mean-loss entry per epoch.
     """
-    if epochs < 0:
-        raise ValueError("epochs must be non-negative")
     loss_log = []
     cache = {}
-    for ep in range(start_epoch, start_epoch + epochs):
+    for ep in range(start_epoch, start_epoch + train_cfg.epochs):
         params, mean_loss = train_epoch(pairs, params, train_cfg, mining_cfg,
                                         loss_cfg, epoch_index=ep,
                                         feature_cache=cache)
@@ -245,8 +242,3 @@ def run_training(params, pairs, train_cfg, mining_cfg, loss_cfg, epochs,
             enc.save_params(os.path.join(checkpoint_dir, f"epoch_{ep:03d}.params"),
                             replace(params, epoch=ep))
     return params, loss_log
-
-
-def write_loss_log(path, loss_log):
-    from .artifacts import write_text_atomic
-    write_text_atomic(path, json.dumps(loss_log, separators=(",", ":")) + "\n")

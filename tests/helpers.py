@@ -1,15 +1,25 @@
 """Shared fixture generators for the test suite: random strings, synthetic
 synonym ontologies, and edit-distance perturbed mentions; one-text encoder
-helpers over the batch functions.
+and featurizer helpers over the batch functions, the PCA inverse and the
+evaluation report reader.
 """
+
+import json
 
 import numpy as np
 
 from belforge import encoder as enc
 from belforge.corpus import CorpusSlice, MentionAnnotation, SentenceRecord
+from belforge.evaluation import EvalReport, GroupResult
+from belforge.features import featurize_batch
 from belforge.ontology import OntologyRecord, TermRecord
 
 ALPHABET = "abcdefghijklmnopqrstuvwxyz"
+
+SEMANTIC_GROUPS = frozenset({
+    "DISO", "CHEM", "PROC", "ANAT", "LIVB", "PHEN", "DEVI", "PHYS",
+    "ACTI", "OBJC", "GENE", "OCCU", "CONC", "OTHER",
+})
 
 
 def random_word(rng, lo=4, hi=10):
@@ -122,3 +132,26 @@ def encode_backward(params, text, upstream):
     parameter: backward_batch over a one-row batch."""
     _, cache = enc.forward_batch(params, [featurize_text(params, text)])
     return enc.backward_batch(params, cache, np.asarray(upstream)[None, :])
+
+
+def featurize(text, n_min, n_max, buckets, lowercase=False):
+    """featurize_batch for one text: returns its (indices, counts)."""
+    return featurize_batch([text], n_min, n_max, buckets, lowercase)[0]
+
+
+def reconstruct(transform, projected):
+    """Map PCA coordinates back to the input space."""
+    return np.asarray(projected, dtype=float) @ transform.projection.T + transform.mean
+
+
+def report_from_json(text):
+    """The EvalReport that report_to_json serialized."""
+    payload = json.loads(text)
+    groups = [GroupResult(group=g["group"], count=g["count"],
+                          accuracy=g["accuracy"],
+                          one_dist_accuracy=g["one_dist_accuracy"])
+              for g in payload["groups"]]
+    t = payload["total"]
+    total = GroupResult(group="TOTAL", count=t["count"], accuracy=t["accuracy"],
+                        one_dist_accuracy=t["one_dist_accuracy"])
+    return EvalReport(groups=groups, total=total, metadata=payload["metadata"])

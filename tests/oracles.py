@@ -2,8 +2,9 @@
 explicit triplet enumeration, its projection onto participation masks, the
 dense mask miner and Multi-Similarity loss, the per-row encoder forward
 pass, and the training epoch composed from them with one forward per row;
-the character-at-a-time wikitext cleanup and sentence splitter, and corpus
-compilation that filters every link against every sentence span."""
+the character-at-a-time wikitext cleanup and sentence splitter, corpus
+compilation that filters every link against every sentence span, and one
+parse loop per pipe-delimited ontology source file."""
 
 from dataclasses import dataclass
 
@@ -12,6 +13,8 @@ import numpy as np
 from belforge import encoder as enc
 from belforge import wikitext
 from belforge.corpus import MentionAnnotation, SentenceRecord, normalize_title
+from belforge.ontology import (CUI_RE, TUI_RE, CrosswalkRow, RelationRow,
+                               SemanticTypeRow, TermRecord)
 from belforge.wikitext import DEFAULT_ABBREVIATIONS, DEFAULT_DROP_PREFIXES, LinkSpan
 
 
@@ -324,3 +327,118 @@ def compile_corpus(pages, article_map, abbreviations=DEFAULT_ABBREVIATIONS,
                     end=lk.end - s_start, anchor=lk.anchor,
                     target_title=lk.target, cui=cui, qid=qid))
     return sentences, mentions
+
+
+def split_line(line):
+    # UMLS-style rows end with a trailing pipe; a trailing empty field is noise
+    fields = line.rstrip("\n").split("|")
+    if fields and fields[-1] == "":
+        fields = fields[:-1]
+    return fields
+
+
+def parse_concepts(stream, column_map):
+    """Parse concept lines into TermRecords.
+
+    column_map names the field index for cui, language, vocab, source_code
+    and text. Malformed lines (too few fields, bad CUI, empty text) are
+    skipped and counted, not fatal. Returns (records, malformed_count).
+    """
+    needed = max(column_map.values()) + 1
+    records = []
+    malformed = 0
+    for line in stream:
+        if not line.strip():
+            continue
+        fields = split_line(line)
+        if len(fields) < needed:
+            malformed += 1
+            continue
+        cui = fields[column_map["cui"]].strip()
+        text = fields[column_map["text"]].strip()
+        if not CUI_RE.match(cui) or not text:
+            malformed += 1
+            continue
+        records.append(TermRecord(
+            term_id=len(records),
+            cui=cui,
+            language=fields[column_map["language"]].strip(),
+            vocab=fields[column_map["vocab"]].strip(),
+            source_code=fields[column_map["source_code"]].strip(),
+            text=text,
+        ))
+    return records, malformed
+
+
+def parse_semantic_types(stream, column_map=None):
+    """Parse cui|tui|type_name rows; malformed rows skipped and counted."""
+    cm = column_map or {"cui": 0, "tui": 1, "type_name": 2}
+    needed = max(cm.values()) + 1
+    rows = []
+    malformed = 0
+    for line in stream:
+        if not line.strip():
+            continue
+        fields = split_line(line)
+        if len(fields) < needed:
+            malformed += 1
+            continue
+        cui = fields[cm["cui"]].strip()
+        tui = fields[cm["tui"]].strip()
+        if not CUI_RE.match(cui) or not TUI_RE.match(tui):
+            malformed += 1
+            continue
+        rows.append(SemanticTypeRow(cui=cui, tui=tui,
+                                    type_name=fields[cm["type_name"]].strip()))
+    return rows, malformed
+
+
+def parse_relations(stream, column_map=None):
+    """Parse cui1|rel|cui2|vocab rows. Self-loops are dropped at parse."""
+    cm = column_map or {"cui1": 0, "rel": 1, "cui2": 2, "vocab": 3}
+    needed = max(cm.values()) + 1
+    rows = []
+    malformed = 0
+    for line in stream:
+        if not line.strip():
+            continue
+        fields = split_line(line)
+        if len(fields) < needed:
+            malformed += 1
+            continue
+        cui1 = fields[cm["cui1"]].strip()
+        cui2 = fields[cm["cui2"]].strip()
+        if not CUI_RE.match(cui1) or not CUI_RE.match(cui2):
+            malformed += 1
+            continue
+        if cui1 == cui2:
+            continue
+        rows.append(RelationRow(cui1=cui1, rel=fields[cm["rel"]].strip(),
+                                cui2=cui2, vocab=fields[cm["vocab"]].strip()))
+    return rows, malformed
+
+
+def parse_crosswalk(stream, column_map=None):
+    """Parse sctid|text rows from the external terminology."""
+    cm = column_map or {"sctid": 0, "text": 1}
+    needed = max(cm.values()) + 1
+    rows = []
+    malformed = 0
+    for line in stream:
+        if not line.strip():
+            continue
+        fields = split_line(line)
+        if len(fields) < needed:
+            malformed += 1
+            continue
+        try:
+            sctid = int(fields[cm["sctid"]].strip())
+        except ValueError:
+            malformed += 1
+            continue
+        text = fields[cm["text"]].strip()
+        if sctid <= 0 or not text:
+            malformed += 1
+            continue
+        rows.append(CrosswalkRow(sctid=sctid, text=text))
+    return rows, malformed

@@ -8,6 +8,7 @@ import json
 import math
 import os
 import time
+from dataclasses import replace
 
 import numpy as np
 
@@ -20,7 +21,8 @@ from belforge import training as tr
 from belforge.cli import main as cli_main
 from helpers import (encode, encode_backward, featurize_text,
                      make_perturbed_mentions, make_synthetic_ontology,
-                     mentions_as_slice, random_unit_rows, random_word)
+                     mentions_as_slice, random_unit_rows, random_word,
+                     reconstruct)
 from oracles import Triplet, mine_hard_triplets, ms_loss
 
 
@@ -390,9 +392,9 @@ def test_criterion_06():
 
         pairs = tr.generate_pretrain_pairs(ontology)
         pre_cfg = tr.TrainConfig(learning_rate=0.5, weight_decay=0.01,
-                                 batch_size=64, seed=seed)
+                                 batch_size=64, epochs=3, seed=seed)
         pretrained, _ = tr.run_training(params, pairs, pre_cfg, mining,
-                                        loss_cfg, epochs=3)
+                                        loss_cfg)
         pre_acc = _linking_accuracy(pretrained, ontology, held_out)
         assert pre_acc >= baseline + 0.15, (seed, baseline, pre_acc)
 
@@ -400,9 +402,9 @@ def test_criterion_06():
                                        core_edits=2)
         ft_pairs = tr.generate_finetune_pairs(mentions_as_slice(weak), ontology)
         ft_cfg = tr.TrainConfig(learning_rate=0.1, weight_decay=0.01,
-                                batch_size=64, seed=seed)
+                                batch_size=64, epochs=4, seed=seed)
         finetuned, _ = tr.run_training(pretrained, ft_pairs, ft_cfg, mining,
-                                       loss_cfg, epochs=4)
+                                       loss_cfg)
         ft_acc = _linking_accuracy(finetuned, ontology, held_out)
         assert ft_acc >= pre_acc + 0.03, (seed, pre_acc, ft_acc)
     assert time.perf_counter() - start < 300.0
@@ -438,7 +440,7 @@ def test_criterion_07():
     errors = []
     for k in range(1, 10):
         t = ix.fit_pca(X, k)
-        back = ix.reconstruct(t, ix.apply_pca_raw(t, X))
+        back = reconstruct(t, ix.apply_pca_raw(t, X))
         errors.append(float(np.sum((back - X) ** 2)))
     assert all(b <= a + 1e-9 for a, b in zip(errors, errors[1:]))
 
@@ -476,7 +478,8 @@ def test_criterion_08():
         ivf = ix.build_ivf(V, ids, nlist=nlist, seed=trial)
         q = random_unit_rows(rng, 1, 6)[0]
         assert [(nb.term_id, nb.score)
-                for nb in ix.search_ivf(ivf, q, top_k=10, nprobe=nlist)] == \
+                for nb in ix.search_ivf(replace(ivf, nprobe=nlist), q,
+                                        top_k=10)] == \
             [(nb.term_id, nb.score) for nb in ix.search_flat(flat, q, top_k=10)]
 
     # recall@1 on clustered vectors
@@ -493,7 +496,7 @@ def test_criterion_08():
     hits = 0
     for q in queries:
         truth = ix.search_flat(flat, q, 1)[0].term_id
-        approx = ix.search_ivf(ivf, q, top_k=1, nprobe=8)
+        approx = ix.search_ivf(replace(ivf, nprobe=8), q, top_k=1)
         hits += bool(approx) and approx[0].term_id == truth
     assert hits / len(queries) >= 0.9
     assert time.perf_counter() - start < 60.0

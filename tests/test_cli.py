@@ -173,6 +173,26 @@ class TestPipeline:
         # starts at epoch 0 again
         assert enc.load_params(root / "out" / "pretrained.params").epoch is None
 
+    def test_finetune_checkpoints_leave_train_checkpoints_alone(self, workspace):
+        """train and finetune sharing paths.checkpoint_dir: finetune writes
+        its epochs under finetune/, so train's checkpoint bytes stay."""
+        root, config = workspace
+        shared = ["--set", f"paths.checkpoint_dir={root / 'checkpoints'}"]
+        run_pipeline(config, upto="pairs")
+        assert main(["train", "--config", config, "--quiet"] + shared) == 0
+        names = ["epoch_000.params", "epoch_001.params"]
+        before = {n: (root / "checkpoints" / n).read_bytes() for n in names}
+        assert main(["pairs", "--config", config, "--quiet",
+                     "--stage", "finetune"]) == 0
+        assert main(["finetune", "--config", config, "--quiet",
+                     "--epochs", "2"] + shared) == 0
+        assert {n: (root / "checkpoints" / n).read_bytes() for n in names} == before
+        assert sorted(os.listdir(root / "checkpoints")) == names + ["finetune"]
+        assert sorted(os.listdir(root / "checkpoints" / "finetune")) == names
+        # the pretrained params record no epoch, so finetune counts from 0
+        for ep, name in enumerate(names):
+            assert enc.load_params(root / "checkpoints" / "finetune" / name).epoch == ep
+
     def test_link_single_mention(self, workspace, capsys):
         _root, config = workspace
         run_pipeline(config, upto="index-build")
@@ -645,6 +665,11 @@ class TestExitCodes:
         ("train", "pairs", "loss.base=1e400"),
         ("train", "pairs", "train.weight_decay=" + "9" * 400),
         ("ontology-build", "ontology-build", "ontology.column_map.text=-1"),
+        ("train", "pairs", "train.epochs=-1"),
+        ("finetune", "finetune", "finetune.epochs=-1"),
+        ("train", "pairs", "train.batch_size=0"),
+        ("train", "pairs", "train.batch_size=-5"),
+        ("finetune", "finetune", "train.batch_size=0"),
     ])
     def test_out_of_range_setting_usage(self, workspace, capsys, stage, upto,
                                         override):
@@ -657,6 +682,22 @@ class TestExitCodes:
         assert captured.out == ""
         assert len(captured.err.splitlines()) == 1
         assert override.split("=")[0] in captured.err
+
+    @pytest.mark.parametrize("stage, upto", [("train", "pairs"),
+                                             ("finetune", "finetune")])
+    def test_negative_epochs_flag_usage(self, workspace, capsys, stage, upto):
+        root, config = workspace
+        run_pipeline(config, upto=upto)
+        params = root / "out" / ("pretrained.params" if stage == "train"
+                                 else "finetuned.params")
+        params.unlink(missing_ok=True)
+        capsys.readouterr()
+        assert main([stage, "--config", config, "--quiet", "--epochs", "-1"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1
+        assert "--epochs" in captured.err
+        assert not params.exists()
 
     @pytest.mark.parametrize("setup, argv", [
         (lambda root: (root / "out" / "ontology_stats.json").write_text("{x"),

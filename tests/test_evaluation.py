@@ -2,6 +2,7 @@ import numpy as np
 
 from belforge import evaluation as ev
 from belforge.ontology import RelationRow
+from helpers import report_from_json
 
 
 def gm(mention, cui, group="DISO"):
@@ -114,7 +115,7 @@ class TestReportIo:
 
     def test_json_roundtrip(self):
         report = self.make_report()
-        assert ev.report_from_json(ev.report_to_json(report)) == report
+        assert report_from_json(ev.report_to_json(report)) == report
 
     def test_render_golden(self):
         report = self.make_report()

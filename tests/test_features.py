@@ -5,25 +5,26 @@ from hypothesis import strategies as st
 
 import belforge.features as features
 from belforge.errors import UnencodableTextError
+from helpers import featurize
 from pyfeat import fnv1a_64, ngram_hash_counts
 
 
 def test_two_char_word_trigrams():
     # "^ab$" has trigrams {"^ab", "ab$"}
-    idx, vals = features.featurize("ab", 3, 3, 1 << 16)
+    idx, vals = featurize("ab", 3, 3, 1 << 16)
     assert len(idx) in (1, 2)
     assert vals.sum() == 2.0
 
 
 def test_single_char_word_one_trigram():
-    idx, vals = features.featurize("a", 3, 3, 1 << 16)
+    idx, vals = featurize("a", 3, 3, 1 << 16)
     assert len(idx) == 1
     assert vals[0] == 1.0
 
 
 def test_deterministic():
-    a = features.featurize("hartinfarct", 2, 4, 4096)
-    b = features.featurize("hartinfarct", 2, 4, 4096)
+    a = featurize("hartinfarct", 2, 4, 4096)
+    b = featurize("hartinfarct", 2, 4, 4096)
     assert np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
 
 
@@ -40,20 +41,20 @@ def test_n_max_beyond_the_texts_changes_nothing():
 
 def test_empty_text_rejected():
     with pytest.raises(UnencodableTextError):
-        features.featurize("   ", 2, 4, 4096)
+        featurize("   ", 2, 4, 4096)
 
 
 def test_lowercase_flag():
-    a = features.featurize("POS", 2, 3, 1 << 16, lowercase=True)
-    b = features.featurize("pos", 2, 3, 1 << 16)
+    a = featurize("POS", 2, 3, 1 << 16, lowercase=True)
+    b = featurize("pos", 2, 3, 1 << 16)
     assert np.array_equal(a[0], b[0])
-    c = features.featurize("POS", 2, 3, 1 << 16)
+    c = featurize("POS", 2, 3, 1 << 16)
     assert not np.array_equal(a[0], c[0])
 
 
 def test_permutation_sensitive():
-    a = features.featurize("ab", 2, 2, 1 << 16)
-    b = features.featurize("ba", 2, 2, 1 << 16)
+    a = featurize("ab", 2, 2, 1 << 16)
+    b = featurize("ba", 2, 2, 1 << 16)
     assert not np.array_equal(a[0], b[0])
 
 
@@ -102,7 +103,7 @@ def test_batch_matches_oracle_and_single_calls(texts, setting, lowercase):
     assert len(batch) == len(texts)
     for text, got in zip(texts, batch):
         assert_same(got, oracle(text, n_min, n_max, buckets, lowercase))
-        assert_same(got, features.featurize(text, n_min, n_max, buckets,
+        assert_same(got, featurize(text, n_min, n_max, buckets,
                                             lowercase=lowercase))
 
 
@@ -111,7 +112,7 @@ def test_batch_matches_oracle_and_single_calls(texts, setting, lowercase):
        others=TEXTS)
 def test_whitespace_only_rejected_in_any_batch(blank, others):
     with pytest.raises(UnencodableTextError):
-        features.featurize(blank, 2, 4, 4096)
+        featurize(blank, 2, 4, 4096)
     with pytest.raises(UnencodableTextError):
         features.featurize_batch(["ok"] + others + [blank], 2, 4, 4096)
 

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,7 +8,7 @@ from hypothesis import strategies as st
 from belforge import encoder as enc
 from belforge import index as ix
 from belforge.errors import ArtifactError, DataError
-from helpers import encode, random_unit_rows
+from helpers import encode, random_unit_rows, reconstruct
 
 
 def eig_pca_oracle(X, k):
@@ -45,7 +47,7 @@ class TestPca:
         basis = np.linalg.qr(rng.normal(size=(6, 3)))[0]  # 6-d data on 3-d plane
         X = rng.normal(size=(40, 3)) @ basis.T + rng.normal(size=6)
         t = ix.fit_pca(X, 3)
-        back = ix.reconstruct(t, ix.apply_pca_raw(t, X))
+        back = reconstruct(t, ix.apply_pca_raw(t, X))
         assert np.max(np.abs(back - X)) < 1e-9
 
     def test_matches_eigendecomposition_oracle(self):
@@ -65,7 +67,7 @@ class TestPca:
         errors = []
         for k in range(1, 10):
             t = ix.fit_pca(X, k)
-            back = ix.reconstruct(t, ix.apply_pca_raw(t, X))
+            back = reconstruct(t, ix.apply_pca_raw(t, X))
             errors.append(np.sum((back - X) ** 2))
         assert all(b <= a + 1e-9 for a, b in zip(errors, errors[1:]))
 
@@ -192,7 +194,8 @@ class TestIvf:
             nlist = int(rng.integers(1, 9))
             ivf = ix.build_ivf(V, ids, nlist=nlist, seed=trial)
             q = random_unit_rows(rng, 1, 5)[0]
-            assert as_tuples(ix.search_ivf(ivf, q, top_k=10, nprobe=nlist)) == \
+            assert as_tuples(ix.search_ivf(replace(ivf, nprobe=nlist), q,
+                                           top_k=10)) == \
                 as_tuples(ix.search_flat(flat, q, top_k=10))
 
     def test_nlist_one_matches_flat(self):
@@ -209,9 +212,10 @@ class TestIvf:
         rng = np.random.default_rng(9)
         V = random_unit_rows(rng, 10, 3)
         ivf = ix.build_ivf(V, np.arange(10), nlist=2)
-        out = ix.search_ivf(ivf, V[0], top_k=3, nprobe=99)
+        out = ix.search_ivf(replace(ivf, nprobe=99), V[0], top_k=3)
         assert len(out) == 3
-        assert as_tuples(out) == as_tuples(ix.search_ivf(ivf, V[0], 3, 2))
+        assert as_tuples(out) == \
+            as_tuples(ix.search_ivf(replace(ivf, nprobe=2), V[0], 3))
 
     def test_recall_on_clustered_data(self):
         rng = np.random.default_rng(10)
@@ -228,7 +232,7 @@ class TestIvf:
         hits = 0
         for q in queries:
             truth = ix.search_flat(flat, q, 1)[0].term_id
-            approx = ix.search_ivf(ivf, q, top_k=1, nprobe=8)
+            approx = ix.search_ivf(replace(ivf, nprobe=8), q, top_k=1)
             hits += bool(approx) and approx[0].term_id == truth
         assert hits / len(queries) >= 0.9
 
@@ -292,8 +296,8 @@ class TestSerialization:
         back = ix.load_ivf(tmp_path / "i.idx")
         q = random_unit_rows(rng, 1, 5)[0]
         for nprobe in (1, 3, 6):
-            assert as_tuples(ix.search_ivf(back, q, 8, nprobe)) == \
-                as_tuples(ix.search_ivf(ivf, q, 8, nprobe))
+            assert as_tuples(ix.search_ivf(replace(back, nprobe=nprobe), q, 8)) == \
+                as_tuples(ix.search_ivf(replace(ivf, nprobe=nprobe), q, 8))
         # the term table follows the rows through the list grouping
         row_of = {int(i): n for n, i in enumerate(ids)}
         assert back.cuis.tolist() == [cuis[row_of[i]] for i in back.ids.tolist()]

@@ -3,10 +3,13 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+import oracles
 from belforge import ontology as onto
 from belforge.errors import DataError
-from helpers import ontology_as_terms
+from helpers import SEMANTIC_GROUPS, ontology_as_terms
 
 
 IDENTITY_MAP = {"cui": 0, "language": 1, "vocab": 2, "source_code": 3, "text": 4}
@@ -203,7 +206,7 @@ class TestBuildOntology:
                                for s in sty)}
         assert sum(1 for r in records if r.group == "OTHER") == \
             sum(1 for r in records if r.cui in unmapped)
-        assert all(r.group in onto.SEMANTIC_GROUPS for r in records)
+        assert all(r.group in SEMANTIC_GROUPS for r in records)
 
 
 class TestSerialization:
@@ -261,3 +264,36 @@ class TestParseOtherFiles:
         rows, malformed = onto.parse_crosswalk(
             io.StringIO("123|griep\n-5|x\nabc|y\n"))
         assert len(rows) == 1 and rows[0].sctid == 123 and malformed == 2
+
+
+# field values that hit every branch of the four row parsers: valid and bad
+# CUIs and TUIs, ids that int() and str.isdigit judge differently, blanks
+FIELDS = ["C0000001", "C0000002", " C0000003 ", "C123", "c0000001", "T047",
+          "T1", "123", "+5", "\u00b2", "\u0661\u0662", "-5", "0", "1_0",
+          "abc", "griep", " koorts ", "", " ", "MDRDUT", "RN"]
+LINES = st.one_of(
+    st.sampled_from(["", " ", "\t", "\r"]),
+    st.builds(lambda fields, tail: "|".join(fields) + tail,
+              st.lists(st.sampled_from(FIELDS), max_size=6),
+              st.sampled_from(["", "|", "||", "\r"])))
+
+
+@settings(max_examples=400, derandomize=True, database=None, deadline=None)
+@given(st.lists(LINES, max_size=12), st.booleans(),
+       st.lists(st.integers(0, 5), min_size=5, max_size=5))
+@example(["C0000001|RN|C0000001|V|", "123|griep", "+5|x", "\u00b2|y",
+          "\u0661\u0662|z", "", "C0000001|T047|Disease|", "C0000001|DUT",
+          "C0000001|T047|", "C0000001|RN|C0000002|"],
+         True, [0, 1, 2, 3, 4])
+def test_row_parsers_match_the_per_file_loops(lines, final_newline, columns):
+    """Each parser gives the records and malformed count of its old
+    stand-alone loop: blank, short and trailing-pipe lines, bad CUIs, TUIs
+    and ids, and relation self-loops dropped without counting as malformed."""
+    text = "\n".join(lines) + ("\n" if final_newline else "")
+    column_map = dict(zip(("cui", "language", "vocab", "source_code", "text"),
+                          columns))
+    assert onto.parse_concepts(io.StringIO(text), column_map) == \
+        oracles.parse_concepts(io.StringIO(text), column_map)
+    for name in ("parse_semantic_types", "parse_relations", "parse_crosswalk"):
+        assert getattr(onto, name)(io.StringIO(text)) == \
+            getattr(oracles, name)(io.StringIO(text)), name

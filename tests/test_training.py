@@ -1,5 +1,6 @@
 import io
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -374,35 +375,36 @@ class TestTrainEpoch:
 class TestRunTraining:
     def test_zero_epochs_identity(self):
         pairs, params = tiny_setup()
-        tc = tr.TrainConfig(seed=0)
+        tc = tr.TrainConfig(epochs=0, seed=0)
         out, log = tr.run_training(params, pairs, tc, tr.MiningConfig(),
-                                   tr.MsLossConfig(), epochs=0)
+                                   tr.MsLossConfig())
         assert log == []
         assert np.array_equal(out.W1, params.W1)
 
     def test_loss_log_length(self):
         pairs, params = tiny_setup()
-        tc = tr.TrainConfig(learning_rate=0.05, batch_size=32, seed=0)
+        tc = tr.TrainConfig(learning_rate=0.05, batch_size=32, epochs=3, seed=0)
         _, log = tr.run_training(params, pairs, tc, tr.MiningConfig(),
-                                 tr.MsLossConfig(), epochs=3)
+                                 tr.MsLossConfig())
         assert len(log) == 3
 
     def test_resume_equals_straight(self):
         pairs, params = tiny_setup()
         tc = tr.TrainConfig(learning_rate=0.05, batch_size=32, seed=7)
         mc, lc = tr.MiningConfig(), tr.MsLossConfig()
-        straight, log_s = tr.run_training(params, pairs, tc, mc, lc, epochs=5)
-        mid, log_a = tr.run_training(params, pairs, tc, mc, lc, epochs=2)
-        resumed, log_b = tr.run_training(mid, pairs, tc, mc, lc, epochs=3,
-                                         start_epoch=2)
+        straight, log_s = tr.run_training(params, pairs, replace(tc, epochs=5),
+                                          mc, lc)
+        mid, log_a = tr.run_training(params, pairs, replace(tc, epochs=2), mc, lc)
+        resumed, log_b = tr.run_training(mid, pairs, replace(tc, epochs=3), mc,
+                                         lc, start_epoch=2)
         assert log_a + log_b == log_s
         assert np.array_equal(resumed.W1, straight.W1)
         assert np.array_equal(resumed.W2, straight.W2)
 
     def test_checkpoints_written(self, tmp_path):
         pairs, params = tiny_setup()
-        tc = tr.TrainConfig(learning_rate=0.05, batch_size=32, seed=0)
+        tc = tr.TrainConfig(learning_rate=0.05, batch_size=32, epochs=2, seed=0)
         tr.run_training(params, pairs, tc, tr.MiningConfig(), tr.MsLossConfig(),
-                        epochs=2, checkpoint_dir=str(tmp_path))
+                        checkpoint_dir=str(tmp_path))
         assert (tmp_path / "epoch_000.params").exists()
         assert (tmp_path / "epoch_001.params").exists()
