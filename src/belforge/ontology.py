@@ -156,12 +156,13 @@ def parse_relations(stream):
 
 
 def parse_crosswalk(stream):
-    """Parse sctid|text rows from the external terminology."""
+    """Parse sctid|text rows from the external terminology. An id is ASCII
+    digits: int() would also take '1_0', '+5' and other scripts' digits."""
     def make(fields):
-        try:
-            sctid = int(fields[0].strip())
-        except ValueError:
+        code = fields[0].strip()
+        if not (code.isascii() and code.isdigit()):
             return None
+        sctid = int(code)
         text = fields[1].strip()
         return CrosswalkRow(sctid=sctid, text=text) if sctid > 0 and text else None
     return _parse_rows(stream, 2, make)

@@ -108,6 +108,46 @@ def read_pairs(stream):
     return pairs
 
 
+def _distance(D2):
+    """The Gram-form distance of squared distances: sqrt(max(D2, 0))."""
+    return np.sqrt(np.maximum(D2, 0.0))
+
+
+@np.errstate(invalid="ignore")
+def _reach(max_pos, margin):
+    """Per row, the largest double x with sqrt(max(x, 0)) + margin <=
+    max_pos, or NaN where no x qualifies. The predicate is monotone in x, so
+    ``D2 <= reach`` is exactly the negative test ``max_pos >= D + margin``
+    on the distances D of the squared distances D2, NaN included. The doubles
+    in [0, inf] are ordered as their bit patterns, and the patterns above
+    inf are NaNs, which never qualify: the largest qualifying pattern is
+    built one bit at a time from the top."""
+    def fits(bits):
+        return _distance(bits.view(np.float64)) + margin <= max_pos
+
+    bits = np.zeros(max_pos.shape, dtype=np.int64)
+    for k in range(62, -1, -1):
+        cand = bits | (1 << k)
+        bits = np.where(fits(cand), cand, bits)
+    reach = bits.view(np.float64)
+    # a negative x qualifies iff 0 does
+    reach[~fits(np.zeros_like(bits))] = np.nan
+    return reach
+
+
+def _symmetrize(G, pos, neg):
+    """G + G.T in place, for a G that is +0.0 off the mined entries and
+    holds no -0.0: each mined (r, c) adds G[r, c] into G[c, r]. The mined
+    entries are distinct and off the diagonal, and the gather on the right
+    reads before any write, so entries mined both ways each get the sum."""
+    n = G.shape[0]
+    r = np.concatenate((pos[0], neg[0]))
+    c = np.concatenate((pos[1], neg[1]))
+    flat = G.reshape(-1)
+    flat[c * n + r] += flat[r * n + c]
+    return G
+
+
 # a diverging loss is reported by run_training, not by numpy warnings
 @np.errstate(over="ignore", invalid="ignore")
 def _ms_step(E, U, labels, margin, config, work):
@@ -116,42 +156,56 @@ def _ms_step(E, U, labels, margin, config, work):
     max-positive-distance >= D[a,n] + margin, over the Gram-form distances D
     of E. ``work`` holds two buffers of at least n*n floats. Returns (loss,
     dL/dS over S = U U^T as a view of ``work``, mined positive (rows, cols),
-    mined negative (rows, cols)), the mined entries in row-major order."""
+    mined negative (rows, cols)), the mined entries in row-major order.
+
+    D = sqrt(max(D2, 0)) is monotone in the squared distances D2, so it
+    commutes with the row min and max: only the same-label entries and the
+    row minima are square-rooted, and negatives are mined on D2 against the
+    exact per-row threshold ``_reach``."""
     n = E.shape[0]
-    D, G = (w[:n * n].reshape(n, n) for w in work)
+    D2, G = (w[:n * n].reshape(n, n) for w in work)
+    # E @ E.T and U @ U.T must keep numpy's `a @ a.T` form, which runs
+    # dsyrk: a GEMM on a contiguous transpose is about twice as fast but
+    # gives other bits on most shapes
     np.matmul(E, E.T, out=G)
     G *= 2.0
     sq = np.sum(E ** 2, axis=1)
-    np.add(sq[:, None], sq[None, :], out=D)
-    D -= G
-    np.sqrt(np.maximum(D, 0.0, out=D), out=D)
+    np.add(sq[:, None], sq[None, :], out=D2)
+    D2 -= G
 
     _, codes = np.unique(np.asarray(labels), return_inverse=True)
     diff = codes[:, None] != codes[None, :]
     same = ~diff
     np.fill_diagonal(same, False)
-    max_pos = np.max(D, axis=1, initial=-np.inf, where=same)
-    min_neg = np.min(D, axis=1, initial=np.inf, where=diff)
-    pos = np.divmod(np.flatnonzero(same & (D >= min_neg[:, None] + margin)), n)
-    np.add(D, margin, out=G)
-    neg = np.divmod(np.flatnonzero(diff & (max_pos[:, None] >= G)), n)
+    rows, cols = np.divmod(np.flatnonzero(same), n)
+    d_same = _distance(D2[rows, cols])
+    min_neg = _distance(np.min(D2, axis=1, initial=np.inf, where=diff))
+    keep = d_same >= (min_neg + margin)[rows]
+    pos = rows[keep], cols[keep]
+    max_pos = np.full(n, -np.inf)
+    np.maximum.at(max_pos, rows, d_same)
+    hit = np.less_equal(D2, _reach(max_pos, margin)[:, None], out=same)
+    hit &= diff
+    neg = np.divmod(np.flatnonzero(hit), n)
 
     G.fill(0.0)
     active = np.bincount(np.concatenate((pos[0], neg[0])), minlength=n) > 0
     n_active = int(active.sum())
     if n_active == 0:
         return 0.0, G, pos, neg
-    S = np.matmul(U, U.T, out=D)
+    S = np.matmul(U, U.T, out=D2)
     a, b, eps = config.alpha, config.beta, config.base
     pos_exp = np.exp(-a * (S[pos] - eps))
     neg_exp = np.exp(b * (S[neg] - eps))
-    # row sums over zero-filled rows add the mined terms in a dense sum's order
-    D.fill(0.0)
-    D[pos] = pos_exp
-    pos_sum = D.sum(axis=1)
-    D[pos] = 0.0
-    D[neg] = neg_exp
-    neg_sum = D.sum(axis=1)
+    # row sums over zero-filled rows add the mined terms in a dense sum's
+    # order; S is spent, so its buffer holds the terms
+    T = S
+    T.fill(0.0)
+    T[pos] = pos_exp
+    pos_sum = T.sum(axis=1)
+    T[pos] = 0.0
+    T[neg] = neg_exp
+    neg_sum = T.sum(axis=1)
     per_anchor = np.log1p(pos_sum) / a + np.log1p(neg_sum) / b
     loss = float(per_anchor[active].sum() / n_active)
 
@@ -205,7 +259,7 @@ def train_epoch(pairs, params, train_cfg, mining_cfg, loss_cfg,
         losses.append(loss)
         mined_any = mined_any or pos[0].size > 0 or neg[0].size > 0
 
-        dU = (G + G.T) @ U
+        dU = _symmetrize(G, pos, neg) @ U
         # back through the row normalization
         dE = (dU - (np.sum(dU * U, axis=1, keepdims=True)) * U) / safe[:, None]
         dE[norms < enc.NORM_EPS] = 0.0

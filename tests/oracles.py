@@ -431,11 +431,11 @@ def parse_crosswalk(stream, column_map=None):
         if len(fields) < needed:
             malformed += 1
             continue
-        try:
-            sctid = int(fields[cm["sctid"]].strip())
-        except ValueError:
+        code = fields[cm["sctid"]].strip()
+        if not (code.isascii() and code.isdigit()):
             malformed += 1
             continue
+        sctid = int(code)
         text = fields[cm["text"]].strip()
         if sctid <= 0 or not text:
             malformed += 1

@@ -265,6 +265,11 @@ class TestParseOtherFiles:
             io.StringIO("123|griep\n-5|x\nabc|y\n"))
         assert len(rows) == 1 and rows[0].sctid == 123 and malformed == 2
 
+    def test_crosswalk_ids_are_ascii_digits(self):
+        rows, malformed = onto.parse_crosswalk(io.StringIO(
+            "1_0|a\n+5|b\n\u0661\u0662|c\n\u00b2|d\n7|e\n"))
+        assert rows == [onto.CrosswalkRow(sctid=7, text="e")] and malformed == 4
+
 
 # field values that hit every branch of the four row parsers: valid and bad
 # CUIs and TUIs, ids that int() and str.isdigit judge differently, blanks

@@ -276,6 +276,77 @@ def test_fused_step_matches_dense_oracles_bit_for_bit(batch):
     assert G.tobytes() == want_G.tobytes()
 
 
+def test_fused_step_at_the_benchmark_batch_shape():
+    """The fused step and the in-place symmetrized gradient give the oracles'
+    bits on the shape of the benchmark's pretraining batches: 1,024 unit
+    rows in dim 96 from 512 pairs over about 300 labels, margin 0.2. This is
+    large enough for BLAS's blocked kernels and mines a realistic share of
+    the entries (about 2 %)."""
+    rng = np.random.default_rng(96)
+    codes = np.repeat(rng.integers(0, 420, 512), 2)
+    E = 0.3 * rng.normal(size=(420, 96))[codes] + rng.normal(size=(1024, 96))
+    E /= np.linalg.norm(E, axis=1, keepdims=True)
+    labels = [str(v) for v in codes]
+    config = tr.MsLossConfig()
+    loss, G, pos, neg, U = fused_step(E, labels, 0.2, config)
+    want_pos, want_neg = oracles.mining_masks(oracles.pairwise_distances(E),
+                                              labels, 0.2)
+    want_loss, want_G = oracles.ms_loss_masks(U @ U.T, want_pos, want_neg,
+                                              config)
+    assert 0.01 < (pos.sum() + neg.sum()) / pos.size < 0.05
+    assert np.array_equal(pos, want_pos) and np.array_equal(neg, want_neg)
+    assert loss == want_loss
+    assert G.tobytes() == want_G.tobytes()
+    sym = tr._symmetrize(G, np.nonzero(pos), np.nonzero(neg))
+    assert sym.tobytes() == (want_G + want_G.T).tobytes()
+
+
+MARGINS = st.sampled_from([0.0, -0.0, 0.2, -0.3, 5e-324, 1e-300, 1e9]) | \
+    st.floats(-3, 3)
+SPECIAL = st.sampled_from([np.nan, np.inf, -np.inf, 0.0, -0.0, 5e-324, 1e308])
+
+
+@st.composite
+def reach_rows(draw):
+    """(max_pos, margin): each max_pos special, ordinary, or within a few
+    ulps of margin + a tiny or ordinary distance, where the rounding of
+    ``distance + margin`` decides the threshold."""
+    margin = draw(MARGINS)
+    max_pos = []
+    for _ in range(draw(st.integers(1, 8))):
+        kind = draw(st.integers(0, 2))
+        if kind == 0:
+            v = draw(SPECIAL)
+        elif kind == 1:
+            v = draw(st.floats(-10, 1e12))
+        else:
+            v = margin + draw(st.sampled_from([0.0, 5e-324, 1e-20, 1e-8, 0.5]))
+            for _ in range(draw(st.integers(0, 3))):
+                v = np.nextafter(v, draw(st.sampled_from([-np.inf, np.inf])))
+        max_pos.append(v)
+    return np.array(max_pos, dtype=float), margin
+
+
+@settings(max_examples=500, derandomize=True, database=None, deadline=None)
+@given(reach_rows())
+def test_reach_is_the_largest_double_that_passes(rows):
+    """``_reach`` against its defining predicate: the result passes and the
+    next double up does not; it is NaN exactly where 0 fails, and inf
+    exactly where inf passes."""
+    max_pos, margin = rows
+
+    def passes(x):
+        return np.sqrt(np.maximum(x, 0.0)) + margin <= max_pos
+
+    with np.errstate(invalid="ignore", over="ignore"):
+        reach = tr._reach(max_pos, margin)
+        assert np.array_equal(np.isnan(reach), ~passes(np.zeros_like(max_pos)))
+        assert np.array_equal(reach == np.inf, passes(np.full_like(max_pos, np.inf)))
+        some = ~np.isnan(reach)
+        assert passes(reach)[some].all()
+        assert not passes(np.nextafter(reach, np.inf))[some & (reach < np.inf)].any()
+
+
 def tiny_setup(n_concepts=12, variants=3, seed=0):
     onto, _cores = make_synthetic_ontology(seed=seed, n_concepts=n_concepts,
                                            variants=variants, n_affixes=6)
