@@ -228,6 +228,7 @@ def cmd_corpus_subset(cfg, args):
 
 def cmd_pairs(cfg, args):
     paths = cfg["paths"]
+    cap = _at_least(cfg["finetune"]["per_mention_cap"], "finetune.per_mention_cap", 0)
     ontology = _load_ontology(cfg)
     if args.stage == "pretrain":
         pairs = train_mod.generate_pretrain_pairs(ontology)
@@ -235,8 +236,8 @@ def cmd_pairs(cfg, args):
     else:
         with _open_input(paths["train_corpus"], "train corpus") as f:
             star = corpus_mod.parse_corpus(f)
-        pairs = train_mod.generate_finetune_pairs(
-            star, ontology, per_mention_cap=cfg["finetune"]["per_mention_cap"])
+        pairs = train_mod.generate_finetune_pairs(star, ontology,
+                                                  per_mention_cap=cap)
         out_path = paths["finetune_pairs"]
     buf = io.StringIO()
     written = train_mod.write_pairs(pairs, buf)
@@ -307,6 +308,7 @@ def cmd_index_build(cfg, args):
     icfg = cfg["index"]
     for key in ("pca_k", "nlist", "nprobe"):
         _at_least(icfg[key], f"index.{key}")
+    _at_least(icfg["kmeans_iters"], "index.kmeans_iters", 0)
     params_path = _resolve_params_path(cfg, args)
     params = enc.load_params(params_path)
     if params.sha256 is None:
@@ -324,16 +326,15 @@ def cmd_index_build(cfg, args):
     transform = index_mod.fit_pca(embeddings, k)
     transform.params_sha256 = params.sha256
     compressed = index_mod.apply_pca(transform, embeddings)
-    flat = index_mod.build_flat(compressed, ids, cuis, groups)
     nlist = min(icfg["nlist"], len(ids))
-    ivf = index_mod.build_ivf(compressed, ids, nlist, seed=cfg["seed"],
-                              kmeans_iters=icfg["kmeans_iters"], cuis=cuis,
-                              groups=groups, nprobe=icfg["nprobe"])
     pca_sha256 = index_mod.save_pca(paths["pca"], transform)
-    for index in (flat, ivf):
+    # the flat index is the one-list index, which search_ivf scans exactly
+    for key, lists in (("flat_index", 1), ("ivf_index", nlist)):
+        index = index_mod.build_ivf(compressed, ids, lists, seed=cfg["seed"],
+                                    kmeans_iters=icfg["kmeans_iters"], cuis=cuis,
+                                    groups=groups, nprobe=icfg["nprobe"])
         index.params_sha256, index.pca_sha256 = params.sha256, pca_sha256
-    index_mod.save_flat(paths["flat_index"], flat)
-    index_mod.save_ivf(paths["ivf_index"], ivf)
+        index_mod.save_ivf(paths[key], index)
     _summary({"command": "index-build", "terms": len(ids), "pca_k": k,
               "nlist": nlist})
     return 0
@@ -348,8 +349,8 @@ def _load_link_stack(cfg, args):
     params = enc.load_params(params_path)
     transform = index_mod.load_pca(paths["pca"])
     kind = getattr(args, "index_kind", None) or "flat"
-    index_path = paths["ivf_index" if kind == "ivf" else "flat_index"]
-    index = (index_mod.load_ivf if kind == "ivf" else index_mod.load_flat)(index_path)
+    index_path = paths[f"{kind}_index"]
+    index = index_mod.load_ivf(index_path)
     if index.cuis is None or index.groups is None or index.pca_sha256 is None:
         raise ArtifactError(f"{index_path}: index carries no term table or "
                             "provenance; rerun index-build")
@@ -395,8 +396,10 @@ def cmd_link(cfg, args):
     params, transform, index, id_to_cui = _load_link_stack(cfg, args)
 
     if args.mention is not None:
-        result = index_mod.link_mention(args.mention, params, transform, index,
-                                        id_to_cui, top_k=top_k)
+        result = index_mod.link_mentions([args.mention], params, transform, index,
+                                         id_to_cui, top_k=top_k)[0]
+        if isinstance(result, DataError):
+            raise result
         _summary(_link_payload(args.mention, result, id_to_cui))
         return 0
     with _open_input(args.input, "mention list") as f:

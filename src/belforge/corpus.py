@@ -188,11 +188,21 @@ def load_article_map_sparql(endpoint, site_url, property_id="P2892",
     return amap
 
 
+def _page_number(text, element, title):
+    """A page's <ns> or <id> as an int; an empty or missing one reads 0."""
+    try:
+        return int(text or 0)
+    except ValueError:
+        raise DataError(f"dump page {title!r}: <{element}> is not an integer: "
+                        f"{text!r}") from None
+
+
 def parse_dump(stream):
     """Stream namespace-0 pages from MediaWiki-export XML in document order.
 
     Memory is bounded by one page; pages without a <text> element are
-    skipped. Malformed XML raises DataError with the parser position.
+    skipped. Malformed XML, or an <ns> or <id> that is not an integer,
+    raises DataError.
     """
     def localname(tag):
         return tag.rsplit("}", 1)[-1]
@@ -210,15 +220,18 @@ def parse_dump(stream):
                 if ln == "title" and title is None:
                     title = child.text or ""
                 elif ln == "ns" and ns is None:
-                    ns = int((child.text or "0").strip() or 0)
+                    ns = (child.text or "").strip()
                 elif ln == "id" and page_id is None:
-                    page_id = int((child.text or "0").strip() or 0)
+                    page_id = (child.text or "").strip()
                 elif ln == "text" and not have_text:
                     text = child.text or ""
                     have_text = True
-            if ns in (None, 0) and have_text:
-                yield WikiPage(page_id=page_id or 0, title=title or "",
-                               namespace=ns or 0, wikitext=text)
+            title = title or ""
+            ns = _page_number(ns, "ns", title)
+            page_id = _page_number(page_id, "id", title)
+            if ns == 0 and have_text:
+                yield WikiPage(page_id=page_id, title=title, namespace=0,
+                               wikitext=text)
             elem.clear()
     except ET.ParseError as e:
         raise DataError(f"malformed dump XML at {e.position}: {e}") from e

@@ -1,5 +1,6 @@
-"""PCA compression and nearest-neighbor linking: exact flat search plus an
-inverted-file approximate index over unit-normalized compressed embeddings.
+"""PCA compression and nearest-neighbor linking over an inverted-file index
+of unit-normalized compressed embeddings; the exact (flat) index is the
+one-list case, probed exhaustively.
 """
 
 from dataclasses import dataclass
@@ -22,21 +23,11 @@ class PcaTransform:
 
 
 @dataclass
-class FlatIndex:
-    vectors: np.ndarray  # n x k, unit rows
-    ids: np.ndarray      # n term_ids
-    cuis: np.ndarray | None = None    # n CUIs, row-aligned with ids
-    groups: np.ndarray | None = None  # n semantic groups, row-aligned with ids
-    params_sha256: str | None = None  # digests of the params and PCA artifacts
-    pca_sha256: str | None = None     # the index was built with
-
-
-@dataclass
 class IvfIndex:
     centroids: np.ndarray  # nlist x k
-    rows: np.ndarray       # n x k unit rows, grouped by list
+    vectors: np.ndarray    # n x k unit rows, grouped by list
     ids: np.ndarray        # n term_ids, in row order
-    offsets: np.ndarray    # nlist + 1; list c is rows[offsets[c]:offsets[c + 1]]
+    offsets: np.ndarray    # nlist + 1; list c is vectors[offsets[c]:offsets[c + 1]]
     nprobe: int = 8
     cuis: np.ndarray | None = None    # n CUIs, in row order
     groups: np.ndarray | None = None  # n semantic groups, in row order
@@ -101,15 +92,6 @@ def _term_table(ids, cuis, groups):
     return table
 
 
-def build_flat(vectors, ids, cuis=None, groups=None):
-    V = _unit_rows(vectors)
-    ids = np.asarray(ids, dtype=np.int64)
-    if V.shape[0] != ids.shape[0]:
-        raise DataError("flat index: row count != id count")
-    cuis, groups = _term_table(ids, cuis, groups)
-    return FlatIndex(vectors=V, ids=ids, cuis=cuis, groups=groups)
-
-
 def _rank(scores, ids, top_k):
     """The top_k rows by score descending, ties by ascending id.
 
@@ -126,14 +108,6 @@ def _rank(scores, ids, top_k):
         scores = scores[keep]
     order = np.lexsort((ids, neg))[:top_k]
     return [Neighbor(term_id=int(ids[i]), score=float(scores[i])) for i in order]
-
-
-def search_flat(index, query, top_k=10):
-    """Exact top-k by inner product; ties broken by ascending term_id."""
-    if index.vectors.shape[0] == 0:
-        return []
-    q = _unit_rows(np.asarray(query, dtype=float))
-    return _rank(index.vectors @ q, index.ids, top_k)
 
 
 def _kmeans_pp_init(rows, nlist, rng):
@@ -167,6 +141,8 @@ def build_ivf(vectors, ids, nlist, seed=0, kmeans_iters=10, cuis=None,
     each row in the list of its nearest centroid; nprobe is capped at nlist."""
     rows = _unit_rows(vectors)
     ids = np.asarray(ids, dtype=np.int64)
+    if rows.shape[0] != ids.shape[0]:
+        raise DataError("ivf: row count != id count")
     cuis, groups = _term_table(ids, cuis, groups)
     n = rows.shape[0]
     if nlist < 1 or nlist > n:
@@ -185,7 +161,7 @@ def build_ivf(vectors, ids, nlist, seed=0, kmeans_iters=10, cuis=None,
         assign = new_assign
     order = np.argsort(assign, kind="stable")
     sizes = np.bincount(assign, minlength=nlist)
-    return IvfIndex(centroids=centroids, rows=rows[order], ids=ids[order],
+    return IvfIndex(centroids=centroids, vectors=rows[order], ids=ids[order],
                     offsets=np.concatenate(([0], np.cumsum(sizes))),
                     nprobe=min(nprobe, nlist),
                     cuis=None if cuis is None else cuis[order],
@@ -193,16 +169,18 @@ def build_ivf(vectors, ids, nlist, seed=0, kmeans_iters=10, cuis=None,
 
 
 def search_ivf(index, query, top_k=10):
-    """Scan the index.nprobe nearest centroids' lists (every list when
-    nprobe is at least nlist); same ordering contract as search_flat."""
+    """Top-k by inner product over the index.nprobe nearest centroids'
+    lists, score descending, ties by ascending term_id. When nprobe is at
+    least nlist the stored rows are ranked as they are, in one product, so a
+    one-list index is an exact (flat) search."""
     nlist = index.centroids.shape[0]
     q = _unit_rows(np.asarray(query, dtype=float))
+    if index.nprobe >= nlist:
+        return _rank(index.vectors @ q, index.ids, top_k)
     cd = np.sum((index.centroids - q) ** 2, axis=1)
     probe = np.lexsort((np.arange(nlist), cd))[:index.nprobe]
     spans = [slice(index.offsets[c], index.offsets[c + 1]) for c in probe]
-    V = np.concatenate([index.rows[s] for s in spans])
-    if not V.shape[0]:
-        return []
+    V = np.concatenate([index.vectors[s] for s in spans])
     ids = np.concatenate([index.ids[s] for s in spans])
     return _rank(V @ q, ids, top_k)
 
@@ -228,26 +206,13 @@ def link_mentions(texts, params, transform, index, id_to_cui, top_k=10):
     for i, emb in zip(todo, embeddings):
         try:
             q = apply_pca(transform, emb)
-            if isinstance(index, IvfIndex):
-                neighbors = search_ivf(index, q, top_k=top_k)
-            else:
-                neighbors = search_flat(index, q, top_k=top_k)
+            neighbors = search_ivf(index, q, top_k=top_k)
             if not neighbors:
                 raise DataError("no candidates: index is empty")
             results[i] = (id_to_cui[neighbors[0].term_id], neighbors)
         except DataError as e:
             results[i] = e
     return results
-
-
-def link_mention(text, params, transform, index, id_to_cui, top_k=10):
-    """link_mentions for one text: returns (predicted_cui, neighbors) and
-    raises its DataError."""
-    result = link_mentions([text], params, transform, index, id_to_cui,
-                           top_k=top_k)[0]
-    if isinstance(result, DataError):
-        raise result
-    return result
 
 
 def save_pca(path, transform):
@@ -264,37 +229,14 @@ def load_pca(path):
                         params_sha256=meta.get("params_sha256"), sha256=sha256)
 
 
-def _index_parts(index):
-    """Meta and term-table arrays shared by both index kinds."""
-    meta = {"params_sha256": index.params_sha256, "pca_sha256": index.pca_sha256}
+def save_ivf(path, index):
     arrays = {name: a for name, a in (("cuis", index.cuis), ("groups", index.groups))
               if a is not None}
-    return meta, arrays
-
-
-def _index_fields(meta, arrays):
-    return {"cuis": arrays.get("cuis"), "groups": arrays.get("groups"),
-            "params_sha256": meta.get("params_sha256"),
-            "pca_sha256": meta.get("pca_sha256")}
-
-
-def save_flat(path, index):
-    meta, arrays = _index_parts(index)
-    artifacts.save_artifact(path, "flat-index", meta,
-                            {"vectors": index.vectors, "ids": index.ids, **arrays})
-
-
-def load_flat(path):
-    meta, arrays, _sha256 = artifacts.load_artifact(path, "flat-index")
-    return FlatIndex(vectors=arrays["vectors"], ids=arrays["ids"],
-                     **_index_fields(meta, arrays))
-
-
-def save_ivf(path, index):
-    meta, arrays = _index_parts(index)
     artifacts.save_artifact(
-        path, "ivf-index", {"nprobe": index.nprobe, **meta},
-        {"centroids": index.centroids, "rows": index.rows, "ids": index.ids,
+        path, "ivf-index",
+        {"nprobe": index.nprobe, "params_sha256": index.params_sha256,
+         "pca_sha256": index.pca_sha256},
+        {"centroids": index.centroids, "vectors": index.vectors, "ids": index.ids,
          "sizes": np.diff(index.offsets), **arrays})
 
 
@@ -302,7 +244,10 @@ def load_ivf(path):
     meta, arrays, _sha256 = artifacts.load_artifact(path, "ivf-index")
     if meta.size("nprobe") > len(arrays["centroids"]):
         raise ArtifactError(f"{path}: nprobe exceeds nlist {len(arrays['centroids'])}")
-    return IvfIndex(centroids=arrays["centroids"], rows=arrays["rows"],
+    return IvfIndex(centroids=arrays["centroids"], vectors=arrays["vectors"],
                     ids=arrays["ids"],
                     offsets=np.concatenate(([0], np.cumsum(arrays["sizes"]))),
-                    nprobe=meta.size("nprobe"), **_index_fields(meta, arrays))
+                    nprobe=meta.size("nprobe"), cuis=arrays.get("cuis"),
+                    groups=arrays.get("groups"),
+                    params_sha256=meta.get("params_sha256"),
+                    pca_sha256=meta.get("pca_sha256"))

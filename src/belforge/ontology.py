@@ -168,32 +168,24 @@ def parse_crosswalk(stream):
     return _parse_rows(stream, 2, make)
 
 
-def crosswalk_terms(targets, bridge, vocab="SNOMEDCT_NL", language="DUT",
-                    start_term_id=0):
+def crosswalk_terms(targets, bridge, vocab="SNOMEDCT_NL", language="DUT"):
     """Map external-terminology rows to CUIs through a bridge vocabulary.
 
     Bridge records carry the external id as their source_code. Rows whose
-    id matches exactly one distinct CUI yield a new TermRecord; ambiguous
-    (>=2 CUIs) and unmatched ids are dropped. Returns
-    (new_records, drop_report) with drop_report mapping sctid -> reason.
+    id matches exactly one distinct CUI yield a new TermRecord, numbered
+    from 0; ambiguous (>=2 CUIs) and unmatched ids are dropped.
     """
     by_sctid = {}
     for rec in bridge:
         by_sctid.setdefault(rec.source_code, set()).add(rec.cui)
     out = []
-    drop_report = {}
     for row in targets:
         cuis = by_sctid.get(str(row.sctid))
-        if not cuis:
-            drop_report[row.sctid] = "no-match"
-        elif len(cuis) > 1:
-            drop_report[row.sctid] = "ambiguous"
-        else:
+        if cuis and len(cuis) == 1:
             out.append(TermRecord(
-                term_id=start_term_id + len(out),
-                cui=next(iter(cuis)), language=language, vocab=vocab,
-                source_code=str(row.sctid), text=row.text))
-    return out, drop_report
+                term_id=len(out), cui=next(iter(cuis)), language=language,
+                vocab=vocab, source_code=str(row.sctid), text=row.text))
+    return out
 
 
 def _normalize_ws(text):
@@ -249,7 +241,7 @@ def build_ontology(concepts, sty, groups, crosswalk, config):
 
     # 4. crosswalk additions (bridged through the configured vocabulary)
     bridge = [r for r in kept if r.vocab == config.bridge_vocab]
-    added, _report = crosswalk_terms(
+    added = crosswalk_terms(
         crosswalk, bridge, vocab=config.crosswalk_vocab,
         language=config.crosswalk_language)
     for rec in added:

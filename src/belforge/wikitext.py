@@ -52,7 +52,7 @@ def _drop_templates(markup):
     return "".join(out), 0
 
 
-def _resolve_links(markup, drop_prefixes):
+def _resolve_links(markup):
     """Convert [[T|a]] / [[T]] to anchor text, recording offsets into the
     cleaned string. Media/category links and nested-bracket constructs are
     dropped entirely so pipes never leak into the output; an opener without
@@ -82,7 +82,7 @@ def _resolve_links(markup, drop_prefixes):
         parts = markup[start + 2:end - 2].split("|")
         target = parts[0].strip()
         prefix = target.split(":", 1)[0].strip().lower() if ":" in target else ""
-        if nested or len(parts) > 2 or not target or prefix in drop_prefixes:
+        if nested or len(parts) > 2 or not target or prefix in DEFAULT_DROP_PREFIXES:
             continue
         anchor = parts[1] if len(parts) == 2 else target
         # section anchors link to the page itself
@@ -95,7 +95,7 @@ def _resolve_links(markup, drop_prefixes):
     return "".join(pieces), links
 
 
-def strip_wikitext(markup, drop_prefixes=DEFAULT_DROP_PREFIXES):
+def strip_wikitext(markup):
     """Clean wikitext to plain text, returning (clean_text, links, warnings).
 
     Removes comments, refs, templates, heading markers and quote runs,
@@ -107,7 +107,7 @@ def strip_wikitext(markup, drop_prefixes=DEFAULT_DROP_PREFIXES):
     s, warnings = _drop_templates(s)
     s = _HEADING_RE.sub(r"\2", s)
     s = _QUOTES_RE.sub("", s)
-    clean, links = _resolve_links(s, drop_prefixes)
+    clean, links = _resolve_links(s)
     return clean, links, warnings
 
 

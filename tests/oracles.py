@@ -3,14 +3,16 @@ explicit triplet enumeration, its projection onto participation masks, the
 dense mask miner and Multi-Similarity loss, the per-row encoder forward
 pass, and the training epoch composed from them with one forward per row;
 the character-at-a-time wikitext cleanup and sentence splitter, corpus
-compilation that filters every link against every sentence span, and one
-parse loop per pipe-delimited ontology source file."""
+compilation that filters every link against every sentence span, one
+parse loop per pipe-delimited ontology source file, and the flat
+nearest-neighbour search."""
 
 from dataclasses import dataclass
 
 import numpy as np
 
 from belforge import encoder as enc
+from belforge import index
 from belforge import wikitext
 from belforge.corpus import MentionAnnotation, SentenceRecord, normalize_title
 from belforge.ontology import (CUI_RE, TUI_RE, CrosswalkRow, RelationRow,
@@ -442,3 +444,11 @@ def parse_crosswalk(stream, column_map=None):
             continue
         rows.append(CrosswalkRow(sctid=sctid, text=text))
     return rows, malformed
+
+
+def search_flat(vectors, ids, query, top_k):
+    """Exact top-k over every row, scored in one product with the unit
+    query and ranked by ``index._rank``: the search a one-list index must
+    reproduce bit for bit."""
+    q = index._unit_rows(np.asarray(query, dtype=float))
+    return index._rank(vectors @ q, ids, top_k)

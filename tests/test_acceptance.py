@@ -367,14 +367,12 @@ def test_criterion_05():
 def _linking_accuracy(params, ontology, mention_list, pca_k=64):
     E = np.vstack([encode(params, r.text) for r in ontology])
     transform = ix.fit_pca(E, pca_k)
-    flat = ix.build_flat(ix.apply_pca(transform, E),
-                         np.arange(len(ontology), dtype=np.int64))
+    flat = ix.build_ivf(ix.apply_pca(transform, E),
+                        np.arange(len(ontology), dtype=np.int64), 1)
     id_to_cui = {i: r.cui for i, r in enumerate(ontology)}
-    hits = 0
-    for text, cui in mention_list:
-        pred, _ = ix.link_mention(text, params, transform, flat, id_to_cui,
-                                  top_k=1)
-        hits += pred == cui
+    results = ix.link_mentions([text for text, _ in mention_list], params,
+                               transform, flat, id_to_cui, top_k=1)
+    hits = sum(pred == cui for (pred, _), (_, cui) in zip(results, mention_list))
     return hits / len(mention_list)
 
 
@@ -459,10 +457,10 @@ def test_criterion_08():
         k = int(rng.integers(2, 10))
         V = random_unit_rows(rng, n, k)
         ids = rng.permutation(n).astype(np.int64)
-        flat = ix.build_flat(V, ids)
+        flat = ix.build_ivf(V, ids, 1)
         q = random_unit_rows(rng, 1, k)[0]
         top_k = int(rng.integers(1, n + 2))
-        got = ix.search_flat(flat, q, top_k)
+        got = ix.search_ivf(flat, q, top_k)
         scores = V @ q
         want = sorted(range(n), key=lambda i: (-scores[i], ids[i]))[:top_k]
         assert [nb.term_id for nb in got] == [int(ids[i]) for i in want]
@@ -473,14 +471,14 @@ def test_criterion_08():
         V = random_unit_rows(rng, n, 6)
         V[: n // 4] = V[n // 4: 2 * (n // 4)]  # force cross-list score ties
         ids = np.arange(n, dtype=np.int64)
-        flat = ix.build_flat(V, ids)
+        flat = ix.build_ivf(V, ids, 1)
         nlist = int(rng.integers(1, 10))
         ivf = ix.build_ivf(V, ids, nlist=nlist, seed=trial)
         q = random_unit_rows(rng, 1, 6)[0]
         assert [(nb.term_id, nb.score)
                 for nb in ix.search_ivf(replace(ivf, nprobe=nlist), q,
                                         top_k=10)] == \
-            [(nb.term_id, nb.score) for nb in ix.search_flat(flat, q, top_k=10)]
+            [(nb.term_id, nb.score) for nb in ix.search_ivf(flat, q, top_k=10)]
 
     # recall@1 on clustered vectors
     n, dim, n_clusters = 5000, 16, 50
@@ -489,13 +487,13 @@ def test_criterion_08():
     V = centers[assign] + 0.05 * rng.normal(size=(n, dim))
     V /= np.linalg.norm(V, axis=1, keepdims=True)
     ids = np.arange(n, dtype=np.int64)
-    flat = ix.build_flat(V, ids)
+    flat = ix.build_ivf(V, ids, 1)
     ivf = ix.build_ivf(V, ids, nlist=64, seed=0)
     queries = centers[rng.integers(0, n_clusters, 200)] \
         + 0.05 * rng.normal(size=(200, dim))
     hits = 0
     for q in queries:
-        truth = ix.search_flat(flat, q, 1)[0].term_id
+        truth = ix.search_ivf(flat, q, 1)[0].term_id
         approx = ix.search_ivf(replace(ivf, nprobe=8), q, top_k=1)
         hits += bool(approx) and approx[0].term_id == truth
     assert hits / len(queries) >= 0.9

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from belforge import artifacts
 from belforge import encoder as enc
 from belforge import index as index_mod
 from belforge.cli import SUBCOMMANDS, main
@@ -386,23 +387,35 @@ class TestLinkStack:
         run_pipeline(config, upto="index-build")
         for kind, name in (("flat", "flat.index"), ("ivf", "ivf.index")):
             path = root / "out" / name
-            load, save = ((index_mod.load_ivf, index_mod.save_ivf) if kind == "ivf"
-                          else (index_mod.load_flat, index_mod.save_flat))
-            index = load(path)
+            index = index_mod.load_ivf(path)
             index.cuis = index.groups = None
             index.params_sha256 = index.pca_sha256 = None
-            save(path, index)
+            index_mod.save_ivf(path, index)
             for argv in (["link", "--mention", "griep", "--index", kind],
                          ["evaluate", "--index", kind]):
                 assert_io_error(config, capsys, argv, name, "rerun index-build")
+
+    @pytest.mark.parametrize("kind, name", [("flat", "flat.index"),
+                                            ("ivf", "ivf.index")])
+    def test_index_file_storing_rows_is_refused(self, workspace, capsys, kind,
+                                                name):
+        """An index file written before the row array was named vectors."""
+        root, config = workspace
+        run_pipeline(config, upto="index-build")
+        path = root / "out" / name
+        meta, arrays, _sha256 = artifacts.load_artifact(path, "ivf-index")
+        arrays["rows"] = arrays.pop("vectors")
+        artifacts.save_artifact(path, "ivf-index", meta, arrays)
+        assert_io_error(config, capsys, ["link", "--mention", "griep",
+                                         "--index", kind], name, "'vectors'")
 
     def test_index_naming_other_params_is_refused(self, workspace, capsys):
         root, config = workspace
         run_pipeline(config, upto="index-build")
         path = root / "out" / "flat.index"
-        index = index_mod.load_flat(path)
+        index = index_mod.load_ivf(path)
         index.params_sha256 = "0" * 64
-        index_mod.save_flat(path, index)
+        index_mod.save_ivf(path, index)
         assert_io_error(config, capsys, ["link", "--mention", "griep"],
                         "finetuned.params", "rerun index-build")
 
@@ -648,6 +661,8 @@ class TestExitCodes:
         ("index-build", "train", "index.nlist=0"),
         ("index-build", "train", "index.nprobe=0"),
         ("index-build", "train", "index.nprobe=-2"),
+        ("index-build", "train", "index.kmeans_iters=-1"),
+        ("pairs", "corpus-subset", "finetune.per_mention_cap=-1"),
         ("train", "pairs", "seed=-1"),
         ("index-build", "train", "seed=-1"),
         ("train", "pairs", "encoder.hidden=0"),
@@ -715,6 +730,19 @@ class TestExitCodes:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert len(captured.err.splitlines()) == 1
+
+    @pytest.mark.parametrize("element, numbers", [("ns", "<ns>x</ns><id>2</id>"),
+                                                  ("id", "<ns>0</ns><id>12a</id>")])
+    def test_non_integer_dump_page_number_data_error(self, workspace, capsys,
+                                                     element, numbers):
+        root, config = workspace
+        (root / "dump.xml").write_text(DUMP.replace("<ns>0</ns><id>2</id>", numbers))
+        assert main(["corpus-compile", "--config", config, "--quiet"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1
+        assert "'Diabetes'" in captured.err and f"<{element}>" in captured.err
+        assert "Traceback" not in captured.err
 
     @pytest.mark.parametrize("artifact, entry, value, argv", [
         ("ivf.index", "nprobe", "x", ["--index", "ivf"]),

@@ -9,6 +9,7 @@ from belforge import encoder as enc
 from belforge import index as ix
 from belforge.errors import ArtifactError, DataError
 from helpers import encode, random_unit_rows, reconstruct
+from oracles import search_flat
 
 
 def eig_pca_oracle(X, k):
@@ -103,6 +104,8 @@ class TestPca:
 
 
 class TestFlat:
+    """The flat index: one list, which search_ivf ranks exhaustively."""
+
     def test_matches_brute_force(self):
         rng = np.random.default_rng(6)
         for _ in range(25):
@@ -110,10 +113,10 @@ class TestFlat:
             k = int(rng.integers(2, 8))
             V = random_unit_rows(rng, n, k)
             ids = rng.permutation(n).astype(np.int64) * 3
-            flat = ix.build_flat(V, ids)
+            flat = ix.build_ivf(V, ids, 1)
             q = random_unit_rows(rng, 1, k)[0]
             top_k = int(rng.integers(1, n + 2))
-            got = as_tuples(ix.search_flat(flat, q, top_k))
+            got = as_tuples(ix.search_ivf(flat, q, top_k))
             want = brute_top_k(V, ids, q, top_k)
             # scores may differ in the last ulp (matrix product vs row dots)
             assert [i for i, _ in got] == [i for i, _ in want]
@@ -123,17 +126,32 @@ class TestFlat:
     def test_tie_break_ascending_id(self):
         v = np.array([[1.0, 0.0]])
         V = np.vstack([v, v, v])
-        flat = ix.build_flat(V, [9, 2, 5])
-        got = [n.term_id for n in ix.search_flat(flat, v[0], 3)]
+        flat = ix.build_ivf(V, [9, 2, 5], 1)
+        got = [n.term_id for n in ix.search_ivf(flat, v[0], 3)]
         assert got == [2, 5, 9]
 
     def test_empty_index(self):
-        flat = ix.build_flat(np.zeros((0, 3)), np.zeros(0, dtype=np.int64))
-        assert ix.search_flat(flat, np.ones(3)) == []
+        with pytest.raises(DataError, match="out of range for 0 rows"):
+            ix.build_ivf(np.zeros((0, 3)), np.zeros(0, dtype=np.int64), 1)
 
     def test_mismatched_ids(self):
         with pytest.raises(DataError):
-            ix.build_flat(np.ones((2, 2)), [1])
+            ix.build_ivf(np.ones((2, 2)), [1], 1)
+
+    @settings(max_examples=200, derandomize=True, database=None, deadline=None)
+    @given(n=st.integers(1, 300), k=st.integers(1, 96), top_k=st.integers(1, 12),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_one_list_equals_flat_oracle_bitwise(self, n, k, top_k, seed):
+        rng = np.random.default_rng(seed)
+        V = rng.normal(size=(n, k))
+        V[: n // 4] = V[n // 4: 2 * (n // 4)]  # score ties
+        ids = rng.permutation(n).astype(np.int64)
+        q = rng.normal(size=k)
+        got = ix.search_ivf(ix.build_ivf(V, ids, 1), q, top_k)
+        want = search_flat(ix._unit_rows(V), ids, q, top_k)
+        assert [nb.term_id for nb in got] == [nb.term_id for nb in want]
+        assert np.array_equal(np.array([nb.score for nb in got]).view(np.int64),
+                              np.array([nb.score for nb in want]).view(np.int64))
 
 
 def lexsort_rank_oracle(scores, ids, top_k):
@@ -190,23 +208,13 @@ class TestIvf:
             # duplicate some rows to force score ties across lists
             V[: n // 4] = V[n // 4: 2 * (n // 4)]
             ids = np.arange(n, dtype=np.int64)
-            flat = ix.build_flat(V, ids)
+            flat = ix.build_ivf(V, ids, 1)
             nlist = int(rng.integers(1, 9))
             ivf = ix.build_ivf(V, ids, nlist=nlist, seed=trial)
             q = random_unit_rows(rng, 1, 5)[0]
             assert as_tuples(ix.search_ivf(replace(ivf, nprobe=nlist), q,
                                            top_k=10)) == \
-                as_tuples(ix.search_flat(flat, q, top_k=10))
-
-    def test_nlist_one_matches_flat(self):
-        rng = np.random.default_rng(8)
-        V = random_unit_rows(rng, 30, 4)
-        ids = np.arange(30, dtype=np.int64)
-        ivf = ix.build_ivf(V, ids, nlist=1)
-        flat = ix.build_flat(V, ids)
-        q = random_unit_rows(rng, 1, 4)[0]
-        assert as_tuples(ix.search_ivf(ivf, q, 5)) == \
-            as_tuples(ix.search_flat(flat, q, 5))
+                as_tuples(ix.search_ivf(flat, q, top_k=10))
 
     def test_nprobe_above_nlist_scans_every_list(self):
         rng = np.random.default_rng(9)
@@ -225,13 +233,13 @@ class TestIvf:
         V = centers[assign] + 0.05 * rng.normal(size=(n, k))
         V /= np.linalg.norm(V, axis=1, keepdims=True)
         ids = np.arange(n, dtype=np.int64)
-        flat = ix.build_flat(V, ids)
+        flat = ix.build_ivf(V, ids, 1)
         ivf = ix.build_ivf(V, ids, nlist=64, seed=0)
         queries = centers[rng.integers(0, n_clusters, 200)] \
             + 0.05 * rng.normal(size=(200, k))
         hits = 0
         for q in queries:
-            truth = ix.search_flat(flat, q, 1)[0].term_id
+            truth = ix.search_ivf(flat, q, 1)[0].term_id
             approx = ix.search_ivf(replace(ivf, nprobe=8), q, top_k=1)
             hits += bool(approx) and approx[0].term_id == truth
         assert hits / len(queries) >= 0.9
@@ -242,7 +250,7 @@ class TestIvf:
         a = ix.build_ivf(V, np.arange(100), nlist=8, seed=3)
         b = ix.build_ivf(V, np.arange(100), nlist=8, seed=3)
         assert np.array_equal(a.centroids, b.centroids)
-        assert np.array_equal(a.rows, b.rows)
+        assert np.array_equal(a.vectors, b.vectors)
         assert np.array_equal(a.ids, b.ids)
         assert np.array_equal(a.offsets, b.offsets)
 
@@ -274,13 +282,14 @@ class TestSerialization:
         rng = np.random.default_rng(13)
         cuis, groups = self.term_table(25)
         ids = rng.permutation(100)[:25]
-        flat = ix.build_flat(random_unit_rows(rng, 25, 4), ids, cuis, groups)
+        flat = ix.build_ivf(random_unit_rows(rng, 25, 4), ids, 1, cuis=cuis,
+                            groups=groups)
         flat.params_sha256, flat.pca_sha256 = "ab" * 32, "cd" * 32
-        ix.save_flat(tmp_path / "f.idx", flat)
-        back = ix.load_flat(tmp_path / "f.idx")
+        ix.save_ivf(tmp_path / "f.idx", flat)
+        back = ix.load_ivf(tmp_path / "f.idx")
         q = random_unit_rows(rng, 1, 4)[0]
-        assert as_tuples(ix.search_flat(back, q, 7)) == \
-            as_tuples(ix.search_flat(flat, q, 7))
+        assert as_tuples(ix.search_ivf(back, q, 7)) == \
+            as_tuples(ix.search_ivf(flat, q, 7))
         assert back.cuis.tolist() == cuis and back.groups.tolist() == groups
         assert back.ids.tolist() == ids.tolist()
         assert (back.params_sha256, back.pca_sha256) == ("ab" * 32, "cd" * 32)
@@ -314,15 +323,16 @@ class TestSerialization:
 
     def test_index_without_term_table_roundtrips(self, tmp_path):
         rng = np.random.default_rng(15)
-        flat = ix.build_flat(random_unit_rows(rng, 5, 3), np.arange(5))
-        ix.save_flat(tmp_path / "f.idx", flat)
-        back = ix.load_flat(tmp_path / "f.idx")
+        flat = ix.build_ivf(random_unit_rows(rng, 5, 3), np.arange(5), 1)
+        ix.save_ivf(tmp_path / "f.idx", flat)
+        back = ix.load_ivf(tmp_path / "f.idx")
         assert back.cuis is None and back.groups is None
         assert back.params_sha256 is None and back.pca_sha256 is None
 
     def test_misaligned_term_table_is_data_error(self):
         with pytest.raises(DataError, match="cui or group count"):
-            ix.build_flat(np.ones((3, 2)), [0, 1, 2], ["C1", "C2"], ["A"] * 3)
+            ix.build_ivf(np.ones((3, 2)), [0, 1, 2], 1, cuis=["C1", "C2"],
+                         groups=["A"] * 3)
         with pytest.raises(DataError, match="cui or group count"):
             ix.build_ivf(np.ones((3, 2)), [0, 1, 2], 1, cuis=["C1"] * 3,
                          groups=["A"])
@@ -336,15 +346,15 @@ class TestLinkMention:
         comp = ix.apply_pca(transform, E)
         ids = np.arange(len(texts_cuis))
         id_to_cui = {i: c for i, (_, c) in enumerate(texts_cuis)}
-        return params, transform, ix.build_flat(comp, ids), id_to_cui
+        return params, transform, ix.build_ivf(comp, ids, 1), id_to_cui
 
     def test_exact_term_links_to_itself(self):
         terms = [("hartinfarct", "C0000001"), ("griep", "C0000002"),
                  ("suikerziekte", "C0000003"), ("longontsteking", "C0000004"),
                  ("hoofdpijn", "C0000005"), ("koorts", "C0000006")]
         params, t, flat, id_to_cui = self.build(terms)
-        cui, neighbors = ix.link_mention("griep", params, t, flat, id_to_cui,
-                                         top_k=3)
+        [(cui, neighbors)] = ix.link_mentions(["griep"], params, t, flat,
+                                              id_to_cui, top_k=3)
         assert cui == "C0000002"
         assert neighbors[0].term_id == 1
         assert len(neighbors) == 3
@@ -352,6 +362,9 @@ class TestLinkMention:
     def test_empty_index_raises(self):
         params = enc.init_params(0, buckets=64, hidden=4, dim=4)
         t = ix.fit_pca(np.random.default_rng(0).normal(size=(6, 4)), 2)
-        flat = ix.build_flat(np.zeros((0, 2)), np.zeros(0, dtype=np.int64))
-        with pytest.raises(DataError, match="no candidates"):
-            ix.link_mention("x", params, t, flat, {})
+        # two lists, both empty: the probed one yields no candidates
+        index = ix.IvfIndex(centroids=np.eye(2), vectors=np.zeros((0, 2)),
+                            ids=np.zeros(0, dtype=np.int64),
+                            offsets=np.zeros(3, dtype=np.int64), nprobe=1)
+        [result] = ix.link_mentions(["x"], params, t, index, {})
+        assert isinstance(result, DataError) and "no candidates" in str(result)

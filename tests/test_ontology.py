@@ -57,26 +57,24 @@ class TestParseConcepts:
 class TestCrosswalk:
     def test_single_match(self):
         bridge = [rec("C0000002", "fever", vocab="SNOMEDCT_US", code="123")]
-        out, report = onto.crosswalk_terms(
+        out = onto.crosswalk_terms(
             [onto.CrosswalkRow(sctid=123, text="koorts")], bridge)
         assert len(out) == 1 and out[0].cui == "C0000002"
-        assert out[0].text == "koorts" and report == {}
+        assert out[0].text == "koorts"
 
     def test_ambiguous_dropped(self):
         bridge = [rec("C0000002", "a", vocab="SNOMEDCT_US", code="456"),
                   rec("C0000003", "b", vocab="SNOMEDCT_US", code="456")]
-        out, report = onto.crosswalk_terms(
+        out = onto.crosswalk_terms(
             [onto.CrosswalkRow(sctid=456, text="x")], bridge)
-        assert out == [] and report == {456: "ambiguous"}
+        assert out == []
 
     def test_no_match_dropped(self):
-        out, report = onto.crosswalk_terms(
-            [onto.CrosswalkRow(sctid=9, text="x")], [])
-        assert out == [] and report == {9: "no-match"}
+        out = onto.crosswalk_terms([onto.CrosswalkRow(sctid=9, text="x")], [])
+        assert out == []
 
     def test_empty_targets(self):
-        out, report = onto.crosswalk_terms([], [rec("C0000002", "a")])
-        assert out == [] and report == {}
+        assert onto.crosswalk_terms([], [rec("C0000002", "a")]) == []
 
 
 def pipeline_fixture():

@@ -100,7 +100,7 @@ class TestStripWikitext:
 def test_strip_wikitext_equals_oracle(markup):
     assert strip_wikitext(markup) == oracles.strip_wikitext(markup)
     assert wikitext._drop_templates(markup) == oracles.drop_templates(markup)
-    assert (wikitext._resolve_links(markup, DEFAULT_DROP_PREFIXES)
+    assert (wikitext._resolve_links(markup)
             == oracles.resolve_links(markup, DEFAULT_DROP_PREFIXES))
 
 
