@@ -259,8 +259,7 @@ def _initial_params(cfg):
                          "encoder.dim must each be at most 2**28")
     return enc.init_params(
         cfg["seed"], n_min=e["n_min"], n_max=e["n_max"], buckets=e["buckets"],
-        hidden=e["hidden"], dim=e["dim"],
-        normalize_output=e["normalize_output"], lowercase=e["lowercase"])
+        hidden=e["hidden"], dim=e["dim"], lowercase=e["lowercase"])
 
 
 def cmd_train(cfg, args):

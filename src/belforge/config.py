@@ -68,7 +68,6 @@ DEFAULTS = {
         "buckets": 4096,
         "hidden": 64,
         "dim": 32,
-        "normalize_output": True,
         "lowercase": False,
     },
     "train": {

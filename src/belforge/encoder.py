@@ -1,8 +1,8 @@
 """Trainable string encoder: hashed char n-grams -> two-layer map -> R^d.
 
 The output vector plays the role of the term representation used for
-similarity search; with ``normalize_output`` on (the default) the output
-is unit-L2, so cosine similarity equals the inner product.
+similarity search. It is unit-L2, so cosine similarity is the inner product;
+a row of norm below NORM_EPS (a featureless text) passes through unchanged.
 """
 
 from dataclasses import dataclass, replace
@@ -31,7 +31,6 @@ class EncoderParams:
     b1: np.ndarray  # hidden
     W2: np.ndarray  # dim x hidden
     b2: np.ndarray  # dim
-    normalize_output: bool = True
     lowercase: bool = False
     # payload digest of the artifact these weights were loaded from
     sha256: str | None = None
@@ -52,8 +51,7 @@ class EncoderGrads:
     b2: np.ndarray
 
 
-def init_params(seed, n_min=2, n_max=4, buckets=4096, hidden=64, dim=32,
-                normalize_output=True, lowercase=False):
+def init_params(seed, n_min=2, n_max=4, buckets=4096, hidden=64, dim=32, lowercase=False):
     """Seeded uniform init: weights in [-1/sqrt(fan_in), 1/sqrt(fan_in)], zero biases."""
     if min(buckets, hidden, dim) < 1 or n_min < 1 or n_max < n_min:
         raise ValueError("invalid encoder dimensions")
@@ -65,8 +63,7 @@ def init_params(seed, n_min=2, n_max=4, buckets=4096, hidden=64, dim=32,
         W1=rng.uniform(-s1, s1, size=(hidden, buckets)),
         b1=np.zeros(hidden),
         W2=rng.uniform(-s2, s2, size=(dim, hidden)),
-        b2=np.zeros(dim),
-        normalize_output=normalize_output, lowercase=lowercase,
+        b2=np.zeros(dim), lowercase=lowercase,
     )
 
 
@@ -92,8 +89,7 @@ def forward_batch(params, feats):
     np.maximum(np.add(H, params.b1, out=H), 0.0, out=H)
     E = np.array([params.W2 @ h for h in H]) + params.b2
     norms = np.sqrt([e @ e for e in E])  # 1-D dots; a batched sum reorders
-    if params.normalize_output:
-        np.divide(E, norms[:, None], out=E, where=(norms >= NORM_EPS)[:, None])
+    np.divide(E, norms[:, None], out=E, where=(norms >= NORM_EPS)[:, None])
     return E, (feats, H, E, norms)
 
 
@@ -112,11 +108,11 @@ def backward_batch(params, cache, dE):
     per weight matrix."""
     feats, H, E, norms = cache
     G = np.asarray(dE, dtype=float)
-    if params.normalize_output:
-        # out = e/|e|; J^T u = (u - (u.out) out) / |e| on the normalized rows
-        proj = np.sum(G * E, axis=1, keepdims=True) * E
-        G = np.where((norms >= NORM_EPS)[:, None],
-                     (G - proj) / np.maximum(norms, NORM_EPS)[:, None], G)
+    # out = e/|e|; J^T u = (u - (u.out) out) / |e| on the normalized rows,
+    # and u on the rows the forward passed through
+    proj = np.sum(G * E, axis=1, keepdims=True) * E
+    G = np.where((norms >= NORM_EPS)[:, None],
+                 (G - proj) / np.maximum(norms, NORM_EPS)[:, None], G)
     # H > 0 exactly where the pre-activation is
     G_h = (G @ params.W2) * (H > 0.0)
     # the batch's dense n-gram count matrix lives only for the W1 GEMM
@@ -131,7 +127,7 @@ def save_params(path, params):
     meta = {
         "n_min": params.n_min, "n_max": params.n_max, "buckets": params.buckets,
         "hidden": params.hidden, "dim": params.dim,
-        "normalize_output": params.normalize_output, "lowercase": params.lowercase,
+        "normalize_output": True, "lowercase": params.lowercase,  # always unit rows
     }
     if params.epoch is not None:
         meta["epoch"] = params.epoch
@@ -142,12 +138,13 @@ def save_params(path, params):
 
 def load_params(path):
     meta, arrays, sha256 = artifacts.load_artifact(path, "encoder-params")
+    if not meta.flag("normalize_output"):
+        raise ArtifactError(f"{path}: meta entry 'normalize_output' must be true")
     params = EncoderParams(
         n_min=meta.size("n_min"), n_max=meta.size("n_max"),
         buckets=meta.size("buckets"), hidden=meta.size("hidden"),
         dim=meta.size("dim"),
         W1=arrays["W1"], b1=arrays["b1"], W2=arrays["W2"], b2=arrays["b2"],
-        normalize_output=meta.flag("normalize_output"),
         lowercase=meta.flag("lowercase"), sha256=sha256,
         epoch=meta.size("epoch", least=0) if "epoch" in meta else None,
     )

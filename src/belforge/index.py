@@ -241,13 +241,23 @@ def save_ivf(path, index):
 
 
 def load_ivf(path):
+    """The saved index, refused unless its arrays are row-aligned and its
+    list sizes split the rows into one list per centroid."""
     meta, arrays, _sha256 = artifacts.load_artifact(path, "ivf-index")
-    if meta.size("nprobe") > len(arrays["centroids"]):
-        raise ArtifactError(f"{path}: nprobe exceeds nlist {len(arrays['centroids'])}")
-    return IvfIndex(centroids=arrays["centroids"], vectors=arrays["vectors"],
-                    ids=arrays["ids"],
-                    offsets=np.concatenate(([0], np.cumsum(arrays["sizes"]))),
-                    nprobe=meta.size("nprobe"), cuis=arrays.get("cuis"),
-                    groups=arrays.get("groups"),
+    centroids, vectors, ids, sizes = (arrays[k] for k in
+                                      ("centroids", "vectors", "ids", "sizes"))
+    try:
+        cuis, groups = _term_table(ids, arrays.get("cuis"), arrays.get("groups"))
+    except DataError as e:
+        raise ArtifactError(f"{path}: {e}") from e
+    if centroids.ndim != 2 or vectors.ndim != 2 or ids.shape != vectors.shape[:1] or \
+       sizes.dtype.kind != "i" or sizes.shape != centroids.shape[:1] or \
+       np.any(sizes < 0) or sizes.sum() != len(ids):
+        raise ArtifactError(f"{path}: vectors, ids, centroids and sizes do not match")
+    if meta.size("nprobe") > len(centroids):
+        raise ArtifactError(f"{path}: nprobe exceeds nlist {len(centroids)}")
+    return IvfIndex(centroids=centroids, vectors=vectors, ids=ids,
+                    offsets=np.concatenate(([0], np.cumsum(sizes))),
+                    nprobe=meta.size("nprobe"), cuis=cuis, groups=groups,
                     params_sha256=meta.get("params_sha256"),
                     pca_sha256=meta.get("pca_sha256"))

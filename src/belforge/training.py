@@ -150,23 +150,24 @@ def _symmetrize(G, pos, neg):
 
 # a diverging loss is reported by run_training, not by numpy warnings
 @np.errstate(over="ignore", invalid="ignore")
-def _ms_step(E, U, labels, margin, config, work):
-    """Online mining and the Multi-Similarity loss of one n-row batch: (a, p)
-    is mined iff D[a,p] >= min-negative-distance + margin, (a, n) iff
+def _ms_step(E, labels, margin, config, work):
+    """Online mining and the Multi-Similarity loss of one batch of n unit rows:
+    (a, p) is mined iff D[a,p] >= min-negative-distance + margin, (a, n) iff
     max-positive-distance >= D[a,n] + margin, over the Gram-form distances D
     of E. ``work`` holds two buffers of at least n*n floats. Returns (loss,
-    dL/dS over S = U U^T as a view of ``work``, mined positive (rows, cols),
+    dL/dS over S = E E^T as a view of ``work``, mined positive (rows, cols),
     mined negative (rows, cols)), the mined entries in row-major order.
 
     D = sqrt(max(D2, 0)) is monotone in the squared distances D2, so it
     commutes with the row min and max: only the same-label entries and the
     row minima are square-rooted, and negatives are mined on D2 against the
-    exact per-row threshold ``_reach``."""
+    exact per-row threshold ``_reach``. S is read at the mined entries from
+    the doubled Gram product 2 E E^T the distances use; halving it is exact."""
     n = E.shape[0]
     D2, G = (w[:n * n].reshape(n, n) for w in work)
-    # E @ E.T and U @ U.T must keep numpy's `a @ a.T` form, which runs
-    # dsyrk: a GEMM on a contiguous transpose is about twice as fast but
-    # gives other bits on most shapes
+    # E @ E.T must keep numpy's `a @ a.T` form, which runs dsyrk: a GEMM on
+    # a contiguous transpose is about twice as fast but gives other bits on
+    # most shapes
     np.matmul(E, E.T, out=G)
     G *= 2.0
     sq = np.sum(E ** 2, axis=1)
@@ -188,18 +189,18 @@ def _ms_step(E, U, labels, margin, config, work):
     hit &= diff
     neg = np.divmod(np.flatnonzero(hit), n)
 
+    s_pos, s_neg = G[pos] * 0.5, G[neg] * 0.5
     G.fill(0.0)
     active = np.bincount(np.concatenate((pos[0], neg[0])), minlength=n) > 0
     n_active = int(active.sum())
     if n_active == 0:
         return 0.0, G, pos, neg
-    S = np.matmul(U, U.T, out=D2)
     a, b, eps = config.alpha, config.beta, config.base
-    pos_exp = np.exp(-a * (S[pos] - eps))
-    neg_exp = np.exp(b * (S[neg] - eps))
+    pos_exp = np.exp(-a * (s_pos - eps))
+    neg_exp = np.exp(b * (s_neg - eps))
     # row sums over zero-filled rows add the mined terms in a dense sum's
-    # order; S is spent, so its buffer holds the terms
-    T = S
+    # order; the distances are spent, so their buffer holds the terms
+    T = D2
     T.fill(0.0)
     T[pos] = pos_exp
     pos_sum = T.sum(axis=1)
@@ -222,7 +223,9 @@ def train_epoch(pairs, params, train_cfg, mining_cfg, loss_cfg,
     Pairs are shuffled deterministically from (seed, epoch_index); within
     each batch both pair elements are encoded, every in-batch pair that
     violates the margin is mined online, and the Multi-Similarity loss over
-    cosine similarities is backpropagated with decoupled weight decay.
+    cosine similarities S = E E^T of the encoder's unit rows is
+    backpropagated, dL/dE = (G + G^T) E, with decoupled weight decay. A
+    zero-norm row (a featureless text) gets its pass-through gradient.
     """
     if not pairs:
         raise DataError("cannot train on an empty pair list")
@@ -244,27 +247,17 @@ def train_epoch(pairs, params, train_cfg, mining_cfg, loss_cfg,
         missing = [t for t in slot if t not in cache]
         cache.update(zip(missing, enc.featurize_texts(params, missing)))
         # a row's forward does not depend on the batch, so repeats share one
-        E, (feats, H, _, fnorms) = enc.forward_batch(params, [cache[t] for t in slot])
+        E, (feats, H, _, norms) = enc.forward_batch(params, [cache[t] for t in slot])
         row = [slot[t] for t in texts]
         E = E[row]
 
-        # cosine similarities via row normalization (identity for the
-        # default unit-normalized encoder output)
-        norms = np.linalg.norm(E, axis=1)
-        safe = np.maximum(norms, enc.NORM_EPS)
-        U = E / safe[:, None]
-
-        loss, G, pos, neg = _ms_step(E, U, labels, mining_cfg.margin,
-                                     loss_cfg, work)
+        loss, G, pos, neg = _ms_step(E, labels, mining_cfg.margin, loss_cfg, work)
         losses.append(loss)
         mined_any = mined_any or pos[0].size > 0 or neg[0].size > 0
 
-        dU = _symmetrize(G, pos, neg) @ U
-        # back through the row normalization
-        dE = (dU - (np.sum(dU * U, axis=1, keepdims=True)) * U) / safe[:, None]
-        dE[norms < enc.NORM_EPS] = 0.0
+        dE = _symmetrize(G, pos, neg) @ E
         grads = enc.backward_batch(
-            params, ([feats[r] for r in row], H[row], E, fnorms[row]), dE)
+            params, ([feats[r] for r in row], H[row], E, norms[row]), dE)
         # a batch that mined nothing has zero gradients: a pure decay step
         for name in ("W1", "b1", "W2", "b2"):
             w = getattr(params, name)

@@ -86,7 +86,7 @@ def forward_features(params, indices, values):
     h = np.maximum(z, 0.0)
     e = params.W2 @ h + params.b2
     norm = float(np.linalg.norm(e))
-    if params.normalize_output and norm >= enc.NORM_EPS:
+    if norm >= enc.NORM_EPS:
         return e / norm, h, norm
     return e, h, norm
 
@@ -112,17 +112,11 @@ def train_epoch(pairs, params, train_cfg, mining_cfg, loss_cfg,
         outs, hidden, fwd_norms = zip(*(forward_features(params, *f)
                                         for f in feats))
         E = np.vstack(outs)
-        norms = np.linalg.norm(E, axis=1)
-        safe = np.maximum(norms, enc.NORM_EPS)
-        U = E / safe[:, None]
-        S = U @ U.T
         pos_mask, neg_mask = mining_masks(pairwise_distances(E), labels,
                                           mining_cfg.margin)
-        loss, G = ms_loss_masks(S, pos_mask, neg_mask, loss_cfg)
+        loss, G = ms_loss_masks(E @ E.T, pos_mask, neg_mask, loss_cfg)
         losses.append(loss)
-        dU = (G + G.T) @ U
-        dE = (dU - (np.sum(dU * U, axis=1, keepdims=True)) * U) / safe[:, None]
-        dE[norms < enc.NORM_EPS] = 0.0
+        dE = (G + G.T) @ E
         grads = enc.backward_batch(
             params, (feats, np.vstack(hidden), E, np.array(fwd_norms)), dE)
         for name in ("W1", "b1", "W2", "b2"):

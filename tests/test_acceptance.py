@@ -265,8 +265,7 @@ def test_criterion_04():
             mismatches += got != want
             # the miner that trains, against the oracle's (anchor, positive)
             # and (anchor, negative) entries
-            U = E / np.maximum(np.linalg.norm(E, axis=1), enc.NORM_EPS)[:, None]
-            _, _, pos, neg = tr._ms_step(E, U, labels, margin,
+            _, _, pos, neg = tr._ms_step(E, labels, margin,
                                          tr.MsLossConfig(),
                                          np.full((2, n * n), np.nan))
             mismatches += set(zip(pos[0].tolist(), pos[1].tolist())) != \

@@ -202,6 +202,7 @@ def _saved_ivf(path):
     (_saved_params, "hidden", -4),
     (_saved_params, "dim", [3]),
     (_saved_params, "normalize_output", 1),
+    (_saved_params, "normalize_output", False),
     (_saved_params, "lowercase", "false"),
     (_saved_params, "lowercase", None),
     (_saved_params, "epoch", -1),

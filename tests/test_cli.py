@@ -1,9 +1,11 @@
 import json
 import logging
 import os
+import shutil
 import struct
 import subprocess
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -451,6 +453,75 @@ class TestLinkStack:
         assert_io_error(config, capsys, ["index-build"], "finetuned.params",
                         "no payload digest")
 
+    MISALIGNMENTS = {
+        "short_cuis": lambda ix: replace(ix, cuis=ix.cuis[:2]),
+        "short_groups": lambda ix: replace(ix, groups=ix.groups[:-1]),
+        "sizes_past_rows": lambda ix: replace(
+            ix, offsets=np.append(ix.offsets[:-1], ix.offsets[-1] + 1)),
+        "extra_size": lambda ix: replace(ix, offsets=np.append(ix.offsets,
+                                                               ix.offsets[-1])),
+    }
+
+    @pytest.mark.parametrize("name", sorted(MISALIGNMENTS))
+    def test_misaligned_index_is_refused(self, workspace, capsys, name):
+        """An index whose term table or list sizes do not match its rows
+        ends in exit 3 at load, not in a traceback at the first lookup."""
+        root, config = workspace
+        run_pipeline(config, upto="index-build")
+        path = root / "out" / "ivf.index"
+        index_mod.save_ivf(path, self.MISALIGNMENTS[name](index_mod.load_ivf(path)))
+        assert_io_error(config, capsys, ["link", "--mention", "griep",
+                                         "--index", "ivf"], "ivf.index")
+
+
+def unnormalized(header):
+    header["meta"]["normalize_output"] = False
+
+
+class TestParamsFormat:
+    """Encoder outputs are always unit rows. Params files keep recording it
+    as ``normalize_output: true``, the entry other readers of the format
+    rely on, and a file that records false is refused."""
+
+    def test_saved_header_records_unit_rows(self, tmp_path):
+        path = tmp_path / "p.params"
+        enc.save_params(path, enc.init_params(0, buckets=16, hidden=4, dim=3))
+        meta, _arrays, _sha256 = artifacts.load_artifact(path, "encoder-params")
+        assert meta["normalize_output"] is True
+
+    def test_checkpoint_of_the_earlier_format_resumes(self, tmp_path):
+        """A checkpoint as written while the flag was still an option, with
+        its meta spelled out, has the bytes of one written now, so it loads
+        and resumes after its epoch."""
+        params = replace(enc.init_params(3, buckets=16, hidden=4, dim=3), epoch=4)
+        earlier = tmp_path / "earlier.params"
+        artifacts.save_artifact(
+            earlier, "encoder-params",
+            {"n_min": 2, "n_max": 4, "buckets": 16, "hidden": 4, "dim": 3,
+             "normalize_output": True, "lowercase": False, "epoch": 4},
+            {"W1": params.W1, "b1": params.b1, "W2": params.W2, "b2": params.b2})
+        enc.save_params(tmp_path / "now.params", params)
+        assert earlier.read_bytes() == (tmp_path / "now.params").read_bytes()
+        assert enc.load_params(earlier).epoch == 4
+
+    def test_unnormalized_params_are_refused(self, workspace, capsys):
+        """train through paths.params_init, finetune and index-build
+        --params each exit 3 on a params file that records false, and
+        write nothing."""
+        root, config = workspace
+        run_pipeline(config, upto="finetune")
+        bad = root / "bad.params"
+        shutil.copy(root / "out" / "finetuned.params", bad)
+        edit_header(bad, unnormalized)
+        edit_header(root / "out" / "pretrained.params", unnormalized)
+        before = {p: p.read_bytes() for p in (root / "out").iterdir()}
+        calls = [(["train", "--set", f"paths.params_init={bad}"], "bad.params"),
+                 (["finetune"], "pretrained.params"),
+                 (["index-build", "--params", str(bad)], "bad.params")]
+        for argv, name in calls:
+            assert_io_error(config, capsys, argv, name, "'normalize_output'")
+            assert {p: p.read_bytes() for p in (root / "out").iterdir()} == before
+
 
 class TestExitCodes:
     def test_unknown_subcommand_usage(self, workspace, capsys):
@@ -570,11 +641,33 @@ class TestExitCodes:
         assert "config key" in captured.err
         assert not (root / "out" / "ontology.jsonl").exists()
 
+    @pytest.mark.parametrize("in_file, overrides", [
+        ({"encoder": {"normalize_output": True}}, []),
+        ({}, ["encoder.normalize_output=true"]),
+    ])
+    def test_removed_normalize_output_key_usage(self, workspace, capsys,
+                                                in_file, overrides):
+        """Encoder outputs are always unit rows: the key that switched the
+        normalization off is unknown, whatever its value."""
+        root, config = workspace
+        cfg = json.loads((root / "config.json").read_text())
+        cfg["encoder"].update(in_file.get("encoder", {}))
+        (root / "config.json").write_text(json.dumps(cfg))
+        argv = ["train", "--config", config, "--quiet"]
+        for item in overrides:
+            argv += ["--set", item]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1
+        assert "unknown config key 'encoder.normalize_output'" in captured.err
+        assert os.listdir(root / "out") == []
+
     @pytest.mark.parametrize("in_file, overrides, key", [
         ({"train": {"batch_size": "x"}}, [], "train.batch_size"),
         ({"train": {"epochs": 1.5}}, [], "train.epochs"),
         ({"train": {"epochs": True}}, [], "train.epochs"),
-        ({"encoder": {"normalize_output": 1}}, [], "encoder.normalize_output"),
+        ({"encoder": {"lowercase": 1}}, [], "encoder.lowercase"),
         ({"seed": "7"}, [], "seed"),
         ({"paths": {"ontology": 5}}, [], "paths.ontology"),
         ({"ontology": {"drop_vocabs": "SNOMEDCT_US"}}, [], "ontology.drop_vocabs"),

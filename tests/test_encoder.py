@@ -108,8 +108,6 @@ def test_gradcheck_random_draws():
     rng = np.random.default_rng(0)
     for trial in range(50):
         p, text = _generic_draw(rng, trial)
-        # also exercise the unnormalized path on some draws
-        p.normalize_output = trial % 5 != 0
         upstream = rng.normal(size=p.dim)
         g = encode_backward(p, text, upstream)
         num = numeric_grads(p, text, upstream)
@@ -119,10 +117,9 @@ def test_gradcheck_random_draws():
         assert_close_rel(g.b2, num["b2"])
 
 
-@pytest.mark.parametrize("normalize_output", [True, False])
-def test_backward_batch_equals_sum_of_rows(normalize_output):
+def test_backward_batch_equals_sum_of_rows():
     rng = np.random.default_rng(4)
-    p = small_params(17, buckets=4096, normalize_output=normalize_output)
+    p = small_params(17, buckets=4096)
     p.b1 = rng.normal(scale=0.1, size=p.hidden)
     dead = "qqqq"
     dead_idx, _ = featurize_text(p, dead)
@@ -146,23 +143,21 @@ def test_backward_batch_equals_sum_of_rows(normalize_output):
 
 
 @settings(max_examples=150, derandomize=True, database=None, deadline=None)
-@given(seed=st.integers(0, 2 ** 16), normalize=st.booleans(),
-       fortran=st.booleans(), dead=st.booleans(),
+@given(seed=st.integers(0, 2 ** 16), fortran=st.booleans(), dead=st.booleans(),
        hidden=st.sampled_from([1, 7, 64, 192]), dim=st.sampled_from([1, 5, 96]),
        buckets=st.sampled_from([16, 1024]), data=st.data())
 # one featureless text alone: its forward takes the lone-row path
-@example(seed=0, normalize=True, fortran=False, dead=True, hidden=192, dim=96,
-         buckets=1024, data=None)
-def test_rows_equal_the_per_row_oracle_in_any_batch(seed, normalize, fortran,
-                                                    dead, hidden, dim,
-                                                    buckets, data):
+@example(seed=0, fortran=False, dead=True, hidden=192, dim=96, buckets=1024,
+         data=None)
+def test_rows_equal_the_per_row_oracle_in_any_batch(seed, fortran, dead, hidden,
+                                                    dim, buckets, data):
     """forward_batch rows, and encode_batch rows however the texts are
     split, ordered and repeated, are the per-row oracle's bits. With n_min 4
     "x" has no n-grams; with ``dead`` its hidden units are all off and b2 is
     zero, so it embeds to a zero-norm row."""
     rng = np.random.default_rng(seed)
     p = enc.init_params(seed, n_min=4, n_max=5, buckets=buckets, hidden=hidden,
-                        dim=dim, normalize_output=normalize)
+                        dim=dim)
     p.b1 = -np.abs(rng.normal(size=hidden)) if dead else rng.normal(size=hidden)
     p.b2 = np.zeros(dim) if dead else rng.normal(scale=0.1, size=dim)
     if fortran:
@@ -201,23 +196,37 @@ def test_zero_upstream_zero_grads():
     assert np.all(g.W2 == 0) and np.all(g.b2 == 0)
 
 
+def normalized_upstream(upstream, raw):
+    """The closed-form gradient through out = raw/|raw|: (u - (u.out) out)/|raw|."""
+    norm = np.sqrt(raw @ raw)
+    out = raw / norm
+    return (upstream - np.sum(upstream * out) * out) / norm
+
+
 def test_linear_config_closed_form():
-    # single effective linear layer: identity-ish W2, no normalization
     p = small_params(13)
-    p.normalize_output = False
     p.W1[:] = 0  # relu(b1) with b1=0 -> hidden all zero
     text = "abc"
     upstream = np.array([1.0, -2.0, 0.5, 3.0])
+    # e = W2 h + b2 with h = 0 and b2 = 0 is a zero row: it passes through
+    # the normalization, so dW2 = 0 and db2 = upstream
     g = encode_backward(p, text, upstream)
-    # e = W2 h + b2 with h = 0 -> dW2 = 0, db2 = upstream
     assert np.all(g.W2 == 0)
     assert np.array_equal(g.b2, upstream)
-    # now a pure-linear hidden path: positive z via bias
+    # a dead hidden layer with e = b2 != 0: db2 = (u - (u.e)e)/|b2|
+    p.b2 = np.array([3.0, 0.0, -4.0, 0.0])
+    g = encode_backward(p, text, upstream)
+    assert np.all(g.W2 == 0) and np.all(g.W1 == 0) and np.all(g.b1 == 0)
+    assert np.array_equal(g.b2, normalized_upstream(upstream, p.b2))
+    # now a pure-linear hidden path: positive z via bias, so h = 1
     p.b1[:] = 1.0
     idx, vals = featurize_text(p, text)
     g = encode_backward(p, text, upstream)
-    gh = p.W2.T @ upstream
-    assert np.allclose(g.W2, np.outer(upstream, np.ones(p.hidden)))
+    ge = normalized_upstream(upstream, p.W2 @ np.ones(p.hidden) + p.b2)
+    gh = p.W2.T @ ge
+    assert np.allclose(g.b2, ge)
+    assert np.allclose(g.W2, np.outer(ge, np.ones(p.hidden)))
+    assert np.allclose(g.b1, gh)
     expected_W1 = np.zeros_like(p.W1)
     expected_W1[:, idx] = np.outer(gh, vals)
     assert np.allclose(g.W1, expected_W1)
@@ -238,4 +247,3 @@ def test_params_roundtrip(tmp_path):
     q = enc.load_params(path)
     assert q.n_min == p.n_min and q.buckets == p.buckets
     assert np.array_equal(q.W1, p.W1) and np.array_equal(q.b2, p.b2)
-    assert q.normalize_output == p.normalize_output

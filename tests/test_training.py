@@ -37,19 +37,17 @@ def brute_force_triplets(embeddings, labels, margin):
 
 
 def fused_step(E, labels, margin, config, rows=None):
-    """``tr._ms_step`` on E and its unit rows formed as train_epoch forms
-    them, in a NaN-filled workspace sized for ``rows`` >= len(E) rows.
-    Returns (loss, dL/dS, positive mask, negative mask, unit rows)."""
+    """``tr._ms_step`` on E in a NaN-filled workspace sized for ``rows`` >=
+    len(E) rows. Returns (loss, dL/dS, positive mask, negative mask)."""
     n = len(E)
     rows = rows or n
-    U = E / np.maximum(np.linalg.norm(E, axis=1), enc.NORM_EPS)[:, None]
-    loss, G, pos, neg = tr._ms_step(E, U, labels, margin, config,
+    loss, G, pos, neg = tr._ms_step(E, labels, margin, config,
                                     np.full((2, rows * rows), np.nan))
     pos_mask = np.zeros((n, n), dtype=bool)
     neg_mask = np.zeros((n, n), dtype=bool)
     pos_mask[pos] = True
     neg_mask[neg] = True
-    return loss, G, pos_mask, neg_mask, U
+    return loss, G, pos_mask, neg_mask
 
 
 def orec(tid, cui, text):
@@ -157,7 +155,7 @@ class TestMining:
             labels = [str(rng.integers(0, 4)) for _ in range(n)]
             mined = mine_hard_triplets(E, labels, tr.MiningConfig(margin=margin))
             want_pos, want_neg = masks_from_triplets(n, mined)
-            _, _, got_pos, got_neg, _ = fused_step(E, labels, margin,
+            _, _, got_pos, got_neg = fused_step(E, labels, margin,
                                                    tr.MsLossConfig())
             assert np.array_equal(got_pos, want_pos)
             assert np.array_equal(got_neg, want_neg)
@@ -241,7 +239,9 @@ class TestMsLoss:
 @st.composite
 def step_batches(draw):
     """(E, labels, margin, loss config, workspace rows) of one batch: rows
-    plain or unit-normalized, optionally with a zero row and a repeated
+    plain or unit-normalized (the step reads S = E E^T from its doubled Gram
+    product, exactly for any rows that do not overflow), optionally with a
+    zero row and a repeated
     row (one text twice in a batch), margins that mine nothing included,
     and a workspace possibly larger than the batch (a ragged last batch)."""
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
@@ -266,11 +266,13 @@ def step_batches(draw):
 @given(step_batches())
 def test_fused_step_matches_dense_oracles_bit_for_bit(batch):
     E, labels, margin, config, rows = batch
-    loss, G, pos, neg, U = fused_step(E, labels, margin, config, rows)
+    loss, G, pos, neg = fused_step(E, labels, margin, config, rows)
     want_pos, want_neg = oracles.mining_masks(oracles.pairwise_distances(E),
                                               labels, margin)
-    want_loss, want_G = oracles.ms_loss_masks(U @ U.T, want_pos, want_neg,
-                                              config)
+    # plain rows reach similarities whose exp overflows, as the step allows
+    with np.errstate(over="ignore"):
+        want_loss, want_G = oracles.ms_loss_masks(E @ E.T, want_pos, want_neg,
+                                                  config)
     assert np.array_equal(pos, want_pos) and np.array_equal(neg, want_neg)
     assert loss == want_loss
     assert G.tobytes() == want_G.tobytes()
@@ -288,10 +290,10 @@ def test_fused_step_at_the_benchmark_batch_shape():
     E /= np.linalg.norm(E, axis=1, keepdims=True)
     labels = [str(v) for v in codes]
     config = tr.MsLossConfig()
-    loss, G, pos, neg, U = fused_step(E, labels, 0.2, config)
+    loss, G, pos, neg = fused_step(E, labels, 0.2, config)
     want_pos, want_neg = oracles.mining_masks(oracles.pairwise_distances(E),
                                               labels, 0.2)
-    want_loss, want_G = oracles.ms_loss_masks(U @ U.T, want_pos, want_neg,
+    want_loss, want_G = oracles.ms_loss_masks(E @ E.T, want_pos, want_neg,
                                               config)
     assert 0.01 < (pos.sum() + neg.sum()) / pos.size < 0.05
     assert np.array_equal(pos, want_pos) and np.array_equal(neg, want_neg)
@@ -404,26 +406,26 @@ class TestTrainEpoch:
         assert np.array_equal(a.W1, b.W1) and np.array_equal(a.W2, b.W2)
 
     @settings(max_examples=25, derandomize=True, database=None, deadline=None)
-    @given(normalize=st.booleans(), bs=st.integers(1, 40),
-           margin=st.sampled_from([0.0, 0.2, 1e9]), zero_row=st.booleans(),
-           seed=st.integers(0, 3))
-    @example(normalize=False, bs=7, margin=0.2, zero_row=False, seed=0)
-    @example(normalize=True, bs=10, margin=1e9, zero_row=False, seed=1)
+    @given(bs=st.integers(1, 40), margin=st.sampled_from([0.0, 0.2, 1e9]),
+           zero_row=st.booleans(), seed=st.integers(0, 3))
+    @example(bs=7, margin=0.2, zero_row=False, seed=0)
+    @example(bs=10, margin=1e9, zero_row=False, seed=1)
     # one batch, so the featureless texts still embed to zero when trained
-    @example(normalize=True, bs=40, margin=0.2, zero_row=True, seed=2)
-    def test_two_epochs_equal_oracle_composition(self, normalize, bs, margin,
-                                                 zero_row, seed):
+    @example(bs=40, margin=0.2, zero_row=True, seed=2)
+    def test_two_epochs_equal_oracle_composition(self, bs, margin, zero_row,
+                                                 seed):
         """Two epochs of the fused step and one forward per distinct text
         give the bits of the dense oracles with a forward per row. Every
         text of the synthetic pairs is in two pairs; with n_min 4, "x" and
-        "y" have no n-grams and embed to zero under the initial params."""
+        "y" have no n-grams and embed to zero under the initial params, and
+        their rows take the forward's pass-through gradient."""
         onto, _ = make_synthetic_ontology(seed=seed, n_concepts=12,
                                           variants=3, n_affixes=6)
         pairs = tr.generate_pretrain_pairs(onto)
         if zero_row:
             pairs.append(tr.PositivePair("C9999999", "x", "y"))
         params = enc.init_params(seed, n_min=4, n_max=5, buckets=512,
-                                 hidden=16, dim=8, normalize_output=normalize)
+                                 hidden=16, dim=8)
         tc = tr.TrainConfig(learning_rate=0.05, weight_decay=0.01,
                             batch_size=bs, seed=seed)
         mc, lc = tr.MiningConfig(margin=margin), tr.MsLossConfig()
