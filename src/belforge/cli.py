@@ -27,11 +27,6 @@ from .errors import ArtifactError, DataError, NetworkError, UsageError
 
 log = logging.getLogger("belforge")
 
-SUBCOMMANDS = [
-    "ontology-build", "corpus-compile", "corpus-subset", "pairs", "train",
-    "finetune", "index-build", "link", "evaluate", "stats",
-]
-
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
@@ -39,10 +34,12 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _build_parser():
+def _build_parser(names):
+    """The CLI parser with a subparser for each of ``names``; the usage line
+    lists every subcommand."""
     parser = _Parser(prog="belforge", description=__doc__)
-    sub = parser.add_subparsers(dest="command", metavar="|".join(SUBCOMMANDS))
-    for name in SUBCOMMANDS:
+    sub = parser.add_subparsers(dest="command", metavar="|".join(_HANDLERS))
+    for name in names:
         p = sub.add_parser(name)
         p.add_argument("--config", required=True, help="pipeline config JSON")
         p.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
@@ -307,7 +304,6 @@ def cmd_index_build(cfg, args):
     icfg = cfg["index"]
     for key in ("pca_k", "nlist", "nprobe"):
         _at_least(icfg[key], f"index.{key}")
-    _at_least(icfg["kmeans_iters"], "index.kmeans_iters", 0)
     params_path = _resolve_params_path(cfg, args)
     params = enc.load_params(params_path)
     if params.sha256 is None:
@@ -329,9 +325,8 @@ def cmd_index_build(cfg, args):
     pca_sha256 = index_mod.save_pca(paths["pca"], transform)
     # the flat index is the one-list index, which search_ivf scans exactly
     for key, lists in (("flat_index", 1), ("ivf_index", nlist)):
-        index = index_mod.build_ivf(compressed, ids, lists, seed=cfg["seed"],
-                                    kmeans_iters=icfg["kmeans_iters"], cuis=cuis,
-                                    groups=groups, nprobe=icfg["nprobe"])
+        index = index_mod.build_ivf(compressed, ids, cuis, groups, lists,
+                                    seed=cfg["seed"], nprobe=icfg["nprobe"])
         index.params_sha256, index.pca_sha256 = params.sha256, pca_sha256
         index_mod.save_ivf(paths[key], index)
     _summary({"command": "index-build", "terms": len(ids), "pca_k": k,
@@ -341,8 +336,8 @@ def cmd_index_build(cfg, args):
 
 def _load_link_stack(cfg, args):
     """The params, PCA and index artifacts, refused unless index-build made
-    the PCA and index together from these params, plus the index's
-    term_id -> CUI table."""
+    the PCA and index together from these params and their dimensions
+    agree."""
     paths = cfg["paths"]
     params_path = _resolve_params_path(cfg, args)
     params = enc.load_params(params_path)
@@ -350,17 +345,23 @@ def _load_link_stack(cfg, args):
     kind = getattr(args, "index_kind", None) or "flat"
     index_path = paths[f"{kind}_index"]
     index = index_mod.load_ivf(index_path)
-    if index.cuis is None or index.groups is None or index.pca_sha256 is None:
-        raise ArtifactError(f"{index_path}: index carries no term table or "
-                            "provenance; rerun index-build")
+    if index.pca_sha256 is None:
+        raise ArtifactError(f"{index_path}: index carries no provenance; "
+                            "rerun index-build")
     if index.pca_sha256 != transform.sha256:
         raise ArtifactError(f"{index_path} and {paths['pca']} were not built "
                             "together; rerun index-build")
     if not params.sha256 == transform.params_sha256 == index.params_sha256:
         raise ArtifactError(f"{params_path} is not the params artifact the index "
                             "was built from; rerun index-build")
-    id_to_cui = dict(zip(index.ids.tolist(), index.cuis.tolist()))
-    return params, transform, index, id_to_cui
+    (d, k), rows, cols = (transform.projection.shape, index.vectors.shape[1],
+                          index.centroids.shape[1])
+    if params.dim != d or rows != k or cols != k:
+        raise ArtifactError(
+            f"dimensions do not match: {params_path} outputs {params.dim}, "
+            f"{paths['pca']} maps {d} to {k}, {index_path} stores {rows} with "
+            f"centroids of {cols}; rerun index-build")
+    return params, transform, index
 
 
 def _at_least(value, name, least=1):
@@ -376,14 +377,14 @@ def _top_k(cfg, args):
     return _at_least(cfg["index"]["top_k"], "index.top_k")
 
 
-def _link_payload(mention, result, id_to_cui):
+def _link_payload(mention, result):
     if isinstance(result, DataError):
         return {"mention": mention, "error": str(result)}
     cui, neighbors = result
     return {
         "mention": mention, "predicted_cui": cui,
         "score": neighbors[0].score,
-        "top_k": [{"term_id": n.term_id, "cui": id_to_cui[n.term_id],
+        "top_k": [{"term_id": n.term_id, "cui": n.cui,
                    "score": n.score} for n in neighbors],
     }
 
@@ -392,20 +393,20 @@ def cmd_link(cfg, args):
     top_k = _top_k(cfg, args)
     if args.mention is None and not args.input:
         raise UsageError("link requires --mention or --input")
-    params, transform, index, id_to_cui = _load_link_stack(cfg, args)
+    params, transform, index = _load_link_stack(cfg, args)
 
     if args.mention is not None:
         result = index_mod.link_mentions([args.mention], params, transform, index,
-                                         id_to_cui, top_k=top_k)[0]
+                                         top_k=top_k)[0]
         if isinstance(result, DataError):
             raise result
-        _summary(_link_payload(args.mention, result, id_to_cui))
+        _summary(_link_payload(args.mention, result))
         return 0
     with _open_input(args.input, "mention list") as f:
         mentions = [raw.rstrip("\n") for raw in f]
     results = index_mod.link_mentions(mentions, params, transform, index,
-                                      id_to_cui, top_k=top_k)
-    lines = [json.dumps(_link_payload(m, r, id_to_cui), sort_keys=True,
+                                      top_k=top_k)
+    lines = [json.dumps(_link_payload(m, r), sort_keys=True,
                         separators=(",", ":"))
              for m, r in zip(mentions, results)]
     errors = sum(isinstance(r, DataError) for r in results)
@@ -418,7 +419,7 @@ def cmd_link(cfg, args):
 def cmd_evaluate(cfg, args):
     paths = cfg["paths"]
     top_k = _top_k(cfg, args)
-    params, transform, index, id_to_cui = _load_link_stack(cfg, args)
+    params, transform, index = _load_link_stack(cfg, args)
     with _open_input(paths["gold_corpus"], "gold corpus") as f:
         gold_slice = corpus_mod.parse_corpus(f)
     # a CUI's group is that of its lowest term_id, whatever the index order
@@ -439,7 +440,7 @@ def cmd_evaluate(cfg, args):
 
     mentions = list(dict.fromkeys(g.mention for g in gold))
     results = index_mod.link_mentions(mentions, params, transform, index,
-                                      id_to_cui, top_k=top_k)
+                                      top_k=top_k)
     predictions = {m: r[0] for m, r in zip(mentions, results)
                    if not isinstance(r, DataError)}
     report = eval_mod.evaluate(predictions, gold, graph,
@@ -478,7 +479,7 @@ _HANDLERS = {
 
 
 def run(argv):
-    parser = _build_parser()
+    parser = _build_parser(argv[:1] if argv and argv[0] in _HANDLERS else _HANDLERS)
     args = parser.parse_args(argv)
     if not args.command:
         parser.error("a subcommand is required")

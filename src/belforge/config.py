@@ -79,7 +79,7 @@ DEFAULTS = {
     "mining": {"margin": 0.2},
     "loss": {"alpha": 2.0, "beta": 50.0, "base": 0.5},
     "finetune": {"per_mention_cap": 50, "epochs": 1},
-    "index": {"pca_k": 256, "nlist": 64, "nprobe": 8, "kmeans_iters": 10, "top_k": 10},
+    "index": {"pca_k": 256, "nlist": 64, "nprobe": 8, "top_k": 10},
 }
 
 

@@ -1,6 +1,7 @@
-"""PCA compression and nearest-neighbor linking over an inverted-file index
-of unit-normalized compressed embeddings; the exact (flat) index is the
-one-list case, probed exhaustively.
+"""PCA projection and nearest-neighbor linking over an inverted-file index
+whose rows are unit-normalized once, at build, and stored with their term
+id, CUI and group; the exact (flat) index is the one-list case, probed
+exhaustively.
 """
 
 from dataclasses import dataclass
@@ -11,6 +12,8 @@ from . import artifacts
 from .encoder import NORM_EPS, encode_batch
 from .errors import ArtifactError, DataError
 from .features import prepare
+
+KMEANS_ITERS = 10  # Lloyd passes after the k-means++ seeding
 
 
 @dataclass
@@ -27,10 +30,10 @@ class IvfIndex:
     centroids: np.ndarray  # nlist x k
     vectors: np.ndarray    # n x k unit rows, grouped by list
     ids: np.ndarray        # n term_ids, in row order
+    cuis: np.ndarray       # n CUIs, in row order
+    groups: np.ndarray     # n semantic groups, in row order
     offsets: np.ndarray    # nlist + 1; list c is vectors[offsets[c]:offsets[c + 1]]
     nprobe: int = 8
-    cuis: np.ndarray | None = None    # n CUIs, in row order
-    groups: np.ndarray | None = None  # n semantic groups, in row order
     params_sha256: str | None = None  # digests of the params and PCA artifacts
     pca_sha256: str | None = None     # the index was built with
 
@@ -38,6 +41,7 @@ class IvfIndex:
 @dataclass
 class Neighbor:
     term_id: int
+    cui: str
     score: float
 
 
@@ -63,10 +67,11 @@ def fit_pca(matrix, k):
                         explained_variance=variance)
 
 
-def apply_pca_raw(transform, vectors):
-    """Project without normalization (supports single vectors and batches)."""
-    V = np.asarray(vectors, dtype=float)
-    return (V - transform.mean) @ transform.projection
+def apply_pca(transform, vectors):
+    """Project d-vectors (one or a batch) to k PCA coordinates,
+    (V - mean) @ projection. The result is not normalized: build_ivf and
+    search_ivf unit-normalize the rows they store and the query they score."""
+    return (np.asarray(vectors, dtype=float) - transform.mean) @ transform.projection
 
 
 def _unit_rows(M):
@@ -75,25 +80,9 @@ def _unit_rows(M):
     return np.where(norms >= NORM_EPS, M / np.maximum(norms, NORM_EPS), M)
 
 
-def apply_pca(transform, vector):
-    """Project a d-vector to k dims and unit-normalize (zero passes through)."""
-    v = np.asarray(vector, dtype=float)
-    if v.shape[-1] != transform.mean.shape[0]:
-        raise DataError(
-            f"pca: vector dim {v.shape[-1]} != transform dim {transform.mean.shape[0]}")
-    return _unit_rows(apply_pca_raw(transform, v))
-
-
-def _term_table(ids, cuis, groups):
-    """The CUI and group arrays, checked to be row-aligned with ids."""
-    table = [None if a is None else np.asarray(a, dtype=str) for a in (cuis, groups)]
-    if any(a is not None and a.shape != ids.shape for a in table):
-        raise DataError("index: cui or group count != id count")
-    return table
-
-
-def _rank(scores, ids, top_k):
-    """The top_k rows by score descending, ties by ascending id.
+def _rank(scores, ids, cuis, top_k):
+    """The top_k rows by score descending, ties by ascending id, each with
+    the term id and CUI of its row.
 
     Only the rows scoring at or above the k-th score go through the lexsort.
     """
@@ -104,10 +93,10 @@ def _rank(scores, ids, top_k):
         kth = np.partition(neg, top_k - 1)[top_k - 1]
         # a NaN kth keeps every row, as the full lexsort would rank them
         keep = np.flatnonzero(~(neg > kth))
-        neg, ids = neg[keep], ids[keep]
-        scores = scores[keep]
+        neg, ids, cuis, scores = neg[keep], ids[keep], cuis[keep], scores[keep]
     order = np.lexsort((ids, neg))[:top_k]
-    return [Neighbor(term_id=int(ids[i]), score=float(scores[i])) for i in order]
+    return [Neighbor(term_id=int(ids[i]), cui=str(cuis[i]), score=float(scores[i]))
+            for i in order]
 
 
 def _kmeans_pp_init(rows, nlist, rng):
@@ -135,22 +124,22 @@ def _assign(rows, centroids):
     return np.argmin(d2, axis=1)
 
 
-def build_ivf(vectors, ids, nlist, seed=0, kmeans_iters=10, cuis=None,
-              groups=None, nprobe=8):
-    """Inverted-file index: k-means++ seeded centroids, Lloyd refinement,
+def build_ivf(vectors, ids, cuis, groups, nlist, seed=0, nprobe=8):
+    """Inverted-file index of the unit-normalized rows, each stored with its
+    term id, CUI and group: k-means++ seeded centroids, Lloyd refinement,
     each row in the list of its nearest centroid; nprobe is capped at nlist."""
     rows = _unit_rows(vectors)
     ids = np.asarray(ids, dtype=np.int64)
-    if rows.shape[0] != ids.shape[0]:
-        raise DataError("ivf: row count != id count")
-    cuis, groups = _term_table(ids, cuis, groups)
+    cuis, groups = (np.asarray(a, dtype=str) for a in (cuis, groups))
+    if not rows.shape[:1] == ids.shape == cuis.shape == groups.shape:
+        raise DataError("ivf: row, id, cui or group count differs")
     n = rows.shape[0]
     if nlist < 1 or nlist > n:
         raise DataError(f"ivf: nlist={nlist} out of range for {n} rows")
     rng = np.random.default_rng(seed)
     centroids = _kmeans_pp_init(rows, nlist, rng)
     assign = _assign(rows, centroids)
-    for _ in range(kmeans_iters):
+    for _ in range(KMEANS_ITERS):
         for c in range(nlist):
             members = rows[assign == c]
             if len(members):
@@ -162,37 +151,38 @@ def build_ivf(vectors, ids, nlist, seed=0, kmeans_iters=10, cuis=None,
     order = np.argsort(assign, kind="stable")
     sizes = np.bincount(assign, minlength=nlist)
     return IvfIndex(centroids=centroids, vectors=rows[order], ids=ids[order],
+                    cuis=cuis[order], groups=groups[order],
                     offsets=np.concatenate(([0], np.cumsum(sizes))),
-                    nprobe=min(nprobe, nlist),
-                    cuis=None if cuis is None else cuis[order],
-                    groups=None if groups is None else groups[order])
+                    nprobe=min(nprobe, nlist))
 
 
 def search_ivf(index, query, top_k=10):
-    """Top-k by inner product over the index.nprobe nearest centroids'
-    lists, score descending, ties by ascending term_id. When nprobe is at
-    least nlist the stored rows are ranked as they are, in one product, so a
-    one-list index is an exact (flat) search."""
+    """Top-k by inner product with the unit-normalized query over the
+    index.nprobe nearest centroids' lists, score descending, ties by
+    ascending term_id; each neighbor carries its stored row's term id and
+    CUI. When nprobe is at least nlist the stored rows are ranked as they
+    are, in one product, so a one-list index is an exact (flat) search."""
     nlist = index.centroids.shape[0]
-    q = _unit_rows(np.asarray(query, dtype=float))
+    q = _unit_rows(query)
     if index.nprobe >= nlist:
-        return _rank(index.vectors @ q, index.ids, top_k)
+        return _rank(index.vectors @ q, index.ids, index.cuis, top_k)
     cd = np.sum((index.centroids - q) ** 2, axis=1)
     probe = np.lexsort((np.arange(nlist), cd))[:index.nprobe]
     spans = [slice(index.offsets[c], index.offsets[c + 1]) for c in probe]
-    V = np.concatenate([index.vectors[s] for s in spans])
-    ids = np.concatenate([index.ids[s] for s in spans])
-    return _rank(V @ q, ids, top_k)
+    V, ids, cuis = (np.concatenate([a[s] for s in spans])
+                    for a in (index.vectors, index.ids, index.cuis))
+    return _rank(V @ q, ids, cuis, top_k)
 
 
-def link_mentions(texts, params, transform, index, id_to_cui, top_k=10):
-    """Encode, compress and search; the predicted CUI is the top neighbor's.
+def link_mentions(texts, params, transform, index, top_k=10):
+    """Encode, project and search; the predicted CUI is the top neighbor's,
+    read from its index row.
 
     The texts are featurized together; each one is then projected, scored
-    and ranked on its own, so a mention gets the same result alone as in
-    any batch. Returns, per text, (predicted_cui, neighbors) or the
-    DataError it raised: the mention cannot be encoded or the index has no
-    candidates.
+    (search_ivf unit-normalizes the projection) and ranked on its own, so a
+    mention gets the same result alone as in any batch. Returns, per text,
+    (predicted_cui, neighbors) or a DataError: the mention cannot be
+    encoded or the index has no candidates.
     """
     results = [None] * len(texts)
     todo = []
@@ -204,14 +194,9 @@ def link_mentions(texts, params, transform, index, id_to_cui, top_k=10):
             results[i] = e
     embeddings = encode_batch(params, [texts[i] for i in todo])
     for i, emb in zip(todo, embeddings):
-        try:
-            q = apply_pca(transform, emb)
-            neighbors = search_ivf(index, q, top_k=top_k)
-            if not neighbors:
-                raise DataError("no candidates: index is empty")
-            results[i] = (id_to_cui[neighbors[0].term_id], neighbors)
-        except DataError as e:
-            results[i] = e
+        neighbors = search_ivf(index, apply_pca(transform, emb), top_k=top_k)
+        results[i] = ((neighbors[0].cui, neighbors) if neighbors
+                      else DataError("no candidates: index is empty"))
     return results
 
 
@@ -223,41 +208,49 @@ def save_pca(path, transform):
 
 
 def load_pca(path):
+    """The saved transform, refused unless its mean, projection and
+    explained variance agree in dimensions."""
     meta, arrays, sha256 = artifacts.load_artifact(path, "pca-transform")
-    return PcaTransform(mean=arrays["mean"], projection=arrays["projection"],
-                        explained_variance=arrays["explained_variance"],
-                        params_sha256=meta.get("params_sha256"), sha256=sha256)
+    t = PcaTransform(mean=arrays["mean"], projection=arrays["projection"],
+                     explained_variance=arrays["explained_variance"],
+                     params_sha256=meta.get("params_sha256"), sha256=sha256)
+    if t.mean.ndim != 1 or t.projection.ndim != 2 or \
+       t.projection.shape[0] != t.mean.shape[0] or \
+       t.explained_variance.shape != t.projection.shape[1:]:
+        raise ArtifactError(f"{path}: mean, projection and explained variance "
+                            "do not match")
+    return t
 
 
 def save_ivf(path, index):
-    arrays = {name: a for name, a in (("cuis", index.cuis), ("groups", index.groups))
-              if a is not None}
     artifacts.save_artifact(
         path, "ivf-index",
         {"nprobe": index.nprobe, "params_sha256": index.params_sha256,
          "pca_sha256": index.pca_sha256},
         {"centroids": index.centroids, "vectors": index.vectors, "ids": index.ids,
-         "sizes": np.diff(index.offsets), **arrays})
+         "cuis": index.cuis, "groups": index.groups, "sizes": np.diff(index.offsets)})
 
 
 def load_ivf(path):
-    """The saved index, refused unless its arrays are row-aligned and its
-    list sizes split the rows into one list per centroid."""
+    """The saved index, refused unless it carries a term table, its arrays
+    are row-aligned and its list sizes split the rows into one list per
+    centroid."""
     meta, arrays, _sha256 = artifacts.load_artifact(path, "ivf-index")
-    centroids, vectors, ids, sizes = (arrays[k] for k in
-                                      ("centroids", "vectors", "ids", "sizes"))
-    try:
-        cuis, groups = _term_table(ids, arrays.get("cuis"), arrays.get("groups"))
-    except DataError as e:
-        raise ArtifactError(f"{path}: {e}") from e
+    if "cuis" not in arrays or "groups" not in arrays:
+        raise ArtifactError(f"{path}: index carries no term table; rerun index-build")
+    centroids, vectors, ids, cuis, groups, sizes = (
+        arrays[k] for k in ("centroids", "vectors", "ids", "cuis", "groups", "sizes"))
     if centroids.ndim != 2 or vectors.ndim != 2 or ids.shape != vectors.shape[:1] or \
+       cuis.shape != ids.shape or groups.shape != ids.shape or \
+       cuis.dtype.kind != "U" or groups.dtype.kind != "U" or \
        sizes.dtype.kind != "i" or sizes.shape != centroids.shape[:1] or \
        np.any(sizes < 0) or sizes.sum() != len(ids):
-        raise ArtifactError(f"{path}: vectors, ids, centroids and sizes do not match")
+        raise ArtifactError(f"{path}: vectors, ids, cuis, groups, centroids and "
+                            "sizes do not match")
     if meta.size("nprobe") > len(centroids):
         raise ArtifactError(f"{path}: nprobe exceeds nlist {len(centroids)}")
-    return IvfIndex(centroids=centroids, vectors=vectors, ids=ids,
-                    offsets=np.concatenate(([0], np.cumsum(sizes))),
-                    nprobe=meta.size("nprobe"), cuis=cuis, groups=groups,
+    return IvfIndex(centroids=centroids, vectors=vectors, ids=ids, cuis=cuis,
+                    groups=groups, offsets=np.concatenate(([0], np.cumsum(sizes))),
+                    nprobe=meta.size("nprobe"),
                     params_sha256=meta.get("params_sha256"),
                     pca_sha256=meta.get("pca_sha256"))

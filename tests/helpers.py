@@ -1,7 +1,7 @@
 """Shared fixture generators for the test suite: random strings, synthetic
 synonym ontologies, and edit-distance perturbed mentions; one-text encoder
-and featurizer helpers over the batch functions, the PCA inverse and the
-evaluation report reader.
+and featurizer helpers over the batch functions, a term table for test
+indexes, the PCA inverse and the evaluation report reader.
 """
 
 import json
@@ -115,6 +115,12 @@ def ontology_as_terms(records):
 def random_unit_rows(rng, n, k):
     M = rng.normal(size=(n, k))
     return M / np.linalg.norm(M, axis=1, keepdims=True)
+
+
+def term_table(ids):
+    """A CUI and a semantic group per term id, for build_ivf: the CUI spells
+    the id, so a neighbor's cui names its term_id."""
+    return [f"C{int(i):07d}" for i in ids], ["DISO"] * len(ids)
 
 
 def encode(params, text):

@@ -440,9 +440,9 @@ def parse_crosswalk(stream, column_map=None):
     return rows, malformed
 
 
-def search_flat(vectors, ids, query, top_k):
+def search_flat(vectors, ids, cuis, query, top_k):
     """Exact top-k over every row, scored in one product with the unit
-    query and ranked by ``index._rank``: the search a one-list index must
-    reproduce bit for bit."""
+    query and ranked by ``index._rank`` with each row's term id and CUI:
+    the search a one-list index must reproduce bit for bit."""
     q = index._unit_rows(np.asarray(query, dtype=float))
-    return index._rank(vectors @ q, ids, top_k)
+    return index._rank(vectors @ q, ids, cuis, top_k)

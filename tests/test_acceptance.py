@@ -22,7 +22,7 @@ from belforge.cli import main as cli_main
 from helpers import (encode, encode_backward, featurize_text,
                      make_perturbed_mentions, make_synthetic_ontology,
                      mentions_as_slice, random_unit_rows, random_word,
-                     reconstruct)
+                     reconstruct, term_table)
 from oracles import Triplet, mine_hard_triplets, ms_loss
 
 
@@ -367,10 +367,10 @@ def _linking_accuracy(params, ontology, mention_list, pca_k=64):
     E = np.vstack([encode(params, r.text) for r in ontology])
     transform = ix.fit_pca(E, pca_k)
     flat = ix.build_ivf(ix.apply_pca(transform, E),
-                        np.arange(len(ontology), dtype=np.int64), 1)
-    id_to_cui = {i: r.cui for i, r in enumerate(ontology)}
+                        np.arange(len(ontology), dtype=np.int64),
+                        [r.cui for r in ontology], [r.group for r in ontology], 1)
     results = ix.link_mentions([text for text, _ in mention_list], params,
-                               transform, flat, id_to_cui, top_k=1)
+                               transform, flat, top_k=1)
     hits = sum(pred == cui for (pred, _), (_, cui) in zip(results, mention_list))
     return hits / len(mention_list)
 
@@ -437,7 +437,7 @@ def test_criterion_07():
     errors = []
     for k in range(1, 10):
         t = ix.fit_pca(X, k)
-        back = reconstruct(t, ix.apply_pca_raw(t, X))
+        back = reconstruct(t, ix.apply_pca(t, X))
         errors.append(float(np.sum((back - X) ** 2)))
     assert all(b <= a + 1e-9 for a, b in zip(errors, errors[1:]))
 
@@ -456,7 +456,7 @@ def test_criterion_08():
         k = int(rng.integers(2, 10))
         V = random_unit_rows(rng, n, k)
         ids = rng.permutation(n).astype(np.int64)
-        flat = ix.build_ivf(V, ids, 1)
+        flat = ix.build_ivf(V, ids, *term_table(ids), 1)
         q = random_unit_rows(rng, 1, k)[0]
         top_k = int(rng.integers(1, n + 2))
         got = ix.search_ivf(flat, q, top_k)
@@ -470,9 +470,9 @@ def test_criterion_08():
         V = random_unit_rows(rng, n, 6)
         V[: n // 4] = V[n // 4: 2 * (n // 4)]  # force cross-list score ties
         ids = np.arange(n, dtype=np.int64)
-        flat = ix.build_ivf(V, ids, 1)
+        flat = ix.build_ivf(V, ids, *term_table(ids), 1)
         nlist = int(rng.integers(1, 10))
-        ivf = ix.build_ivf(V, ids, nlist=nlist, seed=trial)
+        ivf = ix.build_ivf(V, ids, *term_table(ids), nlist=nlist, seed=trial)
         q = random_unit_rows(rng, 1, 6)[0]
         assert [(nb.term_id, nb.score)
                 for nb in ix.search_ivf(replace(ivf, nprobe=nlist), q,
@@ -486,8 +486,8 @@ def test_criterion_08():
     V = centers[assign] + 0.05 * rng.normal(size=(n, dim))
     V /= np.linalg.norm(V, axis=1, keepdims=True)
     ids = np.arange(n, dtype=np.int64)
-    flat = ix.build_ivf(V, ids, 1)
-    ivf = ix.build_ivf(V, ids, nlist=64, seed=0)
+    flat = ix.build_ivf(V, ids, *term_table(ids), 1)
+    ivf = ix.build_ivf(V, ids, *term_table(ids), nlist=64, seed=0)
     queries = centers[rng.integers(0, n_clusters, 200)] \
         + 0.05 * rng.normal(size=(200, dim))
     hits = 0

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from belforge import encoder, index
 from belforge.artifacts import MAGIC, VERSION, load_artifact, save_artifact
 from belforge.errors import ArtifactError
+from helpers import term_table
 
 
 def _with_header(header_bytes):
@@ -185,7 +186,8 @@ def _saved_params(path):
 
 def _saved_ivf(path):
     vectors = np.random.default_rng(0).normal(size=(6, 3))
-    index.save_ivf(path, index.build_ivf(vectors, np.arange(6), 2, seed=0))
+    index.save_ivf(path, index.build_ivf(vectors, np.arange(6), *term_table(range(6)),
+                                         2, seed=0))
     return index.load_ivf
 
 

@@ -15,8 +15,11 @@ from hypothesis import strategies as st
 from belforge import artifacts
 from belforge import encoder as enc
 from belforge import index as index_mod
-from belforge.cli import SUBCOMMANDS, main
+from belforge.cli import _HANDLERS, _build_parser, main
 from belforge.config import DEFAULTS
+from belforge.errors import UsageError
+
+SUBCOMMANDS = list(_HANDLERS)
 
 CONCEPTS = """\
 C0000001|DUT|MDRDUT|10001|griep
@@ -335,7 +338,53 @@ def assert_io_error(config, capsys, argv, *fragments):
 
 LINK_CALLS = [["link", "--mention", "griep"],
               ["link", "--mention", "griep", "--index", "ivf"],
+              ["link", "--input", "mentions.txt"],
+              ["link", "--input", "mentions.txt", "--index", "ivf"],
               ["evaluate"], ["evaluate", "--index", "ivf"]]
+
+
+def out_files(root):
+    return {p.name: p.read_bytes() for p in (root / "out").iterdir()}
+
+
+def keep_digest(path, mutate):
+    """Rewrite the artifact at ``path`` with ``mutate`` applied to its
+    arrays, keeping the payload digest its header recorded."""
+    meta, arrays, sha256 = artifacts.load_artifact(path, "pca-transform")
+    mutate(arrays)
+    artifacts.save_artifact(path, "pca-transform", meta, arrays)
+    edit_header(path, lambda header: header.update(sha256=sha256))
+
+
+def cut_index(path):
+    index = index_mod.load_ivf(path)
+    index_mod.save_ivf(path, replace(index, vectors=index.vectors[:, :5],
+                                     centroids=index.centroids[:, :5]))
+
+
+def cut_pca_rows(arrays):
+    arrays["mean"], arrays["projection"] = arrays["mean"][:-3], arrays["projection"][:-3]
+
+
+def cut_pca_columns(arrays):
+    arrays["projection"] = arrays["projection"][:, :-1]
+    arrays["explained_variance"] = arrays["explained_variance"][:-1]
+
+
+def cut_variance(arrays):
+    arrays["explained_variance"] = arrays["explained_variance"][:-1]
+
+
+# artifact -> mutation, and the file the stderr line must name ({kind} is
+# the index the call reads)
+DIM_MISMATCHES = {
+    "index_columns": ({"flat.index": cut_index, "ivf.index": cut_index},
+                      "{kind}.index"),
+    "pca_rows": ({"pca.bin": lambda p: keep_digest(p, cut_pca_rows)}, "pca.bin"),
+    "pca_columns": ({"pca.bin": lambda p: keep_digest(p, cut_pca_columns)},
+                    "pca.bin"),
+    "pca_variance": ({"pca.bin": lambda p: keep_digest(p, cut_variance)}, "pca.bin"),
+}
 
 
 class TestLinkStack:
@@ -389,13 +438,43 @@ class TestLinkStack:
         run_pipeline(config, upto="index-build")
         for kind, name in (("flat", "flat.index"), ("ivf", "ivf.index")):
             path = root / "out" / name
-            index = index_mod.load_ivf(path)
-            index.cuis = index.groups = None
-            index.params_sha256 = index.pca_sha256 = None
-            index_mod.save_ivf(path, index)
+            meta, arrays, _sha256 = artifacts.load_artifact(path, "ivf-index")
+            del arrays["cuis"], arrays["groups"]
+            artifacts.save_artifact(path, "ivf-index", meta, arrays)
             for argv in (["link", "--mention", "griep", "--index", kind],
                          ["evaluate", "--index", kind]):
-                assert_io_error(config, capsys, argv, name, "rerun index-build")
+                assert_io_error(config, capsys, argv, name, "no term table",
+                                "rerun index-build")
+
+    def test_index_without_provenance_is_refused(self, workspace, capsys):
+        root, config = workspace
+        run_pipeline(config, upto="index-build")
+        for kind, name in (("flat", "flat.index"), ("ivf", "ivf.index")):
+            path = root / "out" / name
+            index_mod.save_ivf(path, replace(index_mod.load_ivf(path),
+                                             params_sha256=None, pca_sha256=None))
+            for argv in (["link", "--mention", "griep", "--index", kind],
+                         ["evaluate", "--index", kind]):
+                assert_io_error(config, capsys, argv, name, "no provenance",
+                                "rerun index-build")
+
+    @pytest.mark.parametrize("name", sorted(DIM_MISMATCHES))
+    def test_artifacts_of_other_dimensions_are_refused(self, workspace, capsys,
+                                                       name):
+        """A params, PCA and index stack whose dimensions disagree, with
+        every recorded digest intact, ends in exit 3 at load for link
+        --mention, link --input and evaluate, and writes nothing."""
+        root, config = workspace
+        run_pipeline(config, upto="index-build")
+        (root / "mentions.txt").write_text("griep\nkoorts\n", encoding="utf-8")
+        mutations, culprit = DIM_MISMATCHES[name]
+        for artifact, mutate in mutations.items():
+            mutate(root / "out" / artifact)
+        before = out_files(root)
+        for argv in LINK_CALLS:
+            kind = "ivf" if "ivf" in argv else "flat"
+            assert_io_error(config, capsys, argv, culprit.format(kind=kind))
+            assert out_files(root) == before
 
     @pytest.mark.parametrize("kind, name", [("flat", "flat.index"),
                                             ("ivf", "ivf.index")])
@@ -521,6 +600,53 @@ class TestParamsFormat:
         for argv, name in calls:
             assert_io_error(config, capsys, argv, name, "'normalize_output'")
             assert {p: p.read_bytes() for p in (root / "out").iterdir()} == before
+
+
+# argv after the subcommand name: valid options, bad options and values,
+# --set items and options of other subcommands
+PARSER_SAMPLES = [
+    [],
+    ["--config", "c.json"],
+    ["--config", "c.json", "--quiet", "--seed", "3", "--set", "train.epochs=2",
+     "--set", "a.b=[1, 2]", "--set", "nonsense"],
+    ["--config", "c.json", "--seed", "x"],
+    ["--config", "c.json", "--bogus"],
+    ["--config", "c.json", "extra"],
+    ["--config", "c.json", "--epochs", "2"],
+    ["--config", "c.json", "--stage", "finetune"],
+    ["--config", "c.json", "--stage", "nope"],
+    ["--config", "c.json", "--params", "p.params", "--index", "ivf",
+     "--top-k", "3"],
+    ["--config", "c.json", "--mention", "griep", "--input", "m.txt",
+     "--index", "hnsw"],
+    ["--config", "c.json", "--top-k", "x"],
+    ["--set", "k=v"],
+]
+
+
+class TestParser:
+    @pytest.mark.parametrize("name", SUBCOMMANDS)
+    def test_one_subcommand_parser_matches_full_parser(self, capsys, name):
+        """The parser built for one subcommand gives the full parser's
+        namespace, or its usage error and stderr, on every sample."""
+        for sample in PARSER_SAMPLES:
+            outcomes = []
+            for names in (SUBCOMMANDS, [name]):
+                try:
+                    outcomes.append(vars(_build_parser(names).parse_args(
+                        [name] + sample)))
+                except UsageError as e:
+                    outcomes.append(("usage error", str(e)))
+                outcomes.append(capsys.readouterr())
+            assert outcomes[:2] == outcomes[2:], sample
+
+    @pytest.mark.parametrize("argv", [[], ["frobnicate", "--config", "c.json"],
+                                      ["--config", "c.json"]])
+    def test_unknown_or_missing_subcommand_gets_full_usage(self, capsys, argv):
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert "|".join(SUBCOMMANDS) in err
+        assert err.count("usage error") == 1
 
 
 class TestExitCodes:
@@ -663,6 +789,28 @@ class TestExitCodes:
         assert "unknown config key 'encoder.normalize_output'" in captured.err
         assert os.listdir(root / "out") == []
 
+    @pytest.mark.parametrize("in_file, overrides", [
+        ({"kmeans_iters": 10}, []),
+        ({}, ["index.kmeans_iters=-1"]),
+    ])
+    def test_removed_kmeans_iters_key_usage(self, workspace, capsys, in_file,
+                                            overrides):
+        """The k-means pass count is a constant: the key that set it is
+        unknown, whatever its value."""
+        root, config = workspace
+        cfg = json.loads((root / "config.json").read_text())
+        cfg["index"].update(in_file)
+        (root / "config.json").write_text(json.dumps(cfg))
+        argv = ["index-build", "--config", config, "--quiet"]
+        for item in overrides:
+            argv += ["--set", item]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1
+        assert "unknown config key 'index.kmeans_iters'" in captured.err
+        assert os.listdir(root / "out") == []
+
     @pytest.mark.parametrize("in_file, overrides, key", [
         ({"train": {"batch_size": "x"}}, [], "train.batch_size"),
         ({"train": {"epochs": 1.5}}, [], "train.epochs"),
@@ -754,7 +902,6 @@ class TestExitCodes:
         ("index-build", "train", "index.nlist=0"),
         ("index-build", "train", "index.nprobe=0"),
         ("index-build", "train", "index.nprobe=-2"),
-        ("index-build", "train", "index.kmeans_iters=-1"),
         ("pairs", "corpus-subset", "finetune.per_mention_cap=-1"),
         ("train", "pairs", "seed=-1"),
         ("index-build", "train", "seed=-1"),

@@ -5,10 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from belforge import artifacts
 from belforge import encoder as enc
 from belforge import index as ix
 from belforge.errors import ArtifactError, DataError
-from helpers import encode, random_unit_rows, reconstruct
+from helpers import encode, random_unit_rows, reconstruct, term_table
 from oracles import search_flat
 
 
@@ -48,7 +49,7 @@ class TestPca:
         basis = np.linalg.qr(rng.normal(size=(6, 3)))[0]  # 6-d data on 3-d plane
         X = rng.normal(size=(40, 3)) @ basis.T + rng.normal(size=6)
         t = ix.fit_pca(X, 3)
-        back = reconstruct(t, ix.apply_pca_raw(t, X))
+        back = reconstruct(t, ix.apply_pca(t, X))
         assert np.max(np.abs(back - X)) < 1e-9
 
     def test_matches_eigendecomposition_oracle(self):
@@ -68,7 +69,7 @@ class TestPca:
         errors = []
         for k in range(1, 10):
             t = ix.fit_pca(X, k)
-            back = reconstruct(t, ix.apply_pca_raw(t, X))
+            back = reconstruct(t, ix.apply_pca(t, X))
             errors.append(np.sum((back - X) ** 2))
         assert all(b <= a + 1e-9 for a, b in zip(errors, errors[1:]))
 
@@ -79,28 +80,27 @@ class TestPca:
         with pytest.raises(DataError):
             ix.fit_pca(X, 0)
 
-    def test_apply_pca_normalizes(self):
-        rng = np.random.default_rng(3)
-        X = rng.normal(size=(12, 6))
-        t = ix.fit_pca(X, 4)
-        out = ix.apply_pca(t, X[0])
-        assert abs(np.linalg.norm(out) - 1.0) < 1e-12
-        # the mean itself projects to zero and passes through unnormalized
-        assert np.allclose(ix.apply_pca(t, t.mean), 0.0)
-
     def test_apply_pca_raw_linearity(self):
         rng = np.random.default_rng(4)
         X = rng.normal(size=(15, 5))
         t = ix.fit_pca(X, 3)
         a, b = rng.normal(size=5), rng.normal(size=5)
-        lhs = ix.apply_pca_raw(t, (a + b) / 2)
-        rhs = (ix.apply_pca_raw(t, a) + ix.apply_pca_raw(t, b)) / 2
+        lhs = ix.apply_pca(t, (a + b) / 2)
+        rhs = (ix.apply_pca(t, a) + ix.apply_pca(t, b)) / 2
         assert np.allclose(lhs, rhs)
 
-    def test_dim_mismatch(self):
+    def test_dim_mismatch(self, tmp_path):
+        """load_pca refuses a transform whose mean, projection and explained
+        variance disagree in dimensions."""
         t = ix.fit_pca(np.random.default_rng(5).normal(size=(8, 4)), 2)
-        with pytest.raises(DataError):
-            ix.apply_pca(t, np.zeros(7))
+        bad = {"short_mean": replace(t, mean=t.mean[:3]),
+               "mean_2d": replace(t, mean=t.mean[None, :]),
+               "projection_1d": replace(t, projection=t.projection[:, 0]),
+               "short_variance": replace(t, explained_variance=t.explained_variance[:1])}
+        for name, transform in bad.items():
+            ix.save_pca(tmp_path / name, transform)
+            with pytest.raises(ArtifactError, match=f"{name}: mean, projection"):
+                ix.load_pca(tmp_path / name)
 
 
 class TestFlat:
@@ -113,7 +113,7 @@ class TestFlat:
             k = int(rng.integers(2, 8))
             V = random_unit_rows(rng, n, k)
             ids = rng.permutation(n).astype(np.int64) * 3
-            flat = ix.build_ivf(V, ids, 1)
+            flat = ix.build_ivf(V, ids, *term_table(ids), 1)
             q = random_unit_rows(rng, 1, k)[0]
             top_k = int(rng.integers(1, n + 2))
             got = as_tuples(ix.search_ivf(flat, q, top_k))
@@ -126,17 +126,32 @@ class TestFlat:
     def test_tie_break_ascending_id(self):
         v = np.array([[1.0, 0.0]])
         V = np.vstack([v, v, v])
-        flat = ix.build_ivf(V, [9, 2, 5], 1)
+        flat = ix.build_ivf(V, [9, 2, 5], *term_table([9, 2, 5]), 1)
         got = [n.term_id for n in ix.search_ivf(flat, v[0], 3)]
         assert got == [2, 5, 9]
 
+    def test_search_normalizes_the_query(self):
+        """search_ivf unit-normalizes the query: a power-of-two multiple
+        scores as the query divided by its norm, and a zero query passes
+        through and scores 0 everywhere."""
+        rng = np.random.default_rng(3)
+        ids = np.arange(12) * 2
+        flat = ix.build_ivf(random_unit_rows(rng, 12, 4), ids, *term_table(ids), 1)
+        q = rng.normal(size=4)
+        want = as_tuples(ix._rank(flat.vectors @ (q / np.linalg.norm(q)), flat.ids,
+                                  flat.cuis, 5))
+        for scale in (1.0, 8.0, 0.25):
+            assert as_tuples(ix.search_ivf(flat, scale * q, 5)) == want
+        assert as_tuples(ix.search_ivf(flat, np.zeros(4), 3)) == \
+            [(0, 0.0), (2, 0.0), (4, 0.0)]
+
     def test_empty_index(self):
         with pytest.raises(DataError, match="out of range for 0 rows"):
-            ix.build_ivf(np.zeros((0, 3)), np.zeros(0, dtype=np.int64), 1)
+            ix.build_ivf(np.zeros((0, 3)), np.zeros(0, dtype=np.int64), [], [], 1)
 
     def test_mismatched_ids(self):
         with pytest.raises(DataError):
-            ix.build_ivf(np.ones((2, 2)), [1], 1)
+            ix.build_ivf(np.ones((2, 2)), [1], *term_table([1]), 1)
 
     @settings(max_examples=200, derandomize=True, database=None, deadline=None)
     @given(n=st.integers(1, 300), k=st.integers(1, 96), top_k=st.integers(1, 12),
@@ -146,10 +161,12 @@ class TestFlat:
         V = rng.normal(size=(n, k))
         V[: n // 4] = V[n // 4: 2 * (n // 4)]  # score ties
         ids = rng.permutation(n).astype(np.int64)
+        cuis, groups = term_table(ids)
         q = rng.normal(size=k)
-        got = ix.search_ivf(ix.build_ivf(V, ids, 1), q, top_k)
-        want = search_flat(ix._unit_rows(V), ids, q, top_k)
-        assert [nb.term_id for nb in got] == [nb.term_id for nb in want]
+        got = ix.search_ivf(ix.build_ivf(V, ids, cuis, groups, 1), q, top_k)
+        want = search_flat(ix._unit_rows(V), ids, np.array(cuis), q, top_k)
+        assert [(nb.term_id, nb.cui) for nb in got] == \
+            [(nb.term_id, nb.cui) for nb in want]
         assert np.array_equal(np.array([nb.score for nb in got]).view(np.int64),
                               np.array([nb.score for nb in want]).view(np.int64))
 
@@ -175,28 +192,32 @@ class TestRank:
         n = scores.size
         ids = np.array(data.draw(st.permutations(range(n))), dtype=np.int64) * 7
         top_k = data.draw(st.integers(1, n + 3))
-        got = ix._rank(scores, ids, top_k)
+        got = ix._rank(scores, ids, np.array(term_table(ids)[0]), top_k)
         want_ids, want_scores = lexsort_rank_oracle(scores, ids, top_k)
         assert [nb.term_id for nb in got] == want_ids
+        assert [nb.cui for nb in got] == term_table(want_ids)[0]
         assert np.array_equal([nb.score for nb in got], want_scores, equal_nan=True)
 
     def test_ties_at_kth_score_break_by_id(self):
         scores = np.array([0.9, 0.5, 0.5, 0.7, 0.5, 0.5, 0.1])
         ids = np.array([60, 50, 40, 30, 20, 10, 0])
-        assert [nb.term_id for nb in ix._rank(scores, ids, 3)] == [60, 30, 10]
-        assert [nb.term_id for nb in ix._rank(scores, ids, 5)] == \
+        cuis = ids.astype(str)
+        assert [nb.term_id for nb in ix._rank(scores, ids, cuis, 3)] == [60, 30, 10]
+        assert [nb.term_id for nb in ix._rank(scores, ids, cuis, 5)] == \
             [60, 30, 10, 20, 40]
 
     def test_top_k_at_least_n_returns_all(self):
         scores = np.array([0.2, 0.8, 0.2])
         ids = np.array([5, 6, 4])
         for top_k in (3, 4, 100):
-            assert [nb.term_id for nb in ix._rank(scores, ids, top_k)] == [6, 4, 5]
+            assert [nb.term_id for nb in ix._rank(scores, ids, ids.astype(str),
+                                                  top_k)] == [6, 4, 5]
 
     def test_top_k_below_one_rejected(self):
         for top_k in (0, -1):
             with pytest.raises(ValueError):
-                ix._rank(np.array([0.1, 0.2]), np.array([0, 1]), top_k)
+                ix._rank(np.array([0.1, 0.2]), np.array([0, 1]),
+                         np.array(["C1", "C2"]), top_k)
 
 
 class TestIvf:
@@ -208,18 +229,40 @@ class TestIvf:
             # duplicate some rows to force score ties across lists
             V[: n // 4] = V[n // 4: 2 * (n // 4)]
             ids = np.arange(n, dtype=np.int64)
-            flat = ix.build_ivf(V, ids, 1)
+            flat = ix.build_ivf(V, ids, *term_table(ids), 1)
             nlist = int(rng.integers(1, 9))
-            ivf = ix.build_ivf(V, ids, nlist=nlist, seed=trial)
+            ivf = ix.build_ivf(V, ids, *term_table(ids), nlist=nlist, seed=trial)
             q = random_unit_rows(rng, 1, 5)[0]
             assert as_tuples(ix.search_ivf(replace(ivf, nprobe=nlist), q,
                                            top_k=10)) == \
                 as_tuples(ix.search_ivf(flat, q, top_k=10))
 
+    @settings(max_examples=100, derandomize=True, database=None, deadline=None)
+    @given(n=st.integers(2, 150), k=st.integers(1, 8), seed=st.integers(0, 2 ** 32 - 1),
+           data=st.data())
+    def test_probed_neighbors_carry_their_rows_cui(self, n, k, seed, data):
+        """In the probe path every neighbor's cui and term_id name the same
+        stored row, whichever lists were probed."""
+        nlist = data.draw(st.integers(2, n))
+        nprobe = data.draw(st.integers(1, nlist - 1))
+        top_k = data.draw(st.integers(1, n + 2))
+        rng = np.random.default_rng(seed)
+        ids = rng.permutation(n).astype(np.int64) * 5
+        # CUIs drawn independently of the ids, some shared by several terms
+        cuis = [f"C{c:07d}" for c in rng.integers(0, max(n // 2, 1), n)]
+        ivf = ix.build_ivf(rng.normal(size=(n, k)), ids, cuis, ["DISO"] * n,
+                           nlist, seed=seed, nprobe=nprobe)
+        assert ivf.nprobe == nprobe < len(ivf.centroids)
+        cui_of = dict(zip(ids.tolist(), cuis))
+        for q in rng.normal(size=(3, k)):
+            got = ix.search_ivf(ivf, q, top_k)
+            assert len({nb.term_id for nb in got}) == len(got)
+            assert all(nb.cui == cui_of[nb.term_id] for nb in got)
+
     def test_nprobe_above_nlist_scans_every_list(self):
         rng = np.random.default_rng(9)
         V = random_unit_rows(rng, 10, 3)
-        ivf = ix.build_ivf(V, np.arange(10), nlist=2)
+        ivf = ix.build_ivf(V, np.arange(10), *term_table(range(10)), nlist=2)
         out = ix.search_ivf(replace(ivf, nprobe=99), V[0], top_k=3)
         assert len(out) == 3
         assert as_tuples(out) == \
@@ -233,8 +276,8 @@ class TestIvf:
         V = centers[assign] + 0.05 * rng.normal(size=(n, k))
         V /= np.linalg.norm(V, axis=1, keepdims=True)
         ids = np.arange(n, dtype=np.int64)
-        flat = ix.build_ivf(V, ids, 1)
-        ivf = ix.build_ivf(V, ids, nlist=64, seed=0)
+        flat = ix.build_ivf(V, ids, *term_table(ids), 1)
+        ivf = ix.build_ivf(V, ids, *term_table(ids), nlist=64, seed=0)
         queries = centers[rng.integers(0, n_clusters, 200)] \
             + 0.05 * rng.normal(size=(200, k))
         hits = 0
@@ -247,8 +290,8 @@ class TestIvf:
     def test_build_deterministic(self):
         rng = np.random.default_rng(11)
         V = random_unit_rows(rng, 100, 6)
-        a = ix.build_ivf(V, np.arange(100), nlist=8, seed=3)
-        b = ix.build_ivf(V, np.arange(100), nlist=8, seed=3)
+        a = ix.build_ivf(V, np.arange(100), *term_table(range(100)), nlist=8, seed=3)
+        b = ix.build_ivf(V, np.arange(100), *term_table(range(100)), nlist=8, seed=3)
         assert np.array_equal(a.centroids, b.centroids)
         assert np.array_equal(a.vectors, b.vectors)
         assert np.array_equal(a.ids, b.ids)
@@ -256,7 +299,7 @@ class TestIvf:
 
     def test_nlist_out_of_range(self):
         with pytest.raises(DataError):
-            ix.build_ivf(np.ones((3, 2)), [0, 1, 2], nlist=4)
+            ix.build_ivf(np.ones((3, 2)), [0, 1, 2], *term_table(range(3)), nlist=4)
 
 
 class TestSerialization:
@@ -282,8 +325,7 @@ class TestSerialization:
         rng = np.random.default_rng(13)
         cuis, groups = self.term_table(25)
         ids = rng.permutation(100)[:25]
-        flat = ix.build_ivf(random_unit_rows(rng, 25, 4), ids, 1, cuis=cuis,
-                            groups=groups)
+        flat = ix.build_ivf(random_unit_rows(rng, 25, 4), ids, cuis, groups, 1)
         flat.params_sha256, flat.pca_sha256 = "ab" * 32, "cd" * 32
         ix.save_ivf(tmp_path / "f.idx", flat)
         back = ix.load_ivf(tmp_path / "f.idx")
@@ -298,8 +340,7 @@ class TestSerialization:
         rng = np.random.default_rng(14)
         cuis, groups = self.term_table(40)
         ids = rng.permutation(100)[:40]
-        ivf = ix.build_ivf(random_unit_rows(rng, 40, 5), ids, nlist=6,
-                           cuis=cuis, groups=groups)
+        ivf = ix.build_ivf(random_unit_rows(rng, 40, 5), ids, cuis, groups, nlist=6)
         ivf.params_sha256, ivf.pca_sha256 = "ab" * 32, "cd" * 32
         ix.save_ivf(tmp_path / "i.idx", ivf)
         back = ix.load_ivf(tmp_path / "i.idx")
@@ -315,27 +356,29 @@ class TestSerialization:
 
     def test_ivf_nprobe_above_nlist_refused(self, tmp_path):
         rng = np.random.default_rng(15)
-        ivf = ix.build_ivf(random_unit_rows(rng, 12, 3), np.arange(12), nlist=3)
+        ivf = ix.build_ivf(random_unit_rows(rng, 12, 3), np.arange(12),
+                           *term_table(range(12)), nlist=3)
         ivf.nprobe = 4
         ix.save_ivf(tmp_path / "i.idx", ivf)
         with pytest.raises(ArtifactError, match="nprobe exceeds nlist 3"):
             ix.load_ivf(tmp_path / "i.idx")
 
-    def test_index_without_term_table_roundtrips(self, tmp_path):
+    @pytest.mark.parametrize("missing", ["cuis", "groups"])
+    def test_index_without_term_table_is_refused(self, tmp_path, missing):
         rng = np.random.default_rng(15)
-        flat = ix.build_ivf(random_unit_rows(rng, 5, 3), np.arange(5), 1)
-        ix.save_ivf(tmp_path / "f.idx", flat)
-        back = ix.load_ivf(tmp_path / "f.idx")
-        assert back.cuis is None and back.groups is None
-        assert back.params_sha256 is None and back.pca_sha256 is None
+        ix.save_ivf(tmp_path / "f.idx", ix.build_ivf(
+            random_unit_rows(rng, 5, 3), np.arange(5), *term_table(range(5)), 1))
+        meta, arrays, _sha256 = artifacts.load_artifact(tmp_path / "f.idx", "ivf-index")
+        del arrays[missing]
+        artifacts.save_artifact(tmp_path / "f.idx", "ivf-index", meta, arrays)
+        with pytest.raises(ArtifactError, match="no term table; rerun index-build"):
+            ix.load_ivf(tmp_path / "f.idx")
 
     def test_misaligned_term_table_is_data_error(self):
         with pytest.raises(DataError, match="cui or group count"):
-            ix.build_ivf(np.ones((3, 2)), [0, 1, 2], 1, cuis=["C1", "C2"],
-                         groups=["A"] * 3)
+            ix.build_ivf(np.ones((3, 2)), [0, 1, 2], ["C1", "C2"], ["A"] * 3, 1)
         with pytest.raises(DataError, match="cui or group count"):
-            ix.build_ivf(np.ones((3, 2)), [0, 1, 2], 1, cuis=["C1"] * 3,
-                         groups=["A"])
+            ix.build_ivf(np.ones((3, 2)), [0, 1, 2], ["C1"] * 3, ["A"], 1)
 
 
 class TestLinkMention:
@@ -343,21 +386,41 @@ class TestLinkMention:
         params = enc.init_params(0, buckets=256, hidden=12, dim=8)
         E = np.vstack([encode(params, t) for t, _ in texts_cuis])
         transform = ix.fit_pca(E, pca_k)
-        comp = ix.apply_pca(transform, E)
         ids = np.arange(len(texts_cuis))
-        id_to_cui = {i: c for i, (_, c) in enumerate(texts_cuis)}
-        return params, transform, ix.build_ivf(comp, ids, 1), id_to_cui
+        cuis = [c for _, c in texts_cuis]
+        return params, transform, ix.build_ivf(ix.apply_pca(transform, E), ids,
+                                               cuis, ["DISO"] * len(ids), 1)
 
     def test_exact_term_links_to_itself(self):
         terms = [("hartinfarct", "C0000001"), ("griep", "C0000002"),
                  ("suikerziekte", "C0000003"), ("longontsteking", "C0000004"),
                  ("hoofdpijn", "C0000005"), ("koorts", "C0000006")]
-        params, t, flat, id_to_cui = self.build(terms)
-        [(cui, neighbors)] = ix.link_mentions(["griep"], params, t, flat,
-                                              id_to_cui, top_k=3)
+        params, t, flat = self.build(terms)
+        [(cui, neighbors)] = ix.link_mentions(["griep"], params, t, flat, top_k=3)
         assert cui == "C0000002"
         assert neighbors[0].term_id == 1
         assert len(neighbors) == 3
+
+    def test_one_normalization_per_row_and_query(self):
+        """The stored rows are the projected term embeddings unit-normalized
+        once, and a mention scores, bit for bit, as its projected embedding
+        unit-normalized once against them."""
+        terms = [("hartinfarct", "C0000001"), ("griep", "C0000002"),
+                 ("suikerziekte", "C0000003"), ("longontsteking", "C0000004"),
+                 ("hoofdpijn", "C0000005"), ("koorts", "C0000006")]
+        params, t, flat = self.build(terms)
+        E = np.vstack([encode(params, text) for text, _ in terms])
+        assert np.array_equal(flat.vectors, ix._unit_rows(ix.apply_pca(t, E)))
+        mentions = ["griep", "hoofd pijn", "longontsteking x", "koortsig"]
+        for mention, (cui, got) in zip(mentions, ix.link_mentions(
+                mentions, params, t, flat, top_k=4)):
+            q = ix._unit_rows(ix.apply_pca(t, encode(params, mention)))
+            want = ix._rank(flat.vectors @ q, flat.ids, flat.cuis, 4)
+            assert [(nb.term_id, nb.cui) for nb in got] == \
+                [(nb.term_id, nb.cui) for nb in want]
+            assert np.array_equal(np.array([nb.score for nb in got]).view(np.int64),
+                                  np.array([nb.score for nb in want]).view(np.int64))
+            assert cui == got[0].cui
 
     def test_empty_index_raises(self):
         params = enc.init_params(0, buckets=64, hidden=4, dim=4)
@@ -365,6 +428,7 @@ class TestLinkMention:
         # two lists, both empty: the probed one yields no candidates
         index = ix.IvfIndex(centroids=np.eye(2), vectors=np.zeros((0, 2)),
                             ids=np.zeros(0, dtype=np.int64),
+                            cuis=np.zeros(0, dtype=str), groups=np.zeros(0, dtype=str),
                             offsets=np.zeros(3, dtype=np.int64), nprobe=1)
-        [result] = ix.link_mentions(["x"], params, t, index, {})
+        [result] = ix.link_mentions(["x"], params, t, index)
         assert isinstance(result, DataError) and "no candidates" in str(result)
