@@ -121,7 +121,7 @@ class _Entries(dict):
         return self._checked(name, lambda v: type(v) is bool, "true or false")
 
 
-def _read_artifact(f, path, kind):
+def _read_artifact(f, path, kind, verify):
     size = os.fstat(f.fileno()).st_size
     prefix = f.read(12)
     if prefix[:4] != MAGIC:
@@ -156,30 +156,41 @@ def _read_artifact(f, path, kind):
         raise ArtifactError(
             f"{path}: {stored - declared} trailing bytes after the artifact payload")
     arrays = {}
+    payload = hashlib.sha256()
     for name, dt, shape, nbytes in layout:
         try:
             a = np.empty(shape, dtype=dt)
         except (ValueError, OverflowError) as e:
             raise ArtifactError(
                 f"{path}: array {name!r} has invalid shape {shape!r}") from e
-        if f.readinto(a.reshape(-1).view(np.uint8)) != nbytes:
+        raw = a.reshape(-1).view(np.uint8)
+        if f.readinto(raw) != nbytes:
             raise ArtifactError(f"{path}: truncated artifact payload")
+        if verify:
+            payload.update(raw)
         arrays[name] = a.astype(dt.newbyteorder("="), copy=False)
+    if verify and digest is None:
+        raise ArtifactError(f"{path}: artifact records no payload digest to verify")
+    if verify and payload.hexdigest() != digest:
+        raise ArtifactError(f"{path}: payload does not match the sha256 its header "
+                            "records; the file is corrupt")
     return (_Entries(path, "meta entry", meta), _Entries(path, "array", arrays),
             digest)
 
 
-def load_artifact(path, kind: str):
+def load_artifact(path, kind: str, verify=False):
     """Load an artifact, checking magic, version, header and kind.
 
     Returns (meta, arrays, sha256), where sha256 is the payload digest the
-    header records (None in artifacts written before headers carried one);
-    it is not recomputed. A missing meta entry or array is an ArtifactError
-    when looked up. The file is read once, each array straight into its own
+    header records (None in artifacts written before headers carried one).
+    With ``verify`` the payload's sha256 is recomputed, and one that differs
+    from the recorded digest, or a header that records none, is an
+    ArtifactError. A missing meta entry or array is an ArtifactError when
+    looked up. The file is read once, each array straight into its own
     buffer.
     """
     try:
         with open(path, "rb") as f:
-            return _read_artifact(f, path, kind)
+            return _read_artifact(f, path, kind, verify)
     except OSError as e:
         raise ArtifactError(f"cannot read artifact {path}: {e}") from e

@@ -305,7 +305,7 @@ def cmd_index_build(cfg, args):
     for key in ("pca_k", "nlist", "nprobe"):
         _at_least(icfg[key], f"index.{key}")
     params_path = _resolve_params_path(cfg, args)
-    params = enc.load_params(params_path)
+    params = enc.load_params(params_path, verify=True)
     if params.sha256 is None:
         raise ArtifactError(f"{params_path}: params artifact records no payload "
                             "digest; rerun train or finetune to rewrite it")
@@ -334,17 +334,17 @@ def cmd_index_build(cfg, args):
     return 0
 
 
-def _load_link_stack(cfg, args):
+def _load_link_stack(cfg, args, verify=False):
     """The params, PCA and index artifacts, refused unless index-build made
     the PCA and index together from these params and their dimensions
-    agree."""
+    agree; with ``verify`` each payload must match its recorded digest."""
     paths = cfg["paths"]
     params_path = _resolve_params_path(cfg, args)
-    params = enc.load_params(params_path)
-    transform = index_mod.load_pca(paths["pca"])
+    params = enc.load_params(params_path, verify)
+    transform = index_mod.load_pca(paths["pca"], verify)
     kind = getattr(args, "index_kind", None) or "flat"
     index_path = paths[f"{kind}_index"]
-    index = index_mod.load_ivf(index_path)
+    index = index_mod.load_ivf(index_path, verify)
     if index.pca_sha256 is None:
         raise ArtifactError(f"{index_path}: index carries no provenance; "
                             "rerun index-build")
@@ -419,7 +419,9 @@ def cmd_link(cfg, args):
 def cmd_evaluate(cfg, args):
     paths = cfg["paths"]
     top_k = _top_k(cfg, args)
-    params, transform, index = _load_link_stack(cfg, args)
+    # evaluate verifies every payload before it reports; link, kept fast for
+    # single mentions, checks the headers only
+    params, transform, index = _load_link_stack(cfg, args, verify=True)
     with _open_input(paths["gold_corpus"], "gold corpus") as f:
         gold_slice = corpus_mod.parse_corpus(f)
     # a CUI's group is that of its lowest term_id, whatever the index order

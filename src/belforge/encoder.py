@@ -136,8 +136,10 @@ def save_params(path, params):
                                     "W2": params.W2, "b2": params.b2})
 
 
-def load_params(path):
-    meta, arrays, sha256 = artifacts.load_artifact(path, "encoder-params")
+def load_params(path, verify=False):
+    """The saved params; with ``verify`` their payload digest is recomputed
+    and checked (artifacts.load_artifact)."""
+    meta, arrays, sha256 = artifacts.load_artifact(path, "encoder-params", verify)
     if not meta.flag("normalize_output"):
         raise ArtifactError(f"{path}: meta entry 'normalize_output' must be true")
     params = EncoderParams(

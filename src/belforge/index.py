@@ -1,7 +1,9 @@
 """PCA projection and nearest-neighbor linking over an inverted-file index
 whose rows are unit-normalized once, at build, and stored with their term
 id, CUI and group; the exact (flat) index is the one-list case, probed
-exhaustively.
+exhaustively. Mentions are projected, scored and ranked in zero-padded
+blocks of LINK_BLOCK rows, so a mention gets the same bits alone as in any
+block.
 """
 
 from dataclasses import dataclass
@@ -14,6 +16,9 @@ from .errors import ArtifactError, DataError
 from .features import prepare
 
 KMEANS_ITERS = 10  # Lloyd passes after the k-means++ seeding
+# mentions per projection and scoring block; the last block is zero-padded,
+# since a product's bits depend on its shape (a one-row product is a GEMV)
+LINK_BLOCK = 8
 
 
 @dataclass
@@ -38,7 +43,7 @@ class IvfIndex:
     pca_sha256: str | None = None     # the index was built with
 
 
-@dataclass
+@dataclass(slots=True)
 class Neighbor:
     term_id: int
     cui: str
@@ -68,35 +73,55 @@ def fit_pca(matrix, k):
 
 
 def apply_pca(transform, vectors):
-    """Project d-vectors (one or a batch) to k PCA coordinates,
-    (V - mean) @ projection. The result is not normalized: build_ivf and
-    search_ivf unit-normalize the rows they store and the query they score."""
-    return (np.asarray(vectors, dtype=float) - transform.mean) @ transform.projection
+    """Project d-vectors (one, or the rows of a block) to k PCA coordinates,
+    computed as projection.T @ (V - mean).T with the rows as the right-hand
+    operand: in a block of fixed size a row's coordinates then do not depend
+    on the other rows. The result is not normalized: build_ivf and
+    search_ivf unit-normalize the rows they store and the block they score."""
+    V = np.asarray(vectors, dtype=float)
+    return (transform.projection.T @ (V - transform.mean).T).T
 
 
 def _unit_rows(M):
-    M = np.asarray(M, dtype=float)
+    # C order first: the norms' summation order follows the memory layout
+    M = np.asarray(M, dtype=float, order="C")
     norms = np.linalg.norm(M, axis=-1, keepdims=True)
     return np.where(norms >= NORM_EPS, M / np.maximum(norms, NORM_EPS), M)
 
 
-def _rank(scores, ids, cuis, top_k):
-    """The top_k rows by score descending, ties by ascending id, each with
-    the term id and CUI of its row.
+def _rank(scores, ids, cuis, top_k, rows=None):
+    """Per row of a queries x candidates score matrix, the top_k candidates
+    by score descending, ties by ascending term id, as Neighbors carrying
+    their index row's term id and CUI. Candidate j is index row rows[j]
+    (row j when rows is None); ids are read only at the kept candidates and
+    cuis only at the ranked ones.
 
-    Only the rows scoring at or above the k-th score go through the lexsort.
+    One partition finds each row's k-th score; only the candidates scoring
+    at or above it go through one lexsort keyed by (row, score, id).
     """
     if top_k < 1:
         raise ValueError(f"top_k={top_k} must be at least 1")
-    neg = -scores
-    if top_k < neg.size:
-        kth = np.partition(neg, top_k - 1)[top_k - 1]
-        # a NaN kth keeps every row, as the full lexsort would rank them
+    neg = np.negative(scores, order="C")  # rows contiguous for the partition
+    nq, m = neg.shape
+    if top_k < m:
+        kth = np.partition(neg, top_k - 1, axis=1)[:, top_k - 1:top_k]
+        # a NaN kth keeps the whole row, as a full lexsort would rank it
         keep = np.flatnonzero(~(neg > kth))
-        neg, ids, cuis, scores = neg[keep], ids[keep], cuis[keep], scores[keep]
-    order = np.lexsort((ids, neg))[:top_k]
-    return [Neighbor(term_id=int(ids[i]), cui=str(cuis[i]), score=float(scores[i]))
-            for i in order]
+    else:
+        keep = np.arange(nq * m)
+    neg = neg.reshape(-1)
+    q, at = np.divmod(keep, m)
+    if rows is not None:
+        at = rows[at]
+    order = np.lexsort((ids[at], neg[keep], q))
+    q = q[order]
+    # q is sorted: an entry's place in its row is its distance to the row start
+    order = order[np.arange(len(q)) - np.searchsorted(q, q) < top_k]
+    at = at[order]
+    neighbors = list(map(Neighbor, ids[at].tolist(), cuis[at].tolist(),
+                         (-neg[keep[order]]).tolist()))
+    bounds = np.searchsorted(q[order], np.arange(nq + 1)).tolist()
+    return [neighbors[a:b] for a, b in zip(bounds, bounds[1:])]
 
 
 def _kmeans_pp_init(rows, nlist, rng):
@@ -127,7 +152,9 @@ def _assign(rows, centroids):
 def build_ivf(vectors, ids, cuis, groups, nlist, seed=0, nprobe=8):
     """Inverted-file index of the unit-normalized rows, each stored with its
     term id, CUI and group: k-means++ seeded centroids, Lloyd refinement,
-    each row in the list of its nearest centroid; nprobe is capped at nlist."""
+    each row in the list of its nearest centroid; nprobe is capped at nlist.
+    One list keeps the rows in order under their mean, the centroid one
+    Lloyd pass gives."""
     rows = _unit_rows(vectors)
     ids = np.asarray(ids, dtype=np.int64)
     cuis, groups = (np.asarray(a, dtype=str) for a in (cuis, groups))
@@ -136,6 +163,10 @@ def build_ivf(vectors, ids, cuis, groups, nlist, seed=0, nprobe=8):
     n = rows.shape[0]
     if nlist < 1 or nlist > n:
         raise DataError(f"ivf: nlist={nlist} out of range for {n} rows")
+    if nlist == 1:
+        return IvfIndex(centroids=rows.mean(axis=0)[None, :], vectors=rows, ids=ids,
+                        cuis=cuis, groups=groups, offsets=np.array([0, n]),
+                        nprobe=1)
     rng = np.random.default_rng(seed)
     centroids = _kmeans_pp_init(rows, nlist, rng)
     assign = _assign(rows, centroids)
@@ -156,33 +187,49 @@ def build_ivf(vectors, ids, cuis, groups, nlist, seed=0, nprobe=8):
                     nprobe=min(nprobe, nlist))
 
 
-def search_ivf(index, query, top_k=10):
-    """Top-k by inner product with the unit-normalized query over the
-    index.nprobe nearest centroids' lists, score descending, ties by
-    ascending term_id; each neighbor carries its stored row's term id and
-    CUI. When nprobe is at least nlist the stored rows are ranked as they
-    are, in one product, so a one-list index is an exact (flat) search."""
+def search_ivf(index, block, top_k, real):
+    """Top-k neighbors of each of the first ``real`` rows of a block of
+    LINK_BLOCK query rows, by inner product with the unit-normalized row
+    over the index.nprobe nearest centroids' lists, score descending, ties
+    by ascending term_id; each neighbor carries its stored row's term id
+    and CUI.
+
+    When nprobe is at least nlist the block is scored against every stored
+    row in one product, vectors @ Q.T, whose bits for a row do not depend on
+    the others, so a one-list index is an exact (flat) search. Otherwise
+    each query ranks the rows of its probed lists, gathered by position, in
+    a product of its own."""
+    Q = _unit_rows(block)
     nlist = index.centroids.shape[0]
-    q = _unit_rows(query)
     if index.nprobe >= nlist:
-        return _rank(index.vectors @ q, index.ids, index.cuis, top_k)
-    cd = np.sum((index.centroids - q) ** 2, axis=1)
-    probe = np.lexsort((np.arange(nlist), cd))[:index.nprobe]
-    spans = [slice(index.offsets[c], index.offsets[c + 1]) for c in probe]
-    V, ids, cuis = (np.concatenate([a[s] for s in spans])
-                    for a in (index.vectors, index.ids, index.cuis))
-    return _rank(V @ q, ids, cuis, top_k)
+        return _rank((index.vectors @ Q.T).T[:real], index.ids, index.cuis, top_k)
+    Q = Q[:real]
+    cd = np.sum((index.centroids - Q[:, None, :]) ** 2, axis=2)
+    # stable: of equal distances the lower list is probed first
+    probes = np.argsort(cd, axis=1, kind="stable")[:, :index.nprobe]
+    # each query's probed lists as positions into the stored rows
+    starts = index.offsets[probes]
+    sizes = (index.offsets[probes + 1] - starts).ravel()
+    ends = np.cumsum(sizes)
+    rows = np.repeat(starts.ravel() - ends + sizes, sizes)
+    rows += np.arange(len(rows))
+    bounds = [0] + ends[index.nprobe - 1::index.nprobe].tolist()
+    found = []
+    for q, a, b in zip(Q, bounds, bounds[1:]):
+        found += _rank((np.take(index.vectors, rows[a:b], axis=0) @ q)[None, :],
+                       index.ids, index.cuis, top_k, rows[a:b])
+    return found
 
 
 def link_mentions(texts, params, transform, index, top_k=10):
     """Encode, project and search; the predicted CUI is the top neighbor's,
     read from its index row.
 
-    The texts are featurized together; each one is then projected, scored
-    (search_ivf unit-normalizes the projection) and ranked on its own, so a
-    mention gets the same result alone as in any batch. Returns, per text,
-    (predicted_cui, neighbors) or a DataError: the mention cannot be
-    encoded or the index has no candidates.
+    The texts are featurized together, then projected and scored in blocks
+    of LINK_BLOCK rows, the last one zero-padded, so every block runs the
+    same products and a mention gets the same result alone as in any batch.
+    Returns, per text, (predicted_cui, neighbors) or a DataError: the
+    mention cannot be encoded or the index has no candidates.
     """
     results = [None] * len(texts)
     todo = []
@@ -192,11 +239,15 @@ def link_mentions(texts, params, transform, index, top_k=10):
             todo.append(i)
         except DataError as e:
             results[i] = e
-    embeddings = encode_batch(params, [texts[i] for i in todo])
-    for i, emb in zip(todo, embeddings):
-        neighbors = search_ivf(index, apply_pca(transform, emb), top_k=top_k)
-        results[i] = ((neighbors[0].cui, neighbors) if neighbors
-                      else DataError("no candidates: index is empty"))
+    padded = np.zeros((-(-len(todo) // LINK_BLOCK) * LINK_BLOCK, params.dim))
+    padded[:len(todo)] = encode_batch(params, [texts[i] for i in todo])
+    for start in range(0, len(todo), LINK_BLOCK):
+        block = padded[start:start + LINK_BLOCK]
+        found = search_ivf(index, apply_pca(transform, block), top_k,
+                           real=min(LINK_BLOCK, len(todo) - start))
+        for i, neighbors in zip(todo[start:], found):
+            results[i] = ((neighbors[0].cui, neighbors) if neighbors
+                          else DataError("no candidates: index is empty"))
     return results
 
 
@@ -207,10 +258,11 @@ def save_pca(path, transform):
          "explained_variance": transform.explained_variance})
 
 
-def load_pca(path):
+def load_pca(path, verify=False):
     """The saved transform, refused unless its mean, projection and
-    explained variance agree in dimensions."""
-    meta, arrays, sha256 = artifacts.load_artifact(path, "pca-transform")
+    explained variance agree in dimensions; with ``verify`` its payload
+    digest is recomputed and checked (artifacts.load_artifact)."""
+    meta, arrays, sha256 = artifacts.load_artifact(path, "pca-transform", verify)
     t = PcaTransform(mean=arrays["mean"], projection=arrays["projection"],
                      explained_variance=arrays["explained_variance"],
                      params_sha256=meta.get("params_sha256"), sha256=sha256)
@@ -231,11 +283,12 @@ def save_ivf(path, index):
          "cuis": index.cuis, "groups": index.groups, "sizes": np.diff(index.offsets)})
 
 
-def load_ivf(path):
+def load_ivf(path, verify=False):
     """The saved index, refused unless it carries a term table, its arrays
     are row-aligned and its list sizes split the rows into one list per
-    centroid."""
-    meta, arrays, _sha256 = artifacts.load_artifact(path, "ivf-index")
+    centroid; with ``verify`` its payload digest is recomputed and checked
+    (artifacts.load_artifact)."""
+    meta, arrays, _sha256 = artifacts.load_artifact(path, "ivf-index", verify)
     if "cuis" not in arrays or "groups" not in arrays:
         raise ArtifactError(f"{path}: index carries no term table; rerun index-build")
     centroids, vectors, ids, cuis, groups, sizes = (

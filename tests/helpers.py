@@ -1,7 +1,8 @@
 """Shared fixture generators for the test suite: random strings, synthetic
 synonym ontologies, and edit-distance perturbed mentions; one-text encoder
 and featurizer helpers over the batch functions, a term table for test
-indexes, the PCA inverse and the evaluation report reader.
+indexes, a one-query index search, the PCA inverse and the evaluation
+report reader.
 """
 
 import json
@@ -9,6 +10,7 @@ import json
 import numpy as np
 
 from belforge import encoder as enc
+from belforge import index as ix
 from belforge.corpus import CorpusSlice, MentionAnnotation, SentenceRecord
 from belforge.evaluation import EvalReport, GroupResult
 from belforge.features import featurize_batch
@@ -121,6 +123,14 @@ def term_table(ids):
     """A CUI and a semantic group per term id, for build_ivf: the CUI spells
     the id, so a neighbor's cui names its term_id."""
     return [f"C{int(i):07d}" for i in ids], ["DISO"] * len(ids)
+
+
+def search(index, query, top_k):
+    """search_ivf for one query: the first row of a LINK_BLOCK block whose
+    other rows are zero."""
+    block = np.zeros((ix.LINK_BLOCK, len(query)))
+    block[0] = query
+    return ix.search_ivf(index, block, top_k, real=1)[0]
 
 
 def encode(params, text):

@@ -4,8 +4,9 @@ dense mask miner and Multi-Similarity loss, the per-row encoder forward
 pass, and the training epoch composed from them with one forward per row;
 the character-at-a-time wikitext cleanup and sentence splitter, corpus
 compilation that filters every link against every sentence span, one
-parse loop per pipe-delimited ontology source file, and the flat
-nearest-neighbour search."""
+parse loop per pipe-delimited ontology source file, the per-query ranking,
+the flat nearest-neighbour search and the k-means index build for any
+number of lists."""
 
 from dataclasses import dataclass
 
@@ -440,9 +441,57 @@ def parse_crosswalk(stream, column_map=None):
     return rows, malformed
 
 
+def rank(scores, ids, cuis, top_k):
+    """One query's top_k rows by score descending, ties by ascending id,
+    each with the term id and CUI of its row; only the rows scoring at or
+    above the k-th score go through the lexsort. The per-query ranking
+    ``index._rank`` must reproduce on every row of a block."""
+    if top_k < 1:
+        raise ValueError(f"top_k={top_k} must be at least 1")
+    neg = -scores
+    if top_k < neg.size:
+        kth = np.partition(neg, top_k - 1)[top_k - 1]
+        # a NaN kth keeps every row, as the full lexsort would rank them
+        keep = np.flatnonzero(~(neg > kth))
+        neg, ids, cuis, scores = neg[keep], ids[keep], cuis[keep], scores[keep]
+    order = np.lexsort((ids, neg))[:top_k]
+    return [index.Neighbor(term_id=int(ids[i]), cui=str(cuis[i]), score=float(scores[i]))
+            for i in order]
+
+
 def search_flat(vectors, ids, cuis, query, top_k):
-    """Exact top-k over every row, scored in one product with the unit
-    query and ranked by ``index._rank`` with each row's term id and CUI:
-    the search a one-list index must reproduce bit for bit."""
-    q = index._unit_rows(np.asarray(query, dtype=float))
-    return index._rank(vectors @ q, ids, cuis, top_k)
+    """Exact top-k of one query over every row: the query zero-padded to a
+    LINK_BLOCK block, unit-normalized, scored as ``vectors @ Q.T`` and its
+    column ranked by ``rank``: the search a one-list index must reproduce
+    bit for bit."""
+    block = np.zeros((index.LINK_BLOCK, len(query)))
+    block[0] = query
+    Q = index._unit_rows(block)
+    return rank((vectors @ Q.T)[:, 0], ids, cuis, top_k)
+
+
+def build_ivf(vectors, ids, cuis, groups, nlist, seed=0, nprobe=8):
+    """The index of k-means for every nlist, one list included: k-means++
+    seeded centroids, index.KMEANS_ITERS Lloyd passes, each row in the list
+    of its nearest centroid, rows grouped by a stable sort on the list."""
+    rows = index._unit_rows(vectors)
+    ids = np.asarray(ids, dtype=np.int64)
+    cuis, groups = (np.asarray(a, dtype=str) for a in (cuis, groups))
+    rng = np.random.default_rng(seed)
+    centroids = index._kmeans_pp_init(rows, nlist, rng)
+    assign = index._assign(rows, centroids)
+    for _ in range(index.KMEANS_ITERS):
+        for c in range(nlist):
+            members = rows[assign == c]
+            if len(members):
+                centroids[c] = members.mean(axis=0)
+        new_assign = index._assign(rows, centroids)
+        if np.array_equal(new_assign, assign):
+            break
+        assign = new_assign
+    order = np.argsort(assign, kind="stable")
+    sizes = np.bincount(assign, minlength=nlist)
+    return index.IvfIndex(centroids=centroids, vectors=rows[order], ids=ids[order],
+                          cuis=cuis[order], groups=groups[order],
+                          offsets=np.concatenate(([0], np.cumsum(sizes))),
+                          nprobe=min(nprobe, nlist))

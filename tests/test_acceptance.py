@@ -22,7 +22,7 @@ from belforge.cli import main as cli_main
 from helpers import (encode, encode_backward, featurize_text,
                      make_perturbed_mentions, make_synthetic_ontology,
                      mentions_as_slice, random_unit_rows, random_word,
-                     reconstruct, term_table)
+                     reconstruct, search, term_table)
 from oracles import Triplet, mine_hard_triplets, ms_loss
 
 
@@ -459,7 +459,7 @@ def test_criterion_08():
         flat = ix.build_ivf(V, ids, *term_table(ids), 1)
         q = random_unit_rows(rng, 1, k)[0]
         top_k = int(rng.integers(1, n + 2))
-        got = ix.search_ivf(flat, q, top_k)
+        got = search(flat, q, top_k)
         scores = V @ q
         want = sorted(range(n), key=lambda i: (-scores[i], ids[i]))[:top_k]
         assert [nb.term_id for nb in got] == [int(ids[i]) for i in want]
@@ -475,9 +475,8 @@ def test_criterion_08():
         ivf = ix.build_ivf(V, ids, *term_table(ids), nlist=nlist, seed=trial)
         q = random_unit_rows(rng, 1, 6)[0]
         assert [(nb.term_id, nb.score)
-                for nb in ix.search_ivf(replace(ivf, nprobe=nlist), q,
-                                        top_k=10)] == \
-            [(nb.term_id, nb.score) for nb in ix.search_ivf(flat, q, top_k=10)]
+                for nb in search(replace(ivf, nprobe=nlist), q, top_k=10)] == \
+            [(nb.term_id, nb.score) for nb in search(flat, q, top_k=10)]
 
     # recall@1 on clustered vectors
     n, dim, n_clusters = 5000, 16, 50
@@ -492,8 +491,8 @@ def test_criterion_08():
         + 0.05 * rng.normal(size=(200, dim))
     hits = 0
     for q in queries:
-        truth = ix.search_ivf(flat, q, 1)[0].term_id
-        approx = ix.search_ivf(replace(ivf, nprobe=8), q, top_k=1)
+        truth = search(flat, q, 1)[0].term_id
+        approx = search(replace(ivf, nprobe=8), q, top_k=1)
         hits += bool(approx) and approx[0].term_id == truth
     assert hits / len(queries) >= 0.9
     assert time.perf_counter() - start < 60.0

@@ -356,6 +356,14 @@ def keep_digest(path, mutate):
     edit_header(path, lambda header: header.update(sha256=sha256))
 
 
+def flip_payload_bit(path):
+    """Flip the lowest bit of the last float64 in the artifact's payload,
+    its last array's, leaving the header and its digest as they were."""
+    blob = bytearray(path.read_bytes())
+    blob[-8] ^= 1
+    path.write_bytes(bytes(blob))
+
+
 def cut_index(path):
     index = index_mod.load_ivf(path)
     index_mod.save_ivf(path, replace(index, vectors=index.vectors[:, :5],
@@ -531,6 +539,31 @@ class TestLinkStack:
                     lambda header: header.pop("sha256"))
         assert_io_error(config, capsys, ["index-build"], "finetuned.params",
                         "no payload digest")
+
+    @pytest.mark.parametrize("artifact", ["finetuned.params", "pca.bin",
+                                          "flat.index", "ivf.index"])
+    def test_corrupted_payload_is_refused_by_evaluate(self, workspace, capsys,
+                                                      artifact):
+        """evaluate recomputes the digest of every payload it reads: one
+        flipped bit ends it in exit 3 with one stderr line naming the file,
+        and nothing is written."""
+        root, config = workspace
+        run_pipeline(config, upto="index-build")
+        flip_payload_bit(root / "out" / artifact)
+        before = out_files(root)
+        kind = "ivf" if artifact == "ivf.index" else "flat"
+        assert_io_error(config, capsys, ["evaluate", "--index", kind], artifact,
+                        "corrupt")
+        assert out_files(root) == before
+
+    def test_corrupted_params_are_refused_by_index_build(self, workspace, capsys):
+        root, config = workspace
+        run_pipeline(config, upto="finetune")
+        flip_payload_bit(root / "out" / "finetuned.params")
+        before = out_files(root)
+        assert_io_error(config, capsys, ["index-build"], "finetuned.params",
+                        "corrupt")
+        assert out_files(root) == before
 
     MISALIGNMENTS = {
         "short_cuis": lambda ix: replace(ix, cuis=ix.cuis[:2]),

@@ -1,3 +1,6 @@
+import os
+import subprocess
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -9,8 +12,10 @@ from belforge import artifacts
 from belforge import encoder as enc
 from belforge import index as ix
 from belforge.errors import ArtifactError, DataError
-from helpers import encode, random_unit_rows, reconstruct, term_table
-from oracles import search_flat
+from helpers import (encode, random_unit_rows, random_word, reconstruct, search,
+                     term_table)
+from oracles import build_ivf as kmeans_build_ivf
+from oracles import rank, search_flat
 
 
 def eig_pca_oracle(X, k):
@@ -116,7 +121,7 @@ class TestFlat:
             flat = ix.build_ivf(V, ids, *term_table(ids), 1)
             q = random_unit_rows(rng, 1, k)[0]
             top_k = int(rng.integers(1, n + 2))
-            got = as_tuples(ix.search_ivf(flat, q, top_k))
+            got = as_tuples(search(flat, q, top_k))
             want = brute_top_k(V, ids, q, top_k)
             # scores may differ in the last ulp (matrix product vs row dots)
             assert [i for i, _ in got] == [i for i, _ in want]
@@ -127,22 +132,21 @@ class TestFlat:
         v = np.array([[1.0, 0.0]])
         V = np.vstack([v, v, v])
         flat = ix.build_ivf(V, [9, 2, 5], *term_table([9, 2, 5]), 1)
-        got = [n.term_id for n in ix.search_ivf(flat, v[0], 3)]
+        got = [n.term_id for n in search(flat, v[0], 3)]
         assert got == [2, 5, 9]
 
     def test_search_normalizes_the_query(self):
         """search_ivf unit-normalizes the query: a power-of-two multiple
-        scores as the query divided by its norm, and a zero query passes
-        through and scores 0 everywhere."""
+        scores as the query itself, as the flat oracle scores it, and a zero
+        query passes through and scores 0 everywhere."""
         rng = np.random.default_rng(3)
         ids = np.arange(12) * 2
         flat = ix.build_ivf(random_unit_rows(rng, 12, 4), ids, *term_table(ids), 1)
         q = rng.normal(size=4)
-        want = as_tuples(ix._rank(flat.vectors @ (q / np.linalg.norm(q)), flat.ids,
-                                  flat.cuis, 5))
+        want = as_tuples(search_flat(flat.vectors, flat.ids, flat.cuis, q, 5))
         for scale in (1.0, 8.0, 0.25):
-            assert as_tuples(ix.search_ivf(flat, scale * q, 5)) == want
-        assert as_tuples(ix.search_ivf(flat, np.zeros(4), 3)) == \
+            assert as_tuples(search(flat, scale * q, 5)) == want
+        assert as_tuples(search(flat, np.zeros(4), 3)) == \
             [(0, 0.0), (2, 0.0), (4, 0.0)]
 
     def test_empty_index(self):
@@ -163,12 +167,9 @@ class TestFlat:
         ids = rng.permutation(n).astype(np.int64)
         cuis, groups = term_table(ids)
         q = rng.normal(size=k)
-        got = ix.search_ivf(ix.build_ivf(V, ids, cuis, groups, 1), q, top_k)
+        got = search(ix.build_ivf(V, ids, cuis, groups, 1), q, top_k)
         want = search_flat(ix._unit_rows(V), ids, np.array(cuis), q, top_k)
-        assert [(nb.term_id, nb.cui) for nb in got] == \
-            [(nb.term_id, nb.cui) for nb in want]
-        assert np.array_equal(np.array([nb.score for nb in got]).view(np.int64),
-                              np.array([nb.score for nb in want]).view(np.int64))
+        assert same_neighbors(got, want)
 
 
 def lexsort_rank_oracle(scores, ids, top_k):
@@ -178,10 +179,19 @@ def lexsort_rank_oracle(scores, ids, top_k):
     return ids[order].tolist(), scores[order]
 
 
-# few distinct values, so that ties straddle the k-th score; NaN and -0.0
-# included
-SCORES = st.lists(st.one_of(st.sampled_from([1.0, 0.5, 0.0, -0.0, -0.5, np.nan]),
-                            st.floats(-1, 1)), min_size=1, max_size=40)
+# few distinct values, so that ties straddle the k-th score; NaN, -0.0 and
+# both infinities included
+SCORE = st.one_of(st.sampled_from([1.0, 0.5, 0.0, -0.0, -0.5, np.nan, np.inf, -np.inf]),
+                  st.floats(-1, 1))
+SCORES = st.lists(SCORE, min_size=1, max_size=40)
+
+
+def same_neighbors(got, want):
+    """Equal term ids and CUIs, and scores equal bit for bit."""
+    return [(nb.term_id, nb.cui) for nb in got] == \
+        [(nb.term_id, nb.cui) for nb in want] and \
+        np.array_equal(np.array([nb.score for nb in got]).view(np.int64),
+                       np.array([nb.score for nb in want]).view(np.int64))
 
 
 class TestRank:
@@ -192,31 +202,51 @@ class TestRank:
         n = scores.size
         ids = np.array(data.draw(st.permutations(range(n))), dtype=np.int64) * 7
         top_k = data.draw(st.integers(1, n + 3))
-        got = ix._rank(scores, ids, np.array(term_table(ids)[0]), top_k)
+        [got] = ix._rank(scores[None, :], ids, np.array(term_table(ids)[0]), top_k)
         want_ids, want_scores = lexsort_rank_oracle(scores, ids, top_k)
         assert [nb.term_id for nb in got] == want_ids
         assert [nb.cui for nb in got] == term_table(want_ids)[0]
         assert np.array_equal([nb.score for nb in got], want_scores, equal_nan=True)
 
+    @settings(max_examples=300, derandomize=True, database=None, deadline=None)
+    @given(nq=st.integers(0, 9), m=st.integers(0, 30), data=st.data())
+    def test_block_rows_equal_the_per_row_oracle(self, nq, m, data):
+        """Every row of a block is ranked as the per-query oracle ranks it
+        alone, over ties, NaN and infinities, with candidates that are index
+        rows given by position or in order."""
+        scores = np.array(data.draw(st.lists(SCORE, min_size=nq * m,
+                                             max_size=nq * m))).reshape(nq, m)
+        n = m + data.draw(st.integers(0, 5))
+        ids = np.array(data.draw(st.permutations(range(n))), dtype=np.int64) * 3
+        cuis = np.array([f"C{i % 4:07d}" for i in range(n)])
+        rows = data.draw(st.one_of(st.none(), st.permutations(range(n)).map(
+            lambda p: np.array(p[:m], dtype=np.int64))))
+        top_k = data.draw(st.integers(1, m + 3))
+        at = np.arange(m) if rows is None else rows
+        got = ix._rank(scores, ids, cuis, top_k, rows)
+        assert len(got) == nq
+        for row, neighbors in zip(scores, got):
+            assert same_neighbors(neighbors, rank(row, ids[at], cuis[at], top_k))
+
     def test_ties_at_kth_score_break_by_id(self):
-        scores = np.array([0.9, 0.5, 0.5, 0.7, 0.5, 0.5, 0.1])
+        scores = np.array([[0.9, 0.5, 0.5, 0.7, 0.5, 0.5, 0.1]])
         ids = np.array([60, 50, 40, 30, 20, 10, 0])
         cuis = ids.astype(str)
-        assert [nb.term_id for nb in ix._rank(scores, ids, cuis, 3)] == [60, 30, 10]
-        assert [nb.term_id for nb in ix._rank(scores, ids, cuis, 5)] == \
+        assert [nb.term_id for nb in ix._rank(scores, ids, cuis, 3)[0]] == [60, 30, 10]
+        assert [nb.term_id for nb in ix._rank(scores, ids, cuis, 5)[0]] == \
             [60, 30, 10, 20, 40]
 
     def test_top_k_at_least_n_returns_all(self):
-        scores = np.array([0.2, 0.8, 0.2])
+        scores = np.array([[0.2, 0.8, 0.2]])
         ids = np.array([5, 6, 4])
         for top_k in (3, 4, 100):
             assert [nb.term_id for nb in ix._rank(scores, ids, ids.astype(str),
-                                                  top_k)] == [6, 4, 5]
+                                                  top_k)[0]] == [6, 4, 5]
 
     def test_top_k_below_one_rejected(self):
         for top_k in (0, -1):
             with pytest.raises(ValueError):
-                ix._rank(np.array([0.1, 0.2]), np.array([0, 1]),
+                ix._rank(np.array([[0.1, 0.2]]), np.array([0, 1]),
                          np.array(["C1", "C2"]), top_k)
 
 
@@ -233,9 +263,8 @@ class TestIvf:
             nlist = int(rng.integers(1, 9))
             ivf = ix.build_ivf(V, ids, *term_table(ids), nlist=nlist, seed=trial)
             q = random_unit_rows(rng, 1, 5)[0]
-            assert as_tuples(ix.search_ivf(replace(ivf, nprobe=nlist), q,
-                                           top_k=10)) == \
-                as_tuples(ix.search_ivf(flat, q, top_k=10))
+            assert as_tuples(search(replace(ivf, nprobe=nlist), q, top_k=10)) == \
+                as_tuples(search(flat, q, top_k=10))
 
     @settings(max_examples=100, derandomize=True, database=None, deadline=None)
     @given(n=st.integers(2, 150), k=st.integers(1, 8), seed=st.integers(0, 2 ** 32 - 1),
@@ -255,7 +284,7 @@ class TestIvf:
         assert ivf.nprobe == nprobe < len(ivf.centroids)
         cui_of = dict(zip(ids.tolist(), cuis))
         for q in rng.normal(size=(3, k)):
-            got = ix.search_ivf(ivf, q, top_k)
+            got = search(ivf, q, top_k)
             assert len({nb.term_id for nb in got}) == len(got)
             assert all(nb.cui == cui_of[nb.term_id] for nb in got)
 
@@ -263,10 +292,10 @@ class TestIvf:
         rng = np.random.default_rng(9)
         V = random_unit_rows(rng, 10, 3)
         ivf = ix.build_ivf(V, np.arange(10), *term_table(range(10)), nlist=2)
-        out = ix.search_ivf(replace(ivf, nprobe=99), V[0], top_k=3)
+        out = search(replace(ivf, nprobe=99), V[0], top_k=3)
         assert len(out) == 3
         assert as_tuples(out) == \
-            as_tuples(ix.search_ivf(replace(ivf, nprobe=2), V[0], 3))
+            as_tuples(search(replace(ivf, nprobe=2), V[0], 3))
 
     def test_recall_on_clustered_data(self):
         rng = np.random.default_rng(10)
@@ -282,10 +311,33 @@ class TestIvf:
             + 0.05 * rng.normal(size=(200, k))
         hits = 0
         for q in queries:
-            truth = ix.search_ivf(flat, q, 1)[0].term_id
-            approx = ix.search_ivf(replace(ivf, nprobe=8), q, top_k=1)
+            truth = search(flat, q, 1)[0].term_id
+            approx = search(replace(ivf, nprobe=8), q, top_k=1)
             hits += bool(approx) and approx[0].term_id == truth
         assert hits / len(queries) >= 0.9
+
+    @settings(max_examples=150, derandomize=True, database=None, deadline=None)
+    @given(n=st.integers(1, 120), k=st.integers(1, 12), seed=st.integers(0, 2 ** 32 - 1),
+           data=st.data())
+    def test_build_equals_kmeans_oracle_bitwise(self, n, k, seed, data):
+        """One list skips k-means, yet gives the index k-means gives: the
+        rows in order under their mean, the centroid of one Lloyd pass. More
+        lists run the oracle's k-means."""
+        nlist = data.draw(st.one_of(st.just(1), st.integers(1, min(n, 6))))
+        rng = np.random.default_rng(seed)
+        V = rng.normal(size=(n, k))
+        V[: n // 3] = V[n // 3: 2 * (n // 3)]  # duplicate rows
+        V[rng.random(n) < 0.1] = 0.0  # rows the normalization passes through
+        if data.draw(st.booleans()):
+            V = np.asfortranarray(V)
+        ids = rng.permutation(n).astype(np.int64) * 2
+        cuis, groups = term_table(ids)
+        got = ix.build_ivf(V, ids, cuis, groups, nlist, seed=seed, nprobe=3)
+        want = kmeans_build_ivf(V, ids, cuis, groups, nlist, seed=seed, nprobe=3)
+        for name in ("centroids", "vectors", "ids", "cuis", "groups", "offsets"):
+            a, b = getattr(got, name), getattr(want, name)
+            assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), name
+        assert got.nprobe == want.nprobe
 
     def test_build_deterministic(self):
         rng = np.random.default_rng(11)
@@ -300,6 +352,94 @@ class TestIvf:
     def test_nlist_out_of_range(self):
         with pytest.raises(DataError):
             ix.build_ivf(np.ones((3, 2)), [0, 1, 2], *term_table(range(3)), nlist=4)
+
+
+def random_transform(rng, d, k):
+    """A PCA transform of d-vectors to k orthonormal coordinates."""
+    return ix.PcaTransform(mean=rng.normal(size=d),
+                           projection=np.linalg.qr(rng.normal(size=(d, k)))[0],
+                           explained_variance=np.ones(k))
+
+
+def block_search(index, transform, block, top_k, real):
+    """Project a block of embeddings and search its first ``real`` rows."""
+    return ix.search_ivf(index, ix.apply_pca(transform, block), top_k, real)
+
+
+class TestBlockInvariance:
+    """A mention gets the same neighbors, ids and score bits, linked alone
+    as at any position of a block among any companions."""
+
+    @settings(max_examples=60, derandomize=True, database=None, deadline=None)
+    @given(n=st.one_of(st.sampled_from([3270, 777]),
+                       st.integers(1, 400).filter(lambda n: n % 16)),
+           d=st.sampled_from([96, 32, 7]), lists=st.sampled_from([1, 4, 13]),
+           seed=st.integers(0, 2 ** 32 - 1), data=st.data())
+    def test_mention_alone_equals_in_any_block(self, n, d, lists, seed, data):
+        rng = np.random.default_rng(seed)
+        k = data.draw(st.integers(1, d))
+        transform = random_transform(rng, d, k)
+        V = rng.normal(size=(n, k))
+        V[: n // 4] = V[n // 4: 2 * (n // 4)]  # score ties
+        ids = rng.permutation(n).astype(np.int64)
+        nlist = min(lists, n)
+        index = ix.build_ivf(V, ids, *term_table(ids), nlist, seed=seed,
+                             nprobe=max(nlist // 2, 1))
+        top_k = data.draw(st.one_of(st.integers(1, 12), st.just(n + 2)))
+        mention = rng.normal(size=d)
+        alone = np.zeros((ix.LINK_BLOCK, d))
+        alone[0] = mention
+        [want] = block_search(index, transform, alone, top_k, 1)
+        real = data.draw(st.integers(1, ix.LINK_BLOCK))
+        pos = data.draw(st.integers(0, real - 1))
+        block = rng.normal(size=(ix.LINK_BLOCK, d))
+        block[pos] = mention
+        got = block_search(index, transform, block, top_k, real)
+        assert len(got) == real
+        if nlist == 1:
+            assert len(want) == min(top_k, n)
+        assert same_neighbors(got[pos], want)
+
+    def test_forms_hold_in_blocks_of_twice_the_size(self):
+        """The projection and scoring forms keep a row's bits in 16-row
+        blocks too. Scoring as Q @ vectors.T would not: there a row in the
+        last positions changes bits with its companions at some widths."""
+        rng = np.random.default_rng(16)
+        size = 2 * ix.LINK_BLOCK
+        for _ in range(80):
+            n = int(rng.choice([3270, 777, rng.integers(1, 1000)]))
+            d = int(rng.choice([96, rng.integers(1, 97)]))
+            k = int(rng.integers(1, d + 1))
+            transform = random_transform(rng, d, k)
+            ids = np.arange(n)
+            index = ix.build_ivf(rng.normal(size=(n, k)), ids, *term_table(ids), 1)
+            mention = rng.normal(size=d)
+            alone = np.zeros((size, d))
+            alone[0] = mention
+            block = rng.normal(size=(size, d))
+            pos = int(rng.integers(size))
+            block[pos] = mention
+            # every stored row ranked: the edge rows are the ones that vary
+            [want] = block_search(index, transform, alone, n, 1)
+            got = block_search(index, transform, block, n, size)[pos]
+            assert same_neighbors(got, want), (n, d, k, pos)
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_under_blas_threads(self, threads):
+        """The test above in a fresh interpreter whose BLAS thread count is
+        set before numpy loads."""
+        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        src = os.path.dirname(os.path.dirname(ix.__file__))
+        env = {**os.environ, "PYTHONPATH": src}
+        for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+            env[var] = str(threads)
+        proc = subprocess.run(
+            [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+             f"{os.path.abspath(__file__)}::TestBlockInvariance::"
+             "test_mention_alone_equals_in_any_block"],
+            cwd=root, env=env, capture_output=True, text=True, timeout=600)
+        assert proc.returncode == 0, proc.stdout[-3000:]
+        assert "1 passed" in proc.stdout
 
 
 class TestSerialization:
@@ -330,8 +470,8 @@ class TestSerialization:
         ix.save_ivf(tmp_path / "f.idx", flat)
         back = ix.load_ivf(tmp_path / "f.idx")
         q = random_unit_rows(rng, 1, 4)[0]
-        assert as_tuples(ix.search_ivf(back, q, 7)) == \
-            as_tuples(ix.search_ivf(flat, q, 7))
+        assert as_tuples(search(back, q, 7)) == \
+            as_tuples(search(flat, q, 7))
         assert back.cuis.tolist() == cuis and back.groups.tolist() == groups
         assert back.ids.tolist() == ids.tolist()
         assert (back.params_sha256, back.pca_sha256) == ("ab" * 32, "cd" * 32)
@@ -346,8 +486,8 @@ class TestSerialization:
         back = ix.load_ivf(tmp_path / "i.idx")
         q = random_unit_rows(rng, 1, 5)[0]
         for nprobe in (1, 3, 6):
-            assert as_tuples(ix.search_ivf(replace(back, nprobe=nprobe), q, 8)) == \
-                as_tuples(ix.search_ivf(replace(ivf, nprobe=nprobe), q, 8))
+            assert as_tuples(search(replace(back, nprobe=nprobe), q, 8)) == \
+                as_tuples(search(replace(ivf, nprobe=nprobe), q, 8))
         # the term table follows the rows through the list grouping
         row_of = {int(i): n for n, i in enumerate(ids)}
         assert back.cuis.tolist() == [cuis[row_of[i]] for i in back.ids.tolist()]
@@ -414,13 +554,41 @@ class TestLinkMention:
         mentions = ["griep", "hoofd pijn", "longontsteking x", "koortsig"]
         for mention, (cui, got) in zip(mentions, ix.link_mentions(
                 mentions, params, t, flat, top_k=4)):
-            q = ix._unit_rows(ix.apply_pca(t, encode(params, mention)))
-            want = ix._rank(flat.vectors @ q, flat.ids, flat.cuis, 4)
-            assert [(nb.term_id, nb.cui) for nb in got] == \
-                [(nb.term_id, nb.cui) for nb in want]
-            assert np.array_equal(np.array([nb.score for nb in got]).view(np.int64),
-                                  np.array([nb.score for nb in want]).view(np.int64))
+            block = np.zeros((ix.LINK_BLOCK, params.dim))
+            block[0] = encode(params, mention)
+            q = ix.apply_pca(t, block)[0]
+            assert same_neighbors(got, search_flat(flat.vectors, flat.ids,
+                                                   flat.cuis, q, 4))
             assert cui == got[0].cui
+
+    @pytest.mark.parametrize("nlist", [1, 2])
+    @pytest.mark.parametrize("count", [0, 1, 7, 8, 9, 17])
+    def test_each_mention_links_as_alone(self, count, nlist):
+        """Any number of mentions, blank ones among them, fills blocks of
+        LINK_BLOCK rows; each mention gets the result it gets alone."""
+        terms = [(random_word(np.random.default_rng(i)), f"C{i:07d}") for i in range(10)]
+        params, t, flat = self.build(terms)
+        index = ix.build_ivf(flat.vectors, flat.ids, flat.cuis, flat.groups, nlist,
+                             nprobe=1)
+        rng = np.random.default_rng(count)
+        mentions = [random_word(rng) for _ in range(count)]
+        mentions[2::5] = [" "] * len(mentions[2::5])
+        results = ix.link_mentions(mentions, params, t, index, top_k=4)
+        assert len(results) == count
+        for mention, result in zip(mentions, results):
+            [alone] = ix.link_mentions([mention], params, t, index, top_k=4)
+            if isinstance(alone, DataError):
+                assert mention == " " and type(result) is type(alone)
+            else:
+                assert result[0] == alone[0] == result[1][0].cui
+                assert same_neighbors(result[1], alone[1])
+
+    def test_all_encode_errors(self):
+        params, t, flat = self.build([("griep", "C0000001"), ("koorts", "C0000002"),
+                                      ("hoofdpijn", "C0000003")], pca_k=2)
+        results = ix.link_mentions(["", "   ", "\t"], params, t, flat)
+        assert len(results) == 3
+        assert all(isinstance(r, DataError) and "empty text" in str(r) for r in results)
 
     def test_empty_index_raises(self):
         params = enc.init_params(0, buckets=64, hidden=4, dim=4)
