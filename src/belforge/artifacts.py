@@ -170,7 +170,8 @@ def _read_artifact(f, path, kind, verify):
             payload.update(raw)
         arrays[name] = a.astype(dt.newbyteorder("="), copy=False)
     if verify and digest is None:
-        raise ArtifactError(f"{path}: artifact records no payload digest to verify")
+        raise ArtifactError(f"{path}: artifact records no payload digest to verify; "
+                            "rewrite it with the command that made it")
     if verify and payload.hexdigest() != digest:
         raise ArtifactError(f"{path}: payload does not match the sha256 its header "
                             "records; the file is corrupt")

@@ -306,9 +306,6 @@ def cmd_index_build(cfg, args):
         _at_least(icfg[key], f"index.{key}")
     params_path = _resolve_params_path(cfg, args)
     params = enc.load_params(params_path, verify=True)
-    if params.sha256 is None:
-        raise ArtifactError(f"{params_path}: params artifact records no payload "
-                            "digest; rerun train or finetune to rewrite it")
     ontology = _load_ontology(cfg)
     if not ontology:
         raise DataError("cannot build an index from an empty ontology")

@@ -152,9 +152,7 @@ def _assign(rows, centroids):
 def build_ivf(vectors, ids, cuis, groups, nlist, seed=0, nprobe=8):
     """Inverted-file index of the unit-normalized rows, each stored with its
     term id, CUI and group: k-means++ seeded centroids, Lloyd refinement,
-    each row in the list of its nearest centroid; nprobe is capped at nlist.
-    One list keeps the rows in order under their mean, the centroid one
-    Lloyd pass gives."""
+    each row in the list of its nearest centroid; nprobe is capped at nlist."""
     rows = _unit_rows(vectors)
     ids = np.asarray(ids, dtype=np.int64)
     cuis, groups = (np.asarray(a, dtype=str) for a in (cuis, groups))
@@ -163,10 +161,6 @@ def build_ivf(vectors, ids, cuis, groups, nlist, seed=0, nprobe=8):
     n = rows.shape[0]
     if nlist < 1 or nlist > n:
         raise DataError(f"ivf: nlist={nlist} out of range for {n} rows")
-    if nlist == 1:
-        return IvfIndex(centroids=rows.mean(axis=0)[None, :], vectors=rows, ids=ids,
-                        cuis=cuis, groups=groups, offsets=np.array([0, n]),
-                        nprobe=1)
     rng = np.random.default_rng(seed)
     centroids = _kmeans_pp_init(rows, nlist, rng)
     assign = _assign(rows, centroids)
@@ -207,17 +201,13 @@ def search_ivf(index, block, top_k, real):
     cd = np.sum((index.centroids - Q[:, None, :]) ** 2, axis=2)
     # stable: of equal distances the lower list is probed first
     probes = np.argsort(cd, axis=1, kind="stable")[:, :index.nprobe]
-    # each query's probed lists as positions into the stored rows
-    starts = index.offsets[probes]
-    sizes = (index.offsets[probes + 1] - starts).ravel()
-    ends = np.cumsum(sizes)
-    rows = np.repeat(starts.ravel() - ends + sizes, sizes)
-    rows += np.arange(len(rows))
-    bounds = [0] + ends[index.nprobe - 1::index.nprobe].tolist()
     found = []
-    for q, a, b in zip(Q, bounds, bounds[1:]):
-        found += _rank((np.take(index.vectors, rows[a:b], axis=0) @ q)[None, :],
-                       index.ids, index.cuis, top_k, rows[a:b])
+    for q, p in zip(Q, probes):
+        # the query's probed lists as positions into the stored rows
+        rows = np.concatenate([np.arange(index.offsets[c], index.offsets[c + 1])
+                               for c in p])
+        found += _rank((np.take(index.vectors, rows, axis=0) @ q)[None, :],
+                       index.ids, index.cuis, top_k, rows)
     return found
 
 

@@ -5,8 +5,7 @@ pass, and the training epoch composed from them with one forward per row;
 the character-at-a-time wikitext cleanup and sentence splitter, corpus
 compilation that filters every link against every sentence span, one
 parse loop per pipe-delimited ontology source file, the per-query ranking,
-the flat nearest-neighbour search and the k-means index build for any
-number of lists."""
+and the flat nearest-neighbour search."""
 
 from dataclasses import dataclass
 
@@ -469,29 +468,3 @@ def search_flat(vectors, ids, cuis, query, top_k):
     Q = index._unit_rows(block)
     return rank((vectors @ Q.T)[:, 0], ids, cuis, top_k)
 
-
-def build_ivf(vectors, ids, cuis, groups, nlist, seed=0, nprobe=8):
-    """The index of k-means for every nlist, one list included: k-means++
-    seeded centroids, index.KMEANS_ITERS Lloyd passes, each row in the list
-    of its nearest centroid, rows grouped by a stable sort on the list."""
-    rows = index._unit_rows(vectors)
-    ids = np.asarray(ids, dtype=np.int64)
-    cuis, groups = (np.asarray(a, dtype=str) for a in (cuis, groups))
-    rng = np.random.default_rng(seed)
-    centroids = index._kmeans_pp_init(rows, nlist, rng)
-    assign = index._assign(rows, centroids)
-    for _ in range(index.KMEANS_ITERS):
-        for c in range(nlist):
-            members = rows[assign == c]
-            if len(members):
-                centroids[c] = members.mean(axis=0)
-        new_assign = index._assign(rows, centroids)
-        if np.array_equal(new_assign, assign):
-            break
-        assign = new_assign
-    order = np.argsort(assign, kind="stable")
-    sizes = np.bincount(assign, minlength=nlist)
-    return index.IvfIndex(centroids=centroids, vectors=rows[order], ids=ids[order],
-                          cuis=cuis[order], groups=groups[order],
-                          offsets=np.concatenate(([0], np.cumsum(sizes))),
-                          nprobe=min(nprobe, nlist))

@@ -538,7 +538,8 @@ class TestLinkStack:
         edit_header(root / "out" / "finetuned.params",
                     lambda header: header.pop("sha256"))
         assert_io_error(config, capsys, ["index-build"], "finetuned.params",
-                        "no payload digest")
+                        "no payload digest",
+                        "rewrite it with the command that made it")
 
     @pytest.mark.parametrize("artifact", ["finetuned.params", "pca.bin",
                                           "flat.index", "ivf.index"])

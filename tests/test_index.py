@@ -14,7 +14,6 @@ from belforge import index as ix
 from belforge.errors import ArtifactError, DataError
 from helpers import (encode, random_unit_rows, random_word, reconstruct, search,
                      term_table)
-from oracles import build_ivf as kmeans_build_ivf
 from oracles import rank, search_flat
 
 
@@ -315,29 +314,6 @@ class TestIvf:
             approx = search(replace(ivf, nprobe=8), q, top_k=1)
             hits += bool(approx) and approx[0].term_id == truth
         assert hits / len(queries) >= 0.9
-
-    @settings(max_examples=150, derandomize=True, database=None, deadline=None)
-    @given(n=st.integers(1, 120), k=st.integers(1, 12), seed=st.integers(0, 2 ** 32 - 1),
-           data=st.data())
-    def test_build_equals_kmeans_oracle_bitwise(self, n, k, seed, data):
-        """One list skips k-means, yet gives the index k-means gives: the
-        rows in order under their mean, the centroid of one Lloyd pass. More
-        lists run the oracle's k-means."""
-        nlist = data.draw(st.one_of(st.just(1), st.integers(1, min(n, 6))))
-        rng = np.random.default_rng(seed)
-        V = rng.normal(size=(n, k))
-        V[: n // 3] = V[n // 3: 2 * (n // 3)]  # duplicate rows
-        V[rng.random(n) < 0.1] = 0.0  # rows the normalization passes through
-        if data.draw(st.booleans()):
-            V = np.asfortranarray(V)
-        ids = rng.permutation(n).astype(np.int64) * 2
-        cuis, groups = term_table(ids)
-        got = ix.build_ivf(V, ids, cuis, groups, nlist, seed=seed, nprobe=3)
-        want = kmeans_build_ivf(V, ids, cuis, groups, nlist, seed=seed, nprobe=3)
-        for name in ("centroids", "vectors", "ids", "cuis", "groups", "offsets"):
-            a, b = getattr(got, name), getattr(want, name)
-            assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), name
-        assert got.nprobe == want.nprobe
 
     def test_build_deterministic(self):
         rng = np.random.default_rng(11)
