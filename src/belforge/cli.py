@@ -326,6 +326,10 @@ def cmd_index_build(cfg, args):
                                     seed=cfg["seed"], nprobe=icfg["nprobe"])
         index.params_sha256, index.pca_sha256 = params.sha256, pca_sha256
         index_mod.save_ivf(paths[key], index)
+    for key, used in (("pca_k", k), ("nlist", nlist)):
+        if used < icfg[key]:
+            log.info("index.%s=%d cut to %d to fit %d terms of dim %d", key,
+                     icfg[key], used, len(ids), embeddings.shape[1])
     _summary({"command": "index-build", "terms": len(ids), "pca_k": k,
               "nlist": nlist})
     return 0

@@ -124,29 +124,40 @@ def _rank(scores, ids, cuis, top_k, rows=None):
     return [neighbors[a:b] for a, b in zip(bounds, bounds[1:])]
 
 
-def _kmeans_pp_init(rows, nlist, rng):
+def _kmeans(rows, nlist, rng):
+    """k-means++ seeds, then Lloyd passes until no row moves: the centroids
+    and each row's list, every squared distance |x|^2 + |c|^2 - 2x.c."""
     n = rows.shape[0]
+    sq = np.sum(rows ** 2, axis=1)
+    twice = 2.0 * rows
     centroids = np.empty((nlist, rows.shape[1]))
-    first = int(rng.integers(n))
-    centroids[0] = rows[first]
-    d2 = np.sum((rows - centroids[0]) ** 2, axis=1)
-    for c in range(1, nlist):
-        total = d2.sum()
-        if total <= 0:
-            idx = int(rng.integers(n))
-        else:
-            idx = int(np.searchsorted(np.cumsum(d2 / total), rng.random()))
-            idx = min(idx, n - 1)
+    d2 = np.full(n, np.inf)
+    idx = int(rng.integers(n))
+    for c in range(nlist):
         centroids[c] = rows[idx]
-        d2 = np.minimum(d2, np.sum((rows - centroids[c]) ** 2, axis=1))
-    return centroids
+        # clamped: rounding must not make a near-duplicate's weight negative
+        np.minimum(d2, np.maximum(sq + sq[idx] - twice @ rows[idx], 0.0), out=d2)
+        total = d2.sum()
+        idx = (int(rng.integers(n)) if total <= 0 else
+               min(int(np.searchsorted(np.cumsum(d2 / total), rng.random())), n - 1))
 
+    def nearest():
+        return np.argmin(sq[:, None] + np.sum(centroids ** 2, axis=1)
+                         - twice @ centroids.T, axis=1)
 
-def _assign(rows, centroids):
-    d2 = (np.sum(rows ** 2, axis=1)[:, None]
-          + np.sum(centroids ** 2, axis=1)[None, :]
-          - 2.0 * rows @ centroids.T)
-    return np.argmin(d2, axis=1)
+    labels = nearest()
+    for _ in range(KMEANS_ITERS):
+        ends = np.cumsum(np.bincount(labels, minlength=nlist)).tolist()
+        # stable: a list's rows keep their input order, as a mask keeps them
+        members = rows[np.argsort(labels, kind="stable")]
+        for c, (a, b) in enumerate(zip([0] + ends, ends)):
+            if b > a:
+                centroids[c] = members[a:b].mean(axis=0)
+        new_labels = nearest()
+        if np.array_equal(new_labels, labels):
+            break
+        labels = new_labels
+    return centroids, labels
 
 
 def build_ivf(vectors, ids, cuis, groups, nlist, seed=0, nprobe=8):
@@ -161,18 +172,7 @@ def build_ivf(vectors, ids, cuis, groups, nlist, seed=0, nprobe=8):
     n = rows.shape[0]
     if nlist < 1 or nlist > n:
         raise DataError(f"ivf: nlist={nlist} out of range for {n} rows")
-    rng = np.random.default_rng(seed)
-    centroids = _kmeans_pp_init(rows, nlist, rng)
-    assign = _assign(rows, centroids)
-    for _ in range(KMEANS_ITERS):
-        for c in range(nlist):
-            members = rows[assign == c]
-            if len(members):
-                centroids[c] = members.mean(axis=0)
-        new_assign = _assign(rows, centroids)
-        if np.array_equal(new_assign, assign):
-            break
-        assign = new_assign
+    centroids, assign = _kmeans(rows, nlist, np.random.default_rng(seed))
     order = np.argsort(assign, kind="stable")
     sizes = np.bincount(assign, minlength=nlist)
     return IvfIndex(centroids=centroids, vectors=rows[order], ids=ids[order],

@@ -5,7 +5,8 @@ pass, and the training epoch composed from them with one forward per row;
 the character-at-a-time wikitext cleanup and sentence splitter, corpus
 compilation that filters every link against every sentence span, one
 parse loop per pipe-delimited ontology source file, the per-query ranking,
-and the flat nearest-neighbour search."""
+the flat nearest-neighbour search, and k-means with per-seed row
+differences and masked list means."""
 
 from dataclasses import dataclass
 
@@ -468,3 +469,47 @@ def search_flat(vectors, ids, cuis, query, top_k):
     Q = index._unit_rows(block)
     return rank((vectors @ Q.T)[:, 0], ids, cuis, top_k)
 
+
+
+def _kmeans_pp_init(rows, nlist, rng):
+    n = rows.shape[0]
+    centroids = np.empty((nlist, rows.shape[1]))
+    first = int(rng.integers(n))
+    centroids[0] = rows[first]
+    d2 = np.sum((rows - centroids[0]) ** 2, axis=1)
+    for c in range(1, nlist):
+        total = d2.sum()
+        if total <= 0:
+            idx = int(rng.integers(n))
+        else:
+            idx = int(np.searchsorted(np.cumsum(d2 / total), rng.random()))
+            idx = min(idx, n - 1)
+        centroids[c] = rows[idx]
+        d2 = np.minimum(d2, np.sum((rows - centroids[c]) ** 2, axis=1))
+    return centroids
+
+
+def _assign(rows, centroids):
+    d2 = (np.sum(rows ** 2, axis=1)[:, None]
+          + np.sum(centroids ** 2, axis=1)[None, :]
+          - 2.0 * rows @ centroids.T)
+    return np.argmin(d2, axis=1)
+
+
+def kmeans(rows, nlist, rng):
+    """k-means++ seeding with each seed's distances as a sum of squared row
+    differences, then Lloyd passes over masked list means: the centroids and
+    each row's list. ``index._kmeans`` must give the same bytes on distinct
+    rows."""
+    centroids = _kmeans_pp_init(rows, nlist, rng)
+    assign = _assign(rows, centroids)
+    for _ in range(index.KMEANS_ITERS):
+        for c in range(nlist):
+            members = rows[assign == c]
+            if len(members):
+                centroids[c] = members.mean(axis=0)
+        new_assign = _assign(rows, centroids)
+        if np.array_equal(new_assign, assign):
+            break
+        assign = new_assign
+    return centroids, assign

@@ -1061,6 +1061,40 @@ class TestUnbalancedTemplates:
         assert not [r for r in caplog.records if r.levelno == logging.WARNING]
 
 
+class TestIndexClamp:
+    """index-build names a cut pca_k or nlist in one INFO line on stderr,
+    which --quiet suppresses. Logging is configured once per interpreter, and
+    pytest's own handlers keep --quiet from applying in process, so each
+    case runs a fresh one."""
+
+    # 7 terms of dim 8: pca_k is cut to 6, nlist to 7
+    CASES = {"pca_k": (["index.pca_k=8", "index.nlist=2"], "index.pca_k=8 cut to 6", 6, 2),
+             "nlist": (["index.pca_k=4", "index.nlist=50"], "index.nlist=50 cut to 7", 4, 7)}
+
+    @pytest.mark.parametrize("quiet", [False, True])
+    @pytest.mark.parametrize("key", sorted(CASES))
+    def test_cut_key_is_logged_once(self, workspace, key, quiet):
+        root, config = workspace
+        run_pipeline(config, upto="train")
+        overrides, line, pca_k, nlist = self.CASES[key]
+        src = os.path.dirname(os.path.dirname(enc.__file__))
+        argv = [sys.executable, "-m", "belforge.cli", "index-build", "--config", config]
+        for item in overrides:
+            argv += ["--set", item]
+        proc = subprocess.run(argv + ["--quiet"] * quiet, cwd=root,
+                              env={**os.environ, "PYTHONPATH": src},
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        out, = proc.stdout.splitlines()
+        summary = json.loads(out)
+        assert (summary["pca_k"], summary["nlist"]) == (pca_k, nlist)
+        if quiet:
+            assert proc.stderr == ""
+        else:
+            assert proc.stderr.splitlines() == \
+                [f"INFO belforge: {line} to fit 7 terms of dim 8"]
+
+
 def _leaves(node, prefix=""):
     for key, value in node.items():
         if isinstance(value, dict):

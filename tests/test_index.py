@@ -14,7 +14,7 @@ from belforge import index as ix
 from belforge.errors import ArtifactError, DataError
 from helpers import (encode, random_unit_rows, random_word, reconstruct, search,
                      term_table)
-from oracles import rank, search_flat
+from oracles import kmeans, rank, search_flat
 
 
 def eig_pca_oracle(X, k):
@@ -328,6 +328,61 @@ class TestIvf:
     def test_nlist_out_of_range(self):
         with pytest.raises(DataError):
             ix.build_ivf(np.ones((3, 2)), [0, 1, 2], *term_table(range(3)), nlist=4)
+
+    def test_kmeans_equals_oracle_bitwise(self):
+        """On distinct rows the |x|^2 + |c|^2 - 2x.c seeding and the Lloyd
+        means over rows sorted by list give the bytes of the per-seed row
+        differences and masked means (oracles.kmeans). Normal rows, not
+        hypothesis floats: near-duplicate rows may sample other seeds."""
+        rng = np.random.default_rng(14)
+        shapes = [(3270, 96, 64)]
+        while len(shapes) < 300:
+            n, k = int(rng.integers(2, 601)), int(rng.integers(1, 97))
+            shapes.append((n, k, int(rng.integers(1, min(n, 64) + 1))))
+        for seed, (n, k, nlist) in enumerate(shapes):
+            V = rng.normal(size=(n, k))
+            ids = rng.permutation(n).astype(np.int64)
+            cuis, groups = (np.asarray(a) for a in term_table(ids))
+            got = ix.build_ivf(V, ids, cuis, groups, nlist, seed=seed)
+            rows = ix._unit_rows(V)
+            centroids, assign = kmeans(rows, nlist, np.random.default_rng(seed))
+            order = np.argsort(assign, kind="stable")
+            offsets = np.concatenate(([0], np.cumsum(np.bincount(assign, minlength=nlist))))
+            want = {"centroids": centroids, "vectors": rows[order], "ids": ids[order],
+                    "cuis": cuis[order], "groups": groups[order], "offsets": offsets}
+            for name, value in want.items():
+                assert getattr(got, name).dtype == value.dtype, (name, n, k, nlist)
+                assert getattr(got, name).tobytes() == value.tobytes(), (name, n, k, nlist)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_fewer_distinct_rows_than_lists(self, seed):
+        """15 rows, 9 of them distinct, in 14 lists: once every distinct row
+        is a seed, the old row differences summed to exactly 0 and the
+        expanded form sums to rounding noise, so the seeds may differ from
+        oracles.kmeans. The index must still be valid and reproducible."""
+        rng = np.random.default_rng(seed)
+        V = rng.normal(size=(9, 23))[rng.permutation(np.r_[np.arange(9),
+                                                          rng.integers(0, 9, 6)])]
+        ids = rng.permutation(15).astype(np.int64) * 3
+        cuis, groups = term_table(ids)
+        index = ix.build_ivf(V, ids, cuis, groups, 14, seed=seed)
+        offsets = index.offsets
+        assert len(offsets) == 15 and offsets[0] == 0 and offsets[-1] == 15
+        assert np.all(np.diff(offsets) >= 0)
+        # each input row's stored position, through its (distinct) term id
+        at = dict(zip(index.ids.tolist(), range(15)))
+        assert sorted(at) == sorted(ids.tolist())
+        pos = np.array([at[i] for i in ids.tolist()])
+        rows = ix._unit_rows(V)
+        assert index.vectors[pos].tobytes() == rows.tobytes()
+        assert index.cuis[pos].tolist() == cuis and index.groups[pos].tolist() == groups
+        c = index.centroids
+        nearest = np.argmin(np.sum(rows ** 2, axis=1)[:, None] + np.sum(c ** 2, axis=1)
+                            - 2.0 * rows @ c.T, axis=1)
+        assert np.array_equal(np.searchsorted(offsets, pos, side="right") - 1, nearest)
+        again = ix.build_ivf(V, ids, cuis, groups, 14, seed=seed)
+        for name in ("centroids", "vectors", "ids", "cuis", "groups", "offsets"):
+            assert getattr(again, name).tobytes() == getattr(index, name).tobytes()
 
 
 def random_transform(rng, d, k):
