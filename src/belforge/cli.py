@@ -55,8 +55,9 @@ def _build_parser(names):
         if name in ("index-build", "link", "evaluate"):
             p.add_argument("--params", help="encoder params artifact to use")
         if name == "link":
-            p.add_argument("--mention", help="link a single mention")
-            p.add_argument("--input", help="file with one mention per line")
+            source = p.add_mutually_exclusive_group()
+            source.add_argument("--mention", help="link a single mention")
+            source.add_argument("--input", help="file with one mention per line")
             p.add_argument("--top-k", type=int, dest="top_k")
             p.add_argument("--index", choices=["flat", "ivf"], dest="index_kind")
         if name == "evaluate":
@@ -323,7 +324,7 @@ def cmd_index_build(cfg, args):
     # the flat index is the one-list index, which search_ivf scans exactly
     for key, lists in (("flat_index", 1), ("ivf_index", nlist)):
         index = index_mod.build_ivf(compressed, ids, cuis, groups, lists,
-                                    seed=cfg["seed"], nprobe=icfg["nprobe"])
+                                    seed=cfg["seed"])
         index.params_sha256, index.pca_sha256 = params.sha256, pca_sha256
         index_mod.save_ivf(paths[key], index)
     for key, used in (("pca_k", k), ("nlist", nlist)):
@@ -338,7 +339,9 @@ def cmd_index_build(cfg, args):
 def _load_link_stack(cfg, args, verify=False):
     """The params, PCA and index artifacts, refused unless index-build made
     the PCA and index together from these params and their dimensions
-    agree; with ``verify`` each payload must match its recorded digest."""
+    agree; with ``verify`` each payload must match its recorded digest.
+    The index searches index.nprobe lists per mention."""
+    nprobe = _at_least(cfg["index"]["nprobe"], "index.nprobe")
     paths = cfg["paths"]
     params_path = _resolve_params_path(cfg, args)
     params = enc.load_params(params_path, verify)
@@ -362,6 +365,7 @@ def _load_link_stack(cfg, args, verify=False):
             f"dimensions do not match: {params_path} outputs {params.dim}, "
             f"{paths['pca']} maps {d} to {k}, {index_path} stores {rows} with "
             f"centroids of {cols}; rerun index-build")
+    index.nprobe = nprobe
     return params, transform, index
 
 

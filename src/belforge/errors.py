@@ -19,4 +19,5 @@ class NetworkError(BelforgeError):
 
 
 class UnencodableTextError(DataError):
-    """Raised when a mention is empty after trimming and cannot be embedded."""
+    """Raised when a mention is empty after trimming or has no UTF-8 encoding
+    (a lone surrogate), and so cannot be embedded."""

@@ -32,6 +32,15 @@ def prepare(text, lowercase=False):
     return BOUNDARY_START + stripped + BOUNDARY_END
 
 
+def utf8(text):
+    """The UTF-8 bytes of ``text``; a lone surrogate, which has none, raises
+    UnencodableTextError."""
+    try:
+        return text.encode("utf-8")
+    except UnicodeEncodeError as e:
+        raise UnencodableTextError(f"text is not encodable as UTF-8: {e}") from e
+
+
 def featurize_batch(texts, n_min, n_max, buckets, lowercase=False):
     """Hash the char n-grams of every text into a sparse count vector.
 
@@ -43,10 +52,7 @@ def featurize_batch(texts, n_min, n_max, buckets, lowercase=False):
     holds a lone surrogate, which has no UTF-8 encoding.
     """
     wrapped = [prepare(t, lowercase) for t in texts]
-    try:
-        data = np.frombuffer("".join(wrapped).encode("utf-8"), dtype=np.uint8)
-    except UnicodeEncodeError as e:
-        raise UnencodableTextError(f"text is not encodable as UTF-8: {e}") from e
+    data = np.frombuffer(utf8("".join(wrapped)), dtype=np.uint8)
     # byte offset of every character, plus the end of the buffer
     offsets = np.append(np.flatnonzero((data & 0xC0) != 0x80), data.size)
     char_bytes = np.diff(offsets)

@@ -13,7 +13,7 @@ import numpy as np
 from . import artifacts
 from .encoder import NORM_EPS, encode_batch
 from .errors import ArtifactError, DataError
-from .features import prepare
+from .features import prepare, utf8
 
 KMEANS_ITERS = 10  # Lloyd passes after the k-means++ seeding
 # mentions per projection and scoring block; the last block is zero-padded,
@@ -38,7 +38,7 @@ class IvfIndex:
     cuis: np.ndarray       # n CUIs, in row order
     groups: np.ndarray     # n semantic groups, in row order
     offsets: np.ndarray    # nlist + 1; list c is vectors[offsets[c]:offsets[c + 1]]
-    nprobe: int = 8
+    nprobe: int = 8        # lists searched per query: a search setting, not saved
     params_sha256: str | None = None  # digests of the params and PCA artifacts
     pca_sha256: str | None = None     # the index was built with
 
@@ -160,10 +160,10 @@ def _kmeans(rows, nlist, rng):
     return centroids, labels
 
 
-def build_ivf(vectors, ids, cuis, groups, nlist, seed=0, nprobe=8):
+def build_ivf(vectors, ids, cuis, groups, nlist, seed=0):
     """Inverted-file index of the unit-normalized rows, each stored with its
     term id, CUI and group: k-means++ seeded centroids, Lloyd refinement,
-    each row in the list of its nearest centroid; nprobe is capped at nlist."""
+    each row in the list of its nearest centroid."""
     rows = _unit_rows(vectors)
     ids = np.asarray(ids, dtype=np.int64)
     cuis, groups = (np.asarray(a, dtype=str) for a in (cuis, groups))
@@ -177,8 +177,7 @@ def build_ivf(vectors, ids, cuis, groups, nlist, seed=0, nprobe=8):
     sizes = np.bincount(assign, minlength=nlist)
     return IvfIndex(centroids=centroids, vectors=rows[order], ids=ids[order],
                     cuis=cuis[order], groups=groups[order],
-                    offsets=np.concatenate(([0], np.cumsum(sizes))),
-                    nprobe=min(nprobe, nlist))
+                    offsets=np.concatenate(([0], np.cumsum(sizes))))
 
 
 def search_ivf(index, block, top_k, real):
@@ -219,13 +218,14 @@ def link_mentions(texts, params, transform, index, top_k=10):
     of LINK_BLOCK rows, the last one zero-padded, so every block runs the
     same products and a mention gets the same result alone as in any batch.
     Returns, per text, (predicted_cui, neighbors) or a DataError: the
-    mention cannot be encoded or the index has no candidates.
+    mention is blank or not encodable as UTF-8, or the index has no
+    candidates.
     """
     results = [None] * len(texts)
     todo = []
     for i, text in enumerate(texts):
         try:
-            prepare(text)
+            utf8(prepare(text))
             todo.append(i)
         except DataError as e:
             results[i] = e
@@ -267,8 +267,7 @@ def load_pca(path, verify=False):
 def save_ivf(path, index):
     artifacts.save_artifact(
         path, "ivf-index",
-        {"nprobe": index.nprobe, "params_sha256": index.params_sha256,
-         "pca_sha256": index.pca_sha256},
+        {"params_sha256": index.params_sha256, "pca_sha256": index.pca_sha256},
         {"centroids": index.centroids, "vectors": index.vectors, "ids": index.ids,
          "cuis": index.cuis, "groups": index.groups, "sizes": np.diff(index.offsets)})
 
@@ -277,7 +276,8 @@ def load_ivf(path, verify=False):
     """The saved index, refused unless it carries a term table, its arrays
     are row-aligned and its list sizes split the rows into one list per
     centroid; with ``verify`` its payload digest is recomputed and checked
-    (artifacts.load_artifact)."""
+    (artifacts.load_artifact). The nprobe entry of older files is ignored:
+    the caller sets the search's nprobe."""
     meta, arrays, _sha256 = artifacts.load_artifact(path, "ivf-index", verify)
     if "cuis" not in arrays or "groups" not in arrays:
         raise ArtifactError(f"{path}: index carries no term table; rerun index-build")
@@ -290,10 +290,7 @@ def load_ivf(path, verify=False):
        np.any(sizes < 0) or sizes.sum() != len(ids):
         raise ArtifactError(f"{path}: vectors, ids, cuis, groups, centroids and "
                             "sizes do not match")
-    if meta.size("nprobe") > len(centroids):
-        raise ArtifactError(f"{path}: nprobe exceeds nlist {len(centroids)}")
     return IvfIndex(centroids=centroids, vectors=vectors, ids=ids, cuis=cuis,
                     groups=groups, offsets=np.concatenate(([0], np.cumsum(sizes))),
-                    nprobe=meta.size("nprobe"),
                     params_sha256=meta.get("params_sha256"),
                     pca_sha256=meta.get("pca_sha256"))

@@ -188,14 +188,6 @@ def crosswalk_terms(targets, bridge, vocab="SNOMEDCT_NL", language="DUT"):
     return out
 
 
-def _normalize_ws(text):
-    return " ".join(text.split())
-
-
-def _dedupe_key(rec, case_insensitive):
-    return (rec.cui, rec.text.lower() if case_insensitive else rec.text)
-
-
 def build_ontology(concepts, sty, groups, crosswalk, config):
     """Run the full filter/enrichment pipeline.
 
@@ -203,11 +195,24 @@ def build_ontology(concepts, sty, groups, crosswalk, config):
     subterm substrings, (3) dedupe on (cui, text), (4) add crosswalked
     terms, (5) drop configured semantic types, (6) add drug-vocabulary
     records (set aside from the input regardless of language), (7) resolve
-    semantic groups. Returns (records, step_stats).
+    semantic groups. Steps 3, 4 and 6 keep the first record of each (cui,
+    text), the text case-folded when dedupe_case_insensitive is set.
+    Returns (records, step_stats).
     """
     stats = StepStats()
     drug_pool = [r for r in concepts if r.vocab in config.drug_vocabs]
     kept = [r for r in concepts if r.vocab not in config.drug_vocabs]
+    fold = str.lower if config.dedupe_case_insensitive else str
+    seen = set()
+
+    def unseen(records):
+        out = []
+        for rec in records:
+            key = (rec.cui, fold(rec.text))
+            if key not in seen:
+                seen.add(key)
+                out.append(rec)
+        return out
 
     # 1. vocabulary filter
     kept = [r for r in kept if r.vocab not in config.drop_vocabs]
@@ -219,7 +224,7 @@ def build_ontology(concepts, sty, groups, crosswalk, config):
         text = rec.text
         for pattern, vocabs in config.descriptive_subterm_patterns:
             if rec.vocab in vocabs and pattern in text:
-                text = _normalize_ws(text.replace(pattern, " "))
+                text = " ".join(text.replace(pattern, " ").split())
         if text:
             if text != rec.text:
                 rec = TermRecord(rec.term_id, rec.cui, rec.language, rec.vocab,
@@ -229,26 +234,14 @@ def build_ontology(concepts, sty, groups, crosswalk, config):
     stats.record("strip_descriptive_subterms", len(kept))
 
     # 3. dedupe, first occurrence wins
-    seen = set()
-    out = []
-    for rec in kept:
-        key = _dedupe_key(rec, config.dedupe_case_insensitive)
-        if key not in seen:
-            seen.add(key)
-            out.append(rec)
-    kept = out
+    kept = unseen(kept)
     stats.record("dedupe", len(kept))
 
     # 4. crosswalk additions (bridged through the configured vocabulary)
     bridge = [r for r in kept if r.vocab == config.bridge_vocab]
-    added = crosswalk_terms(
+    kept += unseen(crosswalk_terms(
         crosswalk, bridge, vocab=config.crosswalk_vocab,
-        language=config.crosswalk_language)
-    for rec in added:
-        key = _dedupe_key(rec, config.dedupe_case_insensitive)
-        if key not in seen:
-            seen.add(key)
-            kept.append(rec)
+        language=config.crosswalk_language))
     stats.record("crosswalk_add", len(kept))
 
     # 5. semantic type filter
@@ -260,20 +253,13 @@ def build_ontology(concepts, sty, groups, crosswalk, config):
     stats.record("drop_semantic_types", len(kept))
 
     # 6. drug-name additions, regardless of language
-    for rec in drug_pool:
-        key = _dedupe_key(rec, config.dedupe_case_insensitive)
-        if key not in seen:
-            seen.add(key)
-            kept.append(rec)
+    kept += unseen(drug_pool)
     stats.record("drug_vocab_add", len(kept))
 
     # 7. group resolution: first semantic-type row per cui in input order
-    first_tui = {}
-    for row in sty:
-        first_tui.setdefault(row.cui, row.tui)
     records = [
         OntologyRecord(term_id=i, cui=r.cui, text=r.text, vocab=r.vocab,
-                       group=groups.group_for(first_tui.get(r.cui, "")))
+                       group=groups.group_for(cui_tuis.get(r.cui, ("",))[0]))
         for i, r in enumerate(kept)
     ]
     stats.record("assign_groups", len(records))

@@ -7,10 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from belforge import encoder, index
+from belforge import encoder
 from belforge.artifacts import MAGIC, VERSION, load_artifact, save_artifact
 from belforge.errors import ArtifactError
-from helpers import term_table
 
 
 def _with_header(header_bytes):
@@ -184,18 +183,7 @@ def _saved_params(path):
     return encoder.load_params
 
 
-def _saved_ivf(path):
-    vectors = np.random.default_rng(0).normal(size=(6, 3))
-    index.save_ivf(path, index.build_ivf(vectors, np.arange(6), *term_table(range(6)),
-                                         2, seed=0))
-    return index.load_ivf
-
-
 @pytest.mark.parametrize("save, entry, value", [
-    (_saved_ivf, "nprobe", "x"),
-    (_saved_ivf, "nprobe", 0),
-    (_saved_ivf, "nprobe", True),
-    (_saved_ivf, "nprobe", 2.0),
     (_saved_params, "n_min", "2"),
     (_saved_params, "n_min", 0),
     (_saved_params, "n_max", None),

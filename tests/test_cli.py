@@ -1,3 +1,4 @@
+import hashlib
 import json
 import logging
 import os
@@ -5,6 +6,7 @@ import shutil
 import struct
 import subprocess
 import sys
+import urllib.parse
 from dataclasses import replace
 
 import numpy as np
@@ -13,6 +15,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from belforge import artifacts
+from belforge import corpus as corpus_mod
 from belforge import encoder as enc
 from belforge import index as index_mod
 from belforge.cli import _HANDLERS, _build_parser, main
@@ -228,6 +231,18 @@ class TestPipeline:
         result = json.loads(capsys.readouterr().out)
         assert result["predicted_cui"] == "C0000002"
 
+    def test_link_with_input_and_mention_usage(self, workspace, capsys):
+        root, config = workspace
+        run_pipeline(config, upto="index-build")
+        (root / "mentions.txt").write_text("griep\nkoorts\n")
+        capsys.readouterr()
+        assert main(["link", "--config", config, "--quiet", "--mention", "griep",
+                     "--input", str(root / "mentions.txt")]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "not allowed with argument" in captured.err
+        assert not (root / "out" / "links.jsonl").exists()
+
     def test_rerun_byte_identical(self, workspace):
         root, config = workspace
         run_pipeline(config)
@@ -396,6 +411,36 @@ DIM_MISMATCHES = {
 
 
 class TestLinkStack:
+    @pytest.mark.parametrize("stored", [None, 2])
+    def test_nprobe_is_read_at_search(self, workspace, capsys, stored):
+        """link reads index.nprobe from the config, not from the index file
+        (older files record the nprobe they were built with): one built
+        index gives the search_ivf results of each nprobe."""
+        root, config = workspace
+        run_pipeline(config, upto="index-build")
+        out = root / "out"
+        if stored is not None:
+            edit_header(out / "ivf.index",
+                        lambda header: header["meta"].update(nprobe=stored))
+        params = enc.load_params(out / "finetuned.params")
+        transform = index_mod.load_pca(out / "pca.bin")
+        index = index_mod.load_ivf(out / "ivf.index")
+        assert len(index.centroids) == 2
+        got = {}
+        for nprobe in (1, 2):
+            capsys.readouterr()
+            assert main(["link", "--config", config, "--quiet", "--index", "ivf",
+                         "--mention", "griep", "--top-k", "7",
+                         "--set", f"index.nprobe={nprobe}"]) == 0
+            got[nprobe] = json.loads(capsys.readouterr().out)
+            [(cui, neighbors)] = index_mod.link_mentions(
+                ["griep"], params, transform, replace(index, nprobe=nprobe), top_k=7)
+            assert got[nprobe]["predicted_cui"] == cui
+            assert got[nprobe]["top_k"] == [
+                {"term_id": n.term_id, "cui": n.cui, "score": n.score}
+                for n in neighbors]
+        assert len(got[1]["top_k"]) < len(got[2]["top_k"]) == 7
+
     def test_outputs_do_not_need_the_ontology(self, workspace, capsys):
         root, config = workspace
         run_pipeline(config, upto="index-build")
@@ -736,6 +781,22 @@ class TestExitCodes:
         assert len(capsys.readouterr().err.splitlines()) == 1
         assert not (root / "out" / "report.json").exists()
 
+    @pytest.mark.parametrize("nprobe", ["0", "-2"])
+    @pytest.mark.parametrize("argv", LINK_CALLS)
+    def test_nprobe_below_one_usage(self, workspace, capsys, argv, nprobe):
+        root, config = workspace
+        run_pipeline(config, upto="index-build")
+        (root / "mentions.txt").write_text("griep\n")
+        capsys.readouterr()
+        assert main(argv[:1] + ["--config", config, "--quiet",
+                                "--set", f"index.nprobe={nprobe}"] + argv[1:]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1
+        assert "index.nprobe" in captured.err
+        assert not (root / "out" / "links.jsonl").exists()
+        assert not (root / "out" / "report.json").exists()
+
     def test_non_utf8_mention_file_data_error(self, workspace, capsys):
         root, config = workspace
         run_pipeline(config, upto="index-build")
@@ -1018,21 +1079,55 @@ class TestExitCodes:
         assert "'Diabetes'" in captured.err and f"<{element}>" in captured.err
         assert "Traceback" not in captured.err
 
-    @pytest.mark.parametrize("artifact, entry, value, argv", [
-        ("ivf.index", "nprobe", "x", ["--index", "ivf"]),
-        ("ivf.index", "nprobe", True, ["--index", "ivf"]),
-        ("finetuned.params", "lowercase", 0, []),
-        ("finetuned.params", "n_max", 1, []),
-        ("ivf.index", "nprobe", 3, ["--index", "ivf"]),
-    ])
-    def test_bad_artifact_meta_io(self, workspace, capsys, artifact, entry, value,
-                                  argv):
+    @pytest.mark.parametrize("entry, value", [("lowercase", 0), ("n_max", 1)])
+    def test_bad_artifact_meta_io(self, workspace, capsys, entry, value):
         root, config = workspace
         run_pipeline(config, upto="index-build")
-        edit_header(root / "out" / artifact,
+        edit_header(root / "out" / "finetuned.params",
                     lambda header: header["meta"].update({entry: value}))
-        assert_io_error(config, capsys, ["link", "--mention", "griep"] + argv,
-                        artifact, entry)
+        assert_io_error(config, capsys, ["link", "--mention", "griep"],
+                        "finetuned.params", entry)
+
+
+class TestSparqlCache:
+    def test_corpus_compile_reads_the_cached_response(self, workspace, capsys,
+                                                      monkeypatch):
+        """With BELFORGE_CACHE_DIR set, corpus-compile maps the articles from
+        the response cached under sha256(url).json and fetches nothing."""
+        root, config = workspace
+        assert main(["corpus-compile", "--config", config, "--quiet"]) == 0
+        from_tsv = json.loads(capsys.readouterr().out)
+        corpus_bytes = (root / "out" / "corpus.xml").read_bytes()
+        (root / "out" / "corpus.xml").unlink()
+
+        endpoint = "http://127.0.0.1:9/sparql"
+        sp = DEFAULTS["corpus"]["sparql"]
+        query = corpus_mod.build_sparql_query(sp["site_url"], sp["property_id"],
+                                              sp["language"])
+        url = endpoint + "?" + urllib.parse.urlencode({"query": query,
+                                                       "format": "json"})
+        bindings = [{"concept": {"value": f"http://www.wikidata.org/entity/{qid}"},
+                     "cui": {"value": cui},
+                     "article": {"value": f"https://nl.wikipedia.org/wiki/{title}"}}
+                    for qid, cui, title in (line.split("\t") for line
+                                            in ARTICLE_MAP.splitlines())]
+        cache = root / "cache"
+        cache.mkdir()
+        (cache / (hashlib.sha256(url.encode("utf-8")).hexdigest() + ".json")
+         ).write_text(json.dumps({"results": {"bindings": bindings}}))
+        monkeypatch.setenv("BELFORGE_CACHE_DIR", str(cache))
+
+        def no_fetch(url):
+            raise AssertionError(f"fetched {url}")
+
+        monkeypatch.setattr(corpus_mod, "_default_fetcher", no_fetch)
+        assert main(["corpus-compile", "--config", config, "--quiet",
+                     "--set", "paths.article_map_tsv=null",
+                     "--set", f"corpus.sparql.endpoint=\"{endpoint}\""]) == 0
+        summary = json.loads(capsys.readouterr().out)
+        assert summary == from_tsv
+        assert summary["mentions"] == 5 and summary["map_entries"] == 4
+        assert (root / "out" / "corpus.xml").read_bytes() == corpus_bytes
 
 
 UNBALANCED_DUMP = DUMP.replace(

@@ -278,14 +278,37 @@ class TestIvf:
         ids = rng.permutation(n).astype(np.int64) * 5
         # CUIs drawn independently of the ids, some shared by several terms
         cuis = [f"C{c:07d}" for c in rng.integers(0, max(n // 2, 1), n)]
-        ivf = ix.build_ivf(rng.normal(size=(n, k)), ids, cuis, ["DISO"] * n,
-                           nlist, seed=seed, nprobe=nprobe)
+        ivf = replace(ix.build_ivf(rng.normal(size=(n, k)), ids, cuis,
+                                   ["DISO"] * n, nlist, seed=seed), nprobe=nprobe)
         assert ivf.nprobe == nprobe < len(ivf.centroids)
         cui_of = dict(zip(ids.tolist(), cuis))
         for q in rng.normal(size=(3, k)):
             got = search(ivf, q, top_k)
             assert len({nb.term_id for nb in got}) == len(got)
             assert all(nb.cui == cui_of[nb.term_id] for nb in got)
+
+    @pytest.mark.parametrize("nlist", [2, 3, 5, 8])
+    def test_each_nprobe_equals_brute_force_over_its_lists(self, nlist):
+        """At every nprobe a query's neighbors are the brute-force top-k over
+        the rows of the nprobe lists whose centroids are nearest the unit
+        query, of equally near lists the lower first."""
+        rng = np.random.default_rng(40 + nlist)
+        n, k, top_k = 90, 4, 7
+        ids = rng.permutation(n).astype(np.int64) * 3
+        ivf = ix.build_ivf(rng.normal(size=(n, k)), ids, *term_table(ids), nlist,
+                           seed=nlist)
+        for q in rng.normal(size=(6, k)):
+            unit = q / np.linalg.norm(q)
+            d2 = [float(np.sum((c - unit) ** 2)) for c in ivf.centroids]
+            nearest = sorted(range(nlist), key=lambda c: (d2[c], c))
+            for p in range(1, nlist + 1):
+                rows = np.concatenate([np.arange(ivf.offsets[c], ivf.offsets[c + 1])
+                                       for c in nearest[:p]])
+                want = brute_top_k(ivf.vectors[rows], ivf.ids[rows], unit, top_k)
+                got = as_tuples(search(replace(ivf, nprobe=p), q, top_k))
+                assert [i for i, _ in got] == [i for i, _ in want]
+                assert np.allclose([s for _, s in got], [s for _, s in want],
+                                   rtol=0, atol=1e-12)
 
     def test_nprobe_above_nlist_scans_every_list(self):
         rng = np.random.default_rng(9)
@@ -414,8 +437,8 @@ class TestBlockInvariance:
         V[: n // 4] = V[n // 4: 2 * (n // 4)]  # score ties
         ids = rng.permutation(n).astype(np.int64)
         nlist = min(lists, n)
-        index = ix.build_ivf(V, ids, *term_table(ids), nlist, seed=seed,
-                             nprobe=max(nlist // 2, 1))
+        index = replace(ix.build_ivf(V, ids, *term_table(ids), nlist, seed=seed),
+                        nprobe=max(nlist // 2, 1))
         top_k = data.draw(st.one_of(st.integers(1, 12), st.just(n + 2)))
         mention = rng.normal(size=d)
         alone = np.zeros((ix.LINK_BLOCK, d))
@@ -525,14 +548,33 @@ class TestSerialization:
         assert back.groups.tolist() == [groups[row_of[i]] for i in back.ids.tolist()]
         assert (back.params_sha256, back.pca_sha256) == ("ab" * 32, "cd" * 32)
 
-    def test_ivf_nprobe_above_nlist_refused(self, tmp_path):
+    def test_saved_index_records_no_nprobe(self, tmp_path):
         rng = np.random.default_rng(15)
         ivf = ix.build_ivf(random_unit_rows(rng, 12, 3), np.arange(12),
                            *term_table(range(12)), nlist=3)
-        ivf.nprobe = 4
+        ix.save_ivf(tmp_path / "i.idx", replace(ivf, nprobe=2))
+        meta, _arrays, _sha256 = artifacts.load_artifact(tmp_path / "i.idx",
+                                                        "ivf-index")
+        assert "nprobe" not in meta
+
+    @pytest.mark.parametrize("stored", [1, 4, 0, "x"])
+    def test_stored_nprobe_of_older_files_is_ignored(self, tmp_path, stored):
+        """Files that record an nprobe, as older ones did, load; the search
+        probes the lists its caller sets, whatever the file says."""
+        rng = np.random.default_rng(16)
+        ivf = ix.build_ivf(random_unit_rows(rng, 30, 4), np.arange(30),
+                           *term_table(range(30)), nlist=3)
+        ivf.params_sha256, ivf.pca_sha256 = "ab" * 32, "cd" * 32
         ix.save_ivf(tmp_path / "i.idx", ivf)
-        with pytest.raises(ArtifactError, match="nprobe exceeds nlist 3"):
-            ix.load_ivf(tmp_path / "i.idx")
+        meta, arrays, _sha256 = artifacts.load_artifact(tmp_path / "i.idx",
+                                                       "ivf-index")
+        artifacts.save_artifact(tmp_path / "i.idx", "ivf-index",
+                                {**meta, "nprobe": stored}, arrays)
+        back = ix.load_ivf(tmp_path / "i.idx", verify=True)
+        q = random_unit_rows(rng, 1, 4)[0]
+        for nprobe in (1, 2, 3):
+            assert as_tuples(search(replace(back, nprobe=nprobe), q, 30)) == \
+                as_tuples(search(replace(ivf, nprobe=nprobe), q, 30))
 
     @pytest.mark.parametrize("missing", ["cuis", "groups"])
     def test_index_without_term_table_is_refused(self, tmp_path, missing):
@@ -599,8 +641,8 @@ class TestLinkMention:
         LINK_BLOCK rows; each mention gets the result it gets alone."""
         terms = [(random_word(np.random.default_rng(i)), f"C{i:07d}") for i in range(10)]
         params, t, flat = self.build(terms)
-        index = ix.build_ivf(flat.vectors, flat.ids, flat.cuis, flat.groups, nlist,
-                             nprobe=1)
+        index = replace(ix.build_ivf(flat.vectors, flat.ids, flat.cuis,
+                                     flat.groups, nlist), nprobe=1)
         rng = np.random.default_rng(count)
         mentions = [random_word(rng) for _ in range(count)]
         mentions[2::5] = [" "] * len(mentions[2::5])
@@ -613,6 +655,17 @@ class TestLinkMention:
             else:
                 assert result[0] == alone[0] == result[1][0].cui
                 assert same_neighbors(result[1], alone[1])
+
+    def test_unencodable_text_is_its_own_error(self):
+        """A lone surrogate has no UTF-8 encoding: that mention gets its own
+        DataError and the others in its batch still link."""
+        params, t, flat = self.build([("griep", "C0000001"), ("koorts", "C0000002"),
+                                      ("hoofdpijn", "C0000003")], pca_k=2)
+        good, bad = ix.link_mentions(["griep", "\ud800"], params, t, flat, top_k=2)
+        [alone] = ix.link_mentions(["griep"], params, t, flat, top_k=2)
+        assert good[0] == alone[0] == "C0000001"
+        assert same_neighbors(good[1], alone[1])
+        assert isinstance(bad, DataError) and "UTF-8" in str(bad)
 
     def test_all_encode_errors(self):
         params, t, flat = self.build([("griep", "C0000001"), ("koorts", "C0000002"),
