@@ -104,11 +104,7 @@ def _filter_config(cfg):
         descriptive_subterm_patterns=patterns,
         drop_tuis=frozenset(o["drop_tuis"]),
         drug_vocabs=frozenset(o["drug_vocabs"]),
-        dedupe_case_insensitive=o["dedupe_case_insensitive"],
-        bridge_vocab=o["bridge_vocab"],
-        crosswalk_vocab=o["crosswalk_vocab"],
-        crosswalk_language=o["crosswalk_language"],
-    )
+        dedupe_case_insensitive=o["dedupe_case_insensitive"])
 
 
 def _load_ontology(cfg):

@@ -48,9 +48,6 @@ DEFAULTS = {
         "drop_tuis": [],
         "drug_vocabs": [],
         "dedupe_case_insensitive": True,
-        "bridge_vocab": "SNOMEDCT_US",
-        "crosswalk_vocab": "SNOMEDCT_NL",
-        "crosswalk_language": "DUT",
     },
     "corpus": {
         "sparql": {

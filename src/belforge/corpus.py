@@ -42,6 +42,17 @@ class ArticleCuiMap:
     duplicates: int = 0
     skipped: int = 0
 
+    def add(self, qid, cui, title):
+        """Map the normalized title to (qid, cui), the first binding of a
+        title winning; an empty key or CUI or a malformed QID is skipped."""
+        key = normalize_title(title)
+        if not key or not cui or not QID_RE.match(qid):
+            self.skipped += 1
+        elif key in self.entries:
+            self.duplicates += 1
+        else:
+            self.entries[key] = (qid, cui)
+
 
 @dataclass
 class WikiPage:
@@ -104,17 +115,10 @@ def load_article_map_tsv(stream):
         if not line.strip():
             continue
         parts = line.rstrip("\n").split("\t")
-        if len(parts) < 3 or not QID_RE.match(parts[0].strip()):
+        if len(parts) < 3:
             amap.skipped += 1
-            continue
-        qid, cui, title = parts[0].strip(), parts[1].strip(), parts[2]
-        key = normalize_title(title)
-        if not key or not cui:
-            amap.skipped += 1
-        elif key in amap.entries:
-            amap.duplicates += 1
         else:
-            amap.entries[key] = (qid, cui)
+            amap.add(parts[0].strip(), parts[1].strip(), parts[2])
     return amap
 
 
@@ -177,14 +181,8 @@ def load_article_map_sparql(endpoint, site_url, property_id="P2892",
         except (KeyError, TypeError):
             amap.skipped += 1
             continue
-        title = urllib.parse.unquote(article.rstrip("/").rsplit("/", 1)[-1])
-        key = normalize_title(title)
-        if not key or not cui or not QID_RE.match(qid):
-            amap.skipped += 1
-        elif key in amap.entries:
-            amap.duplicates += 1
-        else:
-            amap.entries[key] = (qid, cui)
+        amap.add(qid, cui,
+                 urllib.parse.unquote(article.rstrip("/").rsplit("/", 1)[-1]))
     return amap
 
 
@@ -355,8 +353,21 @@ def serialize_corpus(corpus_slice, sink):
     sink.write("\n".join(lines) + "\n")
 
 
+def _int_attr(node, name, where):
+    value = node.get(name)
+    if value is None:
+        raise DataError(f"{where}: attribute {name!r} is missing")
+    try:
+        return int(value)
+    except ValueError:
+        raise DataError(f"{where}: attribute {name!r} is not an integer: "
+                        f"{value!r}") from None
+
+
 def parse_corpus(stream):
-    """Parse the corpus XML schema back into a CorpusSlice."""
+    """Parse the corpus XML schema back into a CorpusSlice. A sentence id or
+    mention offset that is not an integer, or a mention without a CUI,
+    raises DataError."""
     try:
         tree = ET.parse(stream)
     except ET.ParseError as e:
@@ -365,10 +376,10 @@ def parse_corpus(stream):
     if root.tag != "corpus":
         raise DataError(f"expected <corpus> root, found <{root.tag}>")
     out = CorpusSlice()
-    for sent in root:
+    for k, sent in enumerate(root):
         if sent.tag != "sentence":
             raise DataError(f"unexpected element <{sent.tag}> under <corpus>")
-        sid = int(sent.get("id"))
+        sid = _int_attr(sent, "id", f"sentence #{k + 1} of the corpus")
         pieces = [sent.text or ""]
         pending = []
         for node in sent:
@@ -384,8 +395,11 @@ def parse_corpus(stream):
             sentence_id=sid, page_title=sent.get("page", ""), text=text,
             token_count=len(text.split())))
         for node, anchor, start in pending:
-            declared_start = int(node.get("start"))
-            declared_end = int(node.get("end"))
+            where = f"sentence {sid}: mention {anchor!r}"
+            declared_start = _int_attr(node, "start", where)
+            declared_end = _int_attr(node, "end", where)
+            if not node.get("cui"):
+                raise DataError(f"{where}: attribute 'cui' is missing or empty")
             if declared_start != start or declared_end != start + len(anchor):
                 raise DataError(
                     f"sentence {sid}: mention offsets {declared_start}:{declared_end} "

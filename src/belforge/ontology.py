@@ -12,6 +12,11 @@ from .errors import DataError
 
 CUI_RE = re.compile(r"^C[0-9]{7}$")
 TUI_RE = re.compile(r"^T[0-9]{3}$")
+# crosswalk rows join the ontology through the bridge vocabulary's source
+# codes and enter it as Dutch terms of the target vocabulary
+SNOMEDCT_US = "SNOMEDCT_US"
+SNOMEDCT_NL = "SNOMEDCT_NL"
+DUT = "DUT"
 
 
 @dataclass
@@ -61,9 +66,6 @@ class FilterConfig:
     drop_tuis: frozenset = frozenset()
     drug_vocabs: frozenset = frozenset()
     dedupe_case_insensitive: bool = True
-    bridge_vocab: str = "SNOMEDCT_US"
-    crosswalk_vocab: str = "SNOMEDCT_NL"
-    crosswalk_language: str = "DUT"
 
 
 @dataclass
@@ -168,8 +170,8 @@ def parse_crosswalk(stream):
     return _parse_rows(stream, 2, make)
 
 
-def crosswalk_terms(targets, bridge, vocab="SNOMEDCT_NL", language="DUT"):
-    """Map external-terminology rows to CUIs through a bridge vocabulary.
+def crosswalk_terms(targets, bridge):
+    """Map external-terminology rows to CUIs through the bridge vocabulary.
 
     Bridge records carry the external id as their source_code. Rows whose
     id matches exactly one distinct CUI yield a new TermRecord, numbered
@@ -183,8 +185,8 @@ def crosswalk_terms(targets, bridge, vocab="SNOMEDCT_NL", language="DUT"):
         cuis = by_sctid.get(str(row.sctid))
         if cuis and len(cuis) == 1:
             out.append(TermRecord(
-                term_id=len(out), cui=next(iter(cuis)), language=language,
-                vocab=vocab, source_code=str(row.sctid), text=row.text))
+                term_id=len(out), cui=next(iter(cuis)), language=DUT,
+                vocab=SNOMEDCT_NL, source_code=str(row.sctid), text=row.text))
     return out
 
 
@@ -237,11 +239,9 @@ def build_ontology(concepts, sty, groups, crosswalk, config):
     kept = unseen(kept)
     stats.record("dedupe", len(kept))
 
-    # 4. crosswalk additions (bridged through the configured vocabulary)
-    bridge = [r for r in kept if r.vocab == config.bridge_vocab]
-    kept += unseen(crosswalk_terms(
-        crosswalk, bridge, vocab=config.crosswalk_vocab,
-        language=config.crosswalk_language))
+    # 4. crosswalk additions (bridged through SNOMEDCT_US)
+    bridge = [r for r in kept if r.vocab == SNOMEDCT_US]
+    kept += unseen(crosswalk_terms(crosswalk, bridge))
     stats.record("crosswalk_add", len(kept))
 
     # 5. semantic type filter

@@ -108,33 +108,6 @@ def read_pairs(stream):
     return pairs
 
 
-def _distance(D2):
-    """The Gram-form distance of squared distances: sqrt(max(D2, 0))."""
-    return np.sqrt(np.maximum(D2, 0.0))
-
-
-@np.errstate(invalid="ignore")
-def _reach(max_pos, margin):
-    """Per row, the largest double x with sqrt(max(x, 0)) + margin <=
-    max_pos, or NaN where no x qualifies. The predicate is monotone in x, so
-    ``D2 <= reach`` is exactly the negative test ``max_pos >= D + margin``
-    on the distances D of the squared distances D2, NaN included. The doubles
-    in [0, inf] are ordered as their bit patterns, and the patterns above
-    inf are NaNs, which never qualify: the largest qualifying pattern is
-    built one bit at a time from the top."""
-    def fits(bits):
-        return _distance(bits.view(np.float64)) + margin <= max_pos
-
-    bits = np.zeros(max_pos.shape, dtype=np.int64)
-    for k in range(62, -1, -1):
-        cand = bits | (1 << k)
-        bits = np.where(fits(cand), cand, bits)
-    reach = bits.view(np.float64)
-    # a negative x qualifies iff 0 does
-    reach[~fits(np.zeros_like(bits))] = np.nan
-    return reach
-
-
 def _symmetrize(G, pos, neg):
     """G + G.T in place, for a G that is +0.0 off the mined entries and
     holds no -0.0: each mined (r, c) adds G[r, c] into G[c, r]. The mined
@@ -153,41 +126,45 @@ def _symmetrize(G, pos, neg):
 def _ms_step(E, labels, margin, config, work):
     """Online mining and the Multi-Similarity loss of one batch of n unit rows:
     (a, p) is mined iff D[a,p] >= min-negative-distance + margin, (a, n) iff
-    max-positive-distance >= D[a,n] + margin, over the Gram-form distances D
-    of E. ``work`` holds two buffers of at least n*n floats. Returns (loss,
-    dL/dS over S = E E^T as a view of ``work``, mined positive (rows, cols),
-    mined negative (rows, cols)), the mined entries in row-major order.
+    max-positive-distance >= D[a,n] + margin, over the Gram-form distances
+    D = sqrt(max(D2, 0)) of E. ``work`` holds two buffers of at least n*n
+    floats. Returns (loss, dL/dS over S = E E^T as a view of ``work``, mined
+    positive (rows, cols), mined negative (rows, cols)), the mined entries in
+    row-major order.
 
-    D = sqrt(max(D2, 0)) is monotone in the squared distances D2, so it
-    commutes with the row min and max: only the same-label entries and the
-    row minima are square-rooted, and negatives are mined on D2 against the
-    exact per-row threshold ``_reach``. S is read at the mined entries from
-    the doubled Gram product 2 E E^T the distances use; halving it is exact."""
+    The same-label entries and the diagonal of D are set to +inf, so the
+    row min is the nearest negative; a negative test then hits them only
+    where max_pos is +inf, and those hits are dropped. S is read at the
+    mined entries from the doubled Gram product 2 E E^T the distances use;
+    halving it is exact."""
     n = E.shape[0]
-    D2, G = (w[:n * n].reshape(n, n) for w in work)
+    D, G = (w[:n * n].reshape(n, n) for w in work)
     # E @ E.T must keep numpy's `a @ a.T` form, which runs dsyrk: a GEMM on
     # a contiguous transpose is about twice as fast but gives other bits on
     # most shapes
     np.matmul(E, E.T, out=G)
     G *= 2.0
     sq = np.sum(E ** 2, axis=1)
-    np.add(sq[:, None], sq[None, :], out=D2)
-    D2 -= G
+    np.add(sq[:, None], sq[None, :], out=D)
+    D -= G
+    np.sqrt(np.maximum(D, 0.0, out=D), out=D)
 
     _, codes = np.unique(np.asarray(labels), return_inverse=True)
-    diff = codes[:, None] != codes[None, :]
-    same = ~diff
+    same = codes[:, None] == codes[None, :]
     np.fill_diagonal(same, False)
     rows, cols = np.divmod(np.flatnonzero(same), n)
-    d_same = _distance(D2[rows, cols])
-    min_neg = _distance(np.min(D2, axis=1, initial=np.inf, where=diff))
-    keep = d_same >= (min_neg + margin)[rows]
+    d_same = D[rows, cols]
+    D[rows, cols] = np.inf
+    np.fill_diagonal(D, np.inf)
+    keep = d_same >= (D.min(axis=1) + margin)[rows]
     pos = rows[keep], cols[keep]
     max_pos = np.full(n, -np.inf)
     np.maximum.at(max_pos, rows, d_same)
-    hit = np.less_equal(D2, _reach(max_pos, margin)[:, None], out=same)
-    hit &= diff
-    neg = np.divmod(np.flatnonzero(hit), n)
+    D += margin
+    hit = np.less_equal(D, max_pos[:, None], out=same)
+    r, c = np.divmod(np.flatnonzero(hit), n)
+    differ = codes[r] != codes[c]
+    neg = r[differ], c[differ]
 
     s_pos, s_neg = G[pos] * 0.5, G[neg] * 0.5
     G.fill(0.0)
@@ -200,7 +177,7 @@ def _ms_step(E, labels, margin, config, work):
     neg_exp = np.exp(b * (s_neg - eps))
     # row sums over zero-filled rows add the mined terms in a dense sum's
     # order; the distances are spent, so their buffer holds the terms
-    T = D2
+    T = D
     T.fill(0.0)
     T[pos] = pos_exp
     pos_sum = T.sum(axis=1)

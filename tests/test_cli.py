@@ -885,25 +885,33 @@ class TestExitCodes:
         assert os.listdir(root / "out") == []
 
     @pytest.mark.parametrize("in_file, overrides", [
-        ({"kmeans_iters": 10}, []),
+        ({"index": {"kmeans_iters": 10}}, []),
         ({}, ["index.kmeans_iters=-1"]),
+        ({"ontology": {"bridge_vocab": "SNOMEDCT_US"}}, []),
+        ({}, ["ontology.crosswalk_vocab=SNOMEDCT_NL"]),
+        ({"ontology": {"crosswalk_language": "DUT"}}, []),
+        ({}, ["ontology.crosswalk_language=ENG"]),
     ])
     def test_removed_kmeans_iters_key_usage(self, workspace, capsys, in_file,
                                             overrides):
-        """The k-means pass count is a constant: the key that set it is
-        unknown, whatever its value."""
+        """Settings that became constants (the k-means pass count, the
+        crosswalk's bridge and target vocabularies and its language) are
+        unknown keys, whatever their value."""
         root, config = workspace
         cfg = json.loads((root / "config.json").read_text())
-        cfg["index"].update(in_file)
-        (root / "config.json").write_text(json.dumps(cfg))
         argv = ["index-build", "--config", config, "--quiet"]
+        for section, values in in_file.items():
+            cfg.setdefault(section, {}).update(values)
+            (key,) = (f"{section}.{name}" for name in values)
+        (root / "config.json").write_text(json.dumps(cfg))
         for item in overrides:
             argv += ["--set", item]
+            key = item.partition("=")[0]
         assert main(argv) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
         assert len(captured.err.splitlines()) == 1
-        assert "unknown config key 'index.kmeans_iters'" in captured.err
+        assert f"unknown config key '{key}'" in captured.err
         assert os.listdir(root / "out") == []
 
     @pytest.mark.parametrize("in_file, overrides, key", [
@@ -1078,6 +1086,19 @@ class TestExitCodes:
         assert len(captured.err.splitlines()) == 1
         assert "'Diabetes'" in captured.err and f"<{element}>" in captured.err
         assert "Traceback" not in captured.err
+
+    def test_malformed_gold_corpus_data_error(self, workspace, capsys):
+        root, config = workspace
+        run_pipeline(config, upto="index-build")
+        gold = root / "out" / "val.xml"
+        gold.write_text(gold.read_text().replace("<sentence id=", "<sentence x=", 1))
+        capsys.readouterr()
+        assert main(["evaluate", "--config", config, "--quiet"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1
+        assert "sentence #1 of the corpus: attribute 'id' is missing" in captured.err
+        assert not (root / "out" / "report.json").exists()
 
     @pytest.mark.parametrize("entry, value", [("lowercase", 0), ("n_max", 1)])
     def test_bad_artifact_meta_io(self, workspace, capsys, entry, value):

@@ -1,6 +1,7 @@
 import io
 import json
 import os
+import urllib.parse
 
 import numpy as np
 import pytest
@@ -136,6 +137,33 @@ class TestSparql:
             corpus.load_article_map_sparql(
                 "https://example.org/sparql", "https://nl.wikipedia.org/",
                 fetcher=fetcher)
+
+
+def test_both_loaders_apply_one_insert_rule():
+    """The TSV and SPARQL loaders skip, count duplicates and insert alike:
+    a malformed QID, an empty CUI and a blank title are skipped, and the
+    second of two titles that normalize alike is a duplicate."""
+    rows = [("Q1", "C0000001", "Griep"), ("X2", "C0000002", "Koorts"),
+            ("Q3", "", "Hartinfarct"), ("Q4", "C0000004", " "),
+            ("Q5", "C0000005", "Ziekte_van_Crohn"),
+            ("Q6", "C0000006", "ziekte van  Crohn"),
+            ("Q7", "C0000007", "Suikerziekte")]
+    tsv = corpus.load_article_map_tsv(
+        io.StringIO("".join(f"{q}\t{c}\t{t}\n" for q, c, t in rows)))
+    payload = {"results": {"bindings": [
+        {"concept": {"value": f"http://www.wikidata.org/entity/{q}"},
+         "cui": {"value": c},
+         "article": {"value": "https://nl.wikipedia.org/wiki/"
+                              + urllib.parse.quote(t, safe="")}}
+        for q, c, t in rows]}}
+    sparql = corpus.load_article_map_sparql(
+        "https://example.org/sparql", "https://nl.wikipedia.org/",
+        fetcher=lambda url: json.dumps(payload).encode())
+    assert tsv.entries == sparql.entries == {
+        "griep": ("Q1", "C0000001"), "ziekte van Crohn": ("Q5", "C0000005"),
+        "suikerziekte": ("Q7", "C0000007")}
+    assert (tsv.duplicates, tsv.skipped) == (sparql.duplicates,
+                                             sparql.skipped) == (1, 3)
 
 
 class TestParseDump:
@@ -322,6 +350,28 @@ class TestCorpusXml:
         once, back = self.roundtrip(sl)
         twice, _ = self.roundtrip(back)
         assert once == twice
+
+    @pytest.mark.parametrize("sentence, mention, fragment", [
+        ('<sentence page="P">', 'cui="C0000001" start="2" end="4"',
+         "sentence #1 of the corpus: attribute 'id' is missing"),
+        ('<sentence id="x" page="P">', 'cui="C0000001" start="2" end="4"',
+         "sentence #1 of the corpus: attribute 'id' is not an integer: 'x'"),
+        ('<sentence id="0" page="P">', 'cui="C0000001" end="4"',
+         "sentence 0: mention 'cd': attribute 'start' is missing"),
+        ('<sentence id="0" page="P">', 'cui="C0000001" start="z" end="4"',
+         "sentence 0: mention 'cd': attribute 'start' is not an integer"),
+        ('<sentence id="0" page="P">', 'cui="C0000001" start="2" end=""',
+         "sentence 0: mention 'cd': attribute 'end' is not an integer"),
+        ('<sentence id="0" page="P">', 'start="2" end="4"',
+         "sentence 0: mention 'cd': attribute 'cui' is missing"),
+    ], ids=["no_id", "id_x", "no_start", "start_z", "empty_end", "no_cui"])
+    def test_malformed_attributes_are_data_errors(self, sentence, mention,
+                                                  fragment):
+        xml = (f"<corpus>\n{sentence}ab<mention {mention} qid=\"Q1\" "
+               'target="T">cd</mention></sentence>\n</corpus>')
+        with pytest.raises(DataError) as err:
+            corpus.parse_corpus(io.StringIO(xml))
+        assert fragment in str(err.value)
 
     def test_bad_offsets_fatal(self):
         xml = ('<corpus>\n<sentence id="0" page="P">ab'
