@@ -146,9 +146,12 @@ def load_article_map_sparql(endpoint, site_url, property_id="P2892",
                             language="nl", fetcher=None, cache_dir=None):
     """Query the knowledge graph for article -> CUI bindings.
 
-    Responses are standard SPARQL-JSON; malformed bindings are skipped with
-    a counter. Results may be cached on disk (``cache_dir`` or the
-    BELFORGE_CACHE_DIR environment variable).
+    Responses are standard SPARQL-JSON. An article's title is the unquoted
+    rest of its IRI after the site's ``wiki/`` path, ``/`` included; a
+    binding that lacks a value, has one that is not a string, or names an
+    article of another site is skipped with a counter. Results may be
+    cached on disk (``cache_dir`` or the BELFORGE_CACHE_DIR environment
+    variable).
     """
     query = build_sparql_query(site_url, property_id, language)
     url = endpoint + "?" + urllib.parse.urlencode({"query": query, "format": "json"})
@@ -173,16 +176,19 @@ def load_article_map_sparql(endpoint, site_url, property_id="P2892",
         raise DataError(f"malformed SPARQL response: {e}") from e
 
     amap = ArticleCuiMap()
+    prefix = site_url.rstrip("/") + "/wiki/"
     for b in bindings:
         try:
-            qid = b["concept"]["value"].rstrip("/").rsplit("/", 1)[-1]
-            cui = b["cui"]["value"]
-            article = b["article"]["value"]
+            concept, cui, article = (b[k]["value"]
+                                     for k in ("concept", "cui", "article"))
         except (KeyError, TypeError):
+            concept = cui = article = None
+        if not all(isinstance(v, str) for v in (concept, cui, article)) or \
+           not article.startswith(prefix):
             amap.skipped += 1
             continue
-        amap.add(qid, cui,
-                 urllib.parse.unquote(article.rstrip("/").rsplit("/", 1)[-1]))
+        amap.add(concept.rstrip("/").rsplit("/", 1)[-1], cui,
+                 urllib.parse.unquote(article[len(prefix):]))
     return amap
 
 

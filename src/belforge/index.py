@@ -89,12 +89,14 @@ def _unit_rows(M):
     return np.where(norms >= NORM_EPS, M / np.maximum(norms, NORM_EPS), M)
 
 
-def _rank(scores, ids, cuis, top_k, rows=None):
+def _rank(scores, ids, cuis, top_k, rows=None, counts=None):
     """Per row of a queries x candidates score matrix, the top_k candidates
     by score descending, ties by ascending term id, as Neighbors carrying
-    their index row's term id and CUI. Candidate j is index row rows[j]
-    (row j when rows is None); ids are read only at the kept candidates and
-    cuis only at the ranked ones.
+    their index row's term id and CUI. Candidate j of row q is index row
+    rows[q, j] (row j when rows is None). With counts, row q holds only its
+    first counts[q] candidates and the rest is padding, never ranked
+    whatever it scores. ids are read only at the kept candidates and cuis
+    only at the ranked ones.
 
     One partition finds each row's k-th score; only the candidates scoring
     at or above it go through one lexsort keyed by (row, score, id).
@@ -103,16 +105,21 @@ def _rank(scores, ids, cuis, top_k, rows=None):
         raise ValueError(f"top_k={top_k} must be at least 1")
     neg = np.negative(scores, order="C")  # rows contiguous for the partition
     nq, m = neg.shape
+    keep = np.ones((nq, m), dtype=bool)
+    if counts is not None:
+        keep = np.arange(m) < counts[:, None]
+        # padding sorts after every score but NaN, so a row's k-th can only
+        # rise: every candidate the row alone would keep is kept
+        neg[~keep] = np.inf
     if top_k < m:
         kth = np.partition(neg, top_k - 1, axis=1)[:, top_k - 1:top_k]
         # a NaN kth keeps the whole row, as a full lexsort would rank it
-        keep = np.flatnonzero(~(neg > kth))
-    else:
-        keep = np.arange(nq * m)
+        keep &= ~(neg > kth)
+    keep = np.flatnonzero(keep)
     neg = neg.reshape(-1)
     q, at = np.divmod(keep, m)
     if rows is not None:
-        at = rows[at]
+        at = rows.reshape(-1)[keep]
     order = np.lexsort((ids[at], neg[keep], q))
     q = q[order]
     # q is sorted: an entry's place in its row is its distance to the row start
@@ -190,8 +197,10 @@ def search_ivf(index, block, top_k, real):
     When nprobe is at least nlist the block is scored against every stored
     row in one product, vectors @ Q.T, whose bits for a row do not depend on
     the others, so a one-list index is an exact (flat) search. Otherwise
-    each query ranks the rows of its probed lists, gathered by position, in
-    a product of its own."""
+    each query scores its probed rows, found by one repeat over the list
+    offsets for the block, in a product of its own, and the block is
+    ranked once, each row over its own candidate count: a query whose
+    probed lists are all empty gets no neighbors."""
     Q = _unit_rows(block)
     nlist = index.centroids.shape[0]
     if index.nprobe >= nlist:
@@ -200,14 +209,17 @@ def search_ivf(index, block, top_k, real):
     cd = np.sum((index.centroids - Q[:, None, :]) ** 2, axis=2)
     # stable: of equal distances the lower list is probed first
     probes = np.argsort(cd, axis=1, kind="stable")[:, :index.nprobe]
-    found = []
-    for q, p in zip(Q, probes):
-        # the query's probed lists as positions into the stored rows
-        rows = np.concatenate([np.arange(index.offsets[c], index.offsets[c + 1])
-                               for c in p])
-        found += _rank((np.take(index.vectors, rows, axis=0) @ q)[None, :],
-                       index.ids, index.cuis, top_k, rows)
-    return found
+    # positions of each probed list's rows, in probe order, queries end to end
+    starts = index.offsets[probes].ravel()
+    sizes = index.offsets[probes + 1].ravel() - starts
+    pos = np.arange(sizes.sum()) + np.repeat(starts - np.cumsum(sizes) + sizes, sizes)
+    counts = sizes.reshape(real, -1).sum(axis=1)
+    rows = np.zeros((real, counts.max(initial=0)), dtype=np.int64)
+    rows[np.arange(rows.shape[1]) < counts[:, None]] = pos
+    scores = np.full(rows.shape, -np.inf)
+    for q, r, s, c in zip(Q, rows, scores, counts.tolist()):
+        s[:c] = np.take(index.vectors, r[:c], axis=0) @ q
+    return _rank(scores, index.ids, index.cuis, top_k, rows, counts)
 
 
 def link_mentions(texts, params, transform, index, top_k=10):
@@ -218,8 +230,8 @@ def link_mentions(texts, params, transform, index, top_k=10):
     of LINK_BLOCK rows, the last one zero-padded, so every block runs the
     same products and a mention gets the same result alone as in any batch.
     Returns, per text, (predicted_cui, neighbors) or a DataError: the
-    mention is blank or not encodable as UTF-8, or the index has no
-    candidates.
+    mention is blank or not encodable as UTF-8, or it has no candidates
+    because the index or the lists probed for it are empty.
     """
     results = [None] * len(texts)
     todo = []
@@ -236,8 +248,9 @@ def link_mentions(texts, params, transform, index, top_k=10):
         found = search_ivf(index, apply_pca(transform, block), top_k,
                            real=min(LINK_BLOCK, len(todo) - start))
         for i, neighbors in zip(todo[start:], found):
-            results[i] = ((neighbors[0].cui, neighbors) if neighbors
-                          else DataError("no candidates: index is empty"))
+            results[i] = ((neighbors[0].cui, neighbors) if neighbors else DataError(
+                "no candidates: " + ("index is empty" if not len(index.ids) else
+                f"the lists probed are empty (index.nprobe={index.nprobe})")))
     return results
 
 

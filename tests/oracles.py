@@ -5,8 +5,8 @@ pass, and the training epoch composed from them with one forward per row;
 the character-at-a-time wikitext cleanup and sentence splitter, corpus
 compilation that filters every link against every sentence span, one
 parse loop per pipe-delimited ontology source file, the per-query ranking,
-the flat nearest-neighbour search, and k-means with per-seed row
-differences and masked list means."""
+the flat nearest-neighbour search, the IVF search one query at a time, and
+k-means with per-seed row differences and masked list means."""
 
 from dataclasses import dataclass
 
@@ -468,6 +468,31 @@ def search_flat(vectors, ids, cuis, query, top_k):
     block[0] = query
     Q = index._unit_rows(block)
     return rank((vectors @ Q.T)[:, 0], ids, cuis, top_k)
+
+
+def search_ivf_per_query(ivf, block, top_k, real):
+    """The search of ``index.search_ivf`` one query at a time: every stored
+    row scored in one product when nprobe is at least nlist; otherwise each
+    query's probed lists concatenated as positions, one ``np.arange`` per
+    list, its rows gathered and scored in a product of its own, and each
+    query ranked by ``rank``. ``index.search_ivf`` must give the same
+    neighbours and score bits for every real row at every nprobe."""
+    Q = index._unit_rows(block)
+    nlist = ivf.centroids.shape[0]
+    if ivf.nprobe >= nlist:
+        return [rank(s, ivf.ids, ivf.cuis, top_k) for s in (ivf.vectors @ Q.T).T[:real]]
+    Q = Q[:real]
+    cd = np.sum((ivf.centroids - Q[:, None, :]) ** 2, axis=2)
+    # stable: of equal distances the lower list is probed first
+    probes = np.argsort(cd, axis=1, kind="stable")[:, :ivf.nprobe]
+    found = []
+    for q, p in zip(Q, probes):
+        # the query's probed lists as positions into the stored rows
+        rows = np.concatenate([np.arange(ivf.offsets[c], ivf.offsets[c + 1])
+                               for c in p])
+        found.append(rank(np.take(ivf.vectors, rows, axis=0) @ q,
+                          ivf.ids[rows], ivf.cuis[rows], top_k))
+    return found
 
 
 

@@ -20,7 +20,8 @@ from belforge import encoder as enc
 from belforge import index as index_mod
 from belforge.cli import _HANDLERS, _build_parser, main
 from belforge.config import DEFAULTS
-from belforge.errors import UsageError
+from belforge.errors import DataError, UsageError
+from oracles import search_ivf_per_query
 
 SUBCOMMANDS = list(_HANDLERS)
 
@@ -440,6 +441,41 @@ class TestLinkStack:
                 {"term_id": n.term_id, "cui": n.cui, "score": n.score}
                 for n in neighbors]
         assert len(got[1]["top_k"]) < len(got[2]["top_k"]) == 7
+
+    def test_ivf_links_equal_the_per_query_oracle(self, workspace, monkeypatch):
+        """link --input --index ivf at nprobe 1, in mid-range and at nlist
+        writes, byte for byte, the lines of the per-query search oracle on
+        the same stack, over two blocks with a blank mention among them."""
+        root, config = workspace
+        run_pipeline(config, upto="index-build")
+        assert main(["index-build", "--config", config, "--quiet",
+                     "--set", "index.nlist=4"]) == 0
+        out = root / "out"
+        params = enc.load_params(out / "finetuned.params")
+        transform = index_mod.load_pca(out / "pca.bin")
+        index = index_mod.load_ivf(out / "ivf.index")
+        assert len(index.centroids) == 4
+        mentions = ["griep", "koorts", " ", "hartinfarct", "suikerziekte",
+                    "Influenza!", "myocard infarct", "diabetes type", "koorts griep",
+                    "x"]
+        (root / "mentions.txt").write_text("\n".join(mentions) + "\n")
+        for nprobe in (1, 2, 4):
+            path = out / f"links_{nprobe}.jsonl"
+            assert main(["link", "--config", config, "--quiet", "--index", "ivf",
+                         "--input", str(root / "mentions.txt"),
+                         "--set", f"index.nprobe={nprobe}",
+                         "--set", f"paths.link_output={path}"]) == 0
+            with monkeypatch.context() as m:
+                m.setattr(index_mod, "search_ivf", search_ivf_per_query)
+                results = index_mod.link_mentions(
+                    mentions, params, transform, replace(index, nprobe=nprobe), top_k=3)
+            lines = [json.dumps(
+                {"mention": text, "error": str(r)} if isinstance(r, DataError) else
+                {"mention": text, "predicted_cui": r[0], "score": r[1][0].score,
+                 "top_k": [{"term_id": n.term_id, "cui": n.cui, "score": n.score}
+                           for n in r[1]]}, sort_keys=True, separators=(",", ":"))
+                for text, r in zip(mentions, results)]
+            assert path.read_bytes() == ("\n".join(lines) + "\n").encode()
 
     def test_outputs_do_not_need_the_ontology(self, workspace, capsys):
         root, config = workspace

@@ -81,6 +81,43 @@ class TestSparql:
         assert amap.entries == {"hartinfarct": ("Q42", "C0000001")}
         assert amap.skipped == 1
 
+    @staticmethod
+    def load(bindings):
+        payload = {"results": {"bindings": bindings}}
+        return corpus.load_article_map_sparql(
+            "https://example.org/sparql", "https://nl.wikipedia.org/",
+            fetcher=lambda url: json.dumps(payload).encode())
+
+    def test_binding_values_that_are_not_strings_are_skipped(self):
+        """A number, null or list as the concept, CUI or article value skips
+        and counts the binding; a numeric CUI is not stored."""
+        good = {"concept": {"value": "http://www.wikidata.org/entity/Q42"},
+                "cui": {"value": "C0000001"},
+                "article": {"value": "https://nl.wikipedia.org/wiki/Hartinfarct"}}
+        bad = [{**good, field: {"value": value}}
+               for field in ("concept", "cui", "article")
+               for value in (5, None, ["Q1"])]
+        amap = self.load(bad + [good])
+        assert amap.entries == {"hartinfarct": ("Q42", "C0000001")}
+        assert (amap.skipped, amap.duplicates) == (9, 0)
+
+    def test_title_is_the_whole_path_after_wiki(self):
+        """A title keeps its '/', raw or quoted as %2F; an article IRI of
+        another site is skipped and counted."""
+        def binding(qid, article):
+            return {"concept": {"value": f"http://www.wikidata.org/entity/{qid}"},
+                    "cui": {"value": f"C000000{qid[1:]}"},
+                    "article": {"value": article}}
+
+        amap = self.load([
+            binding("Q1", "https://nl.wikipedia.org/wiki/HIV/aids"),
+            binding("Q2", "https://nl.wikipedia.org/wiki/Aids%2FHIV-remmer"),
+            binding("Q3", "https://de.wikipedia.org/wiki/Grippe"),
+            binding("Q4", "https://nl.wikipedia.org/Koorts")])
+        assert amap.entries == {"hIV/aids": ("Q1", "C0000001"),
+                                "aids/HIV-remmer": ("Q2", "C0000002")}
+        assert amap.skipped == 2
+
     def test_caches_response(self, tmp_path):
         payload = json.dumps({"results": {"bindings": []}}).encode()
         calls = []

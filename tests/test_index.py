@@ -14,7 +14,7 @@ from belforge import index as ix
 from belforge.errors import ArtifactError, DataError
 from helpers import (encode, random_unit_rows, random_word, reconstruct, search,
                      term_table)
-from oracles import kmeans, rank, search_flat
+from oracles import kmeans, rank, search_flat, search_ivf_per_query
 
 
 def eig_pca_oracle(X, k):
@@ -210,22 +210,28 @@ class TestRank:
     @settings(max_examples=300, derandomize=True, database=None, deadline=None)
     @given(nq=st.integers(0, 9), m=st.integers(0, 30), data=st.data())
     def test_block_rows_equal_the_per_row_oracle(self, nq, m, data):
-        """Every row of a block is ranked as the per-query oracle ranks it
-        alone, over ties, NaN and infinities, with candidates that are index
-        rows given by position or in order."""
+        """Every row of a block is ranked as the per-query oracle ranks its
+        own candidates alone, over ties, NaN and infinities, with candidates
+        that are index rows given by position per row or in order, and with
+        or without per-row candidate counts, whatever the padding scores."""
         scores = np.array(data.draw(st.lists(SCORE, min_size=nq * m,
                                              max_size=nq * m))).reshape(nq, m)
         n = m + data.draw(st.integers(0, 5))
         ids = np.array(data.draw(st.permutations(range(n))), dtype=np.int64) * 3
         cuis = np.array([f"C{i % 4:07d}" for i in range(n)])
-        rows = data.draw(st.one_of(st.none(), st.permutations(range(n)).map(
-            lambda p: np.array(p[:m], dtype=np.int64))))
+        rows = data.draw(st.one_of(st.none(), st.lists(
+            st.permutations(range(n)), min_size=nq, max_size=nq).map(
+            lambda ps: np.array([p[:m] for p in ps], dtype=np.int64).reshape(nq, m))))
+        counts = data.draw(st.one_of(st.none(), st.lists(
+            st.integers(0, m), min_size=nq, max_size=nq).map(np.array)))
         top_k = data.draw(st.integers(1, m + 3))
-        at = np.arange(m) if rows is None else rows
-        got = ix._rank(scores, ids, cuis, top_k, rows)
+        got = ix._rank(scores, ids, cuis, top_k, rows, counts)
         assert len(got) == nq
-        for row, neighbors in zip(scores, got):
-            assert same_neighbors(neighbors, rank(row, ids[at], cuis[at], top_k))
+        for q, row in enumerate(scores):
+            at = np.arange(m) if rows is None else rows[q]
+            c = m if counts is None else counts[q]
+            assert same_neighbors(got[q], rank(row[:c], ids[at[:c]], cuis[at[:c]],
+                                               top_k))
 
     def test_ties_at_kth_score_break_by_id(self):
         scores = np.array([[0.9, 0.5, 0.5, 0.7, 0.5, 0.5, 0.1]])
@@ -286,6 +292,58 @@ class TestIvf:
             got = search(ivf, q, top_k)
             assert len({nb.term_id for nb in got}) == len(got)
             assert all(nb.cui == cui_of[nb.term_id] for nb in got)
+
+    @settings(max_examples=100, derandomize=True, database=None, deadline=None)
+    @given(n=st.integers(2, 120), k=st.integers(1, 12),
+           seed=st.integers(0, 2 ** 32 - 1), data=st.data())
+    def test_every_nprobe_equals_the_per_query_oracle_bitwise(self, n, k, seed, data):
+        """At every nprobe below nlist each real row of a block gets the term
+        ids, CUIs and score bytes of the per-query probe loop, over
+        duplicated rows (score ties) and queries equal to stored rows."""
+        nlist = data.draw(st.integers(2, n))
+        top_k = data.draw(st.integers(1, n + 2))
+        real = data.draw(st.integers(1, ix.LINK_BLOCK))
+        rng = np.random.default_rng(seed)
+        V = rng.normal(size=(n, k))
+        V[: n // 4] = V[n // 4: 2 * (n // 4)]
+        ids = rng.permutation(n).astype(np.int64) * 3
+        cuis = [f"C{c:07d}" for c in rng.integers(0, max(n // 2, 1), n)]
+        ivf = ix.build_ivf(V, ids, cuis, ["DISO"] * n, nlist, seed=seed)
+        block = rng.normal(size=(ix.LINK_BLOCK, k))
+        block[: real // 2] = V[rng.integers(0, n, real // 2)]
+        for nprobe in range(1, nlist):
+            probed = replace(ivf, nprobe=nprobe)
+            got = ix.search_ivf(probed, block, top_k, real)
+            want = search_ivf_per_query(probed, block, top_k, real)
+            assert len(got) == len(want) == real
+            assert all(same_neighbors(g, w) for g, w in zip(got, want))
+
+    def test_probed_lists_may_be_empty(self):
+        """A query that probes only empty lists gets no neighbors and its
+        companions are ranked as alone; a block whose every query probes
+        only empty lists has no candidate at all and is not ranked."""
+        ids = np.array([10, 11, 12, 13])
+        cuis, groups = (np.array(a) for a in term_table(ids))
+        # list 0 (+x) is empty; lists 1 (+y) and 2 (-y) hold two rows each
+        ivf = ix.IvfIndex(centroids=np.array([[1.0, 0.0], [0.0, 1.0], [0.0, -1.0]]),
+                          vectors=ix._unit_rows([[1, 2], [-1, 2], [1, -2], [-1, -2]]),
+                          ids=ids, cuis=cuis, groups=groups,
+                          offsets=np.array([0, 0, 2, 4]), nprobe=1)
+        block = np.zeros((ix.LINK_BLOCK, 2))
+        block[:3] = [[1.0, 0.0], [0.1, 1.0], [0.2, -1.0]]
+        for nprobe, top_k in [(1, 3), (1, 1), (2, 3)]:
+            probed = replace(ivf, nprobe=nprobe)
+            got = ix.search_ivf(probed, block, top_k, 3)
+            assert got == search_ivf_per_query(probed, block, top_k, 3)
+            assert [len(g) for g in got] == \
+                [0 if nprobe == 1 else min(top_k, 2)] + [min(top_k, 2)] * 2
+        # x is as near list 1 as list 2: of the two the lower is probed
+        assert [nb.term_id for nb in ix.search_ivf(replace(ivf, nprobe=2), block,
+                                                   5, 1)[0]] == [10, 11]
+        block[:] = [1.0, 0.1]
+        for top_k in (1, 4):
+            assert ix.search_ivf(ivf, block, top_k, ix.LINK_BLOCK) == \
+                [[]] * ix.LINK_BLOCK
 
     @pytest.mark.parametrize("nlist", [2, 3, 5, 8])
     def test_each_nprobe_equals_brute_force_over_its_lists(self, nlist):
@@ -683,4 +741,38 @@ class TestLinkMention:
                             cuis=np.zeros(0, dtype=str), groups=np.zeros(0, dtype=str),
                             offsets=np.zeros(3, dtype=np.int64), nprobe=1)
         [result] = ix.link_mentions(["x"], params, t, index)
-        assert isinstance(result, DataError) and "no candidates" in str(result)
+        assert isinstance(result, DataError)
+        assert str(result) == "no candidates: index is empty"
+
+    def test_mention_probing_empty_lists_is_its_own_error(self):
+        """An index whose rows all sit in list 1, its list 0 empty and
+        centred on one mention's query: that mention probes only list 0 and
+        gets a DataError naming the probed lists, while companions nearer
+        list 1 link as alone; a block of such mentions only has no
+        candidate at all."""
+        words = [random_word(np.random.default_rng(i)) for i in range(40)]
+        params, t, flat = self.build([(w, f"C{i:07d}")
+                                      for i, w in enumerate(words[:10])])
+        block = np.zeros((ix.LINK_BLOCK, params.dim))
+        queries = []
+        for w in words:
+            block[0] = encode(params, w)
+            queries.append(ix._unit_rows(ix.apply_pca(t, block))[0])
+        lonely = words[10]
+        side = np.array(queries) @ queries[10]
+        near = [w for w, d in zip(words, side) if d < -0.1]
+        far = [w for w, d in zip(words, side) if d > 0.1]
+        assert len(near) >= 9 and len(far) >= 9
+        index = replace(flat, centroids=np.array([queries[10], -queries[10]]),
+                        offsets=np.array([0, 0, len(flat.ids)]), nprobe=1)
+        results = ix.link_mentions([lonely] + near, params, t, index, top_k=3)
+        assert isinstance(results[0], DataError)
+        assert str(results[0]) == \
+            "no candidates: the lists probed are empty (index.nprobe=1)"
+        for mention, result in zip(near, results[1:]):
+            [alone] = ix.link_mentions([mention], params, t, index, top_k=3)
+            assert result[0] == alone[0] and same_neighbors(result[1], alone[1])
+            assert len(result[1]) == 3
+        results = ix.link_mentions(far[:9], params, t, index, top_k=3)
+        assert all(isinstance(r, DataError) and "lists probed" in str(r)
+                   for r in results)
