@@ -130,11 +130,9 @@ def _abbreviations(cfg):
 
 def cmd_ontology_build(cfg, args):
     paths = cfg["paths"]
-    column_map = cfg["ontology"]["column_map"]
-    for key, column in column_map.items():
-        _at_least(column, f"ontology.column_map.{key}", 0)
     with _open_input(paths["concepts"], "concepts") as f:
-        concepts, malformed = onto_mod.parse_concepts(f, column_map)
+        concepts, malformed = onto_mod.parse_concepts(
+            f, cfg["ontology"]["column_map"])
     sty = []
     if paths["semantic_types"]:
         with _open_input(paths["semantic_types"], "semantic types") as f:
@@ -146,9 +144,10 @@ def cmd_ontology_build(cfg, args):
     groups = onto_mod.SemanticGroupMap({})
     if paths["semantic_groups"]:
         entries = _read_json(paths["semantic_groups"], "semantic groups")
-        if not isinstance(entries, dict):
+        if not (isinstance(entries, dict)
+                and all(isinstance(g, str) for g in entries.values())):
             raise DataError(f"semantic groups at {paths['semantic_groups']} "
-                            "must be a JSON object")
+                            "must be a JSON object of strings")
         groups = onto_mod.SemanticGroupMap(entries)
 
     records, stats = onto_mod.build_ontology(
@@ -203,13 +202,10 @@ def cmd_corpus_subset(cfg, args):
     paths = cfg["paths"]
     with _open_input(paths["corpus"], "corpus") as f:
         full = corpus_mod.parse_corpus(f)
-    ratio = cfg["corpus"]["split_ratio"]
-    if not 0 < ratio < 1:
-        raise UsageError(f"corpus.split_ratio must be in (0, 1), got {ratio!r}")
     ontology = _load_ontology(cfg)
     train, val = corpus_mod.build_star_subset(
-        full.sentences, full.mentions, ontology, split_ratio=ratio,
-        seed=cfg["seed"])
+        full.sentences, full.mentions, ontology,
+        split_ratio=cfg["corpus"]["split_ratio"], seed=cfg["seed"])
     for part, path in ((train, paths["train_corpus"]), (val, paths["val_corpus"])):
         buf = io.StringIO()
         corpus_mod.serialize_corpus(part, buf)
@@ -222,7 +218,6 @@ def cmd_corpus_subset(cfg, args):
 
 def cmd_pairs(cfg, args):
     paths = cfg["paths"]
-    cap = _at_least(cfg["finetune"]["per_mention_cap"], "finetune.per_mention_cap", 0)
     ontology = _load_ontology(cfg)
     if args.stage == "pretrain":
         pairs = train_mod.generate_pretrain_pairs(ontology)
@@ -230,8 +225,8 @@ def cmd_pairs(cfg, args):
     else:
         with _open_input(paths["train_corpus"], "train corpus") as f:
             star = corpus_mod.parse_corpus(f)
-        pairs = train_mod.generate_finetune_pairs(star, ontology,
-                                                  per_mention_cap=cap)
+        pairs = train_mod.generate_finetune_pairs(
+            star, ontology, per_mention_cap=cfg["finetune"]["per_mention_cap"])
         out_path = paths["finetune_pairs"]
     buf = io.StringIO()
     written = train_mod.write_pairs(pairs, buf)
@@ -245,8 +240,6 @@ def _initial_params(cfg):
     if paths["params_init"] and os.path.exists(paths["params_init"]):
         return enc.load_params(paths["params_init"])
     e = cfg["encoder"]
-    for key in ("n_min", "buckets", "hidden", "dim"):
-        _at_least(e[key], f"encoder.{key}")
     _at_least(e["n_max"], "encoder.n_max", e["n_min"])
     if e["hidden"] * max(e["buckets"], e["dim"]) > 2 ** 28:  # before allocation
         raise UsageError("encoder.hidden x encoder.buckets and encoder.hidden x "
@@ -261,13 +254,8 @@ def cmd_train(cfg, args):
     from fresh (or params_init) params, or on the finetune pairs from the
     pretrained params; finetune checkpoints go to a finetune/ subdirectory."""
     paths, stage = cfg["paths"], args.command
-    if args.epochs is None:
-        epochs = _at_least(cfg[stage]["epochs"], f"{stage}.epochs", 0)
-    else:
-        epochs = _at_least(args.epochs, "--epochs", 0)
-    _at_least(cfg["train"]["batch_size"], "train.batch_size")
-    if min(cfg["loss"]["alpha"], cfg["loss"]["beta"]) <= 0:
-        raise UsageError(f"loss.alpha and loss.beta must be positive, got {cfg['loss']}")
+    epochs = (cfg[stage]["epochs"] if args.epochs is None
+              else _at_least(args.epochs, "--epochs", 0))
     checkpoint_dir = paths["checkpoint_dir"]
     if stage == "train":
         params = _initial_params(cfg)
@@ -299,8 +287,6 @@ def cmd_train(cfg, args):
 def cmd_index_build(cfg, args):
     paths = cfg["paths"]
     icfg = cfg["index"]
-    for key in ("pca_k", "nlist", "nprobe"):
-        _at_least(icfg[key], f"index.{key}")
     params_path = _resolve_params_path(cfg, args)
     params = enc.load_params(params_path, verify=True)
     ontology = _load_ontology(cfg)
@@ -337,7 +323,6 @@ def _load_link_stack(cfg, args, verify=False):
     the PCA and index together from these params and their dimensions
     agree; with ``verify`` each payload must match its recorded digest.
     The index searches index.nprobe lists per mention."""
-    nprobe = _at_least(cfg["index"]["nprobe"], "index.nprobe")
     paths = cfg["paths"]
     params_path = _resolve_params_path(cfg, args)
     params = enc.load_params(params_path, verify)
@@ -361,7 +346,7 @@ def _load_link_stack(cfg, args, verify=False):
             f"dimensions do not match: {params_path} outputs {params.dim}, "
             f"{paths['pca']} maps {d} to {k}, {index_path} stores {rows} with "
             f"centroids of {cols}; rerun index-build")
-    index.nprobe = nprobe
+    index.nprobe = cfg["index"]["nprobe"]
     return params, transform, index
 
 
@@ -373,9 +358,9 @@ def _at_least(value, name, least=1):
 
 
 def _top_k(cfg, args):
-    if getattr(args, "top_k", None) is not None:
-        return _at_least(args.top_k, "--top-k")
-    return _at_least(cfg["index"]["top_k"], "index.top_k")
+    if getattr(args, "top_k", None) is None:
+        return cfg["index"]["top_k"]
+    return _at_least(args.top_k, "--top-k")
 
 
 def _link_payload(mention, result):
@@ -489,11 +474,8 @@ def run(argv):
     logging.basicConfig(stream=sys.stderr,
                         level=logging.ERROR if args.quiet else logging.INFO,
                         format="%(levelname)s %(name)s: %(message)s")
-    cfg = load_config(args.config)
-    cfg = apply_overrides(cfg, args.set)
-    if args.seed is not None:
-        cfg["seed"] = args.seed
-    _at_least(cfg["seed"], "seed", 0)
+    seed = [] if args.seed is None else [f"seed={args.seed}"]
+    cfg = apply_overrides(load_config(args.config), args.set + seed)
     return _HANDLERS[args.command](cfg, args)
 
 

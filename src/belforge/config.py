@@ -1,6 +1,6 @@
 """Pipeline configuration: one JSON file, deep-merged over defaults, with
 dotted-key command-line overrides. Both may only name keys that DEFAULTS has,
-with values of each leaf's type (see ``_leaf_type``).
+with values of each leaf's type and range (see ``_leaf_type``).
 """
 
 import copy
@@ -99,17 +99,6 @@ def _subterm(entry):
             and isinstance(entry["pattern"], str) and _strings(entry["vocabs"]))
 
 
-# leaves whose type their default cannot show: every other None default is an
-# optional string (a path, an endpoint) and every other list a list of strings
-_LEAF_TYPES = {
-    "corpus.abbreviations": ("list of str or null",
-                             lambda v: v is None or _strings(v)),
-    "ontology.descriptive_subterms": (
-        "list of {pattern: str, vocabs: list of str}",
-        lambda v: isinstance(v, list) and all(_subterm(e) for e in v)),
-}
-
-
 def _leaf_type_ok(value, default):
     """Whether ``value`` has the type of a non-None default: an int passes
     for a float, a bool never passes for an int, and a float must be finite."""
@@ -120,14 +109,38 @@ def _leaf_type_ok(value, default):
     return isinstance(value, type(default))
 
 
+def _positive(v):
+    return _leaf_type_ok(v, 1.0) and v > 0
+
+
+# leaves whose type their default cannot show: every other None default is an
+# optional string (a path, an endpoint), every other list a list of strings and
+# every other int a count of at least 0, or of at least 1 under _AT_LEAST_ONE
+_LEAF_TYPES = {
+    "corpus.abbreviations": ("list of str or null",
+                             lambda v: v is None or _strings(v)),
+    "ontology.descriptive_subterms": (
+        "list of {pattern: str, vocabs: list of str}",
+        lambda v: isinstance(v, list) and all(_subterm(e) for e in v)),
+    "corpus.split_ratio": ("finite float in (0, 1)",
+                           lambda v: _positive(v) and v < 1),
+    "loss.alpha": ("finite float > 0", _positive),
+    "loss.beta": ("finite float > 0", _positive),
+}
+_AT_LEAST_ONE = ("encoder.", "index.", "train.batch_size")
+
+
 def _leaf_type(dotted, default):
-    """(name, check) of the type the leaf ``dotted`` must have."""
+    """(name, check) of the type and range the leaf ``dotted`` must have."""
     if dotted in _LEAF_TYPES:
         return _LEAF_TYPES[dotted]
     if default is None:
         return "str or null", lambda v: v is None or isinstance(v, str)
     if isinstance(default, list):
         return "list of str", _strings
+    if type(default) is int:
+        least = 1 if dotted.startswith(_AT_LEAST_ONE) else 0
+        return f"int >= {least}", lambda v: _leaf_type_ok(v, 0) and v >= least
     name = "finite float" if isinstance(default, float) else type(default).__name__
     return name, lambda v: _leaf_type_ok(v, default)
 
@@ -135,7 +148,7 @@ def _leaf_type(dotted, default):
 def _check_keys(node, schema, where=""):
     """Raise UsageError for the first key of ``node`` that ``schema`` lacks,
     that is a section in one and a plain value in the other, or whose value
-    has another type than the leaf's (see ``_leaf_type``)."""
+    has another type or range than the leaf's (see ``_leaf_type``)."""
     for key, value in node.items():
         dotted = where + key
         if key not in schema:

@@ -307,10 +307,8 @@ def build_star_subset(sentences, mentions, ontology, split_ratio=0.8, seed=0):
 
     Keeps the first occurrence of each unique mention string (exact,
     case-sensitive), drops mentions whose CUI is absent from the ontology,
-    then partitions mentions randomly by seed at split_ratio.
+    then partitions mentions randomly by seed at split_ratio, in (0, 1).
     """
-    if not 0 < split_ratio < 1:
-        raise ValueError("split_ratio must be in (0, 1)")
     known_cuis = {r.cui for r in ontology}
     seen = set()
     kept = []

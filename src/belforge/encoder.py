@@ -53,8 +53,6 @@ class EncoderGrads:
 
 def init_params(seed, n_min=2, n_max=4, buckets=4096, hidden=64, dim=32, lowercase=False):
     """Seeded uniform init: weights in [-1/sqrt(fan_in), 1/sqrt(fan_in)], zero biases."""
-    if min(buckets, hidden, dim) < 1 or n_min < 1 or n_max < n_min:
-        raise ValueError("invalid encoder dimensions")
     rng = np.random.default_rng(seed)
     s1 = 1.0 / np.sqrt(buckets)
     s2 = 1.0 / np.sqrt(hidden)

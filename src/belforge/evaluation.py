@@ -3,7 +3,7 @@ per-semantic-group breakdowns and a micro-averaged total.
 """
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 
 @dataclass
@@ -83,18 +83,7 @@ def evaluate(predictions, gold, graph, metadata=None):
 
 
 def report_to_json(report):
-    payload = {
-        "groups": [
-            {"group": r.group, "count": r.count, "accuracy": r.accuracy,
-             "one_dist_accuracy": r.one_dist_accuracy}
-            for r in report.groups
-        ],
-        "total": {"group": "TOTAL", "count": report.total.count,
-                  "accuracy": report.total.accuracy,
-                  "one_dist_accuracy": report.total.one_dist_accuracy},
-        "metadata": report.metadata,
-    }
-    return json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    return json.dumps(asdict(report), sort_keys=True, separators=(",", ":"))
 
 
 def render_report(report):

@@ -282,9 +282,15 @@ def parse_ontology(stream):
             continue
         try:
             obj = json.loads(line)
-            records.append(OntologyRecord(
-                term_id=int(obj["term_id"]), cui=obj["cui"], text=obj["text"],
-                vocab=obj["vocab"], group=obj["group"]))
+            record = OntologyRecord(
+                term_id=obj["term_id"], cui=obj["cui"], text=obj["text"],
+                vocab=obj["vocab"], group=obj["group"])
         except (ValueError, KeyError, TypeError) as e:
             raise DataError(f"ontology line {lineno}: {e}") from e
+        if type(record.term_id) is not int or not (
+                isinstance(record.cui, str) and isinstance(record.text, str)
+                and isinstance(record.vocab, str) and isinstance(record.group, str)):
+            raise DataError(f"ontology line {lineno}: term_id must be an int and "
+                            "cui, text, vocab and group strings")
+        records.append(record)
     return records

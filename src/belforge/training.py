@@ -102,7 +102,7 @@ def read_pairs(stream):
         if not line:
             continue
         parts = line.split("||")
-        if len(parts) != 3 or not parts[1] or not parts[2]:
+        if len(parts) != 3 or not parts[1].strip() or not parts[2].strip():
             raise DataError(f"pair file line {lineno}: expected CUI||term 1||term 2")
         pairs.append(PositivePair(cui=parts[0], term_a=parts[1], term_b=parts[2]))
     return pairs

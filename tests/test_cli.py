@@ -63,6 +63,17 @@ DUMP = """\
 """
 
 
+# encoder settings each in range whose combination _initial_params refuses
+CROSS_FIELD_OVERRIDES = {"encoder.n_max=1", "encoder.hidden=" + "9" * 21,
+                         "encoder.dim=" + "9" * 21, "encoder.buckets=33554433"}
+
+
+def _files(directory):
+    """{relative path: bytes} of every file under ``directory``."""
+    return {str(p.relative_to(directory)): p.read_bytes()
+            for p in sorted(directory.rglob("*")) if p.is_file()}
+
+
 @pytest.fixture
 def workspace(tmp_path):
     (tmp_path / "concepts.psv").write_text(CONCEPTS)
@@ -1067,15 +1078,53 @@ class TestExitCodes:
     ])
     def test_out_of_range_setting_usage(self, workspace, capsys, stage, upto,
                                         override):
-        _root, config = workspace
+        """The config check refuses a leaf out of its range for every
+        command, stats included; a pair of leaves each in range is refused
+        only by the stage that draws fresh params."""
+        root, config = workspace
         run_pipeline(config, upto=upto)
+        before = _files(root / "out")
         capsys.readouterr()
-        assert main([stage, "--config", config, "--quiet",
-                     "--set", override]) == 1
+        stats_rc = 0 if override in CROSS_FIELD_OVERRIDES else 1
+        for command, rc in ((stage, 1), ("stats", stats_rc)):
+            assert main([command, "--config", config, "--quiet",
+                         "--set", override]) == rc, command
+            captured = capsys.readouterr()
+            if rc:
+                assert captured.out == ""
+                assert len(captured.err.splitlines()) == 1
+                assert override.split("=")[0] in captured.err
+        assert _files(root / "out") == before
+
+    @pytest.mark.parametrize("in_file, key, argv", [
+        ({"index": {"nprobe": 0}}, "index.nprobe", ["link", "--mention", "griep"]),
+        ({"loss": {"beta": 0.0}}, "loss.beta", ["train"]),
+    ])
+    def test_out_of_range_setting_in_config_file_usage(self, workspace, capsys,
+                                                       in_file, key, argv):
+        """Refused before any input is opened: no stage has run, so the
+        stage would otherwise end in an I/O error."""
+        root, config = workspace
+        cfg = json.loads((root / "config.json").read_text())
+        for section, value in in_file.items():
+            cfg.setdefault(section, {}).update(value)
+        (root / "config.json").write_text(json.dumps(cfg))
+        for command in (argv, ["stats"]):
+            assert main(command[:1] + ["--config", config, "--quiet"]
+                        + command[1:]) == 1, command
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert len(captured.err.splitlines()) == 1
+            assert f"config key {key!r} must be of type" in captured.err
+        assert _files(root / "out") == {}
+
+    def test_negative_seed_flag_usage(self, workspace, capsys):
+        _root, config = workspace
+        assert main(["stats", "--config", config, "--quiet", "--seed", "-1"]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
         assert len(captured.err.splitlines()) == 1
-        assert override.split("=")[0] in captured.err
+        assert "config key 'seed' must be of type int >= 0" in captured.err
 
     @pytest.mark.parametrize("stage, upto", [("train", "pairs"),
                                              ("finetune", "finetune")])
@@ -1109,6 +1158,41 @@ class TestExitCodes:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert len(captured.err.splitlines()) == 1
+
+    @pytest.mark.parametrize("field, value", [("text", 5), ("cui", ["C1"]),
+                                              ("term_id", True)])
+    @pytest.mark.parametrize("stage, upto", [("index-build", "train"),
+                                             ("pairs", "ontology-build")])
+    def test_ontology_field_of_another_type_data_error(self, workspace, capsys,
+                                                       stage, upto, field, value):
+        root, config = workspace
+        run_pipeline(config, upto=upto)
+        ontology = root / "out" / "ontology.jsonl"
+        lines = ontology.read_text().splitlines()
+        record = json.loads(lines[1])
+        record[field] = value
+        lines[1] = json.dumps(record)
+        ontology.write_text("\n".join(lines) + "\n")
+        before = _files(root / "out")
+        capsys.readouterr()
+        assert main([stage, "--config", config, "--quiet"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            "data error: ontology line 2: term_id must be an int and cui, "
+            "text, vocab and group strings"]
+        assert _files(root / "out") == before
+
+    def test_semantic_group_of_another_type_data_error(self, workspace, capsys):
+        root, config = workspace
+        (root / "groups.json").write_text(json.dumps({"T047": ["DISO"]}))
+        assert main(["ontology-build", "--config", config, "--quiet"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            f"data error: semantic groups at {root / 'groups.json'} must be a "
+            "JSON object of strings"]
+        assert _files(root / "out") == {}
 
     @pytest.mark.parametrize("element, numbers", [("ns", "<ns>x</ns><id>2</id>"),
                                                   ("id", "<ns>0</ns><id>12a</id>")])

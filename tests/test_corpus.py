@@ -350,10 +350,6 @@ class TestStarSubset:
         anchors = {m.anchor for m in t1.mentions} | {m.anchor for m in v1.mentions}
         assert len(anchors) == 10  # partition, no overlap or loss
 
-    def test_bad_ratio(self):
-        with pytest.raises(ValueError):
-            corpus.build_star_subset([], [], [], split_ratio=1.5, seed=0)
-
 
 class TestCorpusXml:
     def roundtrip(self, sl):

@@ -240,6 +240,16 @@ class TestSerialization:
                 '{"term_id":0,"cui":"C0000001","text":"a","vocab":"V","group":"DISO"}\n'
                 "not json\n"))
 
+    @pytest.mark.parametrize("field, value", [
+        ("term_id", "0"), ("term_id", 0.0), ("term_id", True), ("cui", None),
+        ("text", 5), ("vocab", ["V"]), ("group", {"g": "DISO"})])
+    def test_field_of_another_type_fatal_with_lineno(self, field, value):
+        record = {"term_id": 0, "cui": "C0000001", "text": "a", "vocab": "V",
+                  "group": "DISO"}
+        with pytest.raises(DataError, match="^ontology line 2: term_id must be"):
+            onto.parse_ontology(io.StringIO(
+                json.dumps(record) + "\n" + json.dumps({**record, field: value})))
+
     def test_stats_json(self):
         stats = onto.StepStats()
         stats.record("drop_vocabs", 5)

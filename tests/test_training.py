@@ -93,6 +93,11 @@ class TestPairGeneration:
         with pytest.raises(DataError, match="line 1"):
             tr.read_pairs(io.StringIO("nonsense\n"))
 
+    def test_read_blank_term(self):
+        with pytest.raises(DataError, match="line 2: expected CUI"):
+            tr.read_pairs(io.StringIO("C0000001||griep||influenza\n"
+                                      "C0000001|| \t ||griep\n"))
+
 
 class TestFinetunePairs:
     def test_mention_paired_with_gold_terms(self):
