@@ -13,15 +13,8 @@ import logging
 import os
 import sys
 
-import numpy as np
-
-from . import corpus as corpus_mod
-from . import encoder as enc
-from . import evaluation as eval_mod
-from . import index as index_mod
-from . import ontology as onto_mod
-from . import training as train_mod
-from .artifacts import write_text_atomic
+# the stage modules, and numpy through them, are imported by the handlers
+# that run them: a process pays only for its own subcommand's imports
 from .config import apply_overrides, load_config
 from .errors import ArtifactError, DataError, NetworkError, UsageError
 
@@ -96,6 +89,7 @@ def _summary(payload):
 
 
 def _filter_config(cfg):
+    from . import ontology as onto_mod
     o = cfg["ontology"]
     patterns = [(e["pattern"], frozenset(e["vocabs"]))
                 for e in o["descriptive_subterms"]]
@@ -108,6 +102,7 @@ def _filter_config(cfg):
 
 
 def _load_ontology(cfg):
+    from . import ontology as onto_mod
     with _open_input(cfg["paths"]["ontology"], "ontology") as f:
         return onto_mod.parse_ontology(f)
 
@@ -124,11 +119,14 @@ def _resolve_params_path(cfg, args):
 def _abbreviations(cfg):
     abbrev = cfg["corpus"]["abbreviations"]
     if abbrev is None:
+        from . import corpus as corpus_mod
         return corpus_mod.DEFAULT_ABBREVIATIONS
     return frozenset(abbrev)
 
 
 def cmd_ontology_build(cfg, args):
+    from . import ontology as onto_mod
+    from .artifacts import write_text_atomic
     paths = cfg["paths"]
     with _open_input(paths["concepts"], "concepts") as f:
         concepts, malformed = onto_mod.parse_concepts(
@@ -163,6 +161,7 @@ def cmd_ontology_build(cfg, args):
 
 
 def _load_article_map(cfg):
+    from . import corpus as corpus_mod
     paths = cfg["paths"]
     if paths["article_map_tsv"]:
         with _open_input(paths["article_map_tsv"], "article map TSV") as f:
@@ -175,6 +174,8 @@ def _load_article_map(cfg):
 
 
 def cmd_corpus_compile(cfg, args):
+    from . import corpus as corpus_mod
+    from .artifacts import write_text_atomic
     paths = cfg["paths"]
     amap = _load_article_map(cfg)
     ontology = None
@@ -199,6 +200,8 @@ def cmd_corpus_compile(cfg, args):
 
 
 def cmd_corpus_subset(cfg, args):
+    from . import corpus as corpus_mod
+    from .artifacts import write_text_atomic
     paths = cfg["paths"]
     with _open_input(paths["corpus"], "corpus") as f:
         full = corpus_mod.parse_corpus(f)
@@ -217,12 +220,15 @@ def cmd_corpus_subset(cfg, args):
 
 
 def cmd_pairs(cfg, args):
+    from . import training as train_mod
+    from .artifacts import write_text_atomic
     paths = cfg["paths"]
     ontology = _load_ontology(cfg)
     if args.stage == "pretrain":
         pairs = train_mod.generate_pretrain_pairs(ontology)
         out_path = paths["pretrain_pairs"]
     else:
+        from . import corpus as corpus_mod
         with _open_input(paths["train_corpus"], "train corpus") as f:
             star = corpus_mod.parse_corpus(f)
         pairs = train_mod.generate_finetune_pairs(
@@ -236,6 +242,7 @@ def cmd_pairs(cfg, args):
 
 
 def _initial_params(cfg):
+    from . import encoder as enc
     paths = cfg["paths"]
     if paths["params_init"] and os.path.exists(paths["params_init"]):
         return enc.load_params(paths["params_init"])
@@ -253,6 +260,9 @@ def cmd_train(cfg, args):
     """train and finetune, one self-alignment stage: on the pretrain pairs
     from fresh (or params_init) params, or on the finetune pairs from the
     pretrained params; finetune checkpoints go to a finetune/ subdirectory."""
+    from . import encoder as enc
+    from . import training as train_mod
+    from .artifacts import write_text_atomic
     paths, stage = cfg["paths"], args.command
     epochs = (cfg[stage]["epochs"] if args.epochs is None
               else _at_least(args.epochs, "--epochs", 0))
@@ -285,6 +295,8 @@ def cmd_train(cfg, args):
 
 
 def cmd_index_build(cfg, args):
+    from . import encoder as enc
+    from . import index as index_mod
     paths = cfg["paths"]
     icfg = cfg["index"]
     params_path = _resolve_params_path(cfg, args)
@@ -293,7 +305,7 @@ def cmd_index_build(cfg, args):
     if not ontology:
         raise DataError("cannot build an index from an empty ontology")
     embeddings = enc.encode_batch(params, [r.text for r in ontology])
-    ids = np.array([r.term_id for r in ontology], dtype=np.int64)
+    ids = [r.term_id for r in ontology]
     cuis = [r.cui for r in ontology]
     groups = [r.group for r in ontology]
 
@@ -323,6 +335,8 @@ def _load_link_stack(cfg, args, verify=False):
     the PCA and index together from these params and their dimensions
     agree; with ``verify`` each payload must match its recorded digest.
     The index searches index.nprobe lists per mention."""
+    from . import encoder as enc
+    from . import index as index_mod
     paths = cfg["paths"]
     params_path = _resolve_params_path(cfg, args)
     params = enc.load_params(params_path, verify)
@@ -358,7 +372,7 @@ def _at_least(value, name, least=1):
 
 
 def _top_k(cfg, args):
-    if getattr(args, "top_k", None) is None:
+    if args.top_k is None:
         return cfg["index"]["top_k"]
     return _at_least(args.top_k, "--top-k")
 
@@ -376,6 +390,8 @@ def _link_payload(mention, result):
 
 
 def cmd_link(cfg, args):
+    from . import index as index_mod
+    from .artifacts import write_text_atomic
     top_k = _top_k(cfg, args)
     if args.mention is None and not args.input:
         raise UsageError("link requires --mention or --input")
@@ -403,8 +419,14 @@ def cmd_link(cfg, args):
 
 
 def cmd_evaluate(cfg, args):
+    import numpy as np
+
+    from . import corpus as corpus_mod
+    from . import evaluation as eval_mod
+    from . import index as index_mod
+    from . import ontology as onto_mod
+    from .artifacts import write_text_atomic
     paths = cfg["paths"]
-    top_k = _top_k(cfg, args)
     # evaluate verifies every payload before it reports; link, kept fast for
     # single mentions, checks the headers only
     params, transform, index = _load_link_stack(cfg, args, verify=True)
@@ -427,8 +449,9 @@ def cmd_evaluate(cfg, args):
         graph = eval_mod.build_relation_graph(rows)
 
     mentions = list(dict.fromkeys(g.mention for g in gold))
+    # the report reads only each mention's nearest neighbour
     results = index_mod.link_mentions(mentions, params, transform, index,
-                                      top_k=top_k)
+                                      top_k=1)
     predictions = {m: r[0] for m, r in zip(mentions, results)
                    if not isinstance(r, DataError)}
     report = eval_mod.evaluate(predictions, gold, graph,

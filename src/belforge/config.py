@@ -80,14 +80,15 @@ DEFAULTS = {
 }
 
 
-def _deep_merge(base, override):
-    out = copy.deepcopy(base)
+def _merge_into(base, override):
+    """Merge ``override`` into ``base`` in place, section by section; the
+    values of ``override`` are stored, not copied."""
     for key, value in override.items():
-        if isinstance(value, dict) and isinstance(out.get(key), dict):
-            out[key] = _deep_merge(out[key], value)
+        if isinstance(value, dict) and isinstance(base.get(key), dict):
+            _merge_into(base[key], value)
         else:
-            out[key] = value
-    return out
+            base[key] = value
+    return base
 
 
 def _strings(value):
@@ -177,12 +178,13 @@ def load_config(path):
     if not isinstance(user, dict):
         raise DataError(f"config {path}: top level must be a JSON object")
     _check_keys(user, DEFAULTS)
-    return _deep_merge(DEFAULTS, user)
+    return _merge_into(copy.deepcopy(DEFAULTS), user)
 
 
 def apply_overrides(cfg, overrides):
     """Merge ``section.key=value`` overrides into a copy of ``cfg``; values
     parse as JSON, falling back to plain strings."""
+    cfg = copy.deepcopy(cfg)
     for item in overrides:
         if "=" not in item:
             raise UsageError(f"override {item!r} is not of the form key=value")
@@ -194,5 +196,5 @@ def apply_overrides(cfg, overrides):
         for key in reversed(dotted.split(".")):
             value = {key: value}
         _check_keys(value, DEFAULTS)
-        cfg = _deep_merge(cfg, value)
+        _merge_into(cfg, value)
     return cfg

@@ -9,10 +9,8 @@ import json
 import os
 import re
 import urllib.parse
-import urllib.request
 import xml.etree.ElementTree as ET
 from dataclasses import dataclass, field
-from xml.sax.saxutils import escape, quoteattr
 
 import numpy as np
 
@@ -128,6 +126,8 @@ def build_sparql_query(site_url, property_id="P2892", language="nl"):
 
 
 def _default_fetcher(url):
+    import urllib.request  # with http, ssl and email: only a fetch needs it
+
     try:
         with urllib.request.urlopen(url, timeout=60) as resp:
             if resp.status >= 400:
@@ -334,6 +334,23 @@ def build_star_subset(sentences, mentions, ontology, split_ratio=0.8, seed=0):
             make_slice([i for i in range(len(kept)) if i not in train_ids]))
 
 
+# xml.sax.saxutils.escape and quoteattr, written out: importing saxutils
+# imports urllib.request, with http, ssl and email, into every process that
+# writes a corpus
+def _escape(text):
+    return text.replace("&", "&amp;").replace(">", "&gt;").replace("<", "&lt;")
+
+
+def _quoteattr(value):
+    value = (_escape(value).replace("\n", "&#10;").replace("\r", "&#13;")
+             .replace("\t", "&#9;"))
+    if '"' not in value:
+        return f'"{value}"'
+    if "'" not in value:
+        return f"'{value}'"
+    return '"' + value.replace('"', "&quot;") + '"'
+
+
 def serialize_corpus(corpus_slice, sink):
     """Write a corpus slice as XML with inline mention elements."""
     ms_by_sid = {}
@@ -341,16 +358,17 @@ def serialize_corpus(corpus_slice, sink):
         ms_by_sid.setdefault(m.sentence_id, []).append(m)
     lines = ["<corpus>"]
     for s in corpus_slice.sentences:
-        parts = [f"<sentence id={quoteattr(str(s.sentence_id))} page={quoteattr(s.page_title)}>"]
+        parts = [f"<sentence id={_quoteattr(str(s.sentence_id))} "
+                 f"page={_quoteattr(s.page_title)}>"]
         pos = 0
         for m in sorted(ms_by_sid.get(s.sentence_id, []), key=lambda m: m.start):
-            parts.append(escape(s.text[pos:m.start]))
+            parts.append(_escape(s.text[pos:m.start]))
             parts.append(
-                f"<mention cui={quoteattr(m.cui)} qid={quoteattr(m.qid)} "
-                f"start={quoteattr(str(m.start))} end={quoteattr(str(m.end))} "
-                f"target={quoteattr(m.target_title)}>{escape(m.anchor)}</mention>")
+                f"<mention cui={_quoteattr(m.cui)} qid={_quoteattr(m.qid)} "
+                f"start={_quoteattr(str(m.start))} end={_quoteattr(str(m.end))} "
+                f"target={_quoteattr(m.target_title)}>{_escape(m.anchor)}</mention>")
             pos = m.end
-        parts.append(escape(s.text[pos:]))
+        parts.append(_escape(s.text[pos:]))
         parts.append("</sentence>")
         lines.append("".join(parts))
     lines.append("</corpus>")

@@ -136,7 +136,7 @@ def save_params(path, params):
 
 def load_params(path, verify=False):
     """The saved params; with ``verify`` their payload digest is recomputed
-    and checked (artifacts.load_artifact)."""
+    and checked (artifacts.load_artifact), and every weight must be finite."""
     meta, arrays, sha256 = artifacts.load_artifact(path, "encoder-params", verify)
     if not meta.flag("normalize_output"):
         raise ArtifactError(f"{path}: meta entry 'normalize_output' must be true")
@@ -154,4 +154,8 @@ def load_params(path, verify=False):
        params.W2.shape != (params.dim, params.hidden) or \
        params.b1.shape != (params.hidden,) or params.b2.shape != (params.dim,):
         raise ArtifactError(f"{path}: parameter shapes do not match declared dimensions")
+    if verify:
+        for name in ("W1", "b1", "W2", "b2"):
+            if not np.isfinite(arrays[name]).all():
+                raise ArtifactError(f"{path}: {name} holds a weight that is not finite")
     return params

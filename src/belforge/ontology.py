@@ -292,5 +292,7 @@ def parse_ontology(stream):
                 and isinstance(record.vocab, str) and isinstance(record.group, str)):
             raise DataError(f"ontology line {lineno}: term_id must be an int and "
                             "cui, text, vocab and group strings")
+        if not record.text.strip():
+            raise DataError(f"ontology line {lineno}: text is blank")
         records.append(record)
     return records

@@ -633,6 +633,39 @@ class TestLinkStack:
                         "no payload digest",
                         "rewrite it with the command that made it")
 
+    @pytest.mark.parametrize("name, value", [("W1", -np.inf), ("b1", np.nan),
+                                             ("W2", np.inf), ("b2", np.nan)])
+    def test_params_with_a_weight_not_finite_are_refused(self, workspace, capsys,
+                                                          name, value):
+        """index-build and evaluate, which verify the params, exit 3 on a
+        params file saved, with its digest, holding a NaN or infinite
+        weight, and write nothing."""
+        root, config = workspace
+        run_pipeline(config, upto="index-build")
+        path = root / "out" / "finetuned.params"
+        params = enc.load_params(path)
+        weights = getattr(params, name).copy()
+        weights.flat[0] = value
+        enc.save_params(path, replace(params, **{name: weights}))
+        before = out_files(root)
+        for argv in (["index-build"], ["evaluate"]):
+            assert_io_error(config, capsys, argv, "out/finetuned.params: "
+                            f"{name} holds a weight that is not finite")
+            assert out_files(root) == before
+
+    def test_evaluate_report_does_not_depend_on_top_k(self, workspace, capsys):
+        """evaluate reads only each mention's nearest neighbour, so
+        index.top_k, link's setting, leaves report.json as it is."""
+        root, config = workspace
+        run_pipeline(config, upto="index-build")
+        reports = {}
+        for kind in ("flat", "ivf"):
+            for top_k in (1, 10):
+                assert main(["evaluate", "--config", config, "--quiet",
+                             "--index", kind, "--set", f"index.top_k={top_k}"]) == 0
+                reports[kind, top_k] = (root / "out" / "report.json").read_bytes()
+            assert reports[kind, 1] == reports[kind, 10]
+
     @pytest.mark.parametrize("artifact", ["finetuned.params", "pca.bin",
                                           "flat.index", "ivf.index"])
     def test_corrupted_payload_is_refused_by_evaluate(self, workspace, capsys,
@@ -1183,6 +1216,24 @@ class TestExitCodes:
             "text, vocab and group strings"]
         assert _files(root / "out") == before
 
+    @pytest.mark.parametrize("stage, upto", [("index-build", "train"),
+                                             ("pairs", "ontology-build")])
+    def test_ontology_blank_text_data_error(self, workspace, capsys, stage, upto):
+        root, config = workspace
+        run_pipeline(config, upto=upto)
+        ontology = root / "out" / "ontology.jsonl"
+        lines = ontology.read_text().splitlines()
+        lines[1] = json.dumps({**json.loads(lines[1]), "text": " \t "})
+        ontology.write_text("\n".join(lines) + "\n")
+        before = _files(root / "out")
+        capsys.readouterr()
+        assert main([stage, "--config", config, "--quiet"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            "data error: ontology line 2: text is blank"]
+        assert _files(root / "out") == before
+
     def test_semantic_group_of_another_type_data_error(self, workspace, capsys):
         root, config = workspace
         (root / "groups.json").write_text(json.dumps({"T047": ["DISO"]}))
@@ -1295,6 +1346,62 @@ class TestUnbalancedTemplates:
         assert main(["corpus-compile", "--config", config]) == 0
         assert json.loads(capsys.readouterr().out)["unbalanced_templates"] == 0
         assert not [r for r in caplog.records if r.levelno == logging.WARNING]
+
+
+# the modules beside belforge, cli, config and errors that a command imports
+# in a fresh interpreter: it imports the stages it runs, numpy only through
+# them and urllib.request only to fetch over SPARQL
+LINK_STACK = {"artifacts", "encoder", "features", "index", "numpy"}
+IMPORTS = {
+    "stats": set(),
+    "usage-error": set(),
+    "ontology-build": {"artifacts", "ontology", "numpy"},
+    "corpus-compile": {"artifacts", "corpus", "ontology", "wikitext", "numpy"},
+    "corpus-compile-sparql": {"artifacts", "corpus", "wikitext", "numpy",
+                              "urllib.request"},
+    "corpus-subset": {"artifacts", "corpus", "ontology", "wikitext", "numpy"},
+    "pairs": {"artifacts", "corpus", "encoder", "features", "ontology",
+              "training", "wikitext", "numpy"},
+    "train": {"artifacts", "encoder", "features", "training", "numpy"},
+    "finetune": {"artifacts", "encoder", "features", "training", "numpy"},
+    "index-build": LINK_STACK | {"ontology"},
+    "link": LINK_STACK,
+    "evaluate": LINK_STACK | {"corpus", "evaluation", "ontology", "wikitext"},
+}
+IMPORT_ARGV = {"usage-error": ["bogus"],
+               "corpus-compile-sparql": ["corpus-compile", "--set",
+                                         "paths.article_map_tsv=null", "--set",
+                                         "corpus.sparql.endpoint=\"nowhere\""],
+               "pairs": ["pairs", "--stage", "finetune"],
+               "link": ["link", "--mention", "griep"]}
+IMPORT_PROBE = (
+    "import sys\n"
+    "import belforge.cli\n"
+    "rc = belforge.cli.main(sys.argv[1:])\n"
+    "print(rc, *(m for m in sys.modules if m.split('.')[0] == 'belforge'\n"
+    "            or m in ('numpy', 'urllib.request')))\n")
+
+
+@pytest.mark.parametrize("case", sorted(IMPORTS))
+def test_command_imports_only_what_it_runs(workspace, case):
+    """Each subcommand, run on the built workspace in a fresh interpreter,
+    imports exactly the modules of its own stages: stats and a usage error
+    start without numpy, and only a SPARQL fetch imports urllib.request."""
+    root, config = workspace
+    run_pipeline(config)
+    assert set(SUBCOMMANDS) <= set(IMPORTS)
+    argv = IMPORT_ARGV.get(case, [case]) + ["--config", config, "--quiet"]
+    src = os.path.dirname(os.path.dirname(enc.__file__))
+    proc = subprocess.run([sys.executable, "-c", IMPORT_PROBE] + argv, cwd=root,
+                          env={**os.environ, "PYTHONPATH": src},
+                          capture_output=True, text=True, timeout=120)
+    assert proc.stdout, proc.stderr
+    rc, *modules = proc.stdout.splitlines()[-1].split()
+    assert int(rc) == {"usage-error": 1, "corpus-compile-sparql": 2}.get(case, 0), \
+        proc.stderr
+    core = {"belforge", "belforge.cli", "belforge.config", "belforge.errors"}
+    assert set(modules) == core | {m if m in ("numpy", "urllib.request")
+                                   else f"belforge.{m}" for m in IMPORTS[case]}
 
 
 class TestIndexClamp:

@@ -2,6 +2,7 @@ import io
 import json
 import os
 import urllib.parse
+from xml.sax import saxutils
 
 import numpy as np
 import pytest
@@ -371,6 +372,14 @@ class TestCorpusXml:
                                                "C0000001", "Q1")])
         _text, back = self.roundtrip(sl)
         assert back == sl
+
+    @settings(max_examples=300, derandomize=True, database=None)
+    @given(st.text(st.sampled_from("&<>\"'\n\r\t ;#a\u00e9\u4e2d")
+                   | st.characters(), max_size=12))
+    def test_escapes_match_saxutils(self, text):
+        """The serializer's escapes give saxutils's bytes for any text."""
+        assert corpus._escape(text) == saxutils.escape(text)
+        assert corpus._quoteattr(text) == saxutils.quoteattr(text)
 
     def test_empty_slice(self):
         text, back = self.roundtrip(corpus.CorpusSlice())
