@@ -19,8 +19,6 @@ import os
 import struct
 import tempfile
 
-import numpy as np
-
 from .errors import ArtifactError
 
 MAGIC = b"BELF"
@@ -30,13 +28,17 @@ ARRAY_KINDS = "biufU"
 
 
 def write_atomic(path, data: bytes):
-    """Write bytes to ``path`` via a temp file in the same directory + rename."""
+    """Write bytes to ``path`` via a temp file in the same directory + rename,
+    with the mode open(path, "w") gives a new file: 0o666 less the umask."""
     path = os.fspath(path)
     d = os.path.dirname(path) or "."
     os.makedirs(d, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=d, prefix=".tmp-", suffix=os.path.basename(path))
+    umask = os.umask(0)
+    os.umask(umask)
     try:
         with os.fdopen(fd, "wb") as f:
+            os.fchmod(fd, 0o666 & ~umask)
             f.write(data)
         os.replace(tmp, path)
     except BaseException:
@@ -54,6 +56,7 @@ def save_artifact(path, kind: str, meta: dict, arrays: dict):
 
     The header records the sha256 of the payload; it is returned too.
     """
+    import numpy as np  # only here, so a text-only command never loads it
     names = sorted(arrays)
     payload = [np.ascontiguousarray(a, dtype=a.dtype.newbyteorder("<")).tobytes()
                for a in (arrays[n] for n in names)]
@@ -77,6 +80,7 @@ def save_artifact(path, kind: str, meta: dict, arrays: dict):
 
 def _array_layout(path, spec):
     """(name, little-endian dtype, shape, byte count) of one header entry."""
+    import numpy as np
     try:
         name, dtype, shape = spec["name"], spec["dtype"], spec["shape"]
     except (KeyError, TypeError) as e:
@@ -122,6 +126,7 @@ class _Entries(dict):
 
 
 def _read_artifact(f, path, kind, verify):
+    import numpy as np
     size = os.fstat(f.fileno()).st_size
     prefix = f.read(12)
     if prefix[:4] != MAGIC:

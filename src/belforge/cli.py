@@ -7,9 +7,9 @@ Exit codes: 0 success, 1 usage error, 2 data error, 3 I/O error.
 
 import argparse
 import contextlib
-import io
 import json
 import logging
+import math
 import os
 import sys
 
@@ -83,9 +83,15 @@ def _read_json(path, what):
             raise DataError(f"{what} at {path} is not valid JSON: {e}") from e
 
 
+def _json(value):
+    """The one form of every JSON output but the ontology JSONL: compact,
+    keys sorted, NaN and infinity refused."""
+    return json.dumps(value, sort_keys=True, separators=(",", ":"),
+                      allow_nan=False)
+
+
 def _summary(payload):
-    sys.stdout.write(json.dumps(payload, sort_keys=True, separators=(",", ":"),
-                                allow_nan=False) + "\n")
+    sys.stdout.write(_json(payload) + "\n")
 
 
 def _filter_config(cfg):
@@ -139,24 +145,21 @@ def cmd_ontology_build(cfg, args):
     if paths["crosswalk"]:
         with _open_input(paths["crosswalk"], "crosswalk") as f:
             crosswalk, _ = onto_mod.parse_crosswalk(f)
-    groups = onto_mod.SemanticGroupMap({})
+    groups = {}
     if paths["semantic_groups"]:
-        entries = _read_json(paths["semantic_groups"], "semantic groups")
-        if not (isinstance(entries, dict)
-                and all(isinstance(g, str) for g in entries.values())):
+        groups = _read_json(paths["semantic_groups"], "semantic groups")
+        if not (isinstance(groups, dict)
+                and all(isinstance(g, str) for g in groups.values())):
             raise DataError(f"semantic groups at {paths['semantic_groups']} "
                             "must be a JSON object of strings")
-        groups = onto_mod.SemanticGroupMap(entries)
 
-    records, stats = onto_mod.build_ontology(
+    records, steps = onto_mod.build_ontology(
         concepts, sty, groups, crosswalk, _filter_config(cfg))
-    buf = io.StringIO()
-    onto_mod.serialize_ontology(records, buf)
-    write_text_atomic(paths["ontology"], buf.getvalue())
-    write_text_atomic(paths["ontology_stats"], stats.to_json() + "\n")
+    steps = [{"step": n, "remaining": c} for n, c in steps]
+    write_text_atomic(paths["ontology"], onto_mod.serialize_ontology(records))
+    write_text_atomic(paths["ontology_stats"], _json({"steps": steps}) + "\n")
     _summary({"command": "ontology-build", "records": len(records),
-              "malformed_lines": malformed,
-              "steps": [{"step": n, "remaining": c} for n, c in stats.steps]})
+              "malformed_lines": malformed, "steps": steps})
     return 0
 
 
@@ -189,10 +192,8 @@ def cmd_corpus_compile(cfg, args):
         log.warning("unbalanced templates on %d pages of %s: the text after "
                     "each unmatched '{{' was dropped", unbalanced, paths["dump"])
     full = corpus_mod.CorpusSlice(sentences=sentences, mentions=mentions)
-    buf = io.StringIO()
-    corpus_mod.serialize_corpus(full, buf)
-    write_text_atomic(paths["corpus"], buf.getvalue())
-    write_text_atomic(paths["corpus_stats"], stats.to_json() + "\n")
+    write_text_atomic(paths["corpus"], corpus_mod.serialize_corpus(full))
+    write_text_atomic(paths["corpus_stats"], _json(vars(stats)) + "\n")
     _summary({"command": "corpus-compile", "sentences": stats.sentences,
               "mentions": stats.mentions, "map_entries": len(amap.entries),
               "unbalanced_templates": unbalanced})
@@ -210,9 +211,7 @@ def cmd_corpus_subset(cfg, args):
         full.sentences, full.mentions, ontology,
         split_ratio=cfg["corpus"]["split_ratio"], seed=cfg["seed"])
     for part, path in ((train, paths["train_corpus"]), (val, paths["val_corpus"])):
-        buf = io.StringIO()
-        corpus_mod.serialize_corpus(part, buf)
-        write_text_atomic(path, buf.getvalue())
+        write_text_atomic(path, corpus_mod.serialize_corpus(part))
     _summary({"command": "corpus-subset",
               "train_mentions": len(train.mentions),
               "val_mentions": len(val.mentions)})
@@ -234,17 +233,16 @@ def cmd_pairs(cfg, args):
         pairs = train_mod.generate_finetune_pairs(
             star, ontology, per_mention_cap=cfg["finetune"]["per_mention_cap"])
         out_path = paths["finetune_pairs"]
-    buf = io.StringIO()
-    written = train_mod.write_pairs(pairs, buf)
-    write_text_atomic(out_path, buf.getvalue())
-    _summary({"command": "pairs", "stage": args.stage, "pairs": written})
+    lines = train_mod.serialize_pairs(pairs)
+    write_text_atomic(out_path, "".join(lines))
+    _summary({"command": "pairs", "stage": args.stage, "pairs": len(lines)})
     return 0
 
 
 def _initial_params(cfg):
     from . import encoder as enc
     paths = cfg["paths"]
-    if paths["params_init"] and os.path.exists(paths["params_init"]):
+    if paths["params_init"]:
         return enc.load_params(paths["params_init"])
     e = cfg["encoder"]
     _at_least(e["n_max"], "encoder.n_max", e["n_min"])
@@ -287,8 +285,7 @@ def cmd_train(cfg, args):
         checkpoint_dir=checkpoint_dir,
         start_epoch=0 if params.epoch is None else params.epoch + 1)
     enc.save_params(paths[out_key], params)
-    write_text_atomic(paths[f"{prefix}_loss_log"],
-                      json.dumps(loss_log, separators=(",", ":")) + "\n")
+    write_text_atomic(paths[f"{prefix}_loss_log"], _json(loss_log) + "\n")
     _summary({"command": stage, "epochs": epochs, "pairs": len(pairs),
               "loss_log": loss_log})
     return 0
@@ -381,6 +378,10 @@ def _link_payload(mention, result):
     if isinstance(result, DataError):
         return {"mention": mention, "error": str(result)}
     cui, neighbors = result
+    # link checks headers only: a corrupt payload shows in the ranked scores
+    if not all(math.isfinite(n.score) for n in neighbors):
+        raise ArtifactError("a ranked score is not finite: the params, PCA or "
+                            "index payload is corrupt; evaluate verifies them")
     return {
         "mention": mention, "predicted_cui": cui,
         "score": neighbors[0].score,
@@ -408,9 +409,7 @@ def cmd_link(cfg, args):
         mentions = [raw.rstrip("\n") for raw in f]
     results = index_mod.link_mentions(mentions, params, transform, index,
                                       top_k=top_k)
-    lines = [json.dumps(_link_payload(m, r), sort_keys=True,
-                        separators=(",", ":"))
-             for m, r in zip(mentions, results)]
+    lines = [_json(_link_payload(m, r)) for m, r in zip(mentions, results)]
     errors = sum(isinstance(r, DataError) for r in results)
     write_text_atomic(cfg["paths"]["link_output"],
                       "\n".join(lines) + ("\n" if lines else ""))
@@ -419,6 +418,8 @@ def cmd_link(cfg, args):
 
 
 def cmd_evaluate(cfg, args):
+    from dataclasses import asdict
+
     import numpy as np
 
     from . import corpus as corpus_mod
@@ -442,7 +443,7 @@ def cmd_evaluate(cfg, args):
                              group=group_by_cui.get(m.cui, "OTHER"))
         for m in gold_slice.mentions
     ]
-    graph = eval_mod.RelationGraph()
+    graph = {}
     if paths["relations"]:
         with _open_input(paths["relations"], "relations") as f:
             rows, _ = onto_mod.parse_relations(f)
@@ -456,7 +457,7 @@ def cmd_evaluate(cfg, args):
                    if not isinstance(r, DataError)}
     report = eval_mod.evaluate(predictions, gold, graph,
                                metadata={"seed": cfg["seed"]})
-    write_text_atomic(paths["report"], eval_mod.report_to_json(report) + "\n")
+    write_text_atomic(paths["report"], _json(asdict(report)) + "\n")
     if not args.quiet:
         sys.stderr.write(eval_mod.render_report(report))
     _summary({"command": "evaluate", "mentions": report.total.count,

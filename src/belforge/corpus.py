@@ -90,9 +90,6 @@ class CorpusStats:
     unlinkable_cuis: int = 0
     avg_tokens_per_sentence: float = 0.0
 
-    def to_json(self):
-        return json.dumps(self.__dict__, sort_keys=True, separators=(",", ":"))
-
 
 @dataclass
 class CorpusSlice:
@@ -151,29 +148,30 @@ def load_article_map_sparql(endpoint, site_url, property_id="P2892",
     binding that lacks a value, has one that is not a string, or names an
     article of another site is skipped with a counter. Results may be
     cached on disk (``cache_dir`` or the BELFORGE_CACHE_DIR environment
-    variable).
+    variable); a fetched response is cached only once it parses.
     """
     query = build_sparql_query(site_url, property_id, language)
     url = endpoint + "?" + urllib.parse.urlencode({"query": query, "format": "json"})
     cache_dir = cache_dir or os.environ.get("BELFORGE_CACHE_DIR")
-    cache_path = None
-    raw = None
+    cache_path = raw = None
     if cache_dir:
         digest = hashlib.sha256(url.encode("utf-8")).hexdigest()
         cache_path = os.path.join(cache_dir, digest + ".json")
         if os.path.exists(cache_path):
             with open(cache_path, "rb") as f:
                 raw = f.read()
-    if raw is None:
+    fetched = raw is None
+    if fetched:
         raw = (fetcher or _default_fetcher)(url)
-        if cache_path:
-            write_atomic(cache_path, raw)
 
     try:
-        payload = json.loads(raw)
-        bindings = payload["results"]["bindings"]
+        bindings = json.loads(raw)["results"]["bindings"]
+        if not isinstance(bindings, list):
+            raise TypeError(f"bindings is a {type(bindings).__name__}, not a list")
     except (ValueError, KeyError, TypeError) as e:
         raise DataError(f"malformed SPARQL response: {e}") from e
+    if fetched and cache_path:
+        write_atomic(cache_path, raw)
 
     amap = ArticleCuiMap()
     prefix = site_url.rstrip("/") + "/wiki/"
@@ -351,8 +349,8 @@ def _quoteattr(value):
     return '"' + value.replace('"', "&quot;") + '"'
 
 
-def serialize_corpus(corpus_slice, sink):
-    """Write a corpus slice as XML with inline mention elements."""
+def serialize_corpus(corpus_slice):
+    """A corpus slice as XML text with inline mention elements."""
     ms_by_sid = {}
     for m in corpus_slice.mentions:
         ms_by_sid.setdefault(m.sentence_id, []).append(m)
@@ -372,7 +370,7 @@ def serialize_corpus(corpus_slice, sink):
         parts.append("</sentence>")
         lines.append("".join(parts))
     lines.append("</corpus>")
-    sink.write("\n".join(lines) + "\n")
+    return "\n".join(lines) + "\n"
 
 
 def _int_attr(node, name, where):

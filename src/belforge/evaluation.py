@@ -2,8 +2,7 @@
 per-semantic-group breakdowns and a micro-averaged total.
 """
 
-import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 
 
 @dataclass
@@ -11,14 +10,6 @@ class GoldMention:
     mention: str
     gold_cui: str
     group: str
-
-
-@dataclass
-class RelationGraph:
-    adjacency: dict = field(default_factory=dict)  # cui -> set of cuis
-
-    def connected(self, a, b):
-        return b in self.adjacency.get(a, ())
 
 
 @dataclass
@@ -37,15 +28,16 @@ class EvalReport:
 
 
 def build_relation_graph(rows):
-    """Undirected, relation-type-agnostic adjacency; duplicates and reversed
-    duplicates collapse, self-loops are dropped."""
+    """Undirected, relation-type-agnostic adjacency, each CUI to the set of
+    CUIs it shares an edge with; duplicates and reversed duplicates
+    collapse, self-loops are dropped."""
     adj = {}
     for row in rows:
         if row.cui1 == row.cui2:
             continue
         adj.setdefault(row.cui1, set()).add(row.cui2)
         adj.setdefault(row.cui2, set()).add(row.cui1)
-    return RelationGraph(adjacency=adj)
+    return adj
 
 
 def evaluate(predictions, gold, graph, metadata=None):
@@ -53,7 +45,8 @@ def evaluate(predictions, gold, graph, metadata=None):
 
     ``predictions`` maps mention string -> predicted CUI; a missing
     prediction counts as wrong for both metrics. A prediction is 1-distance
-    correct when it equals the gold CUI or shares a relation edge with it.
+    correct when it equals the gold CUI or shares a relation edge with it
+    in ``graph``, an adjacency from build_relation_graph.
     """
     def tally(items):
         exact = 0
@@ -63,7 +56,7 @@ def evaluate(predictions, gold, graph, metadata=None):
             if pred == g.gold_cui:
                 exact += 1
                 one_dist += 1
-            elif pred is not None and graph.connected(pred, g.gold_cui):
+            elif g.gold_cui in graph.get(pred, ()):
                 one_dist += 1
         n = len(items)
         return n, (exact / n if n else 0.0), (one_dist / n if n else 0.0)
@@ -80,10 +73,6 @@ def evaluate(predictions, gold, graph, metadata=None):
                                   one_dist_accuracy=god))
     groups.sort(key=lambda r: (-r.count, r.group))
     return EvalReport(groups=groups, total=total, metadata=dict(metadata or {}))
-
-
-def report_to_json(report):
-    return json.dumps(asdict(report), sort_keys=True, separators=(",", ":"))
 
 
 def render_report(report):

@@ -37,14 +37,6 @@ class SemanticTypeRow:
 
 
 @dataclass
-class SemanticGroupMap:
-    entries: dict  # tui -> group code
-
-    def group_for(self, tui):
-        return self.entries.get(tui, "OTHER")
-
-
-@dataclass
 class RelationRow:
     cui1: str
     rel: str
@@ -75,19 +67,6 @@ class OntologyRecord:
     text: str
     vocab: str
     group: str
-
-
-@dataclass
-class StepStats:
-    steps: list = field(default_factory=list)  # (step_name, records_remaining)
-
-    def record(self, name, count):
-        self.steps.append((name, count))
-
-    def to_json(self):
-        return json.dumps(
-            {"steps": [{"step": n, "remaining": c} for n, c in self.steps]},
-            sort_keys=True, separators=(",", ":"))
 
 
 def _parse_rows(stream, needed, make):
@@ -199,9 +178,10 @@ def build_ontology(concepts, sty, groups, crosswalk, config):
     records (set aside from the input regardless of language), (7) resolve
     semantic groups. Steps 3, 4 and 6 keep the first record of each (cui,
     text), the text case-folded when dedupe_case_insensitive is set.
-    Returns (records, step_stats).
+    ``groups`` maps a semantic type to its group code; an unmapped type's
+    group is OTHER. Returns (records, [(step, records remaining)]).
     """
-    stats = StepStats()
+    steps = []
     drug_pool = [r for r in concepts if r.vocab in config.drug_vocabs]
     kept = [r for r in concepts if r.vocab not in config.drug_vocabs]
     fold = str.lower if config.dedupe_case_insensitive else str
@@ -218,7 +198,7 @@ def build_ontology(concepts, sty, groups, crosswalk, config):
 
     # 1. vocabulary filter
     kept = [r for r in kept if r.vocab not in config.drop_vocabs]
-    stats.record("drop_vocabs", len(kept))
+    steps.append(("drop_vocabs", len(kept)))
 
     # 2. descriptive subterm removal (literal substrings, per-vocab)
     out = []
@@ -233,16 +213,16 @@ def build_ontology(concepts, sty, groups, crosswalk, config):
                                  rec.source_code, text)
             out.append(rec)
     kept = out
-    stats.record("strip_descriptive_subterms", len(kept))
+    steps.append(("strip_descriptive_subterms", len(kept)))
 
     # 3. dedupe, first occurrence wins
     kept = unseen(kept)
-    stats.record("dedupe", len(kept))
+    steps.append(("dedupe", len(kept)))
 
     # 4. crosswalk additions (bridged through SNOMEDCT_US)
     bridge = [r for r in kept if r.vocab == SNOMEDCT_US]
     kept += unseen(crosswalk_terms(crosswalk, bridge))
-    stats.record("crosswalk_add", len(kept))
+    steps.append(("crosswalk_add", len(kept)))
 
     # 5. semantic type filter
     cui_tuis = {}
@@ -250,29 +230,30 @@ def build_ontology(concepts, sty, groups, crosswalk, config):
         cui_tuis.setdefault(row.cui, []).append(row.tui)
     kept = [r for r in kept
             if not any(t in config.drop_tuis for t in cui_tuis.get(r.cui, ()))]
-    stats.record("drop_semantic_types", len(kept))
+    steps.append(("drop_semantic_types", len(kept)))
 
     # 6. drug-name additions, regardless of language
     kept += unseen(drug_pool)
-    stats.record("drug_vocab_add", len(kept))
+    steps.append(("drug_vocab_add", len(kept)))
 
     # 7. group resolution: first semantic-type row per cui in input order
     records = [
         OntologyRecord(term_id=i, cui=r.cui, text=r.text, vocab=r.vocab,
-                       group=groups.group_for(cui_tuis.get(r.cui, ("",))[0]))
+                       group=groups.get(cui_tuis.get(r.cui, ("",))[0], "OTHER"))
         for i, r in enumerate(kept)
     ]
-    stats.record("assign_groups", len(records))
-    return records, stats
+    steps.append(("assign_groups", len(records)))
+    return records, steps
 
 
-def serialize_ontology(records, sink):
-    """One JSON object per line, ordered by term_id."""
-    for rec in sorted(records, key=lambda r: r.term_id):
-        sink.write(json.dumps(
-            {"term_id": rec.term_id, "cui": rec.cui, "text": rec.text,
-             "vocab": rec.vocab, "group": rec.group},
-            ensure_ascii=False, sort_keys=True, separators=(",", ":")) + "\n")
+def serialize_ontology(records):
+    """The ontology JSONL text: one JSON object per line, ordered by
+    term_id, non-ASCII text kept as it is."""
+    return "".join(json.dumps(
+        {"term_id": rec.term_id, "cui": rec.cui, "text": rec.text,
+         "vocab": rec.vocab, "group": rec.group},
+        ensure_ascii=False, sort_keys=True, separators=(",", ":")) + "\n"
+        for rec in sorted(records, key=lambda r: r.term_id))
 
 
 def parse_ontology(stream):

@@ -79,20 +79,16 @@ def generate_finetune_pairs(star_slice, ontology, per_mention_cap=50):
     return pairs
 
 
-def write_pairs(pairs, sink):
-    """Write ``CUI||term 1||term 2`` lines; terms containing the separator
-    are dropped with a warning. Returns the number of lines written."""
-    written = 0
-    dropped = 0
-    for p in pairs:
-        if "||" in p.term_a or "||" in p.term_b:
-            dropped += 1
-            continue
-        sink.write(f"{p.cui}||{p.term_a}||{p.term_b}\n")
-        written += 1
-    if dropped:
-        log.warning("dropped %d pairs containing the '||' separator", dropped)
-    return written
+def serialize_pairs(pairs):
+    """The pair file's ``CUI||term 1||term 2`` lines, each ending in a
+    newline; pairs with a term containing the separator are dropped with a
+    warning."""
+    lines = [f"{p.cui}||{p.term_a}||{p.term_b}\n" for p in pairs
+             if "||" not in p.term_a and "||" not in p.term_b]
+    if len(lines) < len(pairs):
+        log.warning("dropped %d pairs containing the '||' separator",
+                    len(pairs) - len(lines))
+    return lines
 
 
 def read_pairs(stream):

@@ -161,7 +161,7 @@ def reconstruct(transform, projected):
 
 
 def report_from_json(text):
-    """The EvalReport that report_to_json serialized."""
+    """The EvalReport that report.json holds."""
     payload = json.loads(text)
     groups = [GroupResult(group=g["group"], count=g["count"],
                           accuracy=g["accuracy"],

@@ -75,7 +75,7 @@ def _sixty_record_fixture():
         onto.SemanticTypeRow("C0000002", "T047", "Disease or Syndrome"),
         onto.SemanticTypeRow("C0000301", "T047", "Disease or Syndrome"),
     ]
-    groups = onto.SemanticGroupMap({"T047": "DISO"})
+    groups = {"T047": "DISO"}
     crosswalk = [
         onto.CrosswalkRow(100, "brugterm een"),      # unique match -> added
         onto.CrosswalkRow(101, "brugterm twee"),     # unique match -> added
@@ -96,13 +96,13 @@ def _sixty_record_fixture():
 def test_criterion_01():
     start = time.perf_counter()
     concepts, sty, groups, crosswalk, config = _sixty_record_fixture()
-    records, stats = onto.build_ontology(concepts, sty, groups, crosswalk,
+    records, steps = onto.build_ontology(concepts, sty, groups, crosswalk,
                                          config)
     # hand simulation: 55 non-drug records; step 1 drops the 10 LOINC rows;
     # step 2 empties the 2 bare-pattern rows; step 3 removes the 5 case
     # duplicates; step 4 adds 2 of 5 crosswalk rows; step 5 drops the 4
     # records of the 3 T999 concepts; step 6 re-adds the 5 drug names.
-    assert stats.steps == [
+    assert steps == [
         ("drop_vocabs", 45),
         ("strip_descriptive_subterms", 43),
         ("dedupe", 38),
@@ -187,14 +187,10 @@ def test_criterion_02():
 
     # XML serialization is byte-stable after one normalization pass
     sl = corpus_mod.CorpusSlice(sentences=sentences, mentions=mentions)
-    buf = io.StringIO()
-    corpus_mod.serialize_corpus(sl, buf)
-    once = buf.getvalue()
+    once = corpus_mod.serialize_corpus(sl)
     back = corpus_mod.parse_corpus(io.StringIO(once))
     assert back == sl
-    buf2 = io.StringIO()
-    corpus_mod.serialize_corpus(back, buf2)
-    assert buf2.getvalue() == once
+    assert corpus_mod.serialize_corpus(back) == once
     assert time.perf_counter() - start < 1.0
 
 
@@ -211,9 +207,7 @@ def test_criterion_03():
         onto.OntologyRecord(4, "C0027051", "myocardinfarct", "MDRDUT", "DISO"),
     ]
     pairs = tr.generate_pretrain_pairs(ontology)
-    buf = io.StringIO()
-    tr.write_pairs(pairs, buf)
-    assert buf.getvalue() == (
+    assert "".join(tr.serialize_pairs(pairs)) == (
         "C0021400||griep||influenza\n"
         "C0021400||griep||seizoensgriep\n"
         "C0021400||influenza||seizoensgriep\n"

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import os
 import struct
 
 import numpy as np
@@ -8,7 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from belforge import encoder
-from belforge.artifacts import MAGIC, VERSION, load_artifact, save_artifact
+from belforge.artifacts import (MAGIC, VERSION, load_artifact, save_artifact,
+                                 write_atomic)
 from belforge.errors import ArtifactError
 
 
@@ -208,3 +210,18 @@ def test_bad_meta_value_is_artifact_error(tmp_path, save, entry, value):
                                   lambda h: h["meta"].update({entry: value})))
     with pytest.raises(ArtifactError, match=f"'{entry}'|n_max 1 is below n_min 2"):
         load(path)
+
+
+@pytest.mark.parametrize("umask", [0o022, 0o077], ids=["022", "077"])
+def test_written_file_mode_follows_the_umask(tmp_path, umask):
+    """A written file, new or rewritten, gets 0o666 less the umask, the mode
+    open(path, "w") gives a new file."""
+    path = tmp_path / "out" / "a.txt"
+    old = os.umask(umask)
+    try:
+        for data in (b"one", b"two"):
+            write_atomic(path, data)
+            assert os.stat(path).st_mode & 0o777 == 0o666 & ~umask
+            assert path.read_bytes() == data
+    finally:
+        os.umask(old)

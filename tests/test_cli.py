@@ -302,6 +302,39 @@ class TestPipeline:
         payload = json.loads(capsys.readouterr().out)
         assert "ontology_stats" in payload and "corpus_stats" in payload
 
+    def test_ontology_stats_json(self, workspace, capsys):
+        """ontology_stats.json and the ontology-build summary list each step
+        with the records it leaves, in order."""
+        root, config = workspace
+        assert main(["ontology-build", "--config", config, "--quiet"]) == 0
+        steps = [{"step": name, "remaining": 7} for name in (
+            "drop_vocabs", "strip_descriptive_subterms", "dedupe",
+            "crosswalk_add", "drop_semantic_types", "drug_vocab_add",
+            "assign_groups")]
+        payload = json.loads((root / "out" / "ontology_stats.json").read_text())
+        assert payload == {"steps": steps}
+        assert json.loads(capsys.readouterr().out)["steps"] == steps
+
+    def test_every_json_output_is_in_canonical_form(self, workspace, capsys):
+        """Every stdout line and every JSON or JSONL file the pipeline writes
+        is its own compact, key-sorted re-dump."""
+        root, config = workspace
+        run_pipeline(config)
+        run_links(root, config, mentions="griep\n\nkoorts\n")
+        for argv in (["link", "--mention", "griep"], ["stats"]):
+            assert main(argv + ["--config", config, "--quiet"]) == 0
+        texts = capsys.readouterr().out.splitlines()
+        assert len(texts) == 13
+        for path in sorted((root / "out").iterdir()):
+            if path.suffix == ".json":
+                texts.append(path.read_text(encoding="utf-8").rstrip("\n"))
+            elif path.suffix == ".jsonl":
+                texts += path.read_text(encoding="utf-8").splitlines()
+        assert len(texts) == 13 + 5 + 7 + 2 * 3
+        for text in texts:
+            assert text == json.dumps(json.loads(text), sort_keys=True,
+                                      separators=(",", ":"))
+
     def test_train_zero_epochs(self, workspace, capsys):
         root, config = workspace
         run_pipeline(config, upto="pairs")
@@ -374,12 +407,12 @@ def out_files(root):
     return {p.name: p.read_bytes() for p in (root / "out").iterdir()}
 
 
-def keep_digest(path, mutate):
+def keep_digest(path, mutate, kind="pca-transform"):
     """Rewrite the artifact at ``path`` with ``mutate`` applied to its
     arrays, keeping the payload digest its header recorded."""
-    meta, arrays, sha256 = artifacts.load_artifact(path, "pca-transform")
+    meta, arrays, sha256 = artifacts.load_artifact(path, kind)
     mutate(arrays)
-    artifacts.save_artifact(path, "pca-transform", meta, arrays)
+    artifacts.save_artifact(path, kind, meta, arrays)
     edit_header(path, lambda header: header.update(sha256=sha256))
 
 
@@ -653,6 +686,25 @@ class TestLinkStack:
                             f"{name} holds a weight that is not finite")
             assert out_files(root) == before
 
+    @pytest.mark.parametrize("argv", LINK_CALLS[:4])
+    def test_link_refuses_a_score_that_is_not_finite(self, workspace, capsys,
+                                                     argv):
+        """link checks only the headers, so params whose W2 payload is NaN
+        under an intact header load; the NaN scores they rank end the call
+        in exit 3 with one stderr line, and nothing is written."""
+        root, config = workspace
+        run_pipeline(config, upto="index-build")
+        (root / "mentions.txt").write_text("griep\nkoorts\n")
+
+        def nan_w2(arrays):
+            arrays["W2"][...] = np.nan
+
+        keep_digest(root / "out" / "finetuned.params", nan_w2, "encoder-params")
+        before = out_files(root)
+        assert_io_error(config, capsys, argv, "score is not finite", "corrupt",
+                        "evaluate verifies")
+        assert out_files(root) == before
+
     def test_evaluate_report_does_not_depend_on_top_k(self, workspace, capsys):
         """evaluate reads only each mention's nearest neighbour, so
         index.top_k, link's setting, leaves report.json as it is."""
@@ -833,6 +885,17 @@ class TestExitCodes:
 
     def test_missing_config_io(self, capsys):
         assert main(["stats", "--config", "/nonexistent/config.json"]) == 1
+
+    def test_missing_params_init_io(self, workspace, capsys):
+        """train loads paths.params_init whenever it is set: a missing file
+        ends in exit 3 naming it, not in training from fresh params."""
+        root, config = workspace
+        run_pipeline(config, upto="pairs")
+        missing = root / "nope" / "x.params"
+        assert_io_error(config, capsys, ["train", "--set",
+                                         f"paths.params_init={missing}"],
+                        str(missing))
+        assert not (root / "out" / "pretrained.params").exists()
 
     def test_missing_pretrained_artifact_io(self, workspace, capsys):
         _root, config = workspace
@@ -1355,7 +1418,7 @@ LINK_STACK = {"artifacts", "encoder", "features", "index", "numpy"}
 IMPORTS = {
     "stats": set(),
     "usage-error": set(),
-    "ontology-build": {"artifacts", "ontology", "numpy"},
+    "ontology-build": {"artifacts", "ontology"},
     "corpus-compile": {"artifacts", "corpus", "ontology", "wikitext", "numpy"},
     "corpus-compile-sparql": {"artifacts", "corpus", "wikitext", "numpy",
                               "urllib.request"},

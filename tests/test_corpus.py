@@ -167,6 +167,32 @@ class TestSparql:
             fetcher=lambda url: payload, cache_dir=str(tmp_path))
         assert amap.entries == {} and len(os.listdir(tmp_path)) == 1
 
+    def test_malformed_response_is_not_cached(self, tmp_path):
+        """A response that does not parse is refused before it is cached, so
+        the next call fetches again."""
+        good = json.dumps({"results": {"bindings": []}}).encode()
+        calls = []
+
+        def fetcher(response):
+            def fetch(url):
+                calls.append(url)
+                return response
+            return fetch
+
+        for bad in (b"<html>rate limited</html>",
+                    json.dumps({"results": {"bindings": 5}}).encode()):
+            with pytest.raises(DataError, match="malformed SPARQL response"):
+                corpus.load_article_map_sparql(
+                    "https://example.org/sparql", "https://nl.wikipedia.org/",
+                    fetcher=fetcher(bad), cache_dir=str(tmp_path))
+            assert os.listdir(tmp_path) == []
+        for _ in range(2):
+            amap = corpus.load_article_map_sparql(
+                "https://example.org/sparql", "https://nl.wikipedia.org/",
+                fetcher=fetcher(good), cache_dir=str(tmp_path))
+            assert amap.entries == {}
+        assert len(calls) == 3 and len(os.listdir(tmp_path)) == 1
+
     def test_network_error(self):
         def fetcher(url):
             raise NetworkError("HTTP 503")
@@ -354,9 +380,8 @@ class TestStarSubset:
 
 class TestCorpusXml:
     def roundtrip(self, sl):
-        buf = io.StringIO()
-        corpus.serialize_corpus(sl, buf)
-        return buf.getvalue(), corpus.parse_corpus(io.StringIO(buf.getvalue()))
+        text = corpus.serialize_corpus(sl)
+        return text, corpus.parse_corpus(io.StringIO(text))
 
     def test_roundtrip_identity(self):
         sentences, mentions, _ = star_fixture()

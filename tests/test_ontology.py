@@ -100,7 +100,7 @@ def pipeline_fixture():
         onto.SemanticTypeRow("C0000006", "T012", "Bird"),
         onto.SemanticTypeRow("C0000007", "T121", "Pharmacologic Substance"),
     ]
-    groups = onto.SemanticGroupMap({"T047": "DISO", "T121": "CHEM"})
+    groups = {"T047": "DISO", "T121": "CHEM"}
     crosswalk = [
         onto.CrosswalkRow(sctid=111, text="griep"),
         onto.CrosswalkRow(sctid=222, text="suikerziekte"),
@@ -121,12 +121,12 @@ def pipeline_fixture():
 class TestBuildOntology:
     def test_hand_simulated_steps(self):
         concepts, sty, groups, crosswalk, config = pipeline_fixture()
-        records, stats = onto.build_ontology(concepts, sty, groups, crosswalk,
+        records, steps = onto.build_ontology(concepts, sty, groups, crosswalk,
                                              config)
         # hand simulation: 9 non-drug records; -1 vocab, -1 emptied subterm,
         # -1 case dup, +1 crosswalk (1 ambiguous, 1 unmatched), -1 bird tui,
         # +1 drug name
-        assert stats.steps == [
+        assert steps == [
             ("drop_vocabs", 8),
             ("strip_descriptive_subterms", 7),
             ("dedupe", 6),
@@ -146,23 +146,23 @@ class TestBuildOntology:
 
     def test_drop_all(self):
         config = onto.FilterConfig(drop_vocabs=frozenset({"MDRDUT"}))
-        records, stats = onto.build_ontology(
-            [rec("C0000001", "a")], [], onto.SemanticGroupMap({}), [], config)
+        records, steps = onto.build_ontology(
+            [rec("C0000001", "a")], [], {}, [], config)
         assert records == []
-        assert stats.steps[0] == ("drop_vocabs", 0)
+        assert steps[0] == ("drop_vocabs", 0)
 
     def test_case_insensitive_dedupe(self):
         config = onto.FilterConfig()
         records, _ = onto.build_ontology(
             [rec("C0000001", "Koorts", tid=0), rec("C0000001", "koorts", tid=1)],
-            [], onto.SemanticGroupMap({}), [], config)
+            [], {}, [], config)
         assert len(records) == 1 and records[0].text == "Koorts"
 
     def test_case_sensitive_dedupe_keeps_both(self):
         config = onto.FilterConfig(dedupe_case_insensitive=False)
         records, _ = onto.build_ontology(
             [rec("C0000001", "Koorts", tid=0), rec("C0000001", "koorts", tid=1)],
-            [], onto.SemanticGroupMap({}), [], config)
+            [], {}, [], config)
         assert len(records) == 2
 
     def test_idempotent_on_own_output(self):
@@ -186,9 +186,8 @@ class TestBuildOntology:
                                        drug_vocabs=frozenset({"ATC"}),
                                        drop_tuis=frozenset({"T999"}))
             sty = [onto.SemanticTypeRow("C0000001", "T999", "x")]
-            _, stats = onto.build_ontology(concepts, sty,
-                                           onto.SemanticGroupMap({}), [], config)
-            counts = [c for _, c in stats.steps]
+            _, steps = onto.build_ontology(concepts, sty, {}, [], config)
+            counts = [c for _, c in steps]
             filter_steps = {1, 2, 4}  # 0-based indexes of pure-filter steps
             for k in range(1, len(counts)):
                 if k in filter_steps:
@@ -200,7 +199,7 @@ class TestBuildOntology:
         concepts, sty, groups, crosswalk, config = pipeline_fixture()
         records, _ = onto.build_ontology(concepts, sty, groups, crosswalk, config)
         unmapped = {r.cui for r in records
-                    if not any(s.cui == r.cui and s.tui in groups.entries
+                    if not any(s.cui == r.cui and s.tui in groups
                                for s in sty)}
         assert sum(1 for r in records if r.group == "OTHER") == \
             sum(1 for r in records if r.cui in unmapped)
@@ -209,9 +208,7 @@ class TestBuildOntology:
 
 class TestSerialization:
     def roundtrip(self, records):
-        buf = io.StringIO()
-        onto.serialize_ontology(records, buf)
-        return onto.parse_ontology(io.StringIO(buf.getvalue()))
+        return onto.parse_ontology(io.StringIO(onto.serialize_ontology(records)))
 
     def test_roundtrip_small(self):
         records = [
@@ -249,12 +246,6 @@ class TestSerialization:
         with pytest.raises(DataError, match="^ontology line 2: term_id must be"):
             onto.parse_ontology(io.StringIO(
                 json.dumps(record) + "\n" + json.dumps({**record, field: value})))
-
-    def test_stats_json(self):
-        stats = onto.StepStats()
-        stats.record("drop_vocabs", 5)
-        payload = json.loads(stats.to_json())
-        assert payload["steps"] == [{"step": "drop_vocabs", "remaining": 5}]
 
 
 class TestParseOtherFiles:

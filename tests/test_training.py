@@ -72,22 +72,19 @@ class TestPairGeneration:
         assert len(tr.generate_pretrain_pairs(onto)) == math.comb(k, 2)
 
     def test_serialized_line_format(self):
-        buf = io.StringIO()
-        tr.write_pairs([tr.PositivePair("C0000001", "griep", "influenza")], buf)
-        assert buf.getvalue() == "C0000001||griep||influenza\n"
+        assert tr.serialize_pairs([tr.PositivePair("C0000001", "griep", "influenza")]) \
+            == ["C0000001||griep||influenza\n"]
 
     def test_separator_in_term_dropped(self):
-        buf = io.StringIO()
-        written = tr.write_pairs(
+        lines = tr.serialize_pairs(
             [tr.PositivePair("C0000001", "a||b", "c"),
-             tr.PositivePair("C0000001", "x", "y")], buf)
-        assert written == 1 and buf.getvalue() == "C0000001||x||y\n"
+             tr.PositivePair("C0000001", "x", "y")])
+        assert len(lines) == 1 and "".join(lines) == "C0000001||x||y\n"
 
     def test_read_roundtrip(self):
         pairs = [tr.PositivePair("C0000001", "griep", "influenza")]
-        buf = io.StringIO()
-        tr.write_pairs(pairs, buf)
-        assert tr.read_pairs(io.StringIO(buf.getvalue())) == pairs
+        text = "".join(tr.serialize_pairs(pairs))
+        assert tr.read_pairs(io.StringIO(text)) == pairs
 
     def test_read_malformed(self):
         with pytest.raises(DataError, match="line 1"):
