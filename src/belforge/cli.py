@@ -399,21 +399,22 @@ def cmd_link(cfg, args):
     params, transform, index = _load_link_stack(cfg, args)
 
     if args.mention is not None:
-        result = index_mod.link_mentions([args.mention], params, transform, index,
-                                         top_k=top_k)[0]
+        [result], _ = index_mod.link_mentions([args.mention], params, transform,
+                                              index, top_k=top_k)
         if isinstance(result, DataError):
             raise result
         _summary(_link_payload(args.mention, result))
         return 0
     with _open_input(args.input, "mention list") as f:
         mentions = [raw.rstrip("\n") for raw in f]
-    results = index_mod.link_mentions(mentions, params, transform, index,
-                                      top_k=top_k)
+    results, rows_scored = index_mod.link_mentions(mentions, params, transform,
+                                                   index, top_k=top_k)
     lines = [_json(_link_payload(m, r)) for m, r in zip(mentions, results)]
     errors = sum(isinstance(r, DataError) for r in results)
     write_text_atomic(cfg["paths"]["link_output"],
                       "\n".join(lines) + ("\n" if lines else ""))
-    _summary({"command": "link", "mentions": len(lines), "errors": errors})
+    _summary({"command": "link", "mentions": len(lines), "errors": errors,
+              "rows_scored": rows_scored})
     return 0
 
 
@@ -451,8 +452,8 @@ def cmd_evaluate(cfg, args):
 
     mentions = list(dict.fromkeys(g.mention for g in gold))
     # the report reads only each mention's nearest neighbour
-    results = index_mod.link_mentions(mentions, params, transform, index,
-                                      top_k=1)
+    results, _ = index_mod.link_mentions(mentions, params, transform, index,
+                                         top_k=1)
     predictions = {m: r[0] for m, r in zip(mentions, results)
                    if not isinstance(r, DataError)}
     report = eval_mod.evaluate(predictions, gold, graph,

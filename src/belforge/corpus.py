@@ -334,14 +334,15 @@ def build_star_subset(sentences, mentions, ontology, split_ratio=0.8, seed=0):
 
 # xml.sax.saxutils.escape and quoteattr, written out: importing saxutils
 # imports urllib.request, with http, ssl and email, into every process that
-# writes a corpus
+# writes a corpus. Text content also writes CR as a character reference:
+# XML end-of-line handling would read a raw one back as a line feed.
 def _escape(text):
-    return text.replace("&", "&amp;").replace(">", "&gt;").replace("<", "&lt;")
+    return (text.replace("&", "&amp;").replace(">", "&gt;").replace("<", "&lt;")
+            .replace("\r", "&#13;"))
 
 
 def _quoteattr(value):
-    value = (_escape(value).replace("\n", "&#10;").replace("\r", "&#13;")
-             .replace("\t", "&#9;"))
+    value = _escape(value).replace("\n", "&#10;").replace("\t", "&#9;")
     if '"' not in value:
         return f'"{value}"'
     if "'" not in value:

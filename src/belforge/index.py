@@ -1,9 +1,11 @@
 """PCA projection and nearest-neighbor linking over an inverted-file index
 whose rows are unit-normalized once, at build, and stored with their term
 id, CUI and group; the exact (flat) index is the one-list case, probed
-exhaustively. Mentions are projected, scored and ranked in zero-padded
-blocks of LINK_BLOCK rows, so a mention gets the same bits alone as in any
-block.
+exhaustively. Mentions are projected in zero-padded blocks of LINK_BLOCK
+rows and searched in chunks of LINK_CHUNK rows: the flat search scores and
+ranks each block on its own, the IVF search probes and ranks the chunk at
+once, with a GEMM screen whose doubtful rows fall back to the exact
+distance form, so a mention gets the same bits alone as in any chunk.
 """
 
 from dataclasses import dataclass
@@ -19,6 +21,9 @@ KMEANS_ITERS = 10  # Lloyd passes after the k-means++ seeding
 # mentions per projection and scoring block; the last block is zero-padded,
 # since a product's bits depend on its shape (a one-row product is a GEMV)
 LINK_BLOCK = 8
+# mentions per IVF search: the probe screen, the probed-row positions and the
+# ranking each run once per chunk of LINK_BLOCK-row blocks
+LINK_CHUNK = 16 * LINK_BLOCK
 
 
 @dataclass
@@ -187,28 +192,95 @@ def build_ivf(vectors, ids, cuis, groups, nlist, seed=0):
                     offsets=np.concatenate(([0], np.cumsum(sizes))))
 
 
-def search_ivf(index, block, top_k, real):
-    """Top-k neighbors of each of the first ``real`` rows of a block of
-    LINK_BLOCK query rows, by inner product with the unit-normalized row
-    over the index.nprobe nearest centroids' lists, score descending, ties
-    by ascending term_id; each neighbor carries its stored row's term id
-    and CUI.
+def _nearest(centroids, Q, nprobe, lists=None):
+    """Each row's nprobe nearest lists, nearest first, of every list or of
+    its own candidate lists (a row of ``lists``, in ascending id order):
+    distances summed as np.sum((c - q) ** 2), whose bits for a (row, list)
+    pair do not depend on the other pairs, then a stable argsort, so of
+    equal distances the lower list comes first. The rows go in pieces of at
+    most LINK_BLOCK * nlist (row, list) pairs."""
+    width = len(centroids) if lists is None else lists.shape[1]
+    step = max(1, LINK_BLOCK * len(centroids) // width)
+    probes = np.empty((len(Q), nprobe), dtype=np.intp)
+    for a in range(0, len(Q), step):
+        C = centroids if lists is None else centroids[lists[a:a + step]]
+        d = np.sum((C - Q[a:a + step, None, :]) ** 2, axis=2)
+        order = np.argsort(d, axis=1, kind="stable")[:, :nprobe]
+        probes[a:a + step] = (order if lists is None else
+                              np.take_along_axis(lists[a:a + step], order, axis=1))
+    return probes
 
-    When nprobe is at least nlist the block is scored against every stored
+
+def _probe(centroids, Q, nprobe):
+    """Each row's nprobe nearest lists, nearest first, ties to the lower
+    list: _nearest over every list, computed over far fewer. A chunk of
+    one block or less goes to _nearest directly: there the screen's fixed
+    cost exceeds what it saves.
+
+    A screen s = |c|^2 - 2 Q C^T, one GEMM for all rows, ranks the lists;
+    it is |c - q|^2 - |q|^2 up to rounding, and |q|^2 is the same for every
+    list of a row. Let f be the exact form's value, d = |c - q|^2 in real
+    arithmetic, gamma_n = n u / (1 - n u) and u = eps / 2. With any
+    summation order, FMA or not:
+      |f - d|         <= gamma_(k+2) d <= gamma_(k+2) (|q| + |c|)^2
+      |s + |q|^2 - d| <= gamma_(k+2) (|c|^2 + 2 |q| |c|)
+    so both differ by at most E = 2 gamma_(k+2) (|q| + |c|)^2, which is
+    below B = 2 (k + 3) eps (|q| + max |c|)^2 with the norms as computed
+    (a factor of about 2 to spare), plus the smallest normal number for the
+    absolute error of gradual underflow. If a row's (nprobe+1)-th screened
+    distance exceeds its nprobe-th by more than 2B, every list inside the
+    screened nprobe is strictly nearer than every list outside it by f too:
+    the exact form then runs on those nprobe lists only, sorted by id, and
+    gives the order it gives over all lists. Any other row, or one whose
+    bound is not finite or leaves f room to overflow, takes the exact form
+    over every list. The bound scales with the norms, so it holds for any
+    centroids a loaded index carries. The screen's bits may depend on the
+    other rows and on the BLAS thread count; the probes do not."""
+    if len(Q) <= LINK_BLOCK:
+        return _nearest(centroids, Q, nprobe)
+    k = centroids.shape[1]
+    # a screen that overflows only sends its rows to the exact form
+    with np.errstate(over="ignore", invalid="ignore"):
+        sq = np.sum(centroids ** 2, axis=1)
+        screen = sq - 2.0 * (Q @ centroids.T)
+        part = np.argpartition(screen, (nprobe - 1, nprobe), axis=1)
+        edge = np.take_along_axis(screen, part[:, nprobe - 1:nprobe + 1], axis=1)
+        scale = (np.linalg.norm(Q, axis=1) + np.sqrt(sq.max())) ** 2
+        bound = 2 * (k + 3) * np.finfo(float).eps * scale + np.finfo(float).tiny
+        # false for a NaN anywhere in the row's screen, norms or centroids
+        exact = (edge[:, 1] - edge[:, 0] > 2 * bound) & (scale < np.finfo(float).max / 4)
+    probes = np.empty((len(Q), nprobe), dtype=np.intp)
+    probes[exact] = _nearest(centroids, Q[exact], nprobe,
+                             np.sort(part[exact, :nprobe], axis=1))
+    probes[~exact] = _nearest(centroids, Q[~exact], nprobe)
+    return probes
+
+
+def search_ivf(index, chunk, top_k, real):
+    """Top-k neighbors of each of the first ``real`` rows of a chunk of
+    LINK_BLOCK-row blocks of query rows, by inner product with the
+    unit-normalized row over the index.nprobe nearest centroids' lists,
+    score descending, ties by ascending term_id; each neighbor carries its
+    stored row's term id and CUI. Returns the neighbor lists and the number
+    of stored rows scored for them.
+
+    When nprobe is at least nlist each block is scored against every stored
     row in one product, vectors @ Q.T, whose bits for a row do not depend on
-    the others, so a one-list index is an exact (flat) search. Otherwise
+    the others, and ranked on its own, so a one-list index is an exact
+    (flat) search. Otherwise the whole chunk is probed at once (_probe),
     each query scores its probed rows, found by one repeat over the list
-    offsets for the block, in a product of its own, and the block is
-    ranked once, each row over its own candidate count: a query whose
-    probed lists are all empty gets no neighbors."""
-    Q = _unit_rows(block)
-    nlist = index.centroids.shape[0]
-    if index.nprobe >= nlist:
-        return _rank((index.vectors @ Q.T).T[:real], index.ids, index.cuis, top_k)
+    offsets for the chunk, in a product of its own, and the chunk is ranked
+    once, each row over its own candidate count: a query whose probed lists
+    are all empty gets no neighbors."""
+    Q = _unit_rows(chunk)
+    if index.nprobe >= index.centroids.shape[0]:
+        found = []
+        for start in range(0, real, LINK_BLOCK):
+            scores = index.vectors @ Q[start:start + LINK_BLOCK].T
+            found += _rank(scores.T[:real - start], index.ids, index.cuis, top_k)
+        return found, real * len(index.ids)
     Q = Q[:real]
-    cd = np.sum((index.centroids - Q[:, None, :]) ** 2, axis=2)
-    # stable: of equal distances the lower list is probed first
-    probes = np.argsort(cd, axis=1, kind="stable")[:, :index.nprobe]
+    probes = _probe(index.centroids, Q, index.nprobe)
     # positions of each probed list's rows, in probe order, queries end to end
     starts = index.offsets[probes].ravel()
     sizes = index.offsets[probes + 1].ravel() - starts
@@ -219,19 +291,20 @@ def search_ivf(index, block, top_k, real):
     scores = np.full(rows.shape, -np.inf)
     for q, r, s, c in zip(Q, rows, scores, counts.tolist()):
         s[:c] = np.take(index.vectors, r[:c], axis=0) @ q
-    return _rank(scores, index.ids, index.cuis, top_k, rows, counts)
+    return _rank(scores, index.ids, index.cuis, top_k, rows, counts), len(pos)
 
 
 def link_mentions(texts, params, transform, index, top_k=10):
     """Encode, project and search; the predicted CUI is the top neighbor's,
     read from its index row.
 
-    The texts are featurized together, then projected and scored in blocks
-    of LINK_BLOCK rows, the last one zero-padded, so every block runs the
-    same products and a mention gets the same result alone as in any batch.
-    Returns, per text, (predicted_cui, neighbors) or a DataError: the
-    mention is blank or not encodable as UTF-8, or it has no candidates
-    because the index or the lists probed for it are empty.
+    The texts are featurized together, then projected in blocks of
+    LINK_BLOCK rows, the last one zero-padded, so every block runs the same
+    product, and searched in chunks of LINK_CHUNK rows, so a mention gets
+    the same result alone as in any batch. Returns, per text,
+    (predicted_cui, neighbors) or a DataError: the mention is blank or not
+    encodable as UTF-8, or it has no candidates because the index or the
+    lists probed for it are empty; and the number of stored rows scored.
     """
     results = [None] * len(texts)
     todo = []
@@ -243,15 +316,19 @@ def link_mentions(texts, params, transform, index, top_k=10):
             results[i] = e
     padded = np.zeros((-(-len(todo) // LINK_BLOCK) * LINK_BLOCK, params.dim))
     padded[:len(todo)] = encode_batch(params, [texts[i] for i in todo])
-    for start in range(0, len(todo), LINK_BLOCK):
-        block = padded[start:start + LINK_BLOCK]
-        found = search_ivf(index, apply_pca(transform, block), top_k,
-                           real=min(LINK_BLOCK, len(todo) - start))
+    scored = 0
+    for start in range(0, len(todo), LINK_CHUNK):
+        blocks = range(start, min(start + LINK_CHUNK, len(padded)), LINK_BLOCK)
+        chunk = np.concatenate([apply_pca(transform, padded[b:b + LINK_BLOCK])
+                                for b in blocks])
+        found, n = search_ivf(index, chunk, top_k,
+                              real=min(LINK_CHUNK, len(todo) - start))
+        scored += n
         for i, neighbors in zip(todo[start:], found):
             results[i] = ((neighbors[0].cui, neighbors) if neighbors else DataError(
                 "no candidates: " + ("index is empty" if not len(index.ids) else
                 f"the lists probed are empty (index.nprobe={index.nprobe})")))
-    return results
+    return results, scored
 
 
 def save_pca(path, transform):

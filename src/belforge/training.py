@@ -81,13 +81,14 @@ def generate_finetune_pairs(star_slice, ontology, per_mention_cap=50):
 
 def serialize_pairs(pairs):
     """The pair file's ``CUI||term 1||term 2`` lines, each ending in a
-    newline; pairs with a term containing the separator are dropped with a
-    warning."""
+    newline; pairs with a term containing the separator or a line break,
+    which would split its line, are dropped with a warning."""
     lines = [f"{p.cui}||{p.term_a}||{p.term_b}\n" for p in pairs
-             if "||" not in p.term_a and "||" not in p.term_b]
+             if not any(bad in term for term in (p.term_a, p.term_b)
+                        for bad in ("||", "\n", "\r"))]
     if len(lines) < len(pairs):
-        log.warning("dropped %d pairs containing the '||' separator",
-                    len(pairs) - len(lines))
+        log.warning("dropped %d pairs containing the '||' separator or a line "
+                    "break", len(pairs) - len(lines))
     return lines
 
 

@@ -130,7 +130,7 @@ def search(index, query, top_k):
     other rows are zero."""
     block = np.zeros((ix.LINK_BLOCK, len(query)))
     block[0] = query
-    return ix.search_ivf(index, block, top_k, real=1)[0]
+    return ix.search_ivf(index, block, top_k, real=1)[0][0]
 
 
 def encode(params, text):

@@ -470,30 +470,37 @@ def search_flat(vectors, ids, cuis, query, top_k):
     return rank((vectors @ Q.T)[:, 0], ids, cuis, top_k)
 
 
-def search_ivf_per_query(ivf, block, top_k, real):
-    """The search of ``index.search_ivf`` one query at a time: every stored
-    row scored in one product when nprobe is at least nlist; otherwise each
-    query's probed lists concatenated as positions, one ``np.arange`` per
-    list, its rows gathered and scored in a product of its own, and each
-    query ranked by ``rank``. ``index.search_ivf`` must give the same
-    neighbours and score bits for every real row at every nprobe."""
-    Q = index._unit_rows(block)
+def search_ivf_per_query(ivf, chunk, top_k, real):
+    """The search of ``index.search_ivf`` one query at a time: each
+    LINK_BLOCK block of the chunk scored against every stored row in one
+    product when nprobe is at least nlist; otherwise each query's distance
+    to every centroid summed as ``np.sum((c - q) ** 2)``, its nprobe nearest
+    lists taken by a stable argsort and concatenated as positions, one
+    ``np.arange`` per list, its rows gathered and scored in a product of its
+    own, and each query ranked by ``rank``. Returns the neighbor lists and
+    the number of stored rows scored. ``index.search_ivf`` must give the
+    same neighbours and score bits for every real row at every nprobe,
+    whichever rows its probe screen hands to the exact form."""
+    Q = index._unit_rows(chunk)
     nlist = ivf.centroids.shape[0]
     if ivf.nprobe >= nlist:
-        return [rank(s, ivf.ids, ivf.cuis, top_k) for s in (ivf.vectors @ Q.T).T[:real]]
-    Q = Q[:real]
-    cd = np.sum((ivf.centroids - Q[:, None, :]) ** 2, axis=2)
-    # stable: of equal distances the lower list is probed first
-    probes = np.argsort(cd, axis=1, kind="stable")[:, :ivf.nprobe]
-    found = []
-    for q, p in zip(Q, probes):
+        found = []
+        for start in range(0, real, index.LINK_BLOCK):
+            scores = (ivf.vectors @ Q[start:start + index.LINK_BLOCK].T).T
+            found += [rank(s, ivf.ids, ivf.cuis, top_k) for s in scores[:real - start]]
+        return found, real * len(ivf.ids)
+    found, scored = [], 0
+    for q in Q[:real]:
+        # stable: of equal distances the lower list is probed first
+        probes = np.argsort(np.sum((ivf.centroids - q) ** 2, axis=1),
+                            kind="stable")[:ivf.nprobe]
         # the query's probed lists as positions into the stored rows
         rows = np.concatenate([np.arange(ivf.offsets[c], ivf.offsets[c + 1])
-                               for c in p])
+                               for c in probes])
         found.append(rank(np.take(ivf.vectors, rows, axis=0) @ q,
                           ivf.ids[rows], ivf.cuis[rows], top_k))
-    return found
-
+        scored += len(rows)
+    return found, scored
 
 
 def _kmeans_pp_init(rows, nlist, rng):

@@ -363,8 +363,8 @@ def _linking_accuracy(params, ontology, mention_list, pca_k=64):
     flat = ix.build_ivf(ix.apply_pca(transform, E),
                         np.arange(len(ontology), dtype=np.int64),
                         [r.cui for r in ontology], [r.group for r in ontology], 1)
-    results = ix.link_mentions([text for text, _ in mention_list], params,
-                               transform, flat, top_k=1)
+    results, _ = ix.link_mentions([text for text, _ in mention_list], params,
+                                  transform, flat, top_k=1)
     hits = sum(pred == cui for (pred, _), (_, cui) in zip(results, mention_list))
     return hits / len(mention_list)
 

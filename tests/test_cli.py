@@ -234,6 +234,30 @@ class TestPipeline:
         assert len(lines) == 2
         assert json.loads(lines[0])["mention"] == "griep"
 
+    def test_anchor_across_a_line_break_reaches_finetune(self, workspace, caplog):
+        """A one-page dump whose link anchor spans a line break: the anchor
+        keeps its newline through the corpus, its finetune pairs are
+        dropped with a warning instead of splitting their lines, and
+        finetune reads the pair file."""
+        root, config = workspace
+        (root / "dump.xml").write_text(DUMP.split("<page><title>Diabetes")[0].replace(
+            "[[Griep]] geeft", "[[Griep|hoge\nkoorts]] geeft") + "</mediawiki>\n")
+        cfg = json.loads((root / "config.json").read_text())
+        cfg["corpus"]["split_ratio"] = 0.9  # two of the page's three mentions
+        (root / "config.json").write_text(json.dumps(cfg))
+        run_pipeline(config, upto="train")
+        with open(root / "out" / "train.xml", encoding="utf-8") as f:
+            anchors = [m.anchor for m in corpus_mod.parse_corpus(f).mentions]
+        assert "hoge\nkoorts" in anchors
+        caplog.clear()
+        assert main(["pairs", "--stage", "finetune", "--config", config, "--quiet"]) == 0
+        # hoge\nkoorts with griep and with influenza
+        assert "dropped 2 pairs containing the '||' separator or a line break" \
+            in caplog.text
+        pairs = (root / "out" / "finetune_pairs.txt").read_text(encoding="utf-8")
+        assert pairs == "C0000002||hartinfarct||myocardinfarct\n"
+        assert main(["finetune", "--config", config, "--quiet"]) == 0
+
     def test_link_ivf_index(self, workspace, capsys):
         _root, config = workspace
         run_pipeline(config, upto="index-build")
@@ -478,7 +502,7 @@ class TestLinkStack:
                          "--mention", "griep", "--top-k", "7",
                          "--set", f"index.nprobe={nprobe}"]) == 0
             got[nprobe] = json.loads(capsys.readouterr().out)
-            [(cui, neighbors)] = index_mod.link_mentions(
+            [(cui, neighbors)], _ = index_mod.link_mentions(
                 ["griep"], params, transform, replace(index, nprobe=nprobe), top_k=7)
             assert got[nprobe]["predicted_cui"] == cui
             assert got[nprobe]["top_k"] == [
@@ -511,7 +535,7 @@ class TestLinkStack:
                          "--set", f"paths.link_output={path}"]) == 0
             with monkeypatch.context() as m:
                 m.setattr(index_mod, "search_ivf", search_ivf_per_query)
-                results = index_mod.link_mentions(
+                results, _ = index_mod.link_mentions(
                     mentions, params, transform, replace(index, nprobe=nprobe), top_k=3)
             lines = [json.dumps(
                 {"mention": text, "error": str(r)} if isinstance(r, DataError) else
@@ -520,6 +544,42 @@ class TestLinkStack:
                            for n in r[1]]}, sort_keys=True, separators=(",", ":"))
                 for text, r in zip(mentions, results)]
             assert path.read_bytes() == ("\n".join(lines) + "\n").encode()
+
+    def test_rows_scored(self, workspace, capsys):
+        """link --input reports the stored rows it scored: every index row
+        per linked mention for flat, and for IVF the sizes of the lists each
+        linked mention probes, nearest by the full distance form."""
+        root, config = workspace
+        run_pipeline(config, upto="index-build")
+        assert main(["index-build", "--config", config, "--quiet",
+                     "--set", "index.nlist=4"]) == 0
+        out = root / "out"
+        params = enc.load_params(out / "finetuned.params")
+        transform = index_mod.load_pca(out / "pca.bin")
+        mentions = ["griep", " ", "koorts", "hartinfarct", "suikerziekte", "x"]
+        (root / "mentions.txt").write_text("\n".join(mentions) + "\n")
+        linked = [m for m in mentions if m.strip()]
+        queries = []
+        for m in linked:
+            block = np.zeros((index_mod.LINK_BLOCK, params.dim))
+            block[0] = enc.encode_batch(params, [m])[0]
+            queries.append(index_mod._unit_rows(index_mod.apply_pca(transform, block))[0])
+        for kind, nprobe in (("flat", 1), ("ivf", 1), ("ivf", 2), ("ivf", 3)):
+            capsys.readouterr()
+            assert main(["link", "--config", config, "--quiet", "--index", kind,
+                         "--input", str(root / "mentions.txt"),
+                         "--set", f"index.nprobe={nprobe}"]) == 0
+            summary = json.loads(capsys.readouterr().out)
+            index = index_mod.load_ivf(out / f"{kind}.index")
+            if kind == "flat":
+                want = len(index.ids) * len(linked)
+            else:
+                sizes = np.diff(index.offsets)
+                want = sum(int(sizes[np.argsort(np.sum((index.centroids - q) ** 2, axis=1),
+                                                kind="stable")[:nprobe]].sum())
+                           for q in queries)
+                assert 0 < want < len(index.ids) * len(linked)
+            assert summary["rows_scored"] == want
 
     def test_outputs_do_not_need_the_ontology(self, workspace, capsys):
         root, config = workspace

@@ -398,12 +398,37 @@ class TestCorpusXml:
         _text, back = self.roundtrip(sl)
         assert back == sl
 
+    @settings(max_examples=200, derandomize=True, database=None)
+    @given(text=st.text(st.sampled_from("\r\n\t&<> a"), min_size=1, max_size=12),
+           data=st.data())
+    def test_roundtrip_keeps_line_breaks_tabs_and_markup(self, text, data):
+        """Sentence text, anchors, titles and targets holding CR, LF, tab,
+        &, < and > read back as written: a raw CR in text content would
+        come back as LF."""
+        start = data.draw(st.integers(0, len(text) - 1))
+        end = data.draw(st.integers(start + 1, len(text)))
+        sl = corpus.CorpusSlice(
+            sentences=[corpus.SentenceRecord(0, "P\r\n\t&<>" + text, text,
+                                                len(text.split()))],
+            mentions=[corpus.MentionAnnotation(0, start, end, text[start:end],
+                                               text + "\r", "C0000001", "Q1")])
+        assert self.roundtrip(sl)[1] == sl
+
+    def test_carriage_return_in_an_anchor_survives(self):
+        sl = corpus.CorpusSlice(
+            sentences=[corpus.SentenceRecord(0, "Griep", "hoge\rkoorts is griep", 4)],
+            mentions=[corpus.MentionAnnotation(0, 0, 11, "hoge\rkoorts", "Koorts",
+                                               "C0000003", "Q3")])
+        text, back = self.roundtrip(sl)
+        assert back == sl and "hoge&#13;koorts" in text
+
     @settings(max_examples=300, derandomize=True, database=None)
     @given(st.text(st.sampled_from("&<>\"'\n\r\t ;#a\u00e9\u4e2d")
                    | st.characters(), max_size=12))
     def test_escapes_match_saxutils(self, text):
-        """The serializer's escapes give saxutils's bytes for any text."""
-        assert corpus._escape(text) == saxutils.escape(text)
+        """The serializer's escapes give saxutils's bytes for any text, but
+        for a CR in text content, written as a character reference."""
+        assert corpus._escape(text) == saxutils.escape(text, {"\r": "&#13;"})
         assert corpus._quoteattr(text) == saxutils.quoteattr(text)
 
     def test_empty_slice(self):

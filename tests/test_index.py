@@ -297,25 +297,26 @@ class TestIvf:
     @given(n=st.integers(2, 120), k=st.integers(1, 12),
            seed=st.integers(0, 2 ** 32 - 1), data=st.data())
     def test_every_nprobe_equals_the_per_query_oracle_bitwise(self, n, k, seed, data):
-        """At every nprobe below nlist each real row of a block gets the term
-        ids, CUIs and score bytes of the per-query probe loop, over
-        duplicated rows (score ties) and queries equal to stored rows."""
+        """At every nprobe below nlist each real row of a chunk of one to
+        three blocks (probed without and with the screen) gets the term ids,
+        CUIs and score bytes of the per-query probe loop, over duplicated
+        rows (score ties) and queries equal to stored rows."""
         nlist = data.draw(st.integers(2, n))
         top_k = data.draw(st.integers(1, n + 2))
-        real = data.draw(st.integers(1, ix.LINK_BLOCK))
+        real = data.draw(st.integers(1, 3 * ix.LINK_BLOCK))
         rng = np.random.default_rng(seed)
         V = rng.normal(size=(n, k))
         V[: n // 4] = V[n // 4: 2 * (n // 4)]
         ids = rng.permutation(n).astype(np.int64) * 3
         cuis = [f"C{c:07d}" for c in rng.integers(0, max(n // 2, 1), n)]
         ivf = ix.build_ivf(V, ids, cuis, ["DISO"] * n, nlist, seed=seed)
-        block = rng.normal(size=(ix.LINK_BLOCK, k))
+        block = rng.normal(size=(-(-real // ix.LINK_BLOCK) * ix.LINK_BLOCK, k))
         block[: real // 2] = V[rng.integers(0, n, real // 2)]
         for nprobe in range(1, nlist):
             probed = replace(ivf, nprobe=nprobe)
-            got = ix.search_ivf(probed, block, top_k, real)
-            want = search_ivf_per_query(probed, block, top_k, real)
-            assert len(got) == len(want) == real
+            got, scored = ix.search_ivf(probed, block, top_k, real)
+            want, want_scored = search_ivf_per_query(probed, block, top_k, real)
+            assert len(got) == len(want) == real and scored == want_scored
             assert all(same_neighbors(g, w) for g, w in zip(got, want))
 
     def test_probed_lists_may_be_empty(self):
@@ -335,15 +336,87 @@ class TestIvf:
             probed = replace(ivf, nprobe=nprobe)
             got = ix.search_ivf(probed, block, top_k, 3)
             assert got == search_ivf_per_query(probed, block, top_k, 3)
-            assert [len(g) for g in got] == \
+            assert [len(g) for g in got[0]] == \
                 [0 if nprobe == 1 else min(top_k, 2)] + [min(top_k, 2)] * 2
         # x is as near list 1 as list 2: of the two the lower is probed
         assert [nb.term_id for nb in ix.search_ivf(replace(ivf, nprobe=2), block,
-                                                   5, 1)[0]] == [10, 11]
+                                                   5, 1)[0][0]] == [10, 11]
         block[:] = [1.0, 0.1]
         for top_k in (1, 4):
             assert ix.search_ivf(ivf, block, top_k, ix.LINK_BLOCK) == \
-                [[]] * ix.LINK_BLOCK
+                ([[]] * ix.LINK_BLOCK, 0)
+
+    @settings(max_examples=40, derandomize=True, database=None, deadline=None)
+    @given(n=st.integers(2, 60), k=st.integers(1, 12),
+           norm=st.sampled_from([1e-3, 1.0, 7.0, 1e3]),
+           seed=st.integers(0, 2 ** 32 - 1), data=st.data())
+    def test_near_ties_take_the_exact_form(self, n, k, norm, seed, data):
+        """Centroids of any norm, one of them duplicated, and at each nprobe
+        a query equidistant to its nprobe-th and (nprobe+1)-th lists: the
+        centroid at rank nprobe + 1 is replaced by the mirror image of the
+        one at rank nprobe in a hyperplane through the query. The screen
+        cannot separate those lists, the row takes the exact form over every
+        list, and each real row of the chunk gets the per-query oracle's
+        neighbours and score bytes."""
+        nlist = data.draw(st.integers(2, n))
+        real = data.draw(st.integers(ix.LINK_BLOCK + 1, ix.LINK_CHUNK))
+        top_k = data.draw(st.integers(1, n + 2))
+        rng = np.random.default_rng(seed)
+        ids = rng.permutation(n).astype(np.int64)
+        ivf = ix.build_ivf(rng.normal(size=(n, k)), ids, *term_table(ids), nlist,
+                           seed=seed)
+        centroids = norm * ivf.centroids
+        dup = rng.choice(nlist, 2, replace=False)
+        centroids[dup[1]] = centroids[dup[0]]
+        chunk = rng.normal(size=(-(-real // ix.LINK_BLOCK) * ix.LINK_BLOCK, k))
+        chunk[: real // 2] = centroids[dup[0]] + 1e-3 * norm * chunk[: real // 2]
+        pos = data.draw(st.integers(0, real - 1))
+        q = ix._unit_rows(chunk[pos])
+        order = np.argsort(np.sum((centroids - q) ** 2, axis=1), kind="stable")
+        full = []
+        spy = ix._nearest
+
+        def nearest(centroids, Q, nprobe, lists=None):
+            if lists is None:
+                full.append(len(Q))
+            return spy(centroids, Q, nprobe, lists)
+
+        for nprobe in range(1, nlist):
+            c = centroids[order[nprobe - 1]]
+            v = c - (c @ q) * q
+            mirrored = centroids.copy()
+            if v @ v > 0:
+                v /= np.linalg.norm(v)
+                mirrored[order[nprobe]] = c - 2 * (c @ v) * v
+            else:  # c lies on the query's line: its duplicate is the mirror
+                mirrored[order[nprobe]] = c
+            probed = replace(ivf, centroids=mirrored, nprobe=nprobe)
+            full.clear()
+            with pytest.MonkeyPatch.context() as m:
+                m.setattr(ix, "_nearest", nearest)
+                got, scored = ix.search_ivf(probed, chunk, top_k, real)
+            want, want_scored = search_ivf_per_query(probed, chunk, top_k, real)
+            assert sum(full) >= 1
+            assert len(got) == real and scored == want_scored
+            assert all(same_neighbors(g, w) for g, w in zip(got, want))
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, 1e300])
+    def test_non_finite_rows_take_the_exact_form(self, bad):
+        """A centroid that is not finite, or whose square overflows, leaves
+        every row to the exact form over all lists: the probes equal the
+        oracle's."""
+        rng = np.random.default_rng(5)
+        ids = np.arange(40)
+        ivf = ix.build_ivf(rng.normal(size=(40, 3)), ids, *term_table(ids), 6)
+        ivf.centroids[2, 1] = bad
+        chunk = rng.normal(size=(2 * ix.LINK_BLOCK, 3))
+        for nprobe in range(1, 6):
+            probed = replace(ivf, nprobe=nprobe)
+            got, scored = ix.search_ivf(probed, chunk, 5, 11)
+            want, want_scored = search_ivf_per_query(probed, chunk, 5, 11)
+            assert scored == want_scored
+            assert all(same_neighbors(g, w) for g, w in zip(got, want))
 
     @pytest.mark.parametrize("nlist", [2, 3, 5, 8])
     def test_each_nprobe_equals_brute_force_over_its_lists(self, nlist):
@@ -475,7 +548,7 @@ def random_transform(rng, d, k):
 
 def block_search(index, transform, block, top_k, real):
     """Project a block of embeddings and search its first ``real`` rows."""
-    return ix.search_ivf(index, ix.apply_pca(transform, block), top_k, real)
+    return ix.search_ivf(index, ix.apply_pca(transform, block), top_k, real)[0]
 
 
 class TestBlockInvariance:
@@ -540,18 +613,58 @@ class TestBlockInvariance:
     def test_under_blas_threads(self, threads):
         """The test above in a fresh interpreter whose BLAS thread count is
         set before numpy loads."""
-        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-        src = os.path.dirname(os.path.dirname(ix.__file__))
-        env = {**os.environ, "PYTHONPATH": src}
-        for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-            env[var] = str(threads)
-        proc = subprocess.run(
-            [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
-             f"{os.path.abspath(__file__)}::TestBlockInvariance::"
-             "test_mention_alone_equals_in_any_block"],
-            cwd=root, env=env, capture_output=True, text=True, timeout=600)
-        assert proc.returncode == 0, proc.stdout[-3000:]
-        assert "1 passed" in proc.stdout
+        run_under_blas_threads(
+            "TestBlockInvariance::test_mention_alone_equals_in_any_block", threads)
+
+
+class TestChunkInvariance:
+    """A mention gets the same probes, neighbors and score bits linked alone
+    as at any position of a full chunk: the probe screen's bits may change
+    with the chunk and the BLAS thread count, the probes may not."""
+
+    def test_mention_alone_equals_at_every_chunk_position(self):
+        rng = np.random.default_rng(21)
+        n, d, k, nlist = 1000, 96, 64, 16
+        transform = random_transform(rng, d, k)
+        ids = rng.permutation(n).astype(np.int64)
+        ivf = ix.build_ivf(rng.normal(size=(n, k)), ids, *term_table(ids), nlist)
+        mention = rng.normal(size=d)
+        alone = np.zeros((ix.LINK_BLOCK, d))
+        alone[0] = mention
+        for nprobe in (1, nlist // 2, nlist - 1):
+            index = replace(ivf, nprobe=nprobe)
+            [want] = block_search(index, transform, alone, 10, 1)
+            for pos in range(ix.LINK_CHUNK):
+                rows = rng.normal(size=(ix.LINK_CHUNK, d))
+                rows[pos] = mention
+                chunk = np.concatenate([ix.apply_pca(transform, rows[b:b + ix.LINK_BLOCK])
+                                        for b in range(0, ix.LINK_CHUNK, ix.LINK_BLOCK)])
+                got, _ = ix.search_ivf(index, chunk, 10, ix.LINK_CHUNK)
+                assert same_neighbors(got[pos], want), (nprobe, pos)
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_under_blas_threads(self, threads):
+        """The test above in a fresh interpreter whose BLAS thread count is
+        set before numpy loads."""
+        run_under_blas_threads(
+            "TestChunkInvariance::test_mention_alone_equals_at_every_chunk_position",
+            threads)
+
+
+def run_under_blas_threads(test, threads):
+    """Run one test of this file in a fresh interpreter whose BLAS thread
+    count is set before numpy loads."""
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    src = os.path.dirname(os.path.dirname(ix.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        env[var] = str(threads)
+    proc = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+         f"{os.path.abspath(__file__)}::{test}"],
+        cwd=root, env=env, capture_output=True, text=True, timeout=600)
+    assert proc.returncode == 0, proc.stdout[-3000:]
+    assert "1 passed" in proc.stdout
 
 
 class TestSerialization:
@@ -667,7 +780,7 @@ class TestLinkMention:
                  ("suikerziekte", "C0000003"), ("longontsteking", "C0000004"),
                  ("hoofdpijn", "C0000005"), ("koorts", "C0000006")]
         params, t, flat = self.build(terms)
-        [(cui, neighbors)] = ix.link_mentions(["griep"], params, t, flat, top_k=3)
+        [(cui, neighbors)], _ = ix.link_mentions(["griep"], params, t, flat, top_k=3)
         assert cui == "C0000002"
         assert neighbors[0].term_id == 1
         assert len(neighbors) == 3
@@ -684,7 +797,7 @@ class TestLinkMention:
         assert np.array_equal(flat.vectors, ix._unit_rows(ix.apply_pca(t, E)))
         mentions = ["griep", "hoofd pijn", "longontsteking x", "koortsig"]
         for mention, (cui, got) in zip(mentions, ix.link_mentions(
-                mentions, params, t, flat, top_k=4)):
+                mentions, params, t, flat, top_k=4)[0]):
             block = np.zeros((ix.LINK_BLOCK, params.dim))
             block[0] = encode(params, mention)
             q = ix.apply_pca(t, block)[0]
@@ -704,10 +817,10 @@ class TestLinkMention:
         rng = np.random.default_rng(count)
         mentions = [random_word(rng) for _ in range(count)]
         mentions[2::5] = [" "] * len(mentions[2::5])
-        results = ix.link_mentions(mentions, params, t, index, top_k=4)
+        results, _ = ix.link_mentions(mentions, params, t, index, top_k=4)
         assert len(results) == count
         for mention, result in zip(mentions, results):
-            [alone] = ix.link_mentions([mention], params, t, index, top_k=4)
+            [alone], _ = ix.link_mentions([mention], params, t, index, top_k=4)
             if isinstance(alone, DataError):
                 assert mention == " " and type(result) is type(alone)
             else:
@@ -719,8 +832,8 @@ class TestLinkMention:
         DataError and the others in its batch still link."""
         params, t, flat = self.build([("griep", "C0000001"), ("koorts", "C0000002"),
                                       ("hoofdpijn", "C0000003")], pca_k=2)
-        good, bad = ix.link_mentions(["griep", "\ud800"], params, t, flat, top_k=2)
-        [alone] = ix.link_mentions(["griep"], params, t, flat, top_k=2)
+        (good, bad), _ = ix.link_mentions(["griep", "\ud800"], params, t, flat, top_k=2)
+        [alone], _ = ix.link_mentions(["griep"], params, t, flat, top_k=2)
         assert good[0] == alone[0] == "C0000001"
         assert same_neighbors(good[1], alone[1])
         assert isinstance(bad, DataError) and "UTF-8" in str(bad)
@@ -728,7 +841,7 @@ class TestLinkMention:
     def test_all_encode_errors(self):
         params, t, flat = self.build([("griep", "C0000001"), ("koorts", "C0000002"),
                                       ("hoofdpijn", "C0000003")], pca_k=2)
-        results = ix.link_mentions(["", "   ", "\t"], params, t, flat)
+        results, _ = ix.link_mentions(["", "   ", "\t"], params, t, flat)
         assert len(results) == 3
         assert all(isinstance(r, DataError) and "empty text" in str(r) for r in results)
 
@@ -740,7 +853,7 @@ class TestLinkMention:
                             ids=np.zeros(0, dtype=np.int64),
                             cuis=np.zeros(0, dtype=str), groups=np.zeros(0, dtype=str),
                             offsets=np.zeros(3, dtype=np.int64), nprobe=1)
-        [result] = ix.link_mentions(["x"], params, t, index)
+        [result], _ = ix.link_mentions(["x"], params, t, index)
         assert isinstance(result, DataError)
         assert str(result) == "no candidates: index is empty"
 
@@ -765,14 +878,14 @@ class TestLinkMention:
         assert len(near) >= 9 and len(far) >= 9
         index = replace(flat, centroids=np.array([queries[10], -queries[10]]),
                         offsets=np.array([0, 0, len(flat.ids)]), nprobe=1)
-        results = ix.link_mentions([lonely] + near, params, t, index, top_k=3)
+        results, _ = ix.link_mentions([lonely] + near, params, t, index, top_k=3)
         assert isinstance(results[0], DataError)
         assert str(results[0]) == \
             "no candidates: the lists probed are empty (index.nprobe=1)"
         for mention, result in zip(near, results[1:]):
-            [alone] = ix.link_mentions([mention], params, t, index, top_k=3)
+            [alone], _ = ix.link_mentions([mention], params, t, index, top_k=3)
             assert result[0] == alone[0] and same_neighbors(result[1], alone[1])
             assert len(result[1]) == 3
-        results = ix.link_mentions(far[:9], params, t, index, top_k=3)
+        results, _ = ix.link_mentions(far[:9], params, t, index, top_k=3)
         assert all(isinstance(r, DataError) and "lists probed" in str(r)
                    for r in results)

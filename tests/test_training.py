@@ -1,4 +1,5 @@
 import io
+import logging
 import math
 from dataclasses import replace
 
@@ -80,6 +81,20 @@ class TestPairGeneration:
             [tr.PositivePair("C0000001", "a||b", "c"),
              tr.PositivePair("C0000001", "x", "y")])
         assert len(lines) == 1 and "".join(lines) == "C0000001||x||y\n"
+
+    @pytest.mark.parametrize("term", ["hoge\nkoorts", "hoge\rkoorts", "a\r\nb"])
+    def test_line_break_in_term_dropped(self, term, caplog):
+        """A term with a line break would split its pair over two lines,
+        which read_pairs refuses: the pair is dropped and counted."""
+        with caplog.at_level(logging.WARNING):
+            lines = tr.serialize_pairs(
+                [tr.PositivePair("C0000001", term, "griep"),
+                 tr.PositivePair("C0000001", "griep", term),
+                 tr.PositivePair("C0000001", "x", "y")])
+        assert lines == ["C0000001||x||y\n"]
+        assert "dropped 2 pairs" in caplog.text
+        assert tr.read_pairs(io.StringIO("".join(lines))) == \
+            [tr.PositivePair("C0000001", "x", "y")]
 
     def test_read_roundtrip(self):
         pairs = [tr.PositivePair("C0000001", "griep", "influenza")]
