@@ -39,9 +39,10 @@ def _build_parser(names):
                        help="dotted config override, e.g. train.epochs=3")
         p.add_argument("--quiet", action="store_true",
                        help="write only errors to stderr")
-        p.add_argument("--seed", type=int, help="override the pipeline seed")
+        p.add_argument("--seed", type=int, help="sets seed, after any --set")
         if name in ("train", "finetune"):
-            p.add_argument("--epochs", type=int, help="number of training epochs")
+            p.add_argument("--epochs", type=int,
+                           help=f"sets {name}.epochs, after any --set")
         if name == "pairs":
             p.add_argument("--stage", choices=["pretrain", "finetune"],
                            default="pretrain")
@@ -51,7 +52,8 @@ def _build_parser(names):
             source = p.add_mutually_exclusive_group()
             source.add_argument("--mention", help="link a single mention")
             source.add_argument("--input", help="file with one mention per line")
-            p.add_argument("--top-k", type=int, dest="top_k")
+            p.add_argument("--top-k", type=int, dest="top_k",
+                           help="sets index.top_k, after any --set")
             p.add_argument("--index", choices=["flat", "ivf"], dest="index_kind")
         if name == "evaluate":
             p.add_argument("--index", choices=["flat", "ivf"], dest="index_kind")
@@ -94,19 +96,6 @@ def _summary(payload):
     sys.stdout.write(_json(payload) + "\n")
 
 
-def _filter_config(cfg):
-    from . import ontology as onto_mod
-    o = cfg["ontology"]
-    patterns = [(e["pattern"], frozenset(e["vocabs"]))
-                for e in o["descriptive_subterms"]]
-    return onto_mod.FilterConfig(
-        drop_vocabs=frozenset(o["drop_vocabs"]),
-        descriptive_subterm_patterns=patterns,
-        drop_tuis=frozenset(o["drop_tuis"]),
-        drug_vocabs=frozenset(o["drug_vocabs"]),
-        dedupe_case_insensitive=o["dedupe_case_insensitive"])
-
-
 def _load_ontology(cfg):
     from . import ontology as onto_mod
     with _open_input(cfg["paths"]["ontology"], "ontology") as f:
@@ -122,21 +111,13 @@ def _resolve_params_path(cfg, args):
     return paths["params_pretrained"]
 
 
-def _abbreviations(cfg):
-    abbrev = cfg["corpus"]["abbreviations"]
-    if abbrev is None:
-        from . import corpus as corpus_mod
-        return corpus_mod.DEFAULT_ABBREVIATIONS
-    return frozenset(abbrev)
-
-
 def cmd_ontology_build(cfg, args):
     from . import ontology as onto_mod
     from .artifacts import write_text_atomic
     paths = cfg["paths"]
+    filters = dict(cfg["ontology"])  # FilterConfig's keys once column_map is out
     with _open_input(paths["concepts"], "concepts") as f:
-        concepts, malformed = onto_mod.parse_concepts(
-            f, cfg["ontology"]["column_map"])
+        concepts, malformed = onto_mod.parse_concepts(f, filters.pop("column_map"))
     sty = []
     if paths["semantic_types"]:
         with _open_input(paths["semantic_types"], "semantic types") as f:
@@ -154,7 +135,7 @@ def cmd_ontology_build(cfg, args):
                             "must be a JSON object of strings")
 
     records, steps = onto_mod.build_ontology(
-        concepts, sty, groups, crosswalk, _filter_config(cfg))
+        concepts, sty, groups, crosswalk, onto_mod.FilterConfig(**filters))
     steps = [{"step": n, "remaining": c} for n, c in steps]
     write_text_atomic(paths["ontology"], onto_mod.serialize_ontology(records))
     write_text_atomic(paths["ontology_stats"], _json({"steps": steps}) + "\n")
@@ -169,10 +150,8 @@ def _load_article_map(cfg):
     if paths["article_map_tsv"]:
         with _open_input(paths["article_map_tsv"], "article map TSV") as f:
             return corpus_mod.load_article_map_tsv(f)
-    sp = cfg["corpus"]["sparql"]
-    if sp["endpoint"]:
-        return corpus_mod.load_article_map_sparql(
-            sp["endpoint"], sp["site_url"], sp["property_id"], sp["language"])
+    if cfg["corpus"]["sparql"]["endpoint"]:
+        return corpus_mod.load_article_map_sparql(**cfg["corpus"]["sparql"])
     raise UsageError("no article map source configured (TSV path or SPARQL endpoint)")
 
 
@@ -184,10 +163,12 @@ def cmd_corpus_compile(cfg, args):
     ontology = None
     if paths["ontology"] and os.path.exists(paths["ontology"]):
         ontology = _load_ontology(cfg)
+    abbreviations = cfg["corpus"]["abbreviations"]  # null: the built-in list
     with _open_input(paths["dump"], "wiki dump", mode="rb") as f:
         sentences, mentions, stats, unbalanced = corpus_mod.compile_corpus(
-            corpus_mod.parse_dump(f), amap,
-            abbreviations=_abbreviations(cfg), ontology=ontology)
+            corpus_mod.parse_dump(f), amap, ontology=ontology,
+            abbreviations=(corpus_mod.DEFAULT_ABBREVIATIONS if abbreviations is None
+                           else abbreviations))
     if unbalanced:
         log.warning("unbalanced templates on %d pages of %s: the text after "
                     "each unmatched '{{' was dropped", unbalanced, paths["dump"])
@@ -244,14 +225,15 @@ def _initial_params(cfg):
     paths = cfg["paths"]
     if paths["params_init"]:
         return enc.load_params(paths["params_init"])
+    # the two rules that tie encoder leaves together; the schema checks each
     e = cfg["encoder"]
-    _at_least(e["n_max"], "encoder.n_max", e["n_min"])
+    if e["n_max"] < e["n_min"]:
+        raise UsageError(f"encoder.n_max must be an integer of at least "
+                         f"{e['n_min']}, got {e['n_max']!r}")
     if e["hidden"] * max(e["buckets"], e["dim"]) > 2 ** 28:  # before allocation
         raise UsageError("encoder.hidden x encoder.buckets and encoder.hidden x "
                          "encoder.dim must each be at most 2**28")
-    return enc.init_params(
-        cfg["seed"], n_min=e["n_min"], n_max=e["n_max"], buckets=e["buckets"],
-        hidden=e["hidden"], dim=e["dim"], lowercase=e["lowercase"])
+    return enc.init_params(cfg["seed"], **e)
 
 
 def cmd_train(cfg, args):
@@ -262,8 +244,7 @@ def cmd_train(cfg, args):
     from . import training as train_mod
     from .artifacts import write_text_atomic
     paths, stage = cfg["paths"], args.command
-    epochs = (cfg[stage]["epochs"] if args.epochs is None
-              else _at_least(args.epochs, "--epochs", 0))
+    epochs = cfg[stage]["epochs"]
     checkpoint_dir = paths["checkpoint_dir"]
     if stage == "train":
         params = _initial_params(cfg)
@@ -361,19 +342,6 @@ def _load_link_stack(cfg, args, verify=False):
     return params, transform, index
 
 
-def _at_least(value, name, least=1):
-    if value < least:
-        raise UsageError(f"{name} must be an integer of at least {least}, "
-                         f"got {value!r}")
-    return value
-
-
-def _top_k(cfg, args):
-    if args.top_k is None:
-        return cfg["index"]["top_k"]
-    return _at_least(args.top_k, "--top-k")
-
-
 def _link_payload(mention, result):
     if isinstance(result, DataError):
         return {"mention": mention, "error": str(result)}
@@ -393,7 +361,7 @@ def _link_payload(mention, result):
 def cmd_link(cfg, args):
     from . import index as index_mod
     from .artifacts import write_text_atomic
-    top_k = _top_k(cfg, args)
+    top_k = cfg["index"]["top_k"]
     if args.mention is None and not args.input:
         raise UsageError("link requires --mention or --input")
     params, transform, index = _load_link_stack(cfg, args)
@@ -499,8 +467,11 @@ def run(argv):
     logging.basicConfig(stream=sys.stderr,
                         level=logging.ERROR if args.quiet else logging.INFO,
                         format="%(levelname)s %(name)s: %(message)s")
-    seed = [] if args.seed is None else [f"seed={args.seed}"]
-    cfg = apply_overrides(load_config(args.config), args.set + seed)
+    # each flag is one more --set of its key, applied last so that it wins
+    flags = {"seed": args.seed, f"{args.command}.epochs": getattr(args, "epochs", None),
+             "index.top_k": getattr(args, "top_k", None)}
+    cfg = apply_overrides(load_config(args.config), args.set + [
+        f"{key}={value}" for key, value in flags.items() if value is not None])
     return _HANDLERS[args.command](cfg, args)
 
 

@@ -65,7 +65,6 @@ class SentenceRecord:
     sentence_id: int
     page_title: str
     text: str
-    token_count: int
 
 
 @dataclass
@@ -202,20 +201,20 @@ def _page_number(text, element, title):
 def parse_dump(stream):
     """Stream namespace-0 pages from MediaWiki-export XML in document order.
 
-    Memory is bounded by one page; pages without a <text> element are
-    skipped. Malformed XML, or an <ns> or <id> that is not an integer,
-    raises DataError.
+    Memory is bounded by one page: each page read is cleared and dropped
+    from the root. Pages without a <text> element are skipped. Malformed
+    XML, or an <ns> or <id> that is not an integer, raises DataError.
     """
     def localname(tag):
         return tag.rsplit("}", 1)[-1]
 
     try:
-        context = ET.iterparse(stream, events=("end",))
-        for _event, elem in context:
-            if localname(elem.tag) != "page":
+        context = ET.iterparse(stream, events=("start", "end"))
+        _event, root = next(context)
+        for event, elem in context:
+            if event == "start" or localname(elem.tag) != "page":
                 continue
-            title = ns = page_id = None
-            text = None
+            title = ns = page_id = text = None
             have_text = False
             for child in elem.iter():
                 ln = localname(child.tag)
@@ -235,6 +234,7 @@ def parse_dump(stream):
                 yield WikiPage(page_id=page_id, title=title, namespace=0,
                                wikitext=text)
             elem.clear()
+            root.clear()
     except ET.ParseError as e:
         raise DataError(f"malformed dump XML at {e.position}: {e}") from e
 
@@ -268,10 +268,8 @@ def compile_corpus(pages, article_map, abbreviations=DEFAULT_ABBREVIATIONS,
             if first == li:
                 continue
             sid = len(sentences)
-            text = clean[s_start:s_end]
-            sentences.append(SentenceRecord(
-                sentence_id=sid, page_title=page.title, text=text,
-                token_count=len(text.split())))
+            sentences.append(SentenceRecord(sentence_id=sid, page_title=page.title,
+                                            text=clean[s_start:s_end]))
             for lk, (qid, cui) in mapped[first:li]:
                 mentions.append(MentionAnnotation(
                     sentence_id=sid, start=lk.start - s_start,
@@ -291,7 +289,7 @@ def compute_stats(sentences, mentions, ontology=None):
     )
     if sentences:
         stats.avg_tokens_per_sentence = float(
-            np.mean([s.token_count for s in sentences]))
+            np.mean([len(s.text.split()) for s in sentences]))
     if ontology is not None:
         terms = {r.text for r in ontology}
         known_cuis = {r.cui for r in ontology}
@@ -411,10 +409,8 @@ def parse_corpus(stream):
             pending.append((node, anchor, start))
             pieces.append(anchor)
             pieces.append(node.tail or "")
-        text = "".join(pieces)
         out.sentences.append(SentenceRecord(
-            sentence_id=sid, page_title=sent.get("page", ""), text=text,
-            token_count=len(text.split())))
+            sentence_id=sid, page_title=sent.get("page", ""), text="".join(pieces)))
         for node, anchor, start in pending:
             where = f"sentence {sid}: mention {anchor!r}"
             declared_start = _int_attr(node, "start", where)

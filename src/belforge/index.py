@@ -204,7 +204,9 @@ def _nearest(centroids, Q, nprobe, lists=None):
     probes = np.empty((len(Q), nprobe), dtype=np.intp)
     for a in range(0, len(Q), step):
         C = centroids if lists is None else centroids[lists[a:a + step]]
-        d = np.sum((C - Q[a:a + step, None, :]) ** 2, axis=2)
+        # a loaded index's centroid may overflow (ranked last) or be NaN
+        with np.errstate(over="ignore", invalid="ignore"):
+            d = np.sum((C - Q[a:a + step, None, :]) ** 2, axis=2)
         order = np.argsort(d, axis=1, kind="stable")[:, :nprobe]
         probes[a:a + step] = (order if lists is None else
                               np.take_along_axis(lists[a:a + step], order, axis=1))

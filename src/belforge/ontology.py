@@ -6,7 +6,7 @@ term list with per-step statistics.
 import itertools
 import json
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import DataError
 
@@ -52,11 +52,12 @@ class CrosswalkRow:
 
 @dataclass
 class FilterConfig:
-    drop_vocabs: frozenset = frozenset()
-    # list of (literal substring, frozenset of vocabs it applies to)
-    descriptive_subterm_patterns: list = field(default_factory=list)
-    drop_tuis: frozenset = frozenset()
-    drug_vocabs: frozenset = frozenset()
+    """The ``ontology`` config section but its column_map, as the schema has it."""
+    drop_vocabs: tuple = ()
+    # entries {"pattern": literal substring, "vocabs": vocabs it applies to}
+    descriptive_subterms: tuple = ()
+    drop_tuis: tuple = ()
+    drug_vocabs: tuple = ()
     dedupe_case_insensitive: bool = True
 
 
@@ -182,8 +183,12 @@ def build_ontology(concepts, sty, groups, crosswalk, config):
     group is OTHER. Returns (records, [(step, records remaining)]).
     """
     steps = []
-    drug_pool = [r for r in concepts if r.vocab in config.drug_vocabs]
-    kept = [r for r in concepts if r.vocab not in config.drug_vocabs]
+    drug_vocabs, drop_vocabs, drop_tuis = map(frozenset, (
+        config.drug_vocabs, config.drop_vocabs, config.drop_tuis))
+    subterms = [(e["pattern"], frozenset(e["vocabs"]))
+                for e in config.descriptive_subterms]
+    drug_pool = [r for r in concepts if r.vocab in drug_vocabs]
+    kept = [r for r in concepts if r.vocab not in drug_vocabs]
     fold = str.lower if config.dedupe_case_insensitive else str
     seen = set()
 
@@ -197,14 +202,14 @@ def build_ontology(concepts, sty, groups, crosswalk, config):
         return out
 
     # 1. vocabulary filter
-    kept = [r for r in kept if r.vocab not in config.drop_vocabs]
+    kept = [r for r in kept if r.vocab not in drop_vocabs]
     steps.append(("drop_vocabs", len(kept)))
 
     # 2. descriptive subterm removal (literal substrings, per-vocab)
     out = []
     for rec in kept:
         text = rec.text
-        for pattern, vocabs in config.descriptive_subterm_patterns:
+        for pattern, vocabs in subterms:
             if rec.vocab in vocabs and pattern in text:
                 text = " ".join(text.replace(pattern, " ").split())
         if text:
@@ -229,7 +234,7 @@ def build_ontology(concepts, sty, groups, crosswalk, config):
     for row in sty:
         cui_tuis.setdefault(row.cui, []).append(row.tui)
     kept = [r for r in kept
-            if not any(t in config.drop_tuis for t in cui_tuis.get(r.cui, ()))]
+            if not any(t in drop_tuis for t in cui_tuis.get(r.cui, ()))]
     steps.append(("drop_semantic_types", len(kept)))
 
     # 6. drug-name additions, regardless of language

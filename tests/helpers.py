@@ -101,7 +101,7 @@ def mentions_as_slice(mention_pairs):
     mentions = []
     for i, (text, cui) in enumerate(mention_pairs):
         sentences.append(SentenceRecord(sentence_id=i, page_title=f"p{i}",
-                                        text=text, token_count=len(text.split())))
+                                        text=text))
         mentions.append(MentionAnnotation(
             sentence_id=i, start=0, end=len(text), anchor=text,
             target_title=f"p{i}", cui=cui, qid=f"Q{i}"))

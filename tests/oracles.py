@@ -313,10 +313,8 @@ def compile_corpus(pages, article_map, abbreviations=DEFAULT_ABBREVIATIONS,
             if not in_span:
                 continue
             sid = len(sentences)
-            text = clean[s_start:s_end]
             sentences.append(SentenceRecord(
-                sentence_id=sid, page_title=page.title, text=text,
-                token_count=len(text.split())))
+                sentence_id=sid, page_title=page.title, text=clean[s_start:s_end]))
             for lk in in_span:
                 qid, cui = article_map.entries[normalize_title(lk.target)]
                 mentions.append(MentionAnnotation(

@@ -85,8 +85,8 @@ def _sixty_record_fixture():
     ]
     config = onto.FilterConfig(
         drop_vocabs=frozenset({"LOINC"}),
-        descriptive_subterm_patterns=[
-            (", niet gespecificeerd", frozenset({"ICD10DUT"}))],
+        descriptive_subterms=[
+            {"pattern": ", niet gespecificeerd", "vocabs": ["ICD10DUT"]}],
         drop_tuis=frozenset({"T999"}),
         drug_vocabs=frozenset({"ATC"}),
     )
@@ -166,10 +166,10 @@ def test_criterion_02():
 
     assert sentences == [
         corpus_mod.SentenceRecord(
-            0, "Griep", "Griep veroorzaakt hoge koorts bij velen.", 6),
-        corpus_mod.SentenceRecord(1, "Hartinfarct", "Een infarct is ernstig.", 4),
+            0, "Griep", "Griep veroorzaakt hoge koorts bij velen."),
+        corpus_mod.SentenceRecord(1, "Hartinfarct", "Een infarct is ernstig."),
         corpus_mod.SentenceRecord(
-            2, "Diabetes", "Over suikerziekte gaat dit artikel.", 5),
+            2, "Diabetes", "Over suikerziekte gaat dit artikel."),
     ]
     assert mentions == [
         corpus_mod.MentionAnnotation(0, 0, 5, "Griep", "Griep", "C0000001", "Q1"),
@@ -184,6 +184,7 @@ def test_criterion_02():
     for m in mentions:
         assert by_id[m.sentence_id].text[m.start:m.end] == m.anchor
     assert stats.sentences == 3 and stats.mentions == 4
+    assert stats.avg_tokens_per_sentence == (6 + 4 + 5) / 3
 
     # XML serialization is byte-stable after one normalization pass
     sl = corpus_mod.CorpusSlice(sentences=sentences, mentions=mentions)

@@ -162,6 +162,27 @@ class TestPipeline:
         report = json.loads((root / "out" / "report.json").read_text())
         assert report["total"]["count"] == 3
 
+    def test_ontology_build_adds_crosswalk_terms(self, workspace, capsys):
+        """paths.crosswalk adds each external term whose id one bridge
+        record carries, as a SNOMEDCT_NL term of that record's CUI."""
+        root, config = workspace
+        with open(root / "concepts.psv", "a") as f:
+            f.write("C0000003|ENG|SNOMEDCT_US|386661006|fever\n")
+        (root / "crosswalk.psv").write_text(
+            "386661006|verhoogde temperatuur\n999|geen brug\n")
+        steps = {}
+        for crosswalk in ("null", str(root / "crosswalk.psv")):
+            assert main(["ontology-build", "--config", config, "--quiet",
+                         "--set", f"paths.crosswalk={crosswalk}"]) == 0
+            summary = json.loads(capsys.readouterr().out)
+            steps[crosswalk] = {s["step"]: s["remaining"] for s in summary["steps"]}
+        assert steps["null"]["crosswalk_add"] == steps["null"]["dedupe"] == 8
+        assert steps[crosswalk]["crosswalk_add"] == 9
+        records = [json.loads(l) for l in
+                   (root / "out" / "ontology.jsonl").read_text().splitlines()]
+        assert {"term_id": 8, "cui": "C0000003", "text": "verhoogde temperatuur",
+                "vocab": "SNOMEDCT_NL", "group": "DISO"} in records
+
     def test_train_resumes_after_a_checkpoint(self, workspace):
         """train from a checkpoint continues at the next epoch index: 1 + 1
         epochs give the bytes of a straight 2-epoch run, and the resumed
@@ -765,6 +786,30 @@ class TestLinkStack:
                         "evaluate verifies")
         assert out_files(root) == before
 
+    def test_centroid_whose_square_overflows_links_quietly(self, workspace):
+        """An ivf.index, its digest valid, with a centroid entry of 1e300
+        still links: nothing but error lines reaches stderr. Numpy's overflow
+        warning would, in a fresh interpreter (pytest captures it), so each
+        call runs in one."""
+        root, config = workspace
+        run_pipeline(config, upto="index-build")
+        (root / "mentions.txt").write_text("griep\nkoorts\n")
+        path = root / "out" / "ivf.index"
+        index = index_mod.load_ivf(path)
+        centroids = index.centroids.copy()
+        centroids[0, 0] = 1e300
+        index_mod.save_ivf(path, replace(index, centroids=centroids))
+        src = os.path.dirname(os.path.dirname(enc.__file__))
+        for source in (["--mention", "griep"], ["--input", "mentions.txt"]):
+            proc = subprocess.run(
+                [sys.executable, "-m", "belforge.cli", "link", "--config", config,
+                 "--quiet", "--index", "ivf", "--set", "index.nprobe=1"] + source,
+                cwd=root, env={**os.environ, "PYTHONPATH": src},
+                capture_output=True, text=True, timeout=120)
+            assert proc.returncode == 0, proc.stderr
+            assert proc.stderr == ""
+            assert json.loads(proc.stdout)
+
     def test_evaluate_report_does_not_depend_on_top_k(self, workspace, capsys):
         """evaluate reads only each mention's nearest neighbour, so
         index.top_k, link's setting, leaves report.json as it is."""
@@ -978,7 +1023,7 @@ class TestExitCodes:
             captured = capsys.readouterr()
             assert captured.out == ""
             assert len(captured.err.splitlines()) == 1
-            assert "top_k" in captured.err or "--top-k" in captured.err
+            assert "index.top_k" in captured.err
         assert main(["evaluate", "--config", config, "--quiet",
                      "--set", "index.top_k=-3"]) == 1
         assert len(capsys.readouterr().err.splitlines()) == 1
@@ -1274,6 +1319,24 @@ class TestExitCodes:
             assert f"config key {key!r} must be of type" in captured.err
         assert _files(root / "out") == {}
 
+    def test_flag_is_applied_after_every_set(self, workspace, capsys):
+        """--seed, --epochs and --top-k are one more --set of their keys,
+        applied last: each wins over a --set of the same key, and is checked
+        as that --set would be."""
+        root, config = workspace
+        run_pipeline(config, upto="index-build")
+        capsys.readouterr()
+        assert main(["finetune", "--config", config, "--quiet",
+                     "--set", "finetune.epochs=3", "--epochs", "2"]) == 0
+        assert json.loads(capsys.readouterr().out)["epochs"] == 2
+        assert main(["index-build", "--config", config, "--quiet"]) == 0
+        assert main(["link", "--config", config, "--quiet", "--mention", "griep",
+                     "--set", "index.top_k=5", "--top-k", "2"]) == 0
+        assert len(json.loads(capsys.readouterr().out.splitlines()[-1])["top_k"]) == 2
+        assert main(["link", "--config", config, "--quiet", "--mention", "griep",
+                     "--set", "index.top_k=2", "--top-k", "0"]) == 1
+        assert "index.top_k" in capsys.readouterr().err
+
     def test_negative_seed_flag_usage(self, workspace, capsys):
         _root, config = workspace
         assert main(["stats", "--config", config, "--quiet", "--seed", "-1"]) == 1
@@ -1295,7 +1358,7 @@ class TestExitCodes:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert len(captured.err.splitlines()) == 1
-        assert "--epochs" in captured.err
+        assert f"{stage}.epochs" in captured.err
         assert not params.exists()
 
     @pytest.mark.parametrize("setup, argv", [
@@ -1402,6 +1465,83 @@ class TestExitCodes:
                     lambda header: header["meta"].update({entry: value}))
         assert_io_error(config, capsys, ["link", "--mention", "griep"],
                         "finetuned.params", entry)
+
+
+def assert_refused(root, config, capsys, argv, rc, fragment):
+    """``argv`` exits ``rc`` with one stderr line holding ``fragment``, an
+    empty stdout and the workspace's out/ directory as it was."""
+    before = _files(root / "out")
+    capsys.readouterr()
+    assert main(argv + ["--config", config, "--quiet"]) == rc
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1, captured.err
+    assert fragment in captured.err
+    assert _files(root / "out") == before
+
+
+class TestRefusals:
+    """Refusals of bad inputs, each ending in its exit code with one stderr
+    line and no file written."""
+
+    def test_pca_path_naming_an_index_io(self, workspace, capsys):
+        root, config = workspace
+        run_pipeline(config, upto="index-build")
+        (root / "mentions.txt").write_text("griep\n")
+        for source in (["--mention", "griep"], ["--input", "mentions.txt"]):
+            assert_refused(root, config, capsys,
+                           ["link", "--set", "paths.pca=out/flat.index"] + source, 3,
+                           "artifact kind 'ivf-index', expected 'pca-transform'")
+
+    def test_config_that_is_a_json_array_data_error(self, workspace, capsys):
+        root, config = workspace
+        with open(config, "w") as f:
+            f.write("[]")
+        assert_refused(root, config, capsys, ["ontology-build"], 2,
+                       "top level must be a JSON object")
+
+    def test_params_of_other_shapes_than_their_header_io(self, workspace, capsys):
+        root, config = workspace
+        run_pipeline(config, upto="finetune")
+        path = root / "out" / "finetuned.params"
+        params = enc.load_params(path)
+        enc.save_params(path, replace(params, W1=params.W1[:, :-1]))
+        assert_refused(root, config, capsys, ["index-build"], 3,
+                       "parameter shapes do not match declared dimensions")
+
+    @pytest.mark.parametrize("text, fragment", [
+        ("<corpus><sentence", "corpus XML parse error"),
+        ("<korpus></korpus>", "expected <corpus> root, found <korpus>"),
+        ("<corpus><para/></corpus>", "unexpected element <para> under <corpus>"),
+        ('<corpus><sentence id="0" page="P">a <b>c</b></sentence></corpus>',
+         "unexpected element <b> in sentence 0"),
+    ])
+    def test_corpus_of_another_shape_data_error(self, workspace, capsys, text,
+                                                fragment):
+        root, config = workspace
+        run_pipeline(config, upto="corpus-compile")
+        (root / "out" / "corpus.xml").write_text(text)
+        assert_refused(root, config, capsys, ["corpus-subset"], 2, fragment)
+
+    def test_link_without_a_mention_source_usage(self, workspace, capsys):
+        root, config = workspace
+        run_pipeline(config, upto="index-build")
+        assert_refused(root, config, capsys, ["link"], 1,
+                       "link requires --mention or --input")
+
+    def test_index_build_over_an_empty_ontology_data_error(self, workspace, capsys):
+        root, config = workspace
+        run_pipeline(config, upto="finetune")
+        (root / "out" / "ontology.jsonl").write_text("")
+        assert_refused(root, config, capsys, ["index-build"], 2,
+                       "cannot build an index from an empty ontology")
+
+    def test_corpus_compile_without_an_article_map_usage(self, workspace, capsys):
+        root, config = workspace
+        run_pipeline(config, upto="ontology-build")
+        assert_refused(root, config, capsys,
+                       ["corpus-compile", "--set", "paths.article_map_tsv=null"], 1,
+                       "no article map source configured")
 
 
 class TestSparqlCache:

@@ -1,6 +1,7 @@
 import io
 import json
 import os
+import tracemalloc
 import urllib.parse
 from xml.sax import saxutils
 
@@ -257,6 +258,26 @@ class TestParseDump:
         with pytest.raises(DataError):
             list(corpus.parse_dump(io.BytesIO(b"<mediawiki><page>")))
 
+    @staticmethod
+    def _peak_bytes(dump):
+        tracemalloc.start()
+        try:
+            for _page in corpus.parse_dump(dump):
+                pass
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_memory_does_not_grow_with_the_dump(self):
+        """Read pages are dropped: the peak over 4N pages stays within a
+        small slack of the peak over N. A cleared page kept under the root
+        costs some 80 bytes, about 470 KiB over the 6,000 extra pages."""
+        def dump(n):
+            return make_dump([(i, f"P{i}", 0, f"tekst {i}") for i in range(1, n + 1)])
+        self._peak_bytes(dump(10))  # first-use allocations
+        small, large = self._peak_bytes(dump(2000)), self._peak_bytes(dump(8000))
+        assert large <= small + 64 * 1024, (small, large)
+
 
 class TestCompileCorpus:
     def test_link_in_second_sentence_only(self):
@@ -332,8 +353,8 @@ def test_compile_equals_oracle(texts):
 
 def star_fixture():
     sentences = [
-        corpus.SentenceRecord(0, "A", "MS is erg.", 3),
-        corpus.SentenceRecord(1, "B", "Over MS en griep.", 4),
+        corpus.SentenceRecord(0, "A", "MS is erg."),
+        corpus.SentenceRecord(1, "B", "Over MS en griep."),
     ]
     mentions = [
         corpus.MentionAnnotation(0, 0, 2, "MS", "Multiple sclerose", "C0000001", "Q1"),
@@ -364,7 +385,7 @@ class TestStarSubset:
 
     def test_split_deterministic_and_ratio(self):
         rng = np.random.default_rng(3)
-        sentences = [corpus.SentenceRecord(i, "P", f"zin {i} nummer", 3)
+        sentences = [corpus.SentenceRecord(i, "P", f"zin {i} nummer")
                      for i in range(10)]
         mentions = [corpus.MentionAnnotation(i, 0, 3, f"m{i:02d}", "T",
                                              "C0000001", "Q1")
@@ -392,7 +413,7 @@ class TestCorpusXml:
 
     def test_roundtrip_escaping(self):
         sl = corpus.CorpusSlice(
-            sentences=[corpus.SentenceRecord(0, 'P "q" & <r>', "a < b & c.", 5)],
+            sentences=[corpus.SentenceRecord(0, 'P "q" & <r>', "a < b & c.")],
             mentions=[corpus.MentionAnnotation(0, 0, 5, "a < b", "T&T",
                                                "C0000001", "Q1")])
         _text, back = self.roundtrip(sl)
@@ -408,15 +429,14 @@ class TestCorpusXml:
         start = data.draw(st.integers(0, len(text) - 1))
         end = data.draw(st.integers(start + 1, len(text)))
         sl = corpus.CorpusSlice(
-            sentences=[corpus.SentenceRecord(0, "P\r\n\t&<>" + text, text,
-                                                len(text.split()))],
+            sentences=[corpus.SentenceRecord(0, "P\r\n\t&<>" + text, text)],
             mentions=[corpus.MentionAnnotation(0, start, end, text[start:end],
                                                text + "\r", "C0000001", "Q1")])
         assert self.roundtrip(sl)[1] == sl
 
     def test_carriage_return_in_an_anchor_survives(self):
         sl = corpus.CorpusSlice(
-            sentences=[corpus.SentenceRecord(0, "Griep", "hoge\rkoorts is griep", 4)],
+            sentences=[corpus.SentenceRecord(0, "Griep", "hoge\rkoorts is griep")],
             mentions=[corpus.MentionAnnotation(0, 0, 11, "hoge\rkoorts", "Koorts",
                                                "C0000003", "Q3")])
         text, back = self.roundtrip(sl)

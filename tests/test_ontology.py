@@ -108,9 +108,9 @@ def pipeline_fixture():
     ]
     config = onto.FilterConfig(
         drop_vocabs=frozenset({"BADVOC"}),
-        descriptive_subterm_patterns=[
-            (", niet gespecificeerd", frozenset({"MDRDUT", "ICD10DUT"})),
-            ("niet gespecificeerd", frozenset({"ICD10DUT"})),
+        descriptive_subterms=[
+            {"pattern": ", niet gespecificeerd", "vocabs": ["MDRDUT", "ICD10DUT"]},
+            {"pattern": "niet gespecificeerd", "vocabs": ["ICD10DUT"]},
         ],
         drop_tuis=frozenset({"T012"}),
         drug_vocabs=frozenset({"ATC"}),
