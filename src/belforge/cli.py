@@ -115,9 +115,9 @@ def cmd_ontology_build(cfg, args):
     from . import ontology as onto_mod
     from .artifacts import write_text_atomic
     paths = cfg["paths"]
-    filters = dict(cfg["ontology"])  # FilterConfig's keys once column_map is out
     with _open_input(paths["concepts"], "concepts") as f:
-        concepts, malformed = onto_mod.parse_concepts(f, filters.pop("column_map"))
+        concepts, malformed = onto_mod.parse_concepts(
+            f, cfg["ontology"]["column_map"])
     sty = []
     if paths["semantic_types"]:
         with _open_input(paths["semantic_types"], "semantic types") as f:
@@ -134,8 +134,8 @@ def cmd_ontology_build(cfg, args):
             raise DataError(f"semantic groups at {paths['semantic_groups']} "
                             "must be a JSON object of strings")
 
-    records, steps = onto_mod.build_ontology(
-        concepts, sty, groups, crosswalk, onto_mod.FilterConfig(**filters))
+    records, steps = onto_mod.build_ontology(concepts, sty, groups, crosswalk,
+                                             cfg["ontology"])
     steps = [{"step": n, "remaining": c} for n, c in steps]
     write_text_atomic(paths["ontology"], onto_mod.serialize_ontology(records))
     write_text_atomic(paths["ontology_stats"], _json({"steps": steps}) + "\n")
@@ -177,6 +177,7 @@ def cmd_corpus_compile(cfg, args):
     write_text_atomic(paths["corpus_stats"], _json(vars(stats)) + "\n")
     _summary({"command": "corpus-compile", "sentences": stats.sentences,
               "mentions": stats.mentions, "map_entries": len(amap.entries),
+              "map_skipped": amap.skipped, "map_duplicates": amap.duplicates,
               "unbalanced_templates": unbalanced})
     return 0
 
@@ -190,7 +191,7 @@ def cmd_corpus_subset(cfg, args):
     ontology = _load_ontology(cfg)
     train, val = corpus_mod.build_star_subset(
         full.sentences, full.mentions, ontology,
-        split_ratio=cfg["corpus"]["split_ratio"], seed=cfg["seed"])
+        cfg["corpus"]["split_ratio"], cfg["seed"])
     for part, path in ((train, paths["train_corpus"]), (val, paths["val_corpus"])):
         write_text_atomic(path, corpus_mod.serialize_corpus(part))
     _summary({"command": "corpus-subset",
@@ -212,7 +213,7 @@ def cmd_pairs(cfg, args):
         with _open_input(paths["train_corpus"], "train corpus") as f:
             star = corpus_mod.parse_corpus(f)
         pairs = train_mod.generate_finetune_pairs(
-            star, ontology, per_mention_cap=cfg["finetune"]["per_mention_cap"])
+            star, ontology, cfg["finetune"]["per_mention_cap"])
         out_path = paths["finetune_pairs"]
     lines = train_mod.serialize_pairs(pairs)
     write_text_atomic(out_path, "".join(lines))
@@ -260,11 +261,8 @@ def cmd_train(cfg, args):
         pairs = train_mod.read_pairs(f)
     # params that record an epoch (a checkpoint) resume after it
     params, loss_log = train_mod.run_training(
-        params, pairs,
-        train_mod.TrainConfig(**{**cfg["train"], "epochs": epochs}, seed=cfg["seed"]),
-        train_mod.MiningConfig(**cfg["mining"]), train_mod.MsLossConfig(**cfg["loss"]),
-        checkpoint_dir=checkpoint_dir,
-        start_epoch=0 if params.epoch is None else params.epoch + 1)
+        params, pairs, cfg, epochs, checkpoint_dir,
+        0 if params.epoch is None else params.epoch + 1)
     enc.save_params(paths[out_key], params)
     write_text_atomic(paths[f"{prefix}_loss_log"], _json(loss_log) + "\n")
     _summary({"command": stage, "epochs": epochs, "pairs": len(pairs),
@@ -296,7 +294,7 @@ def cmd_index_build(cfg, args):
     # the flat index is the one-list index, which search_ivf scans exactly
     for key, lists in (("flat_index", 1), ("ivf_index", nlist)):
         index = index_mod.build_ivf(compressed, ids, cuis, groups, lists,
-                                    seed=cfg["seed"])
+                                    cfg["seed"])
         index.params_sha256, index.pca_sha256 = params.sha256, pca_sha256
         index_mod.save_ivf(paths[key], index)
     for key, used in (("pca_k", k), ("nlist", nlist)):
@@ -368,7 +366,7 @@ def cmd_link(cfg, args):
 
     if args.mention is not None:
         [result], _ = index_mod.link_mentions([args.mention], params, transform,
-                                              index, top_k=top_k)
+                                              index, top_k)
         if isinstance(result, DataError):
             raise result
         _summary(_link_payload(args.mention, result))
@@ -376,7 +374,7 @@ def cmd_link(cfg, args):
     with _open_input(args.input, "mention list") as f:
         mentions = [raw.rstrip("\n") for raw in f]
     results, rows_scored = index_mod.link_mentions(mentions, params, transform,
-                                                   index, top_k=top_k)
+                                                   index, top_k)
     lines = [_json(_link_payload(m, r)) for m, r in zip(mentions, results)]
     errors = sum(isinstance(r, DataError) for r in results)
     write_text_atomic(cfg["paths"]["link_output"],

@@ -55,6 +55,7 @@ DEFAULTS = {
             "site_url": "https://nl.wikipedia.org/",
             "property_id": "P2892",
             "language": "nl",
+            "cache_dir": None,   # null -> SPARQL responses are not cached
         },
         "abbreviations": None,   # null -> built-in default list
         "split_ratio": 0.8,
@@ -97,7 +98,8 @@ def _strings(value):
 
 def _subterm(entry):
     return (isinstance(entry, dict) and set(entry) == {"pattern", "vocabs"}
-            and isinstance(entry["pattern"], str) and _strings(entry["vocabs"]))
+            and isinstance(entry["pattern"], str) and entry["pattern"].strip() != ""
+            and _strings(entry["vocabs"]))
 
 
 def _leaf_type_ok(value, default):
@@ -121,7 +123,7 @@ _LEAF_TYPES = {
     "corpus.abbreviations": ("list of str or null",
                              lambda v: v is None or _strings(v)),
     "ontology.descriptive_subterms": (
-        "list of {pattern: str, vocabs: list of str}",
+        "list of {pattern: non-blank str, vocabs: list of str}",
         lambda v: isinstance(v, list) and all(_subterm(e) for e in v)),
     "corpus.split_ratio": ("finite float in (0, 1)",
                            lambda v: _positive(v) and v < 1),

@@ -116,7 +116,7 @@ def load_article_map_tsv(stream):
     return amap
 
 
-def build_sparql_query(site_url, property_id="P2892", language="nl"):
+def build_sparql_query(site_url, property_id, language):
     return SPARQL_QUERY_TEMPLATE.format(
         property_id=property_id, site_url=site_url, language=language)
 
@@ -138,20 +138,19 @@ def _default_fetcher(url):
         raise NetworkError(f"SPARQL endpoint {endpoint!r} is not a URL") from e
 
 
-def load_article_map_sparql(endpoint, site_url, property_id="P2892",
-                            language="nl", fetcher=None, cache_dir=None):
+def load_article_map_sparql(endpoint, site_url, property_id, language,
+                            cache_dir, fetcher=None):
     """Query the knowledge graph for article -> CUI bindings.
 
     Responses are standard SPARQL-JSON. An article's title is the unquoted
     rest of its IRI after the site's ``wiki/`` path, ``/`` included; a
     binding that lacks a value, has one that is not a string, or names an
-    article of another site is skipped with a counter. Results may be
-    cached on disk (``cache_dir`` or the BELFORGE_CACHE_DIR environment
-    variable); a fetched response is cached only once it parses.
+    article of another site is skipped with a counter. Responses are
+    cached in ``cache_dir`` if it is set; a fetched response is cached only
+    once it parses.
     """
     query = build_sparql_query(site_url, property_id, language)
     url = endpoint + "?" + urllib.parse.urlencode({"query": query, "format": "json"})
-    cache_dir = cache_dir or os.environ.get("BELFORGE_CACHE_DIR")
     cache_path = raw = None
     if cache_dir:
         digest = hashlib.sha256(url.encode("utf-8")).hexdigest()
@@ -298,7 +297,7 @@ def compute_stats(sentences, mentions, ontology=None):
     return stats
 
 
-def build_star_subset(sentences, mentions, ontology, split_ratio=0.8, seed=0):
+def build_star_subset(sentences, mentions, ontology, split_ratio, seed):
     """Deduplicated, ontology-filtered subset split into train/validation.
 
     Keeps the first occurrence of each unique mention string (exact,

@@ -31,7 +31,7 @@ class EncoderParams:
     b1: np.ndarray  # hidden
     W2: np.ndarray  # dim x hidden
     b2: np.ndarray  # dim
-    lowercase: bool = False
+    lowercase: bool
     # payload digest of the artifact these weights were loaded from
     sha256: str | None = None
     # for a training checkpoint, the index of the epoch that ended in it
@@ -51,7 +51,7 @@ class EncoderGrads:
     b2: np.ndarray
 
 
-def init_params(seed, n_min=2, n_max=4, buckets=4096, hidden=64, dim=32, lowercase=False):
+def init_params(seed, n_min, n_max, buckets, hidden, dim, lowercase):
     """Seeded uniform init: weights in [-1/sqrt(fan_in), 1/sqrt(fan_in)], zero biases."""
     rng = np.random.default_rng(seed)
     s1 = 1.0 / np.sqrt(buckets)
@@ -67,7 +67,7 @@ def init_params(seed, n_min=2, n_max=4, buckets=4096, hidden=64, dim=32, lowerca
 
 def featurize_texts(params, texts):
     return featurize_batch(texts, params.n_min, params.n_max, params.buckets,
-                           lowercase=params.lowercase)
+                           params.lowercase)
 
 
 def forward_batch(params, feats):

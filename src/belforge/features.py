@@ -18,7 +18,7 @@ _FNV_OFFSET = np.uint64(0xCBF29CE484222325)
 _FNV_PRIME = np.uint64(0x100000001B3)
 
 
-def prepare(text, lowercase=False):
+def prepare(text, lowercase):
     """The string whose n-grams are hashed: ``text`` trimmed, optionally
     lowercased, and wrapped with boundary markers.
 
@@ -41,7 +41,7 @@ def utf8(text):
         raise UnencodableTextError(f"text is not encodable as UTF-8: {e}") from e
 
 
-def featurize_batch(texts, n_min, n_max, buckets, lowercase=False):
+def featurize_batch(texts, n_min, n_max, buckets, lowercase):
     """Hash the char n-grams of every text into a sparse count vector.
 
     Each text is first passed through ``prepare``. Returns one

@@ -172,7 +172,7 @@ def _kmeans(rows, nlist, rng):
     return centroids, labels
 
 
-def build_ivf(vectors, ids, cuis, groups, nlist, seed=0):
+def build_ivf(vectors, ids, cuis, groups, nlist, seed):
     """Inverted-file index of the unit-normalized rows, each stored with its
     term id, CUI and group: k-means++ seeded centroids, Lloyd refinement,
     each row in the list of its nearest centroid."""
@@ -296,7 +296,7 @@ def search_ivf(index, chunk, top_k, real):
     return _rank(scores, index.ids, index.cuis, top_k, rows, counts), len(pos)
 
 
-def link_mentions(texts, params, transform, index, top_k=10):
+def link_mentions(texts, params, transform, index, top_k):
     """Encode, project and search; the predicted CUI is the top neighbor's,
     read from its index row.
 
@@ -312,7 +312,7 @@ def link_mentions(texts, params, transform, index, top_k=10):
     todo = []
     for i, text in enumerate(texts):
         try:
-            utf8(prepare(text))
+            utf8(prepare(text, params.lowercase))
             todo.append(i)
         except DataError as e:
             results[i] = e

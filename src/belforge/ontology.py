@@ -51,17 +51,6 @@ class CrosswalkRow:
 
 
 @dataclass
-class FilterConfig:
-    """The ``ontology`` config section but its column_map, as the schema has it."""
-    drop_vocabs: tuple = ()
-    # entries {"pattern": literal substring, "vocabs": vocabs it applies to}
-    descriptive_subterms: tuple = ()
-    drop_tuis: tuple = ()
-    drug_vocabs: tuple = ()
-    dedupe_case_insensitive: bool = True
-
-
-@dataclass
 class OntologyRecord:
     term_id: int
     cui: str
@@ -171,7 +160,8 @@ def crosswalk_terms(targets, bridge):
 
 
 def build_ontology(concepts, sty, groups, crosswalk, config):
-    """Run the full filter/enrichment pipeline.
+    """Run the full filter/enrichment pipeline under the checked
+    ``ontology`` config section, whose column_map it does not read.
 
     Steps, in order: (1) drop configured vocabularies, (2) strip descriptive
     subterm substrings, (3) dedupe on (cui, text), (4) add crosswalked
@@ -183,13 +173,14 @@ def build_ontology(concepts, sty, groups, crosswalk, config):
     group is OTHER. Returns (records, [(step, records remaining)]).
     """
     steps = []
-    drug_vocabs, drop_vocabs, drop_tuis = map(frozenset, (
-        config.drug_vocabs, config.drop_vocabs, config.drop_tuis))
+    drug_vocabs, drop_vocabs, drop_tuis = (
+        frozenset(config[k]) for k in ("drug_vocabs", "drop_vocabs", "drop_tuis"))
+    # entries {"pattern": literal substring, "vocabs": vocabs it applies to}
     subterms = [(e["pattern"], frozenset(e["vocabs"]))
-                for e in config.descriptive_subterms]
+                for e in config["descriptive_subterms"]]
     drug_pool = [r for r in concepts if r.vocab in drug_vocabs]
     kept = [r for r in concepts if r.vocab not in drug_vocabs]
-    fold = str.lower if config.dedupe_case_insensitive else str
+    fold = str.lower if config["dedupe_case_insensitive"] else str
     seen = set()
 
     def unseen(records):

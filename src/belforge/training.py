@@ -21,27 +21,6 @@ class PositivePair:
     term_b: str
 
 
-@dataclass
-class MiningConfig:
-    margin: float = 0.2
-
-
-@dataclass
-class MsLossConfig:
-    alpha: float = 2.0
-    beta: float = 50.0
-    base: float = 0.5
-
-
-@dataclass
-class TrainConfig:
-    learning_rate: float = 1e-4
-    weight_decay: float = 0.01
-    batch_size: int = 512
-    epochs: int = 1
-    seed: int = 0
-
-
 def generate_pretrain_pairs(ontology):
     """All C(k,2) synonym pairs per CUI, over its distinct term strings."""
     terms_by_cui = {}
@@ -57,7 +36,7 @@ def generate_pretrain_pairs(ontology):
     return pairs
 
 
-def generate_finetune_pairs(star_slice, ontology, per_mention_cap=50):
+def generate_finetune_pairs(star_slice, ontology, per_mention_cap):
     """Pair each weak-corpus mention with the ontology terms of its CUI.
 
     Terms are taken in ascending term_id up to the cap; a term identical to
@@ -81,14 +60,20 @@ def generate_finetune_pairs(star_slice, ontology, per_mention_cap=50):
 
 def serialize_pairs(pairs):
     """The pair file's ``CUI||term 1||term 2`` lines, each ending in a
-    newline; pairs with a term containing the separator or a line break,
-    which would split its line, are dropped with a warning."""
-    lines = [f"{p.cui}||{p.term_a}||{p.term_b}\n" for p in pairs
-             if not any(bad in term for term in (p.term_a, p.term_b)
-                        for bad in ("||", "\n", "\r"))]
+    newline. A pair whose line ``read_pairs`` would not read back as this
+    pair (a line break, a blank term, or a '|' that joins the separator) is
+    dropped with a warning."""
+    lines = []
+    for p in pairs:
+        fields = [p.cui, p.term_a, p.term_b]
+        line = "||".join(fields)
+        if ("\n" not in line and "\r" not in line and line.split("||") == fields
+                and p.term_a.strip() and p.term_b.strip()):
+            lines.append(line + "\n")
     if len(lines) < len(pairs):
-        log.warning("dropped %d pairs containing the '||' separator or a line "
-                    "break", len(pairs) - len(lines))
+        log.warning("dropped %d pairs whose line would not read back: a line "
+                    "break, a blank term or a '|' joining the '||' separator",
+                    len(pairs) - len(lines))
     return lines
 
 
@@ -120,7 +105,7 @@ def _symmetrize(G, pos, neg):
 
 # a diverging loss is reported by run_training, not by numpy warnings
 @np.errstate(over="ignore", invalid="ignore")
-def _ms_step(E, labels, margin, config, work):
+def _ms_step(E, labels, margin, loss_cfg, work):
     """Online mining and the Multi-Similarity loss of one batch of n unit rows:
     (a, p) is mined iff D[a,p] >= min-negative-distance + margin, (a, n) iff
     max-positive-distance >= D[a,n] + margin, over the Gram-form distances
@@ -169,7 +154,7 @@ def _ms_step(E, labels, margin, config, work):
     n_active = int(active.sum())
     if n_active == 0:
         return 0.0, G, pos, neg
-    a, b, eps = config.alpha, config.beta, config.base
+    a, b, eps = loss_cfg["alpha"], loss_cfg["beta"], loss_cfg["base"]
     pos_exp = np.exp(-a * (s_pos - eps))
     neg_exp = np.exp(b * (s_neg - eps))
     # row sums over zero-filled rows add the mined terms in a dense sum's
@@ -190,9 +175,10 @@ def _ms_step(E, labels, margin, config, work):
     return loss, G, pos, neg
 
 
-def train_epoch(pairs, params, train_cfg, mining_cfg, loss_cfg,
-                epoch_index=0, feature_cache=None):
-    """One pass over the positive pairs. Returns (updated params, mean loss).
+def train_epoch(pairs, params, cfg, epoch_index, feature_cache=None):
+    """One pass over the positive pairs under the checked config ``cfg``
+    (its seed, train, mining.margin and loss settings). Returns (updated
+    params, mean loss).
 
     Pairs are shuffled deterministically from (seed, epoch_index); within
     each batch both pair elements are encoded, every in-batch pair that
@@ -205,10 +191,10 @@ def train_epoch(pairs, params, train_cfg, mining_cfg, loss_cfg,
         raise DataError("cannot train on an empty pair list")
     params = params.copy()
     cache = feature_cache if feature_cache is not None else {}
-    rng = np.random.default_rng([train_cfg.seed, epoch_index])
+    rng = np.random.default_rng([cfg["seed"], epoch_index])
     order = rng.permutation(len(pairs))
-    bs = train_cfg.batch_size
-    lr, wd = train_cfg.learning_rate, train_cfg.weight_decay
+    train = cfg["train"]
+    bs, lr, wd = train["batch_size"], train["learning_rate"], train["weight_decay"]
     work = np.empty((2, (2 * min(bs, len(pairs))) ** 2))
 
     losses = []
@@ -225,7 +211,8 @@ def train_epoch(pairs, params, train_cfg, mining_cfg, loss_cfg,
         row = [slot[t] for t in texts]
         E = E[row]
 
-        loss, G, pos, neg = _ms_step(E, labels, mining_cfg.margin, loss_cfg, work)
+        loss, G, pos, neg = _ms_step(E, labels, cfg["mining"]["margin"],
+                                     cfg["loss"], work)
         losses.append(loss)
         mined_any = mined_any or pos[0].size > 0 or neg[0].size > 0
 
@@ -242,19 +229,17 @@ def train_epoch(pairs, params, train_cfg, mining_cfg, loss_cfg,
     return params, float(np.mean(losses)) if losses else 0.0
 
 
-def run_training(params, pairs, train_cfg, mining_cfg, loss_cfg,
-                 checkpoint_dir=None, start_epoch=0):
-    """Run ``train_cfg.epochs`` training epochs, checkpointing per epoch.
+def run_training(params, pairs, cfg, epochs, checkpoint_dir, start_epoch):
+    """Run ``epochs`` training epochs from ``start_epoch`` under the checked
+    config ``cfg``, checkpointing per epoch into ``checkpoint_dir`` if set.
 
     Zero epochs return the input params unchanged (the 0-epoch baseline).
     Returns (params, loss_log) with one mean-loss entry per epoch.
     """
     loss_log = []
     cache = {}
-    for ep in range(start_epoch, start_epoch + train_cfg.epochs):
-        params, mean_loss = train_epoch(pairs, params, train_cfg, mining_cfg,
-                                        loss_cfg, epoch_index=ep,
-                                        feature_cache=cache)
+    for ep in range(start_epoch, start_epoch + epochs):
+        params, mean_loss = train_epoch(pairs, params, cfg, ep, feature_cache=cache)
         if not np.isfinite(mean_loss):
             raise DataError(f"epoch {ep}: mean loss {mean_loss} is not finite")
         loss_log.append(mean_loss)

@@ -23,6 +23,7 @@ _BRACES_RE = re.compile(r"\{\{|\}\}")
 _BRACKETS_RE = re.compile(r"\[\[|\]\]")
 # '\s' and str.isspace() agree on every code point
 _BOUNDARY_RE = re.compile(r"[.!?]\s+")
+_SPACES_RE = re.compile(r"\s+")
 
 
 @dataclass
@@ -56,7 +57,9 @@ def _resolve_links(markup):
     """Convert [[T|a]] / [[T]] to anchor text, recording offsets into the
     cleaned string. Media/category links and nested-bracket constructs are
     dropped entirely so pipes never leak into the output; an opener without
-    a matching ']]' is dropped, its text kept."""
+    a matching ']]' is dropped, its text kept. Each whitespace run in an
+    anchor is folded to one space, as a rendered page shows it; an anchor
+    that is only whitespace stays text but makes no link."""
     # one stack pass pairs every '[[' with its ']]': [start, end, nested]
     openers, stack = [], []
     for m in _BRACKETS_RE.finditer(markup):
@@ -85,12 +88,16 @@ def _resolve_links(markup):
         if nested or len(parts) > 2 or not target or prefix in DEFAULT_DROP_PREFIXES:
             continue
         anchor = parts[1] if len(parts) == 2 else target
+        # every whitespace character but ' ' is unprintable: a plain anchor
+        # skips the regex
+        if "  " in anchor or not anchor.isprintable():
+            anchor = _SPACES_RE.sub(" ", anchor)
         # section anchors link to the page itself
         page = target.split("#", 1)[0].strip() or target
-        if anchor:
-            pieces.append(anchor)
+        if anchor.strip():
             links.append(LinkSpan(pos, pos + len(anchor), anchor, page))
-            pos += len(anchor)
+        pieces.append(anchor)
+        pos += len(anchor)
     pieces.append(markup[i:])
     return "".join(pieces), links
 

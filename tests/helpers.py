@@ -1,5 +1,6 @@
-"""Shared fixture generators for the test suite: random strings, synthetic
-synonym ontologies, and edit-distance perturbed mentions; one-text encoder
+"""Shared fixture generators for the test suite: the checked pipeline config
+with overrides, random strings, synthetic synonym ontologies, and
+edit-distance perturbed mentions; one-text encoder
 and featurizer helpers over the batch functions, a term table for test
 indexes, a one-query index search, the PCA inverse and the evaluation
 report reader.
@@ -11,6 +12,7 @@ import numpy as np
 
 from belforge import encoder as enc
 from belforge import index as ix
+from belforge.config import DEFAULTS, apply_overrides
 from belforge.corpus import CorpusSlice, MentionAnnotation, SentenceRecord
 from belforge.evaluation import EvalReport, GroupResult
 from belforge.features import featurize_batch
@@ -22,6 +24,20 @@ SEMANTIC_GROUPS = frozenset({
     "DISO", "CHEM", "PROC", "ANAT", "LIVB", "PHEN", "DEVI", "PHYS",
     "ACTI", "OBJC", "GENE", "OCCU", "CONC", "OTHER",
 })
+
+
+def config(*overrides):
+    """The pipeline config: DEFAULTS with ``section.key=value`` overrides,
+    each checked against the schema as the CLI checks a --set."""
+    return apply_overrides(DEFAULTS, overrides)
+
+
+def fresh_params(seed, **encoder):
+    """``encoder.init_params`` under the encoder section of ``config()``,
+    with the ``encoder`` settings given as its overrides."""
+    overrides = (f"encoder.{key}={json.dumps(value)}"
+                 for key, value in encoder.items())
+    return enc.init_params(seed, **config(*overrides)["encoder"])
 
 
 def random_word(rng, lo=4, hi=10):

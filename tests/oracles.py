@@ -54,10 +54,10 @@ def mining_masks(distances, labels, margin):
     return pos_mask, neg_mask
 
 
-def ms_loss_masks(similarities, pos_mask, neg_mask, config):
+def ms_loss_masks(similarities, pos_mask, neg_mask, loss_cfg):
     """Multi-Similarity loss and its exact gradient w.r.t. the similarity
-    matrix, given per-anchor positive/negative participation masks, with
-    every term evaluated densely."""
+    matrix, given per-anchor positive/negative participation masks and the
+    ``loss`` config section, with every term evaluated densely."""
     S = np.asarray(similarities, dtype=float)
     active = pos_mask.any(axis=1) | neg_mask.any(axis=1)
     n_active = int(active.sum())
@@ -65,7 +65,7 @@ def ms_loss_masks(similarities, pos_mask, neg_mask, config):
     if n_active == 0:
         return 0.0, grad
 
-    a, b, eps = config.alpha, config.beta, config.base
+    a, b, eps = loss_cfg["alpha"], loss_cfg["beta"], loss_cfg["base"]
     pos_exp = np.where(pos_mask, np.exp(-a * (S - eps)), 0.0)
     neg_exp = np.where(neg_mask, np.exp(b * (S - eps)), 0.0)
     pos_sum = pos_exp.sum(axis=1)
@@ -92,16 +92,15 @@ def forward_features(params, indices, values):
     return e, h, norm
 
 
-def train_epoch(pairs, params, train_cfg, mining_cfg, loss_cfg,
-                epoch_index=0, feature_cache=None):
+def train_epoch(pairs, params, cfg, epoch_index, feature_cache=None):
     """``training.train_epoch`` composed from the dense oracles above, with
     a forward pass for every row of the batch, repeated texts included."""
     params = params.copy()
     cache = feature_cache if feature_cache is not None else {}
-    rng = np.random.default_rng([train_cfg.seed, epoch_index])
+    rng = np.random.default_rng([cfg["seed"], epoch_index])
     order = rng.permutation(len(pairs))
-    bs = max(train_cfg.batch_size, 1)
-    lr, wd = train_cfg.learning_rate, train_cfg.weight_decay
+    train = cfg["train"]
+    bs, lr, wd = train["batch_size"], train["learning_rate"], train["weight_decay"]
     losses = []
     for start in range(0, len(order), bs):
         batch = [pairs[i] for i in order[start:start + bs]]
@@ -114,8 +113,8 @@ def train_epoch(pairs, params, train_cfg, mining_cfg, loss_cfg,
                                         for f in feats))
         E = np.vstack(outs)
         pos_mask, neg_mask = mining_masks(pairwise_distances(E), labels,
-                                          mining_cfg.margin)
-        loss, G = ms_loss_masks(E @ E.T, pos_mask, neg_mask, loss_cfg)
+                                          cfg["mining"]["margin"])
+        loss, G = ms_loss_masks(E @ E.T, pos_mask, neg_mask, cfg["loss"])
         losses.append(loss)
         dE = (G + G.T) @ E
         grads = enc.backward_batch(
@@ -126,7 +125,7 @@ def train_epoch(pairs, params, train_cfg, mining_cfg, loss_cfg,
     return params, float(np.mean(losses))
 
 
-def mine_hard_triplets(embeddings, labels, config):
+def mine_hard_triplets(embeddings, labels, margin):
     """Enumerate triplets violating the margin condition: every (anchor,
     positive, negative) with anchor/positive sharing a label, negative not,
     and distance(a, p) >= distance(a, n) + margin.
@@ -146,7 +145,7 @@ def mine_hard_triplets(embeddings, labels, config):
             continue
         dp = dist[a, pos]
         dn = dist[a, neg]
-        viol = dp[:, None] >= dn[None, :] + config.margin
+        viol = dp[:, None] >= dn[None, :] + margin
         for pi, ni in zip(*np.nonzero(viol)):
             triplets.append(Triplet(a, pos[pi], neg[ni]))
     return triplets
@@ -161,7 +160,7 @@ def masks_from_triplets(n, triplets):
     return pos_mask, neg_mask
 
 
-def ms_loss(similarities, labels, mined, config):
+def ms_loss(similarities, labels, mined, loss_cfg):
     """Loss over the positives/negatives appearing in mined triplets.
 
     Returns (loss, dL/dS). The loss is averaged over anchors with at least
@@ -169,7 +168,7 @@ def ms_loss(similarities, labels, mined, config):
     """
     S = np.asarray(similarities, dtype=float)
     pos_mask, neg_mask = masks_from_triplets(S.shape[0], mined)
-    return ms_loss_masks(S, pos_mask, neg_mask, config)
+    return ms_loss_masks(S, pos_mask, neg_mask, loss_cfg)
 
 
 def drop_templates(markup):
@@ -195,8 +194,9 @@ def drop_templates(markup):
 
 
 def resolve_links(markup, drop_prefixes):
-    """Convert [[T|a]] / [[T]] to anchor text, recording offsets into the
-    cleaned string. Each opener rescans to its closer, or to the end of the
+    """Convert [[T|a]] / [[T]] to anchor text, its whitespace runs folded,
+    recording offsets into the cleaned string; an anchor of whitespace only
+    makes no link. Each opener rescans to its closer, or to the end of the
     text when it has none."""
     pieces = []
     links = []
@@ -231,13 +231,20 @@ def resolve_links(markup, drop_prefixes):
             if nested or len(parts) > 2 or not target or prefix in drop_prefixes:
                 i = j
                 continue
-            anchor = parts[1] if len(parts) == 2 else target
+            # each whitespace run of the anchor folded to one space
+            folded = []
+            for c in parts[1] if len(parts) == 2 else target:
+                if not c.isspace():
+                    folded.append(c)
+                elif not folded or folded[-1] != " ":
+                    folded.append(" ")
+            anchor = "".join(folded)
             # section anchors link to the page itself
             page = target.split("#", 1)[0].strip() or target
-            if anchor:
-                pieces.append(anchor)
+            if any(not c.isspace() for c in anchor):
                 links.append(LinkSpan(pos, pos + len(anchor), anchor, page))
-                pos += len(anchor)
+            pieces.append(anchor)
+            pos += len(anchor)
             i = j
         else:
             pieces.append(markup[i])

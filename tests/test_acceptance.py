@@ -13,14 +13,13 @@ from dataclasses import replace
 import numpy as np
 
 from belforge import corpus as corpus_mod
-from belforge import encoder as enc
 from belforge import evaluation as ev
 from belforge import index as ix
 from belforge import ontology as onto
 from belforge import training as tr
 from belforge.cli import main as cli_main
-from helpers import (encode, encode_backward, featurize_text,
-                     make_perturbed_mentions, make_synthetic_ontology,
+from helpers import (config, encode, encode_backward, featurize_text,
+                     fresh_params, make_perturbed_mentions, make_synthetic_ontology,
                      mentions_as_slice, random_unit_rows, random_word,
                      reconstruct, search, term_table)
 from oracles import Triplet, mine_hard_triplets, ms_loss
@@ -83,21 +82,21 @@ def _sixty_record_fixture():
         onto.CrosswalkRow(999, "geen match"),        # unmatched -> dropped
         onto.CrosswalkRow(103, "bridge term five"),  # duplicate -> not added
     ]
-    config = onto.FilterConfig(
-        drop_vocabs=frozenset({"LOINC"}),
-        descriptive_subterms=[
-            {"pattern": ", niet gespecificeerd", "vocabs": ["ICD10DUT"]}],
-        drop_tuis=frozenset({"T999"}),
-        drug_vocabs=frozenset({"ATC"}),
-    )
-    return records, sty, groups, crosswalk, config
+    filters = config(
+        'ontology.drop_vocabs=["LOINC"]',
+        'ontology.descriptive_subterms=[{"pattern": ", niet gespecificeerd", '
+        '"vocabs": ["ICD10DUT"]}]',
+        'ontology.drop_tuis=["T999"]',
+        'ontology.drug_vocabs=["ATC"]',
+    )["ontology"]
+    return records, sty, groups, crosswalk, filters
 
 
 def test_criterion_01():
     start = time.perf_counter()
-    concepts, sty, groups, crosswalk, config = _sixty_record_fixture()
+    concepts, sty, groups, crosswalk, filters = _sixty_record_fixture()
     records, steps = onto.build_ontology(concepts, sty, groups, crosswalk,
-                                         config)
+                                         filters)
     # hand simulation: 55 non-drug records; step 1 drops the 10 LOINC rows;
     # step 2 empties the 2 bare-pattern rows; step 3 removes the 5 case
     # duplicates; step 4 adds 2 of 5 crosswalk rows; step 5 drops the 4
@@ -252,16 +251,14 @@ def test_criterion_04():
         E = rng.normal(size=(n, 6))
         labels = [str(rng.integers(0, 6)) for _ in range(n)]
         for margin in (0.0, 0.2, 1.0):
-            mined = mine_hard_triplets(E, labels,
-                                       tr.MiningConfig(margin=margin))
+            mined = mine_hard_triplets(E, labels, margin)
             got = {(t.anchor_idx, t.positive_idx, t.negative_idx)
                    for t in mined}
             want = _brute_force_triplets(E, labels, margin)
             mismatches += got != want
             # the miner that trains, against the oracle's (anchor, positive)
             # and (anchor, negative) entries
-            _, _, pos, neg = tr._ms_step(E, labels, margin,
-                                         tr.MsLossConfig(),
+            _, _, pos, neg = tr._ms_step(E, labels, margin, config()["loss"],
                                          np.full((2, n * n), np.nan))
             mismatches += set(zip(pos[0].tolist(), pos[1].tolist())) != \
                 {(a, p) for a, p, _ in want}
@@ -286,8 +283,8 @@ def _generic_encoder_draw(rng, trial):
     """Params and text away from relu kinks and the zero-norm switch, with
     unit pre-normalization magnitude so finite differences are well posed."""
     for attempt in range(100):
-        p = enc.init_params(9000 + 100 * trial + attempt, buckets=64, hidden=6,
-                            dim=4)
+        p = fresh_params(9000 + 100 * trial + attempt, buckets=64, hidden=6,
+                         dim=4)
         p.b1 = rng.normal(scale=0.1, size=p.hidden)
         text = random_word(rng, 3, 9)
         idx, vals = featurize_text(p, text)
@@ -306,7 +303,7 @@ def test_criterion_05():
     # hand-evaluated multi-similarity value: one anchor with a positive at
     # similarity 0.9 and a negative at 0.8, alpha=2, beta=50, base=0.5
     S = np.array([[1.0, 0.9, 0.8], [0.9, 1.0, 0.0], [0.8, 0.0, 1.0]])
-    cfg = tr.MsLossConfig(alpha=2.0, beta=50.0, base=0.5)
+    cfg = config("loss.alpha=2.0", "loss.beta=50.0", "loss.base=0.5")["loss"]
     loss, _ = ms_loss(S, ["a", "a", "b"], [Triplet(0, 1, 2)], cfg)
     assert abs(loss - 0.4856) < 1e-3
 
@@ -317,7 +314,7 @@ def test_criterion_05():
         E = random_unit_rows(rng, n, 3)
         sims = E @ E.T
         labels = [str(rng.integers(0, 3)) for _ in range(n)]
-        mined = mine_hard_triplets(E, labels, tr.MiningConfig(margin=0.2))
+        mined = mine_hard_triplets(E, labels, 0.2)
         if mined:
             _, grad = ms_loss(sims, labels, mined, cfg)
             step = 1e-6
@@ -363,7 +360,8 @@ def _linking_accuracy(params, ontology, mention_list, pca_k=64):
     transform = ix.fit_pca(E, pca_k)
     flat = ix.build_ivf(ix.apply_pca(transform, E),
                         np.arange(len(ontology), dtype=np.int64),
-                        [r.cui for r in ontology], [r.group for r in ontology], 1)
+                        [r.cui for r in ontology], [r.group for r in ontology],
+                        1, seed=0)
     results, _ = ix.link_mentions([text for text, _ in mention_list], params,
                                   transform, flat, top_k=1)
     hits = sum(pred == cui for (pred, _), (_, cui) in zip(results, mention_list))
@@ -372,31 +370,28 @@ def _linking_accuracy(params, ontology, mention_list, pca_k=64):
 
 def test_criterion_06():
     start = time.perf_counter()
-    mining = tr.MiningConfig(margin=0.2)
-    loss_cfg = tr.MsLossConfig()
     for seed in (0, 1, 2):
         ontology, cores = make_synthetic_ontology(seed=seed, n_concepts=200,
                                                   variants=4, n_affixes=30)
         held_out = make_perturbed_mentions(cores, seed=seed + 100, n=500,
                                            core_edits=2)
-        params = enc.init_params(seed, buckets=1024, hidden=192, dim=96)
+        params = fresh_params(seed, buckets=1024, hidden=192, dim=96)
         baseline = _linking_accuracy(params, ontology, held_out)
 
         pairs = tr.generate_pretrain_pairs(ontology)
-        pre_cfg = tr.TrainConfig(learning_rate=0.5, weight_decay=0.01,
-                                 batch_size=64, epochs=3, seed=seed)
-        pretrained, _ = tr.run_training(params, pairs, pre_cfg, mining,
-                                        loss_cfg)
+        settings = (f"seed={seed}", "train.weight_decay=0.01",
+                    "train.batch_size=64", "mining.margin=0.2")
+        pre_cfg = config(*settings, "train.learning_rate=0.5")
+        pretrained, _ = tr.run_training(params, pairs, pre_cfg, 3, None, 0)
         pre_acc = _linking_accuracy(pretrained, ontology, held_out)
         assert pre_acc >= baseline + 0.15, (seed, baseline, pre_acc)
 
         weak = make_perturbed_mentions(cores, seed=seed + 200, n=200,
                                        core_edits=2)
-        ft_pairs = tr.generate_finetune_pairs(mentions_as_slice(weak), ontology)
-        ft_cfg = tr.TrainConfig(learning_rate=0.1, weight_decay=0.01,
-                                batch_size=64, epochs=4, seed=seed)
-        finetuned, _ = tr.run_training(pretrained, ft_pairs, ft_cfg, mining,
-                                       loss_cfg)
+        ft_pairs = tr.generate_finetune_pairs(mentions_as_slice(weak), ontology,
+                                              50)
+        ft_cfg = config(*settings, "train.learning_rate=0.1")
+        finetuned, _ = tr.run_training(pretrained, ft_pairs, ft_cfg, 4, None, 0)
         ft_acc = _linking_accuracy(finetuned, ontology, held_out)
         assert ft_acc >= pre_acc + 0.03, (seed, pre_acc, ft_acc)
     assert time.perf_counter() - start < 300.0
@@ -451,7 +446,7 @@ def test_criterion_08():
         k = int(rng.integers(2, 10))
         V = random_unit_rows(rng, n, k)
         ids = rng.permutation(n).astype(np.int64)
-        flat = ix.build_ivf(V, ids, *term_table(ids), 1)
+        flat = ix.build_ivf(V, ids, *term_table(ids), 1, seed=0)
         q = random_unit_rows(rng, 1, k)[0]
         top_k = int(rng.integers(1, n + 2))
         got = search(flat, q, top_k)
@@ -465,7 +460,7 @@ def test_criterion_08():
         V = random_unit_rows(rng, n, 6)
         V[: n // 4] = V[n // 4: 2 * (n // 4)]  # force cross-list score ties
         ids = np.arange(n, dtype=np.int64)
-        flat = ix.build_ivf(V, ids, *term_table(ids), 1)
+        flat = ix.build_ivf(V, ids, *term_table(ids), 1, seed=0)
         nlist = int(rng.integers(1, 10))
         ivf = ix.build_ivf(V, ids, *term_table(ids), nlist=nlist, seed=trial)
         q = random_unit_rows(rng, 1, 6)[0]
@@ -480,7 +475,7 @@ def test_criterion_08():
     V = centers[assign] + 0.05 * rng.normal(size=(n, dim))
     V /= np.linalg.norm(V, axis=1, keepdims=True)
     ids = np.arange(n, dtype=np.int64)
-    flat = ix.build_ivf(V, ids, *term_table(ids), 1)
+    flat = ix.build_ivf(V, ids, *term_table(ids), 1, seed=0)
     ivf = ix.build_ivf(V, ids, *term_table(ids), nlist=64, seed=0)
     queries = centers[rng.integers(0, n_clusters, 200)] \
         + 0.05 * rng.normal(size=(200, dim))

@@ -12,6 +12,7 @@ from belforge import encoder
 from belforge.artifacts import (MAGIC, VERSION, load_artifact, save_artifact,
                                  write_atomic)
 from belforge.errors import ArtifactError
+from helpers import fresh_params
 
 
 def _with_header(header_bytes):
@@ -181,7 +182,7 @@ def test_mutated_artifact_loads_or_is_artifact_error(tmp_path_factory, edits,
 
 
 def _saved_params(path):
-    encoder.save_params(path, encoder.init_params(0, buckets=16, hidden=4, dim=3))
+    encoder.save_params(path, fresh_params(0, buckets=16, hidden=4, dim=3))
     return encoder.load_params
 
 

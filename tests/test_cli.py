@@ -21,6 +21,7 @@ from belforge import index as index_mod
 from belforge.cli import _HANDLERS, _build_parser, main
 from belforge.config import DEFAULTS
 from belforge.errors import DataError, UsageError
+from helpers import fresh_params
 from oracles import search_ivf_per_query
 
 SUBCOMMANDS = list(_HANDLERS)
@@ -255,28 +256,55 @@ class TestPipeline:
         assert len(lines) == 2
         assert json.loads(lines[0])["mention"] == "griep"
 
-    def test_anchor_across_a_line_break_reaches_finetune(self, workspace, caplog):
-        """A one-page dump whose link anchor spans a line break: the anchor
-        keeps its newline through the corpus, its finetune pairs are
-        dropped with a warning instead of splitting their lines, and
-        finetune reads the pair file."""
-        root, config = workspace
-        (root / "dump.xml").write_text(DUMP.split("<page><title>Diabetes")[0].replace(
-            "[[Griep]] geeft", "[[Griep|hoge\nkoorts]] geeft") + "</mediawiki>\n")
+    @staticmethod
+    def dump_with(root, first_link, pages=2):
+        """The dump's first ``pages`` pages, the [[Griep]] link replaced, and a
+        split ratio of 0.9."""
+        kept = "<page>".join(DUMP.split("<page>")[:pages + 1])
+        kept = kept.split("</mediawiki>")[0].replace("[[Griep]] geeft",
+                                                     first_link + " geeft")
+        (root / "dump.xml").write_text(kept + "</mediawiki>\n")
         cfg = json.loads((root / "config.json").read_text())
-        cfg["corpus"]["split_ratio"] = 0.9  # two of the page's three mentions
+        cfg["corpus"]["split_ratio"] = 0.9
         (root / "config.json").write_text(json.dumps(cfg))
+
+    def test_anchor_across_a_line_break_reaches_finetune(self, workspace, caplog):
+        """A link anchor that spans a line break reaches the corpus and the
+        finetune pairs as one line, its whitespace run folded to one
+        space as a rendered page shows it, and finetune reads the pairs."""
+        root, config = workspace
+        self.dump_with(root, "[[Griep|hoge\n  koorts]]", pages=1)
         run_pipeline(config, upto="train")
         with open(root / "out" / "train.xml", encoding="utf-8") as f:
-            anchors = [m.anchor for m in corpus_mod.parse_corpus(f).mentions]
-        assert "hoge\nkoorts" in anchors
+            train = corpus_mod.parse_corpus(f)
+        assert [m.anchor for m in train.mentions] == ["hoge koorts", "hartinfarct"]
+        assert train.sentences[0].text.startswith("hoge koorts geeft vaak koorts")
         caplog.clear()
-        assert main(["pairs", "--stage", "finetune", "--config", config, "--quiet"]) == 0
-        # hoge\nkoorts with griep and with influenza
-        assert "dropped 2 pairs containing the '||' separator or a line break" \
-            in caplog.text
+        assert main(["pairs", "--stage", "finetune", "--config", config,
+                     "--quiet"]) == 0
+        assert "dropped" not in caplog.text
         pairs = (root / "out" / "finetune_pairs.txt").read_text(encoding="utf-8")
-        assert pairs == "C0000002||hartinfarct||myocardinfarct\n"
+        assert pairs == ("C0000001||hoge koorts||griep\n"
+                         "C0000001||hoge koorts||influenza\n"
+                         "C0000002||hartinfarct||myocardinfarct\n")
+        assert main(["finetune", "--config", config, "--quiet"]) == 0
+
+    def test_blank_anchor_makes_no_mention(self, workspace, caplog):
+        """A link whose anchor is only whitespace stays text but makes no
+        mention, so pairs --stage finetune and finetune run through."""
+        root, config = workspace
+        self.dump_with(root, "Ook [[Griep| ]]")
+        run_pipeline(config, upto="corpus-compile")
+        with open(root / "out" / "corpus.xml", encoding="utf-8") as f:
+            full = corpus_mod.parse_corpus(f)
+        assert [m.anchor for m in full.mentions] == [
+            "koorts", "hartinfarct", "suikerziekte", "influenza"]
+        assert full.sentences[0].text.startswith("Ook   geeft vaak koorts")
+        run_pipeline(config, upto="train")
+        caplog.clear()
+        assert main(["pairs", "--stage", "finetune", "--config", config,
+                     "--quiet"]) == 0
+        assert "dropped" not in caplog.text
         assert main(["finetune", "--config", config, "--quiet"]) == 0
 
     def test_link_ivf_index(self, workspace, capsys):
@@ -880,7 +908,7 @@ class TestParamsFormat:
 
     def test_saved_header_records_unit_rows(self, tmp_path):
         path = tmp_path / "p.params"
-        enc.save_params(path, enc.init_params(0, buckets=16, hidden=4, dim=3))
+        enc.save_params(path, fresh_params(0, buckets=16, hidden=4, dim=3))
         meta, _arrays, _sha256 = artifacts.load_artifact(path, "encoder-params")
         assert meta["normalize_output"] is True
 
@@ -888,7 +916,7 @@ class TestParamsFormat:
         """A checkpoint as written while the flag was still an option, with
         its meta spelled out, has the bytes of one written now, so it loads
         and resumes after its epoch."""
-        params = replace(enc.init_params(3, buckets=16, hidden=4, dim=3), epoch=4)
+        params = replace(fresh_params(3, buckets=16, hidden=4, dim=3), epoch=4)
         earlier = tmp_path / "earlier.params"
         artifacts.save_artifact(
             earlier, "encoder-params",
@@ -1186,6 +1214,13 @@ class TestExitCodes:
          [], "ontology.descriptive_subterms"),
         ({"ontology": {"descriptive_subterms": [{"pattern": "x"}]}}, [],
          "ontology.descriptive_subterms"),
+        # a blank pattern would match between every two characters
+        ({"ontology": {"descriptive_subterms": [{"pattern": "",
+                                                 "vocabs": ["MDRDUT"]}]}}, [],
+         "ontology.descriptive_subterms"),
+        ({}, ['ontology.descriptive_subterms=[{"pattern": " \\t", '
+              '"vocabs": ["MDRDUT"]}]'], "ontology.descriptive_subterms"),
+        ({}, ["corpus.sparql.cache_dir=5"], "corpus.sparql.cache_dir"),
     ])
     def test_wrong_leaf_type_usage(self, workspace, capsys, in_file,
                                    overrides, key):
@@ -1547,8 +1582,9 @@ class TestRefusals:
 class TestSparqlCache:
     def test_corpus_compile_reads_the_cached_response(self, workspace, capsys,
                                                       monkeypatch):
-        """With BELFORGE_CACHE_DIR set, corpus-compile maps the articles from
-        the response cached under sha256(url).json and fetches nothing."""
+        """With corpus.sparql.cache_dir set, corpus-compile maps the articles
+        from the response cached under sha256(url).json and fetches
+        nothing."""
         root, config = workspace
         assert main(["corpus-compile", "--config", config, "--quiet"]) == 0
         from_tsv = json.loads(capsys.readouterr().out)
@@ -1570,7 +1606,6 @@ class TestSparqlCache:
         cache.mkdir()
         (cache / (hashlib.sha256(url.encode("utf-8")).hexdigest() + ".json")
          ).write_text(json.dumps({"results": {"bindings": bindings}}))
-        monkeypatch.setenv("BELFORGE_CACHE_DIR", str(cache))
 
         def no_fetch(url):
             raise AssertionError(f"fetched {url}")
@@ -1578,11 +1613,27 @@ class TestSparqlCache:
         monkeypatch.setattr(corpus_mod, "_default_fetcher", no_fetch)
         assert main(["corpus-compile", "--config", config, "--quiet",
                      "--set", "paths.article_map_tsv=null",
-                     "--set", f"corpus.sparql.endpoint=\"{endpoint}\""]) == 0
+                     "--set", f"corpus.sparql.endpoint=\"{endpoint}\"",
+                     "--set", f"corpus.sparql.cache_dir={json.dumps(str(cache))}"]) == 0
         summary = json.loads(capsys.readouterr().out)
         assert summary == from_tsv
         assert summary["mentions"] == 5 and summary["map_entries"] == 4
+        assert summary["map_skipped"] == summary["map_duplicates"] == 0
         assert (root / "out" / "corpus.xml").read_bytes() == corpus_bytes
+
+
+def test_corpus_compile_reports_the_article_map_counts(workspace, capsys):
+    """The summary counts the article map's malformed bindings and the
+    repeated titles, of which the first binding wins."""
+    root, config = workspace
+    (root / "map.tsv").write_text(ARTICLE_MAP + "Q5\tC0000005\n"
+                                  "X6\tC0000006\tOnzin\n"
+                                  "Q7\tC0000007\tgriep\n")
+    assert main(["corpus-compile", "--config", config, "--quiet"]) == 0
+    summary = json.loads(capsys.readouterr().out)
+    assert (summary["map_entries"], summary["map_skipped"],
+            summary["map_duplicates"]) == (4, 2, 1)
+    assert summary["mentions"] == 5
 
 
 UNBALANCED_DUMP = DUMP.replace(
@@ -1699,6 +1750,72 @@ class TestIndexClamp:
         else:
             assert proc.stderr.splitlines() == \
                 [f"INFO belforge: {line} to fit 7 terms of dim 8"]
+
+
+# each stage setting: (another valid value, the command that reads it)
+SETTING_READERS = {
+    "seed": ("1", ["train"]),
+    "encoder.n_min": ("3", ["train"]),
+    "encoder.n_max": ("5", ["train"]),
+    "encoder.buckets": ("128", ["train"]),
+    "encoder.hidden": ("6", ["train"]),
+    "encoder.dim": ("6", ["train"]),
+    "encoder.lowercase": ("true", ["train"]),
+    "train.learning_rate": ("0.5", ["train"]),
+    "train.weight_decay": ("0.5", ["train"]),
+    "train.batch_size": ("2", ["train"]),
+    "train.epochs": ("1", ["train"]),
+    "mining.margin": ("-1.0", ["train"]),
+    "loss.alpha": ("10.0", ["train"]),
+    "loss.beta": ("5.0", ["train"]),
+    "loss.base": ("0.0", ["train"]),
+    "finetune.per_mention_cap": ("0", ["pairs", "--stage", "finetune"]),
+    "finetune.epochs": ("3", ["finetune"]),
+    "index.pca_k": ("4", ["index-build"]),
+    "index.nlist": ("1", ["index-build"]),
+    "index.nprobe": ("1", ["link", "--index", "ivf", "--input", "mentions.txt"]),
+    "index.top_k": ("1", ["link", "--index", "ivf", "--input", "mentions.txt"]),
+    "corpus.split_ratio": ("0.2", ["corpus-subset"]),
+    "ontology.drop_vocabs": ('["MDRDUT"]', ["ontology-build"]),
+    "ontology.descriptive_subterms": (
+        '[{"pattern": "infarct", "vocabs": ["MDRDUT"]}]', ["ontology-build"]),
+    "ontology.drop_tuis": ('["T047"]', ["ontology-build"]),
+    "ontology.drug_vocabs": ('["MDRDUT"]', ["ontology-build"]),
+    "ontology.dedupe_case_insensitive": ("false", ["ontology-build"]),
+}
+
+
+def test_every_setting_reaches_its_stage(workspace, capsys):
+    """Each stage setting, set to another valid value, changes the outputs
+    or the summary of the command that reads it; a setting that a stage
+    stopped reading would leave both as they were."""
+    root, config = workspace
+    # a case duplicate for ontology.dedupe_case_insensitive to keep or drop
+    with open(root / "concepts.psv", "a") as f:
+        f.write("C0000003|DUT|MDRDUT|10008|Koorts\n")
+    (root / "mentions.txt").write_text("griep\nkoorts\nhartinfarct\n")
+    run_pipeline(config, upto="index-build")
+    sections = ("seed", "encoder", "train", "mining", "loss", "finetune",
+                "index", "ontology")
+    assert set(SETTING_READERS) == {"corpus.split_ratio"} | {
+        key for key, _ in _leaves(DEFAULTS) if key.split(".")[0] in sections
+        and not key.startswith("ontology.column_map.")}
+    built = _files(root / "out")
+
+    def run(argv):
+        shutil.rmtree(root / "out")
+        (root / "out").mkdir()
+        for name, data in built.items():
+            (root / "out" / name).write_bytes(data)
+        capsys.readouterr()
+        assert main(argv + ["--config", config, "--quiet"]) == 0, argv
+        return capsys.readouterr().out, _files(root / "out")
+
+    unread = []
+    for key, (value, argv) in SETTING_READERS.items():
+        if run(argv) == run(argv + ["--set", f"{key}={value}"]):
+            unread.append(key)
+    assert unread == []
 
 
 def _leaves(node, prefix=""):

@@ -14,8 +14,18 @@ import oracles
 from belforge import corpus
 from belforge.errors import DataError, NetworkError
 from belforge.ontology import OntologyRecord
+from helpers import config
 
 DUMP_HEADER = '<mediawiki xmlns="http://www.mediawiki.org/xml/export-0.10/">'
+
+
+def load_sparql(fetcher, cache_dir=None):
+    """load_article_map_sparql under the default SPARQL settings, with an
+    example endpoint, ``fetcher`` and ``cache_dir``."""
+    sparql = config('corpus.sparql.endpoint="https://example.org/sparql"',
+                    f"corpus.sparql.cache_dir={json.dumps(cache_dir)}")
+    return corpus.load_article_map_sparql(**sparql["corpus"]["sparql"],
+                                          fetcher=fetcher)
 
 
 def make_dump(pages):
@@ -77,18 +87,14 @@ class TestSparql:
              "article": {"value": "https://nl.wikipedia.org/wiki/Hartinfarct"}},
             {"broken": {}},
         ]}}
-        amap = corpus.load_article_map_sparql(
-            "https://example.org/sparql", "https://nl.wikipedia.org/",
-            fetcher=lambda url: json.dumps(payload).encode())
+        amap = load_sparql(lambda url: json.dumps(payload).encode())
         assert amap.entries == {"hartinfarct": ("Q42", "C0000001")}
         assert amap.skipped == 1
 
     @staticmethod
     def load(bindings):
         payload = {"results": {"bindings": bindings}}
-        return corpus.load_article_map_sparql(
-            "https://example.org/sparql", "https://nl.wikipedia.org/",
-            fetcher=lambda url: json.dumps(payload).encode())
+        return load_sparql(lambda url: json.dumps(payload).encode())
 
     def test_binding_values_that_are_not_strings_are_skipped(self):
         """A number, null or list as the concept, CUI or article value skips
@@ -129,9 +135,7 @@ class TestSparql:
             return payload
 
         for _ in range(2):
-            corpus.load_article_map_sparql(
-                "https://example.org/sparql", "https://nl.wikipedia.org/",
-                fetcher=fetcher, cache_dir=str(tmp_path))
+            load_sparql(fetcher, str(tmp_path))
         assert len(calls) == 1
 
     def test_failed_cache_write_leaves_no_entry(self, tmp_path, monkeypatch):
@@ -158,14 +162,10 @@ class TestSparql:
         monkeypatch.setattr(os, "fdopen",
                             lambda fd, mode: HalfWriter(real_fdopen(fd, mode)))
         with pytest.raises(OSError):
-            corpus.load_article_map_sparql(
-                "https://example.org/sparql", "https://nl.wikipedia.org/",
-                fetcher=lambda url: payload, cache_dir=str(tmp_path))
+            load_sparql(lambda url: payload, str(tmp_path))
         assert os.listdir(tmp_path) == []
         monkeypatch.undo()
-        amap = corpus.load_article_map_sparql(
-            "https://example.org/sparql", "https://nl.wikipedia.org/",
-            fetcher=lambda url: payload, cache_dir=str(tmp_path))
+        amap = load_sparql(lambda url: payload, str(tmp_path))
         assert amap.entries == {} and len(os.listdir(tmp_path)) == 1
 
     def test_malformed_response_is_not_cached(self, tmp_path):
@@ -183,14 +183,10 @@ class TestSparql:
         for bad in (b"<html>rate limited</html>",
                     json.dumps({"results": {"bindings": 5}}).encode()):
             with pytest.raises(DataError, match="malformed SPARQL response"):
-                corpus.load_article_map_sparql(
-                    "https://example.org/sparql", "https://nl.wikipedia.org/",
-                    fetcher=fetcher(bad), cache_dir=str(tmp_path))
+                load_sparql(fetcher(bad), str(tmp_path))
             assert os.listdir(tmp_path) == []
         for _ in range(2):
-            amap = corpus.load_article_map_sparql(
-                "https://example.org/sparql", "https://nl.wikipedia.org/",
-                fetcher=fetcher(good), cache_dir=str(tmp_path))
+            amap = load_sparql(fetcher(good), str(tmp_path))
             assert amap.entries == {}
         assert len(calls) == 3 and len(os.listdir(tmp_path)) == 1
 
@@ -199,9 +195,7 @@ class TestSparql:
             raise NetworkError("HTTP 503")
 
         with pytest.raises(NetworkError):
-            corpus.load_article_map_sparql(
-                "https://example.org/sparql", "https://nl.wikipedia.org/",
-                fetcher=fetcher)
+            load_sparql(fetcher)
 
 
 def test_both_loaders_apply_one_insert_rule():
@@ -221,9 +215,7 @@ def test_both_loaders_apply_one_insert_rule():
          "article": {"value": "https://nl.wikipedia.org/wiki/"
                               + urllib.parse.quote(t, safe="")}}
         for q, c, t in rows]}}
-    sparql = corpus.load_article_map_sparql(
-        "https://example.org/sparql", "https://nl.wikipedia.org/",
-        fetcher=lambda url: json.dumps(payload).encode())
+    sparql = load_sparql(lambda url: json.dumps(payload).encode())
     assert tsv.entries == sparql.entries == {
         "griep": ("Q1", "C0000001"), "ziekte van Crohn": ("Q5", "C0000005"),
         "suikerziekte": ("Q7", "C0000007")}

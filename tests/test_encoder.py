@@ -8,14 +8,12 @@ from hypothesis import strategies as st
 import oracles
 from belforge import encoder as enc
 from belforge.errors import UnencodableTextError
-from helpers import encode, encode_backward, featurize_text, random_word
+from helpers import (encode, encode_backward, featurize_text, fresh_params,
+                     random_word)
 
 
 def small_params(seed=0, **kw):
-    kw.setdefault("buckets", 64)
-    kw.setdefault("hidden", 6)
-    kw.setdefault("dim", 4)
-    return enc.init_params(seed, **kw)
+    return fresh_params(seed, **{"buckets": 64, "hidden": 6, "dim": 4, **kw})
 
 
 def numeric_grads(params, text, upstream, step=1e-5):
@@ -65,9 +63,9 @@ def test_encode_deterministic():
 
 
 def test_init_deterministic_and_bounded():
-    a = enc.init_params(11, buckets=32, hidden=4, dim=3)
-    b = enc.init_params(11, buckets=32, hidden=4, dim=3)
-    c = enc.init_params(12, buckets=32, hidden=4, dim=3)
+    a = fresh_params(11, buckets=32, hidden=4, dim=3)
+    b = fresh_params(11, buckets=32, hidden=4, dim=3)
+    c = fresh_params(12, buckets=32, hidden=4, dim=3)
     assert np.array_equal(a.W1, b.W1) and np.array_equal(a.W2, b.W2)
     assert not np.array_equal(a.W1, c.W1)
     assert np.all(np.abs(a.W1) <= 1.0 / np.sqrt(32))
@@ -156,8 +154,8 @@ def test_rows_equal_the_per_row_oracle_in_any_batch(seed, fortran, dead, hidden,
     "x" has no n-grams; with ``dead`` its hidden units are all off and b2 is
     zero, so it embeds to a zero-norm row."""
     rng = np.random.default_rng(seed)
-    p = enc.init_params(seed, n_min=4, n_max=5, buckets=buckets, hidden=hidden,
-                        dim=dim)
+    p = fresh_params(seed, n_min=4, n_max=5, buckets=buckets, hidden=hidden,
+                     dim=dim)
     p.b1 = -np.abs(rng.normal(size=hidden)) if dead else rng.normal(size=hidden)
     p.b2 = np.zeros(dim) if dead else rng.normal(scale=0.1, size=dim)
     if fortran:

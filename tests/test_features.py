@@ -30,13 +30,13 @@ def test_deterministic():
 
 def test_n_max_beyond_the_texts_changes_nothing():
     texts = ["ab", "hartinfarct"]
-    want = features.featurize_batch(texts, 2, 20, 4096)
+    want = features.featurize_batch(texts, 2, 20, 4096, False)
     for n_max in (21, 10 ** 20):
-        got = features.featurize_batch(texts, 2, n_max, 4096)
+        got = features.featurize_batch(texts, 2, n_max, 4096, False)
         assert all(np.array_equal(g[0], w[0]) and np.array_equal(g[1], w[1])
                    for g, w in zip(got, want))
     assert all(idx.size == 0 for idx, _ in
-               features.featurize_batch(texts, 10 ** 20, 10 ** 20, 4096))
+               features.featurize_batch(texts, 10 ** 20, 10 ** 20, 4096, False))
 
 
 def test_empty_text_rejected():
@@ -114,14 +114,14 @@ def test_whitespace_only_rejected_in_any_batch(blank, others):
     with pytest.raises(UnencodableTextError):
         featurize(blank, 2, 4, 4096)
     with pytest.raises(UnencodableTextError):
-        features.featurize_batch(["ok"] + others + [blank], 2, 4, 4096)
+        features.featurize_batch(["ok"] + others + [blank], 2, 4, 4096, False)
 
 
 def test_empty_batch():
-    assert features.featurize_batch([], 2, 4, 4096) == []
+    assert features.featurize_batch([], 2, 4, 4096, False) == []
 
 
 def test_lone_surrogate_rejected():
     # what a command-line argument holding a non-UTF-8 byte decodes to
     with pytest.raises(UnencodableTextError):
-        features.featurize_batch(["griep", "ko\udcffrts"], 2, 4, 4096)
+        features.featurize_batch(["griep", "ko\udcffrts"], 2, 4, 4096, False)

@@ -9,11 +9,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from belforge import artifacts
-from belforge import encoder as enc
 from belforge import index as ix
 from belforge.errors import ArtifactError, DataError
-from helpers import (encode, random_unit_rows, random_word, reconstruct, search,
-                     term_table)
+from helpers import (encode, fresh_params, random_unit_rows, random_word,
+                     reconstruct, search, term_table)
 from oracles import kmeans, rank, search_flat, search_ivf_per_query
 
 
@@ -117,7 +116,7 @@ class TestFlat:
             k = int(rng.integers(2, 8))
             V = random_unit_rows(rng, n, k)
             ids = rng.permutation(n).astype(np.int64) * 3
-            flat = ix.build_ivf(V, ids, *term_table(ids), 1)
+            flat = ix.build_ivf(V, ids, *term_table(ids), 1, seed=0)
             q = random_unit_rows(rng, 1, k)[0]
             top_k = int(rng.integers(1, n + 2))
             got = as_tuples(search(flat, q, top_k))
@@ -130,7 +129,7 @@ class TestFlat:
     def test_tie_break_ascending_id(self):
         v = np.array([[1.0, 0.0]])
         V = np.vstack([v, v, v])
-        flat = ix.build_ivf(V, [9, 2, 5], *term_table([9, 2, 5]), 1)
+        flat = ix.build_ivf(V, [9, 2, 5], *term_table([9, 2, 5]), 1, seed=0)
         got = [n.term_id for n in search(flat, v[0], 3)]
         assert got == [2, 5, 9]
 
@@ -140,7 +139,8 @@ class TestFlat:
         query passes through and scores 0 everywhere."""
         rng = np.random.default_rng(3)
         ids = np.arange(12) * 2
-        flat = ix.build_ivf(random_unit_rows(rng, 12, 4), ids, *term_table(ids), 1)
+        flat = ix.build_ivf(random_unit_rows(rng, 12, 4), ids, *term_table(ids), 1,
+                            seed=0)
         q = rng.normal(size=4)
         want = as_tuples(search_flat(flat.vectors, flat.ids, flat.cuis, q, 5))
         for scale in (1.0, 8.0, 0.25):
@@ -150,11 +150,12 @@ class TestFlat:
 
     def test_empty_index(self):
         with pytest.raises(DataError, match="out of range for 0 rows"):
-            ix.build_ivf(np.zeros((0, 3)), np.zeros(0, dtype=np.int64), [], [], 1)
+            ix.build_ivf(np.zeros((0, 3)), np.zeros(0, dtype=np.int64), [], [], 1,
+                         seed=0)
 
     def test_mismatched_ids(self):
         with pytest.raises(DataError):
-            ix.build_ivf(np.ones((2, 2)), [1], *term_table([1]), 1)
+            ix.build_ivf(np.ones((2, 2)), [1], *term_table([1]), 1, seed=0)
 
     @settings(max_examples=200, derandomize=True, database=None, deadline=None)
     @given(n=st.integers(1, 300), k=st.integers(1, 96), top_k=st.integers(1, 12),
@@ -166,7 +167,7 @@ class TestFlat:
         ids = rng.permutation(n).astype(np.int64)
         cuis, groups = term_table(ids)
         q = rng.normal(size=k)
-        got = search(ix.build_ivf(V, ids, cuis, groups, 1), q, top_k)
+        got = search(ix.build_ivf(V, ids, cuis, groups, 1, seed=0), q, top_k)
         want = search_flat(ix._unit_rows(V), ids, np.array(cuis), q, top_k)
         assert same_neighbors(got, want)
 
@@ -264,7 +265,7 @@ class TestIvf:
             # duplicate some rows to force score ties across lists
             V[: n // 4] = V[n // 4: 2 * (n // 4)]
             ids = np.arange(n, dtype=np.int64)
-            flat = ix.build_ivf(V, ids, *term_table(ids), 1)
+            flat = ix.build_ivf(V, ids, *term_table(ids), 1, seed=0)
             nlist = int(rng.integers(1, 9))
             ivf = ix.build_ivf(V, ids, *term_table(ids), nlist=nlist, seed=trial)
             q = random_unit_rows(rng, 1, 5)[0]
@@ -407,7 +408,7 @@ class TestIvf:
         oracle's."""
         rng = np.random.default_rng(5)
         ids = np.arange(40)
-        ivf = ix.build_ivf(rng.normal(size=(40, 3)), ids, *term_table(ids), 6)
+        ivf = ix.build_ivf(rng.normal(size=(40, 3)), ids, *term_table(ids), 6, seed=0)
         ivf.centroids[2, 1] = bad
         chunk = rng.normal(size=(2 * ix.LINK_BLOCK, 3))
         for nprobe in range(1, 6):
@@ -445,7 +446,7 @@ class TestIvf:
     def test_nprobe_above_nlist_scans_every_list(self):
         rng = np.random.default_rng(9)
         V = random_unit_rows(rng, 10, 3)
-        ivf = ix.build_ivf(V, np.arange(10), *term_table(range(10)), nlist=2)
+        ivf = ix.build_ivf(V, np.arange(10), *term_table(range(10)), nlist=2, seed=0)
         out = search(replace(ivf, nprobe=99), V[0], top_k=3)
         assert len(out) == 3
         assert as_tuples(out) == \
@@ -459,7 +460,7 @@ class TestIvf:
         V = centers[assign] + 0.05 * rng.normal(size=(n, k))
         V /= np.linalg.norm(V, axis=1, keepdims=True)
         ids = np.arange(n, dtype=np.int64)
-        flat = ix.build_ivf(V, ids, *term_table(ids), 1)
+        flat = ix.build_ivf(V, ids, *term_table(ids), 1, seed=0)
         ivf = ix.build_ivf(V, ids, *term_table(ids), nlist=64, seed=0)
         queries = centers[rng.integers(0, n_clusters, 200)] \
             + 0.05 * rng.normal(size=(200, k))
@@ -482,7 +483,8 @@ class TestIvf:
 
     def test_nlist_out_of_range(self):
         with pytest.raises(DataError):
-            ix.build_ivf(np.ones((3, 2)), [0, 1, 2], *term_table(range(3)), nlist=4)
+            ix.build_ivf(np.ones((3, 2)), [0, 1, 2], *term_table(range(3)), nlist=4,
+                         seed=0)
 
     def test_kmeans_equals_oracle_bitwise(self):
         """On distinct rows the |x|^2 + |c|^2 - 2x.c seeding and the Lloyd
@@ -598,7 +600,8 @@ class TestBlockInvariance:
             k = int(rng.integers(1, d + 1))
             transform = random_transform(rng, d, k)
             ids = np.arange(n)
-            index = ix.build_ivf(rng.normal(size=(n, k)), ids, *term_table(ids), 1)
+            index = ix.build_ivf(rng.normal(size=(n, k)), ids, *term_table(ids), 1,
+                                 seed=0)
             mention = rng.normal(size=d)
             alone = np.zeros((size, d))
             alone[0] = mention
@@ -628,7 +631,8 @@ class TestChunkInvariance:
         n, d, k, nlist = 1000, 96, 64, 16
         transform = random_transform(rng, d, k)
         ids = rng.permutation(n).astype(np.int64)
-        ivf = ix.build_ivf(rng.normal(size=(n, k)), ids, *term_table(ids), nlist)
+        ivf = ix.build_ivf(rng.normal(size=(n, k)), ids, *term_table(ids), nlist,
+                           seed=0)
         mention = rng.normal(size=d)
         alone = np.zeros((ix.LINK_BLOCK, d))
         alone[0] = mention
@@ -691,7 +695,7 @@ class TestSerialization:
         rng = np.random.default_rng(13)
         cuis, groups = self.term_table(25)
         ids = rng.permutation(100)[:25]
-        flat = ix.build_ivf(random_unit_rows(rng, 25, 4), ids, cuis, groups, 1)
+        flat = ix.build_ivf(random_unit_rows(rng, 25, 4), ids, cuis, groups, 1, seed=0)
         flat.params_sha256, flat.pca_sha256 = "ab" * 32, "cd" * 32
         ix.save_ivf(tmp_path / "f.idx", flat)
         back = ix.load_ivf(tmp_path / "f.idx")
@@ -706,7 +710,8 @@ class TestSerialization:
         rng = np.random.default_rng(14)
         cuis, groups = self.term_table(40)
         ids = rng.permutation(100)[:40]
-        ivf = ix.build_ivf(random_unit_rows(rng, 40, 5), ids, cuis, groups, nlist=6)
+        ivf = ix.build_ivf(random_unit_rows(rng, 40, 5), ids, cuis, groups, nlist=6,
+                           seed=0)
         ivf.params_sha256, ivf.pca_sha256 = "ab" * 32, "cd" * 32
         ix.save_ivf(tmp_path / "i.idx", ivf)
         back = ix.load_ivf(tmp_path / "i.idx")
@@ -723,7 +728,7 @@ class TestSerialization:
     def test_saved_index_records_no_nprobe(self, tmp_path):
         rng = np.random.default_rng(15)
         ivf = ix.build_ivf(random_unit_rows(rng, 12, 3), np.arange(12),
-                           *term_table(range(12)), nlist=3)
+                           *term_table(range(12)), nlist=3, seed=0)
         ix.save_ivf(tmp_path / "i.idx", replace(ivf, nprobe=2))
         meta, _arrays, _sha256 = artifacts.load_artifact(tmp_path / "i.idx",
                                                         "ivf-index")
@@ -735,7 +740,7 @@ class TestSerialization:
         probes the lists its caller sets, whatever the file says."""
         rng = np.random.default_rng(16)
         ivf = ix.build_ivf(random_unit_rows(rng, 30, 4), np.arange(30),
-                           *term_table(range(30)), nlist=3)
+                           *term_table(range(30)), nlist=3, seed=0)
         ivf.params_sha256, ivf.pca_sha256 = "ab" * 32, "cd" * 32
         ix.save_ivf(tmp_path / "i.idx", ivf)
         meta, arrays, _sha256 = artifacts.load_artifact(tmp_path / "i.idx",
@@ -752,7 +757,8 @@ class TestSerialization:
     def test_index_without_term_table_is_refused(self, tmp_path, missing):
         rng = np.random.default_rng(15)
         ix.save_ivf(tmp_path / "f.idx", ix.build_ivf(
-            random_unit_rows(rng, 5, 3), np.arange(5), *term_table(range(5)), 1))
+            random_unit_rows(rng, 5, 3), np.arange(5), *term_table(range(5)), 1,
+            seed=0))
         meta, arrays, _sha256 = artifacts.load_artifact(tmp_path / "f.idx", "ivf-index")
         del arrays[missing]
         artifacts.save_artifact(tmp_path / "f.idx", "ivf-index", meta, arrays)
@@ -761,20 +767,20 @@ class TestSerialization:
 
     def test_misaligned_term_table_is_data_error(self):
         with pytest.raises(DataError, match="cui or group count"):
-            ix.build_ivf(np.ones((3, 2)), [0, 1, 2], ["C1", "C2"], ["A"] * 3, 1)
+            ix.build_ivf(np.ones((3, 2)), [0, 1, 2], ["C1", "C2"], ["A"] * 3, 1, seed=0)
         with pytest.raises(DataError, match="cui or group count"):
-            ix.build_ivf(np.ones((3, 2)), [0, 1, 2], ["C1"] * 3, ["A"], 1)
+            ix.build_ivf(np.ones((3, 2)), [0, 1, 2], ["C1"] * 3, ["A"], 1, seed=0)
 
 
 class TestLinkMention:
     def build(self, texts_cuis, pca_k=4):
-        params = enc.init_params(0, buckets=256, hidden=12, dim=8)
+        params = fresh_params(0, buckets=256, hidden=12, dim=8)
         E = np.vstack([encode(params, t) for t, _ in texts_cuis])
         transform = ix.fit_pca(E, pca_k)
         ids = np.arange(len(texts_cuis))
         cuis = [c for _, c in texts_cuis]
         return params, transform, ix.build_ivf(ix.apply_pca(transform, E), ids,
-                                               cuis, ["DISO"] * len(ids), 1)
+                                               cuis, ["DISO"] * len(ids), 1, seed=0)
 
     def test_exact_term_links_to_itself(self):
         terms = [("hartinfarct", "C0000001"), ("griep", "C0000002"),
@@ -814,7 +820,7 @@ class TestLinkMention:
         terms = [(random_word(np.random.default_rng(i)), f"C{i:07d}") for i in range(10)]
         params, t, flat = self.build(terms)
         index = replace(ix.build_ivf(flat.vectors, flat.ids, flat.cuis,
-                                     flat.groups, nlist), nprobe=1)
+                                     flat.groups, nlist, seed=0), nprobe=1)
         rng = np.random.default_rng(count)
         mentions = [random_word(rng) for _ in range(count)]
         mentions[2::5] = [" "] * len(mentions[2::5])
@@ -842,19 +848,19 @@ class TestLinkMention:
     def test_all_encode_errors(self):
         params, t, flat = self.build([("griep", "C0000001"), ("koorts", "C0000002"),
                                       ("hoofdpijn", "C0000003")], pca_k=2)
-        results, _ = ix.link_mentions(["", "   ", "\t"], params, t, flat)
+        results, _ = ix.link_mentions(["", "   ", "\t"], params, t, flat, top_k=10)
         assert len(results) == 3
         assert all(isinstance(r, DataError) and "empty text" in str(r) for r in results)
 
     def test_empty_index_raises(self):
-        params = enc.init_params(0, buckets=64, hidden=4, dim=4)
+        params = fresh_params(0, buckets=64, hidden=4, dim=4)
         t = ix.fit_pca(np.random.default_rng(0).normal(size=(6, 4)), 2)
         # two lists, both empty: the probed one yields no candidates
         index = ix.IvfIndex(centroids=np.eye(2), vectors=np.zeros((0, 2)),
                             ids=np.zeros(0, dtype=np.int64),
                             cuis=np.zeros(0, dtype=str), groups=np.zeros(0, dtype=str),
                             offsets=np.zeros(3, dtype=np.int64), nprobe=1)
-        [result], _ = ix.link_mentions(["x"], params, t, index)
+        [result], _ = ix.link_mentions(["x"], params, t, index, top_k=10)
         assert isinstance(result, DataError)
         assert str(result) == "no candidates: index is empty"
 

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 import oracles
 from belforge import ontology as onto
 from belforge.errors import DataError
-from helpers import SEMANTIC_GROUPS, ontology_as_terms
+from helpers import SEMANTIC_GROUPS, config, ontology_as_terms
 
 
 IDENTITY_MAP = {"cui": 0, "language": 1, "vocab": 2, "source_code": 3, "text": 4}
@@ -106,23 +106,22 @@ def pipeline_fixture():
         onto.CrosswalkRow(sctid=222, text="suikerziekte"),
         onto.CrosswalkRow(sctid=333, text="onbekend"),
     ]
-    config = onto.FilterConfig(
-        drop_vocabs=frozenset({"BADVOC"}),
-        descriptive_subterms=[
-            {"pattern": ", niet gespecificeerd", "vocabs": ["MDRDUT", "ICD10DUT"]},
-            {"pattern": "niet gespecificeerd", "vocabs": ["ICD10DUT"]},
-        ],
-        drop_tuis=frozenset({"T012"}),
-        drug_vocabs=frozenset({"ATC"}),
-    )
-    return concepts, sty, groups, crosswalk, config
+    subterms = [
+        {"pattern": ", niet gespecificeerd", "vocabs": ["MDRDUT", "ICD10DUT"]},
+        {"pattern": "niet gespecificeerd", "vocabs": ["ICD10DUT"]},
+    ]
+    filters = config('ontology.drop_vocabs=["BADVOC"]',
+                     f"ontology.descriptive_subterms={json.dumps(subterms)}",
+                     'ontology.drop_tuis=["T012"]',
+                     'ontology.drug_vocabs=["ATC"]')["ontology"]
+    return concepts, sty, groups, crosswalk, filters
 
 
 class TestBuildOntology:
     def test_hand_simulated_steps(self):
-        concepts, sty, groups, crosswalk, config = pipeline_fixture()
+        concepts, sty, groups, crosswalk, filters = pipeline_fixture()
         records, steps = onto.build_ontology(concepts, sty, groups, crosswalk,
-                                             config)
+                                             filters)
         # hand simulation: 9 non-drug records; -1 vocab, -1 emptied subterm,
         # -1 case dup, +1 crosswalk (1 ambiguous, 1 unmatched), -1 bird tui,
         # +1 drug name
@@ -145,31 +144,30 @@ class TestBuildOntology:
         assert [r.term_id for r in records] == list(range(7))
 
     def test_drop_all(self):
-        config = onto.FilterConfig(drop_vocabs=frozenset({"MDRDUT"}))
+        filters = config('ontology.drop_vocabs=["MDRDUT"]')["ontology"]
         records, steps = onto.build_ontology(
-            [rec("C0000001", "a")], [], {}, [], config)
+            [rec("C0000001", "a")], [], {}, [], filters)
         assert records == []
         assert steps[0] == ("drop_vocabs", 0)
 
     def test_case_insensitive_dedupe(self):
-        config = onto.FilterConfig()
         records, _ = onto.build_ontology(
             [rec("C0000001", "Koorts", tid=0), rec("C0000001", "koorts", tid=1)],
-            [], {}, [], config)
+            [], {}, [], config()["ontology"])
         assert len(records) == 1 and records[0].text == "Koorts"
 
     def test_case_sensitive_dedupe_keeps_both(self):
-        config = onto.FilterConfig(dedupe_case_insensitive=False)
+        filters = config("ontology.dedupe_case_insensitive=false")["ontology"]
         records, _ = onto.build_ontology(
             [rec("C0000001", "Koorts", tid=0), rec("C0000001", "koorts", tid=1)],
-            [], {}, [], config)
+            [], {}, [], filters)
         assert len(records) == 2
 
     def test_idempotent_on_own_output(self):
-        concepts, sty, groups, crosswalk, config = pipeline_fixture()
-        records, _ = onto.build_ontology(concepts, sty, groups, crosswalk, config)
+        concepts, sty, groups, crosswalk, filters = pipeline_fixture()
+        records, _ = onto.build_ontology(concepts, sty, groups, crosswalk, filters)
         again, _ = onto.build_ontology(ontology_as_terms(records), sty, groups,
-                                       [], config)
+                                       [], filters)
         assert again == records
 
     def test_step_monotonicity_random(self):
@@ -182,11 +180,11 @@ class TestBuildOntology:
                     vocab=vocabs[int(rng.integers(0, 4))], tid=i)
                 for i in range(int(rng.integers(1, 30)))
             ]
-            config = onto.FilterConfig(drop_vocabs=frozenset({"B"}),
-                                       drug_vocabs=frozenset({"ATC"}),
-                                       drop_tuis=frozenset({"T999"}))
+            filters = config('ontology.drop_vocabs=["B"]',
+                             'ontology.drug_vocabs=["ATC"]',
+                             'ontology.drop_tuis=["T999"]')["ontology"]
             sty = [onto.SemanticTypeRow("C0000001", "T999", "x")]
-            _, steps = onto.build_ontology(concepts, sty, {}, [], config)
+            _, steps = onto.build_ontology(concepts, sty, {}, [], filters)
             counts = [c for _, c in steps]
             filter_steps = {1, 2, 4}  # 0-based indexes of pure-filter steps
             for k in range(1, len(counts)):
@@ -196,8 +194,8 @@ class TestBuildOntology:
                     assert counts[k] >= counts[k - 1]
 
     def test_other_group_count(self):
-        concepts, sty, groups, crosswalk, config = pipeline_fixture()
-        records, _ = onto.build_ontology(concepts, sty, groups, crosswalk, config)
+        concepts, sty, groups, crosswalk, filters = pipeline_fixture()
+        records, _ = onto.build_ontology(concepts, sty, groups, crosswalk, filters)
         unmapped = {r.cui for r in records
                     if not any(s.cui == r.cui and s.tui in groups
                                for s in sty)}

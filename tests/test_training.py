@@ -1,7 +1,6 @@
 import io
 import logging
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,11 +8,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
-from belforge import encoder as enc
 from belforge import training as tr
 from belforge.errors import DataError
 from belforge.ontology import OntologyRecord
-from helpers import make_synthetic_ontology, mentions_as_slice
+from helpers import (config, fresh_params, make_synthetic_ontology,
+                     mentions_as_slice)
 from oracles import Triplet, masks_from_triplets, mine_hard_triplets, ms_loss
 
 
@@ -37,12 +36,12 @@ def brute_force_triplets(embeddings, labels, margin):
     return out
 
 
-def fused_step(E, labels, margin, config, rows=None):
+def fused_step(E, labels, margin, loss_cfg, rows=None):
     """``tr._ms_step`` on E in a NaN-filled workspace sized for ``rows`` >=
     len(E) rows. Returns (loss, dL/dS, positive mask, negative mask)."""
     n = len(E)
     rows = rows or n
-    loss, G, pos, neg = tr._ms_step(E, labels, margin, config,
+    loss, G, pos, neg = tr._ms_step(E, labels, margin, loss_cfg,
                                     np.full((2, rows * rows), np.nan))
     pos_mask = np.zeros((n, n), dtype=bool)
     neg_mask = np.zeros((n, n), dtype=bool)
@@ -110,25 +109,66 @@ class TestPairGeneration:
             tr.read_pairs(io.StringIO("C0000001||griep||influenza\n"
                                       "C0000001|| \t ||griep\n"))
 
+    @pytest.mark.parametrize("term_a, term_b", [
+        (" ", "griep"), ("griep", "\t\u3000"), ("", "griep"),
+        # "a|||b" reads back as ("a", "|b")
+        ("a|", "b")])
+    def test_term_that_would_not_read_back_dropped(self, term_a, term_b, caplog):
+        with caplog.at_level(logging.WARNING):
+            lines = tr.serialize_pairs([tr.PositivePair("C0000001", term_a, term_b),
+                                        tr.PositivePair("C0000001", "x", "y")])
+        assert lines == ["C0000001||x||y\n"]
+        assert "dropped 1 pairs" in caplog.text
+
+
+# XML 1.0 Char, which is what a dump can carry, with the pair file's
+# separator and line breaks drawn more often
+XML_CHARS = st.one_of(
+    st.sampled_from("|\n\r\t "),
+    st.characters(min_codepoint=0x20, max_codepoint=0xD7FF),
+    st.characters(min_codepoint=0xE000, max_codepoint=0xFFFD),
+    st.characters(min_codepoint=0x10000))
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(st.lists(st.tuples(st.text(XML_CHARS, max_size=6),
+                          st.text(XML_CHARS, max_size=6)), max_size=8))
+def test_pair_file_reads_back_or_counts_the_drop(terms):
+    """Every pair either reads back from the pair file, opened as a text
+    file is, or is dropped and counted; a pair of non-blank terms without
+    '|' or a line break is always kept."""
+    pairs = [tr.PositivePair("C0000001", a, b) for a, b in terms]
+    lines = tr.serialize_pairs(pairs)
+    rest = tr.read_pairs(io.StringIO("".join(lines), newline=None))
+    dropped = 0
+    for pair in pairs:
+        if rest and rest[0] == pair:
+            rest.pop(0)
+            continue
+        dropped += 1
+        assert not all(t.strip() and not any(c in t for c in "|\n\r")
+                       for t in (pair.term_a, pair.term_b)), pair
+    assert rest == [] and dropped == len(pairs) - len(lines)
+
 
 class TestFinetunePairs:
     def test_mention_paired_with_gold_terms(self):
         onto = [orec(0, "C0000001", "myocard infarct"),
                 orec(1, "C0000001", "hartinfarct")]
         sl = mentions_as_slice([("MI", "C0000001")])
-        pairs = tr.generate_finetune_pairs(sl, onto)
+        pairs = tr.generate_finetune_pairs(sl, onto, 50)
         assert [(p.term_a, p.term_b) for p in pairs] == [
             ("MI", "myocard infarct"), ("MI", "hartinfarct")]
 
     def test_self_pair_excluded(self):
         onto = [orec(0, "C0000001", "MI")]
         sl = mentions_as_slice([("MI", "C0000001")])
-        assert tr.generate_finetune_pairs(sl, onto) == []
+        assert tr.generate_finetune_pairs(sl, onto, 50) == []
 
     def test_cap_keeps_lowest_term_ids(self):
         onto = [orec(i, "C0000001", f"term {i}") for i in range(80)]
         sl = mentions_as_slice([("mention", "C0000001")])
-        pairs = tr.generate_finetune_pairs(sl, onto, per_mention_cap=50)
+        pairs = tr.generate_finetune_pairs(sl, onto, 50)
         assert len(pairs) == 50
         assert pairs[0].term_b == "term 0" and pairs[-1].term_b == "term 49"
 
@@ -137,19 +177,19 @@ class TestMining:
     def test_identical_embeddings_no_triplets(self):
         E = np.ones((4, 3))
         labels = ["a", "a", "b", "b"]
-        assert mine_hard_triplets(E, labels, tr.MiningConfig(margin=0.2)) == []
+        assert mine_hard_triplets(E, labels, 0.2) == []
 
     def test_hand_computed_selected(self):
         # 1-D: anchor 0, positive at 1.0, negative at 0.5 -> 1.0 >= 0.5+0.2
         E = np.array([0.0, 1.0, 0.5])
         labels = ["x", "x", "y"]
-        triplets = mine_hard_triplets(E, labels, tr.MiningConfig(margin=0.2))
+        triplets = mine_hard_triplets(E, labels, 0.2)
         assert Triplet(0, 1, 2) in triplets
 
     def test_hand_computed_not_selected(self):
         E = np.array([0.0, 0.6, 0.5])
         labels = ["x", "x", "y"]
-        triplets = mine_hard_triplets(E, labels, tr.MiningConfig(margin=0.2))
+        triplets = mine_hard_triplets(E, labels, 0.2)
         assert Triplet(0, 1, 2) not in triplets
 
     @pytest.mark.parametrize("margin", [0.0, 0.2, 1.0])
@@ -159,7 +199,7 @@ class TestMining:
             n = int(rng.integers(2, 33))
             E = rng.normal(size=(n, 4))
             labels = [str(rng.integers(0, 5)) for _ in range(n)]
-            mined = mine_hard_triplets(E, labels, tr.MiningConfig(margin=margin))
+            mined = mine_hard_triplets(E, labels, margin)
             got = {(t.anchor_idx, t.positive_idx, t.negative_idx) for t in mined}
             assert got == brute_force_triplets(E, labels, margin)
 
@@ -170,17 +210,17 @@ class TestMining:
             n = int(rng.integers(2, 25))
             E = rng.normal(size=(n, 3))
             labels = [str(rng.integers(0, 4)) for _ in range(n)]
-            mined = mine_hard_triplets(E, labels, tr.MiningConfig(margin=margin))
+            mined = mine_hard_triplets(E, labels, margin)
             want_pos, want_neg = masks_from_triplets(n, mined)
             _, _, got_pos, got_neg = fused_step(E, labels, margin,
-                                                   tr.MsLossConfig())
+                                                config()["loss"])
             assert np.array_equal(got_pos, want_pos)
             assert np.array_equal(got_neg, want_neg)
 
 
 class TestMsLoss:
     def cfg(self):
-        return tr.MsLossConfig(alpha=2.0, beta=50.0, base=0.5)
+        return config("loss.alpha=2.0", "loss.beta=50.0", "loss.base=0.5")["loss"]
 
     def test_empty_mined(self):
         S = np.eye(3)
@@ -208,7 +248,7 @@ class TestMsLoss:
             E /= np.linalg.norm(E, axis=1, keepdims=True)
             S = E @ E.T
             labels = [str(rng.integers(0, 3)) for _ in range(n)]
-            mined = mine_hard_triplets(E, labels, tr.MiningConfig(margin=0.2))
+            mined = mine_hard_triplets(E, labels, 0.2)
             if not mined:
                 continue
             _, grad = ms_loss(S, labels, mined, cfg)
@@ -231,7 +271,7 @@ class TestMsLoss:
         E /= np.linalg.norm(E, axis=1, keepdims=True)
         S = E @ E.T
         labels = [str(rng.integers(0, 3)) for _ in range(n)]
-        mined = mine_hard_triplets(E, labels, tr.MiningConfig(margin=0.1))
+        mined = mine_hard_triplets(E, labels, 0.1)
         loss, grad = ms_loss(S, labels, mined, self.cfg())
         perm = rng.permutation(n)
         inv = np.argsort(perm)
@@ -283,24 +323,24 @@ def step_batches(draw):
         E[j], labels[j] = E[i], labels[i]
     margin = draw(st.sampled_from([0.0, -0.0, 0.2, 1.0, 1e9, 5e-324, 1e-300,
                                    -0.5]) | st.floats(-1, 3))
-    config = tr.MsLossConfig(alpha=draw(st.floats(0.1, 10)),
-                             beta=draw(st.floats(1, 80)),
-                             base=draw(st.floats(-1, 1)))
-    return E, labels, margin, config, n + draw(st.integers(0, 5))
+    loss_cfg = config(f"loss.alpha={draw(st.floats(0.1, 10))!r}",
+                      f"loss.beta={draw(st.floats(1, 80))!r}",
+                      f"loss.base={draw(st.floats(-1, 1))!r}")["loss"]
+    return E, labels, margin, loss_cfg, n + draw(st.integers(0, 5))
 
 
 @settings(max_examples=500, derandomize=True, database=None, deadline=None)
 @given(step_batches())
 def test_fused_step_matches_dense_oracles_bit_for_bit(batch):
-    E, labels, margin, config, rows = batch
-    loss, G, pos, neg = fused_step(E, labels, margin, config, rows)
+    E, labels, margin, loss_cfg, rows = batch
+    loss, G, pos, neg = fused_step(E, labels, margin, loss_cfg, rows)
     # plain and special rows reach squares and similarities that overflow,
     # as the step allows; a NaN loss is compared by its bytes
     with np.errstate(over="ignore", invalid="ignore"):
         want_pos, want_neg = oracles.mining_masks(
             oracles.pairwise_distances(E), labels, margin)
         want_loss, want_G = oracles.ms_loss_masks(E @ E.T, want_pos, want_neg,
-                                                  config)
+                                                  loss_cfg)
     assert np.array_equal(pos, want_pos) and np.array_equal(neg, want_neg)
     assert np.float64(loss).tobytes() == np.float64(want_loss).tobytes()
     assert G.tobytes() == want_G.tobytes()
@@ -317,12 +357,12 @@ def test_fused_step_at_the_benchmark_batch_shape():
     E = 0.3 * rng.normal(size=(420, 96))[codes] + rng.normal(size=(1024, 96))
     E /= np.linalg.norm(E, axis=1, keepdims=True)
     labels = [str(v) for v in codes]
-    config = tr.MsLossConfig()
-    loss, G, pos, neg = fused_step(E, labels, 0.2, config)
+    loss_cfg = config()["loss"]
+    loss, G, pos, neg = fused_step(E, labels, 0.2, loss_cfg)
     want_pos, want_neg = oracles.mining_masks(oracles.pairwise_distances(E),
                                               labels, 0.2)
     want_loss, want_G = oracles.ms_loss_masks(E @ E.T, want_pos, want_neg,
-                                              config)
+                                              loss_cfg)
     assert 0.01 < (pos.sum() + neg.sum()) / pos.size < 0.05
     assert np.array_equal(pos, want_pos) and np.array_equal(neg, want_neg)
     assert loss == want_loss
@@ -335,20 +375,19 @@ def tiny_setup(n_concepts=12, variants=3, seed=0):
     onto, _cores = make_synthetic_ontology(seed=seed, n_concepts=n_concepts,
                                            variants=variants, n_affixes=6)
     pairs = tr.generate_pretrain_pairs(onto)
-    params = enc.init_params(seed, buckets=512, hidden=16, dim=8)
+    params = fresh_params(seed, buckets=512, hidden=16, dim=8)
     return pairs, params
 
 
 class TestTrainEpoch:
-    def configs(self, lr=0.05, bs=32, seed=0):
-        return (tr.TrainConfig(learning_rate=lr, weight_decay=0.01,
-                               batch_size=bs, seed=seed),
-                tr.MiningConfig(margin=0.2), tr.MsLossConfig())
+    def cfg(self, lr=0.05, bs=32, seed=0, *overrides):
+        return config(f"train.learning_rate={lr}", "train.weight_decay=0.01",
+                      f"train.batch_size={bs}", f"seed={seed}",
+                      "mining.margin=0.2", *overrides)
 
     def test_zero_learning_rate_keeps_params(self):
         pairs, params = tiny_setup()
-        tc, mc, lc = self.configs(lr=0.0)
-        updated, _ = tr.train_epoch(pairs, params, tc, mc, lc)
+        updated, _ = tr.train_epoch(pairs, params, self.cfg(lr=0.0), 0)
         assert np.array_equal(updated.W1, params.W1)
         assert np.array_equal(updated.b2, params.b2)
 
@@ -356,12 +395,11 @@ class TestTrainEpoch:
         # identical-label batch with one pair of identical strings after
         # caching: use embeddings that mine nothing (margin too large)
         pairs, params = tiny_setup()
-        tc, mc, lc = self.configs(lr=0.1)
-        mc = tr.MiningConfig(margin=1e9)
-        updated, loss = tr.train_epoch(pairs, params, tc, mc, lc)
+        cfg = self.cfg(0.1, 32, 0, "mining.margin=1e9")
+        updated, loss = tr.train_epoch(pairs, params, cfg, 0)
         assert loss == 0.0
-        factor = 1.0 - tc.learning_rate * tc.weight_decay
-        n_batches = -(-len(pairs) // tc.batch_size)
+        factor = 1.0 - cfg["train"]["learning_rate"] * cfg["train"]["weight_decay"]
+        n_batches = -(-len(pairs) // cfg["train"]["batch_size"])
         assert np.allclose(updated.W1, params.W1 * factor ** n_batches,
                            rtol=0, atol=1e-15)
 
@@ -369,21 +407,19 @@ class TestTrainEpoch:
         onto, _ = make_synthetic_ontology(seed=1, n_concepts=50, variants=3,
                                           n_affixes=8)
         pairs = tr.generate_pretrain_pairs(onto)
-        params = enc.init_params(1, buckets=1024, hidden=24, dim=12)
-        tc, mc, lc = self.configs(lr=0.05, bs=64, seed=1)
+        params = fresh_params(1, buckets=1024, hidden=24, dim=12)
+        cfg = self.cfg(lr=0.05, bs=64, seed=1)
         first = None
         for ep in range(3):
-            params, mean_loss = tr.train_epoch(pairs, params, tc, mc, lc,
-                                               epoch_index=ep)
+            params, mean_loss = tr.train_epoch(pairs, params, cfg, ep)
             if first is None:
                 first = mean_loss
         assert mean_loss < first
 
     def test_deterministic(self):
         pairs, params = tiny_setup()
-        tc, mc, lc = self.configs()
-        a, la = tr.train_epoch(pairs, params, tc, mc, lc)
-        b, lb = tr.train_epoch(pairs, params, tc, mc, lc)
+        a, la = tr.train_epoch(pairs, params, self.cfg(), 0)
+        b, lb = tr.train_epoch(pairs, params, self.cfg(), 0)
         assert la == lb
         assert np.array_equal(a.W1, b.W1) and np.array_equal(a.W2, b.W2)
 
@@ -406,60 +442,51 @@ class TestTrainEpoch:
         pairs = tr.generate_pretrain_pairs(onto)
         if zero_row:
             pairs.append(tr.PositivePair("C9999999", "x", "y"))
-        params = enc.init_params(seed, n_min=4, n_max=5, buckets=512,
-                                 hidden=16, dim=8)
-        tc = tr.TrainConfig(learning_rate=0.05, weight_decay=0.01,
-                            batch_size=bs, seed=seed)
-        mc, lc = tr.MiningConfig(margin=margin), tr.MsLossConfig()
+        params = fresh_params(seed, n_min=4, n_max=5, buckets=512, hidden=16,
+                              dim=8)
+        cfg = config("train.learning_rate=0.05", "train.weight_decay=0.01",
+                     f"train.batch_size={bs}", f"seed={seed}",
+                     f"mining.margin={margin!r}")
         got, want = params, params
         for ep in range(2):
-            got, got_loss = tr.train_epoch(pairs, got, tc, mc, lc, epoch_index=ep)
-            want, want_loss = oracles.train_epoch(pairs, want, tc, mc, lc,
-                                                  epoch_index=ep)
+            got, got_loss = tr.train_epoch(pairs, got, cfg, ep)
+            want, want_loss = oracles.train_epoch(pairs, want, cfg, ep)
             assert got_loss == want_loss
         for name in ("W1", "b1", "W2", "b2"):
             assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
 
     def test_empty_pairs_rejected(self):
         _, params = tiny_setup()
-        tc, mc, lc = self.configs()
         with pytest.raises(DataError):
-            tr.train_epoch([], params, tc, mc, lc)
+            tr.train_epoch([], params, self.cfg(), 0)
 
 
 class TestRunTraining:
     def test_zero_epochs_identity(self):
         pairs, params = tiny_setup()
-        tc = tr.TrainConfig(epochs=0, seed=0)
-        out, log = tr.run_training(params, pairs, tc, tr.MiningConfig(),
-                                   tr.MsLossConfig())
+        out, log = tr.run_training(params, pairs, config(), 0, None, 0)
         assert log == []
         assert np.array_equal(out.W1, params.W1)
 
     def test_loss_log_length(self):
         pairs, params = tiny_setup()
-        tc = tr.TrainConfig(learning_rate=0.05, batch_size=32, epochs=3, seed=0)
-        _, log = tr.run_training(params, pairs, tc, tr.MiningConfig(),
-                                 tr.MsLossConfig())
+        cfg = config("train.learning_rate=0.05", "train.batch_size=32")
+        _, log = tr.run_training(params, pairs, cfg, 3, None, 0)
         assert len(log) == 3
 
     def test_resume_equals_straight(self):
         pairs, params = tiny_setup()
-        tc = tr.TrainConfig(learning_rate=0.05, batch_size=32, seed=7)
-        mc, lc = tr.MiningConfig(), tr.MsLossConfig()
-        straight, log_s = tr.run_training(params, pairs, replace(tc, epochs=5),
-                                          mc, lc)
-        mid, log_a = tr.run_training(params, pairs, replace(tc, epochs=2), mc, lc)
-        resumed, log_b = tr.run_training(mid, pairs, replace(tc, epochs=3), mc,
-                                         lc, start_epoch=2)
+        cfg = config("train.learning_rate=0.05", "train.batch_size=32", "seed=7")
+        straight, log_s = tr.run_training(params, pairs, cfg, 5, None, 0)
+        mid, log_a = tr.run_training(params, pairs, cfg, 2, None, 0)
+        resumed, log_b = tr.run_training(mid, pairs, cfg, 3, None, 2)
         assert log_a + log_b == log_s
         assert np.array_equal(resumed.W1, straight.W1)
         assert np.array_equal(resumed.W2, straight.W2)
 
     def test_checkpoints_written(self, tmp_path):
         pairs, params = tiny_setup()
-        tc = tr.TrainConfig(learning_rate=0.05, batch_size=32, epochs=2, seed=0)
-        tr.run_training(params, pairs, tc, tr.MiningConfig(), tr.MsLossConfig(),
-                        checkpoint_dir=str(tmp_path))
+        cfg = config("train.learning_rate=0.05", "train.batch_size=32")
+        tr.run_training(params, pairs, cfg, 2, str(tmp_path), 0)
         assert (tmp_path / "epoch_000.params").exists()
         assert (tmp_path / "epoch_001.params").exists()

@@ -11,11 +11,13 @@ from belforge.wikitext import DEFAULT_DROP_PREFIXES, split_sentences, strip_wiki
 
 # bracket- and punctuation-heavy pieces of wikitext: template and link
 # brackets in runs of one to three, a stray pipe, media prefixes, section
-# anchors, abbreviations, capitals, digits and non-ASCII whitespace
+# anchors, abbreviations, capitals, digits, non-ASCII whitespace and an
+# unprintable character that is not whitespace
 PIECES = ["{{", "}}", "{{{", "}}}", "{", "}", "[[", "]]", "[[[", "]]]", "[", "]",
           "|", "File:", "Bestand:", "categorie:", "#", ":", "a", "Zin", "é", "İ",
-          "5", "²", " ", "\u00a0", "\u2003", "\t", "\n", ".", "!", "?", "ca.",
-          "e.g.", "Dr.", "<!--", "-->", "<ref>", "</ref>", "''", "==", "x|y"]
+          "5", "²", " ", "\u00a0", "\u2003", "\u2028", "\u200b", "\t", "\n",
+          ".", "!", "?", "ca.", "e.g.", "Dr.", "<!--", "-->", "<ref>", "</ref>",
+          "''", "==", "x|y"]
 wikitexts = st.lists(st.sampled_from(PIECES), max_size=40).map("".join)
 
 
@@ -84,6 +86,17 @@ class TestStripWikitext:
             for lk in links:
                 assert clean[lk.start:lk.end] == lk.anchor
 
+
+    def test_anchor_whitespace_runs_fold_to_one_space(self):
+        clean, links, _ = strip_wikitext(
+            "Vaak [[Griep|hoge\n \tkoorts]] en [[Koorts|a\u00a0\u2003b ]].")
+        assert clean == "Vaak hoge koorts en a b ."
+        assert [(lk.start, lk.end, lk.anchor) for lk in links] == [
+            (5, 16, "hoge koorts"), (20, 24, "a b ")]
+
+    def test_blank_anchor_stays_text_without_a_link(self):
+        clean, links, _ = strip_wikitext("a [[Griep| \n ]] b [[Koorts|]] c")
+        assert clean == "a   b  c" and links == []
 
     def test_depth_zero_closer_stays_literal(self):
         clean, _, warn = strip_wikitext("a}} {{b}}c}}}")
