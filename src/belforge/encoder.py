@@ -73,8 +73,9 @@ def featurize_texts(params, texts):
 def forward_batch(params, feats):
     """Forward pass of sparse (indices, values) rows: (E, cache for backward_batch).
     W1's columns are gathered once per batch, but each row's products are the
-    BLAS calls of a one-row forward on operands of the same layout, so a row
-    has the same bits in any batch. Only elementwise steps are batched."""
+    BLAS calls of a one-row forward on operands of the same layout, whether
+    made one row at a time or by one stacked matmul, so a row has the same
+    bits in any batch. Only elementwise steps are batched."""
     n = len(feats)
     bounds = list(accumulate((len(i) for i, _ in feats), initial=0))
     indices, values = (np.concatenate(a) for a in zip(*feats))
@@ -85,8 +86,10 @@ def forward_batch(params, feats):
     H = np.array([(rows if pos is None else rows[pos[a:b]]).T @ values[a:b]
                   for a, b in zip(bounds, bounds[1:])])
     np.maximum(np.add(H, params.b1, out=H), 0.0, out=H)
-    E = np.array([params.W2 @ h for h in H]) + params.b2
-    norms = np.sqrt([e @ e for e in E])  # 1-D dots; a batched sum reorders
+    # stacked products: matmul runs a row's gemv, and its 1-D dot (a batched
+    # sum would reorder), as the one-row forward does
+    E = (params.W2 @ H[:, :, None])[:, :, 0] + params.b2
+    norms = np.sqrt((E[:, None, :] @ E[:, :, None])[:, 0, 0])
     np.divide(E, norms[:, None], out=E, where=(norms >= NORM_EPS)[:, None])
     return E, (feats, H, E, norms)
 

@@ -90,17 +90,46 @@ def read_pairs(stream):
     return pairs
 
 
+# rows of a batch whose distances, mining and loss row sums _ms_step runs
+# together: a block of distances stays in cache
+STEP_BLOCK = 64
+# the Gram product's row stride is the batch size plus this pad: dsyrk runs
+# at half speed into rows a power of two apart, which alias in cache
+GRAM_PAD = 8
+
+
+def workspace(rows):
+    """The buffer _ms_step works in, for batches of up to ``rows`` rows: a
+    batch of n rows takes an n x n Gram product of row stride n + GRAM_PAD
+    and one STEP_BLOCK x n block."""
+    return np.empty(rows * (rows + GRAM_PAD + STEP_BLOCK))
+
+
 def _symmetrize(G, pos, neg):
     """G + G.T in place, for a G that is +0.0 off the mined entries and
     holds no -0.0: each mined (r, c) adds G[r, c] into G[c, r]. The mined
     entries are distinct and off the diagonal, and the gather on the right
-    reads before any write, so entries mined both ways each get the sum."""
-    n = G.shape[0]
+    reads before any write, so entries mined both ways each get the sum.
+    G may be a strided view: it is indexed in two dimensions, since a
+    flattening reshape of such a view would copy."""
     r = np.concatenate((pos[0], neg[0]))
     c = np.concatenate((pos[1], neg[1]))
-    flat = G.reshape(-1)
-    flat[c * n + r] += flat[r * n + c]
+    G[c, r] += G[r, c]
     return G
+
+
+def _same_label(codes):
+    """The (rows, cols) of every off-diagonal entry whose row and column
+    share a label code, in row-major order, listed from the sorted codes."""
+    order = np.argsort(codes, kind="stable")
+    sizes = np.bincount(codes)
+    k = sizes[codes]  # each row's group, itself included
+    rows = np.repeat(np.arange(codes.size), k)
+    # the j-th entry of row i is the j-th member of its group, in row order
+    at = np.arange(rows.size) - np.repeat(np.cumsum(k) - k, k)
+    cols = order[np.repeat((np.cumsum(sizes) - sizes)[codes], k) + at]
+    keep = rows != cols
+    return rows[keep], cols[keep]
 
 
 # a diverging loss is reported by run_training, not by numpy warnings
@@ -109,69 +138,82 @@ def _ms_step(E, labels, margin, loss_cfg, work):
     """Online mining and the Multi-Similarity loss of one batch of n unit rows:
     (a, p) is mined iff D[a,p] >= min-negative-distance + margin, (a, n) iff
     max-positive-distance >= D[a,n] + margin, over the Gram-form distances
-    D = sqrt(max(D2, 0)) of E. ``work`` holds two buffers of at least n*n
-    floats. Returns (loss, dL/dS over S = E E^T as a view of ``work``, mined
-    positive (rows, cols), mined negative (rows, cols)), the mined entries in
-    row-major order.
+    D = sqrt(max(D2, 0)) of E. ``work`` is a ``workspace`` for at least n
+    rows. Returns (loss, dL/dS over S = E E^T as an n x n view of ``work``,
+    mined positive (rows, cols), mined negative (rows, cols)), the mined
+    entries in row-major order.
 
-    The same-label entries and the diagonal of D are set to +inf, so the
-    row min is the nearest negative; a negative test then hits them only
-    where max_pos is +inf, and those hits are dropped. S is read at the
-    mined entries from the doubled Gram product 2 E E^T the distances use;
-    halving it is exact."""
+    Mining and the loss's row terms of an anchor read only its own row, so
+    both run over blocks of STEP_BLOCK rows, and every elementwise step,
+    row min and row sum reads what a whole-matrix pass would. Within a
+    block, the same-label entries and the diagonal of D are set to +inf, so
+    the row min is the nearest negative; a negative test then hits them
+    only where max_pos is +inf, and those hits are dropped. S is read at
+    the mined entries from the doubled Gram product 2 E E^T the distances
+    use; halving it is exact."""
     n = E.shape[0]
-    D, G = (w[:n * n].reshape(n, n) for w in work)
-    # E @ E.T must keep numpy's `a @ a.T` form, which runs dsyrk: a GEMM on
-    # a contiguous transpose is about twice as fast but gives other bits on
-    # most shapes
+    G = work[:n * (n + GRAM_PAD)].reshape(n, -1)[:, :n]
+    block = work[n * (n + GRAM_PAD):n * (n + GRAM_PAD + STEP_BLOCK)].reshape(-1, n)
+    # E @ E.T keeps numpy's `a @ a.T` form, which runs dsyrk (a GEMM on a
+    # contiguous transpose gives other bits on most shapes); the padded row
+    # stride lets it run at full speed
     np.matmul(E, E.T, out=G)
-    G *= 2.0
     sq = np.sum(E ** 2, axis=1)
-    np.add(sq[:, None], sq[None, :], out=D)
-    D -= G
-    np.sqrt(np.maximum(D, 0.0, out=D), out=D)
-
     _, codes = np.unique(np.asarray(labels), return_inverse=True)
-    same = codes[:, None] == codes[None, :]
-    np.fill_diagonal(same, False)
-    rows, cols = np.divmod(np.flatnonzero(same), n)
-    d_same = D[rows, cols]
-    D[rows, cols] = np.inf
-    np.fill_diagonal(D, np.inf)
-    keep = d_same >= (D.min(axis=1) + margin)[rows]
-    pos = rows[keep], cols[keep]
-    max_pos = np.full(n, -np.inf)
-    np.maximum.at(max_pos, rows, d_same)
-    D += margin
-    hit = np.less_equal(D, max_pos[:, None], out=same)
-    r, c = np.divmod(np.flatnonzero(hit), n)
-    differ = codes[r] != codes[c]
-    neg = r[differ], c[differ]
+    same_r, same_c = _same_label(codes)
+    cuts = np.searchsorted(same_r, np.arange(0, n + STEP_BLOCK, STEP_BLOCK))
+    a, b, eps = loss_cfg["alpha"], loss_cfg["beta"], loss_cfg["base"]
 
-    s_pos, s_neg = G[pos] * 0.5, G[neg] * 0.5
-    G.fill(0.0)
-    active = np.bincount(np.concatenate((pos[0], neg[0])), minlength=n) > 0
+    parts = []  # per block: pos rows, cols, exps; neg rows, cols, exps
+    pos_sum, neg_sum = np.empty(n), np.empty(n)
+    for k, r0 in enumerate(range(0, n, STEP_BLOCK)):
+        # the block's rows of G and D; mined entries hold block row numbers
+        Gb = G[r0:r0 + STEP_BLOCK]
+        D = block[:Gb.shape[0]]
+        Gb *= 2.0
+        np.add(sq[r0:r0 + STEP_BLOCK, None], sq[None, :], out=D)
+        D -= Gb
+        np.sqrt(np.maximum(D, 0.0, out=D), out=D)
+
+        rows, cols = same_r[cuts[k]:cuts[k + 1]] - r0, same_c[cuts[k]:cuts[k + 1]]
+        d_same = D[rows, cols]
+        D[rows, cols] = np.inf
+        np.fill_diagonal(D[:, r0:], np.inf)
+        keep = d_same >= (D.min(axis=1) + margin)[rows]
+        pos = rows[keep], cols[keep]
+        max_pos = np.full(D.shape[0], -np.inf)
+        np.maximum.at(max_pos, rows, d_same)
+        D += margin
+        r, c = np.divmod(np.flatnonzero(D <= max_pos[:, None]), n)
+        differ = codes[r + r0] != codes[c]
+        neg = r[differ], c[differ]
+
+        pos_exp = np.exp(-a * (Gb[pos] * 0.5 - eps))
+        neg_exp = np.exp(b * (Gb[neg] * 0.5 - eps))
+        Gb.fill(0.0)
+        # row sums over zero-filled rows add the mined terms in a dense
+        # sum's order; the distances are spent, so their block holds the terms
+        D.fill(0.0)
+        D[pos] = pos_exp
+        pos_sum[r0:r0 + STEP_BLOCK] = D.sum(axis=1)
+        D[pos] = 0.0
+        D[neg] = neg_exp
+        neg_sum[r0:r0 + STEP_BLOCK] = D.sum(axis=1)
+        parts.append((pos[0] + r0, pos[1], pos_exp, neg[0] + r0, neg[1], neg_exp))
+
+    pos_r, pos_c, pos_exp, neg_r, neg_c, neg_exp = (
+        np.concatenate(p) for p in zip(*parts))
+    pos, neg = (pos_r, pos_c), (neg_r, neg_c)
+    active = np.bincount(np.concatenate((pos_r, neg_r)), minlength=n) > 0
     n_active = int(active.sum())
     if n_active == 0:
         return 0.0, G, pos, neg
-    a, b, eps = loss_cfg["alpha"], loss_cfg["beta"], loss_cfg["base"]
-    pos_exp = np.exp(-a * (s_pos - eps))
-    neg_exp = np.exp(b * (s_neg - eps))
-    # row sums over zero-filled rows add the mined terms in a dense sum's
-    # order; the distances are spent, so their buffer holds the terms
-    T = D
-    T.fill(0.0)
-    T[pos] = pos_exp
-    pos_sum = T.sum(axis=1)
-    T[pos] = 0.0
-    T[neg] = neg_exp
-    neg_sum = T.sum(axis=1)
     per_anchor = np.log1p(pos_sum) / a + np.log1p(neg_sum) / b
     loss = float(per_anchor[active].sum() / n_active)
 
     scale = active.astype(float) / n_active
-    G[pos] += (-pos_exp / (1.0 + pos_sum)[pos[0]]) * scale[pos[0]]
-    G[neg] += (neg_exp / (1.0 + neg_sum)[neg[0]]) * scale[neg[0]]
+    G[pos] += (-pos_exp / (1.0 + pos_sum)[pos_r]) * scale[pos_r]
+    G[neg] += (neg_exp / (1.0 + neg_sum)[neg_r]) * scale[neg_r]
     return loss, G, pos, neg
 
 
@@ -195,7 +237,7 @@ def train_epoch(pairs, params, cfg, epoch_index, feature_cache=None):
     order = rng.permutation(len(pairs))
     train = cfg["train"]
     bs, lr, wd = train["batch_size"], train["learning_rate"], train["weight_decay"]
-    work = np.empty((2, (2 * min(bs, len(pairs))) ** 2))
+    work = workspace(2 * min(bs, len(pairs)))
 
     losses = []
     mined_any = False

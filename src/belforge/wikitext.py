@@ -58,8 +58,9 @@ def _resolve_links(markup):
     cleaned string. Media/category links and nested-bracket constructs are
     dropped entirely so pipes never leak into the output; an opener without
     a matching ']]' is dropped, its text kept. Each whitespace run in an
-    anchor is folded to one space, as a rendered page shows it; an anchor
-    that is only whitespace stays text but makes no link."""
+    anchor is folded to one space, as a rendered page shows it, and the
+    link's offsets and anchor leave out a space at its edges; an anchor that
+    is only whitespace stays text but makes no link."""
     # one stack pass pairs every '[[' with its ']]': [start, end, nested]
     openers, stack = [], []
     for m in _BRACKETS_RE.finditer(markup):
@@ -94,8 +95,11 @@ def _resolve_links(markup):
             anchor = _SPACES_RE.sub(" ", anchor)
         # section anchors link to the page itself
         page = target.split("#", 1)[0].strip() or target
-        if anchor.strip():
-            links.append(LinkSpan(pos, pos + len(anchor), anchor, page))
+        # the link covers the anchor without its edge spaces, which stay text
+        core = anchor.strip()
+        if core:
+            lead = len(anchor) - len(anchor.lstrip())
+            links.append(LinkSpan(pos + lead, pos + lead + len(core), core, page))
         pieces.append(anchor)
         pos += len(anchor)
     pieces.append(markup[i:])

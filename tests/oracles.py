@@ -195,9 +195,9 @@ def drop_templates(markup):
 
 def resolve_links(markup, drop_prefixes):
     """Convert [[T|a]] / [[T]] to anchor text, its whitespace runs folded,
-    recording offsets into the cleaned string; an anchor of whitespace only
-    makes no link. Each opener rescans to its closer, or to the end of the
-    text when it has none."""
+    recording offsets into the cleaned string of the anchor without its
+    edge spaces; an anchor of whitespace only makes no link. Each opener
+    rescans to its closer, or to the end of the text when it has none."""
     pieces = []
     links = []
     pos = 0  # length of cleaned output so far
@@ -241,8 +241,16 @@ def resolve_links(markup, drop_prefixes):
             anchor = "".join(folded)
             # section anchors link to the page itself
             page = target.split("#", 1)[0].strip() or target
-            if any(not c.isspace() for c in anchor):
-                links.append(LinkSpan(pos, pos + len(anchor), anchor, page))
+            # the link leaves out the anchor's edge spaces
+            lead = 0
+            while lead < len(anchor) and anchor[lead] == " ":
+                lead += 1
+            trail = len(anchor)
+            while trail > lead and anchor[trail - 1] == " ":
+                trail -= 1
+            if trail > lead:
+                links.append(LinkSpan(pos + lead, pos + trail, anchor[lead:trail],
+                                      page))
             pieces.append(anchor)
             pos += len(anchor)
             i = j

@@ -258,8 +258,10 @@ def test_criterion_04():
             mismatches += got != want
             # the miner that trains, against the oracle's (anchor, positive)
             # and (anchor, negative) entries
+            work = tr.workspace(n)
+            work.fill(np.nan)
             _, _, pos, neg = tr._ms_step(E, labels, margin, config()["loss"],
-                                         np.full((2, n * n), np.nan))
+                                         work)
             mismatches += set(zip(pos[0].tolist(), pos[1].tolist())) != \
                 {(a, p) for a, p, _ in want}
             mismatches += set(zip(neg[0].tolist(), neg[1].tolist())) != \

@@ -15,6 +15,7 @@ from belforge import corpus
 from belforge.errors import DataError, NetworkError
 from belforge.ontology import OntologyRecord
 from helpers import config
+from strategies import xml_chars
 
 DUMP_HEADER = '<mediawiki xmlns="http://www.mediawiki.org/xml/export-0.10/">'
 
@@ -316,6 +317,21 @@ class TestCompileCorpus:
         assert stats.unlinkable_cuis == 1  # C0000999 absent
         assert stats.unseen_mentions == 1  # "Koorts" not an ontology term
 
+    def test_anchor_edge_spaces_stay_outside_the_mention(self):
+        """A space at an anchor's edge is text of the page, not of the
+        mention, so a link that opens or closes a sentence still lies
+        inside its span."""
+        pages = [corpus.WikiPage(1, "A", 0, "[[Griep| griep]] geeft koorts."),
+                 corpus.WikiPage(2, "B", 0, "Dit is [[Griep|griep ]]"),
+                 corpus.WikiPage(3, "C", 0, "Wat. [[Griep| griep]] geeft koorts.")]
+        amap = simple_map([("Griep", "Q1", "C0000001")])
+        sentences, mentions, stats, _ = corpus.compile_corpus(iter(pages), amap)
+        assert [s.text for s in sentences] == [
+            "griep geeft koorts.", "Dit is griep", "Wat.  griep geeft koorts."]
+        assert [(m.sentence_id, m.start, m.end, m.anchor) for m in mentions] == [
+            (0, 0, 5, "griep"), (1, 7, 12, "griep"), (2, 6, 11, "griep")]
+        assert stats.mentions == 3 and stats.unique_mentions == 1
+
     def test_unbalanced_templates_counted_per_page(self):
         pages = [corpus.WikiPage(1, "A", 0, "{{a {{b}} [[Griep]]. {{c"),
                  corpus.WikiPage(2, "B", 0, "[[Griep]] }} {{x}}."),
@@ -329,7 +345,8 @@ class TestCompileCorpus:
 # pieces of pages whose links fall inside, across and between sentences
 PAGE_PIECES = ["Zin", "een", "5", " ", "\u00a0", ". ", "! ", "? ", "ca. ", ".",
                "[[Griep]]", "[[Koorts|hoge koorts]]", "[[griep|a. B]]",
-               "[[Griep| ]]", "[[Griep|x.]]", "[[Onbekend]]", "[[Bestand:Griep]]",
+               "[[Griep| ]]", "[[Griep|x.]]", "[[Griep| griep]]", "[[Koorts|a ]]",
+               "[[Onbekend]]", "[[Bestand:Griep]]",
                "{{sjabloon}}", "{{", "}}", "[[", "]]", "|"]
 
 
@@ -425,6 +442,28 @@ class TestCorpusXml:
             mentions=[corpus.MentionAnnotation(0, start, end, text[start:end],
                                                text + "\r", "C0000001", "Q1")])
         assert self.roundtrip(sl)[1] == sl
+
+    @settings(max_examples=300, derandomize=True, database=None, deadline=None)
+    @given(data=st.data())
+    def test_roundtrip_over_xml_chars(self, data):
+        """Sentences and mentions whose every string is drawn from XML 1.0
+        Char read back from the corpus file, opened as a text file is."""
+        chars = xml_chars("&<>\"'\r\n\t \x85\u2028")
+        sentences, mentions = [], []
+        for sid in range(data.draw(st.integers(0, 3))):
+            text = data.draw(st.text(chars, max_size=12))
+            sentences.append(corpus.SentenceRecord(sid, data.draw(st.text(chars)),
+                                                   text))
+            cuts = sorted(data.draw(st.lists(st.integers(0, len(text)),
+                                             max_size=6)))
+            for start, end in zip(cuts[::2], cuts[1::2]):
+                target, cui, qid = (data.draw(st.text(chars, min_size=size))
+                                    for size in (0, 1, 0))
+                mentions.append(corpus.MentionAnnotation(
+                    sid, start, end, text[start:end], target, cui, qid))
+        sl = corpus.CorpusSlice(sentences=sentences, mentions=mentions)
+        text = corpus.serialize_corpus(sl)
+        assert corpus.parse_corpus(io.StringIO(text, newline=None)) == sl
 
     def test_carriage_return_in_an_anchor_survives(self):
         sl = corpus.CorpusSlice(

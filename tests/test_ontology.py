@@ -10,6 +10,7 @@ import oracles
 from belforge import ontology as onto
 from belforge.errors import DataError
 from helpers import SEMANTIC_GROUPS, config, ontology_as_terms
+from strategies import xml_chars
 
 
 IDENTITY_MAP = {"cui": 0, "language": 1, "vocab": 2, "source_code": 3, "text": 4}
@@ -204,6 +205,11 @@ class TestBuildOntology:
         assert all(r.group in SEMANTIC_GROUPS for r in records)
 
 
+# an ontology field: JSON's escapes, line breaks and the line separators
+# JSON leaves raw drawn more often
+ONTOLOGY_FIELD = st.text(xml_chars('"\\\n\r\t \x85\u2028'), max_size=8)
+
+
 class TestSerialization:
     def roundtrip(self, records):
         return onto.parse_ontology(io.StringIO(onto.serialize_ontology(records)))
@@ -228,6 +234,18 @@ class TestSerialization:
                 records.append(onto.OntologyRecord(
                     i, f"C{int(rng.integers(0, 10**7)):07d}", text, "V", "DISO"))
             assert self.roundtrip(records) == records
+
+    @settings(max_examples=300, derandomize=True, database=None, deadline=None)
+    @given(st.lists(st.tuples(ONTOLOGY_FIELD, ONTOLOGY_FIELD.filter(str.strip),
+                              ONTOLOGY_FIELD, ONTOLOGY_FIELD),
+                    max_size=6))
+    def test_roundtrip_over_xml_chars(self, fields):
+        """Every record whose text is not blank reads back from the
+        ontology file, opened as a text file is."""
+        records = [onto.OntologyRecord(i, cui, text, vocab, group)
+                   for i, (cui, text, vocab, group) in enumerate(fields)]
+        text = onto.serialize_ontology(records)
+        assert onto.parse_ontology(io.StringIO(text, newline=None)) == records
 
     def test_malformed_line_fatal_with_lineno(self):
         with pytest.raises(DataError, match="line 2"):

@@ -14,6 +14,7 @@ from belforge.ontology import OntologyRecord
 from helpers import (config, fresh_params, make_synthetic_ontology,
                      mentions_as_slice)
 from oracles import Triplet, masks_from_triplets, mine_hard_triplets, ms_loss
+from strategies import xml_chars
 
 
 def brute_force_triplets(embeddings, labels, margin):
@@ -37,12 +38,13 @@ def brute_force_triplets(embeddings, labels, margin):
 
 
 def fused_step(E, labels, margin, loss_cfg, rows=None):
-    """``tr._ms_step`` on E in a NaN-filled workspace sized for ``rows`` >=
-    len(E) rows. Returns (loss, dL/dS, positive mask, negative mask)."""
+    """``tr._ms_step`` on E in a NaN-filled padded-stride workspace sized
+    for ``rows`` >= len(E) rows. Returns (loss, dL/dS, positive mask,
+    negative mask)."""
     n = len(E)
-    rows = rows or n
-    loss, G, pos, neg = tr._ms_step(E, labels, margin, loss_cfg,
-                                    np.full((2, rows * rows), np.nan))
+    work = tr.workspace(rows or n)
+    work.fill(np.nan)
+    loss, G, pos, neg = tr._ms_step(E, labels, margin, loss_cfg, work)
     pos_mask = np.zeros((n, n), dtype=bool)
     neg_mask = np.zeros((n, n), dtype=bool)
     pos_mask[pos] = True
@@ -121,13 +123,8 @@ class TestPairGeneration:
         assert "dropped 1 pairs" in caplog.text
 
 
-# XML 1.0 Char, which is what a dump can carry, with the pair file's
-# separator and line breaks drawn more often
-XML_CHARS = st.one_of(
-    st.sampled_from("|\n\r\t "),
-    st.characters(min_codepoint=0x20, max_codepoint=0xD7FF),
-    st.characters(min_codepoint=0xE000, max_codepoint=0xFFFD),
-    st.characters(min_codepoint=0x10000))
+# the pair file's separator and line breaks drawn more often
+XML_CHARS = xml_chars("|\n\r\t ")
 
 
 @settings(max_examples=300, derandomize=True, database=None, deadline=None)
@@ -302,18 +299,26 @@ def step_batches(draw):
     overflow, so squared distances read inf or NaN), and a repeated row (one
     text twice in a batch), margins that mine nothing or sit at the edge of
     the doubles included, and a workspace possibly larger than the batch (a
-    ragged last batch)."""
+    ragged last batch). A batch fits one row block of the step or spans
+    several, its last block ragged or full; then a label group may be made
+    to straddle the first block boundary and the special values may be
+    confined to a later block."""
+    block = tr.STEP_BLOCK
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
-    n = draw(st.integers(2, 40))
+    n = draw(st.integers(2, 40) | st.integers(2 * block - 1, 3 * block + 7))
     E = rng.normal(size=(n, draw(st.integers(1, 6))))
     if draw(st.booleans()):
         E /= np.linalg.norm(E, axis=1, keepdims=True)
-    labels = [str(v) for v in rng.integers(0, draw(st.integers(1, 6)), n)]
+    groups = st.integers(1, 6) if n <= block else st.integers(1, n // 2)
+    labels = [str(v) for v in rng.integers(0, draw(groups), n)]
+    if n > block and draw(st.booleans()):
+        labels[block] = labels[block - 1]
     if draw(st.booleans()):
         E[int(rng.integers(n))] = 0.0
     special = draw(st.sampled_from([None, np.nan, np.inf, -np.inf, 1e200]))
     if special is not None:
-        i = int(rng.integers(n))
+        later = n > block and draw(st.booleans())
+        i = int(rng.integers(block if later else 0, n))
         if draw(st.booleans()):
             E[i] = special
         else:

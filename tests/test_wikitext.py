@@ -92,7 +92,7 @@ class TestStripWikitext:
             "Vaak [[Griep|hoge\n \tkoorts]] en [[Koorts|a\u00a0\u2003b ]].")
         assert clean == "Vaak hoge koorts en a b ."
         assert [(lk.start, lk.end, lk.anchor) for lk in links] == [
-            (5, 16, "hoge koorts"), (20, 24, "a b ")]
+            (5, 16, "hoge koorts"), (20, 23, "a b")]
 
     def test_blank_anchor_stays_text_without_a_link(self):
         clean, links, _ = strip_wikitext("a [[Griep| \n ]] b [[Koorts|]] c")
