@@ -25,6 +25,10 @@ MAGIC = b"BELF"
 VERSION = 1
 # dtype kinds save_artifact writes: bool, signed and unsigned int, float, unicode
 ARRAY_KINDS = "biufU"
+# the dtype rules a loader may require of an array it reads (_Entries.typed)
+DTYPE_RULES = {"float64": lambda dt: dt == "float64",
+               "signed integer": lambda dt: dt.kind == "i",
+               "unicode": lambda dt: dt.kind == "U"}
 
 
 def write_atomic(path, data: bytes):
@@ -123,6 +127,15 @@ class _Entries(dict):
     def flag(self, name):
         """The entry, required to be a bool."""
         return self._checked(name, lambda v: type(v) is bool, "true or false")
+
+    def typed(self, name, rule):
+        """The array, required to have a dtype of ``rule`` in DTYPE_RULES: the
+        payload digest does not cover the dtypes the header declares."""
+        array = self[name]
+        if not DTYPE_RULES[rule](array.dtype):
+            raise ArtifactError(f"{self.path}: array {name!r} must be of {rule} "
+                                f"dtype, got {array.dtype}")
+        return array
 
 
 def _read_artifact(f, path, kind, verify):

@@ -54,8 +54,7 @@ def _build_parser(names):
             source.add_argument("--input", help="file with one mention per line")
             p.add_argument("--top-k", type=int, dest="top_k",
                            help="sets index.top_k, after any --set")
-            p.add_argument("--index", choices=["flat", "ivf"], dest="index_kind")
-        if name == "evaluate":
+        if name in ("link", "evaluate"):
             p.add_argument("--index", choices=["flat", "ivf"], dest="index_kind")
     return parser
 
@@ -92,8 +91,18 @@ def _json(value):
                       allow_nan=False)
 
 
-def _summary(payload):
-    sys.stdout.write(_json(payload) + "\n")
+def _write(path, text):
+    from .artifacts import write_text_atomic
+    write_text_atomic(path, text)
+
+
+def _optional_rows(path, what, parse):
+    """The records ``parse`` reads from the file at ``path``; none for an
+    unset path."""
+    if not path:
+        return []
+    with _open_input(path, what) as f:
+        return parse(f)[0]
 
 
 def _load_ontology(cfg):
@@ -113,19 +122,14 @@ def _resolve_params_path(cfg, args):
 
 def cmd_ontology_build(cfg, args):
     from . import ontology as onto_mod
-    from .artifacts import write_text_atomic
     paths = cfg["paths"]
     with _open_input(paths["concepts"], "concepts") as f:
         concepts, malformed = onto_mod.parse_concepts(
             f, cfg["ontology"]["column_map"])
-    sty = []
-    if paths["semantic_types"]:
-        with _open_input(paths["semantic_types"], "semantic types") as f:
-            sty, _ = onto_mod.parse_semantic_types(f)
-    crosswalk = []
-    if paths["crosswalk"]:
-        with _open_input(paths["crosswalk"], "crosswalk") as f:
-            crosswalk, _ = onto_mod.parse_crosswalk(f)
+    sty = _optional_rows(paths["semantic_types"], "semantic types",
+                         onto_mod.parse_semantic_types)
+    crosswalk = _optional_rows(paths["crosswalk"], "crosswalk",
+                               onto_mod.parse_crosswalk)
     groups = {}
     if paths["semantic_groups"]:
         groups = _read_json(paths["semantic_groups"], "semantic groups")
@@ -137,11 +141,10 @@ def cmd_ontology_build(cfg, args):
     records, steps = onto_mod.build_ontology(concepts, sty, groups, crosswalk,
                                              cfg["ontology"])
     steps = [{"step": n, "remaining": c} for n, c in steps]
-    write_text_atomic(paths["ontology"], onto_mod.serialize_ontology(records))
-    write_text_atomic(paths["ontology_stats"], _json({"steps": steps}) + "\n")
-    _summary({"command": "ontology-build", "records": len(records),
-              "malformed_lines": malformed, "steps": steps})
-    return 0
+    _write(paths["ontology"], onto_mod.serialize_ontology(records))
+    _write(paths["ontology_stats"], _json({"steps": steps}) + "\n")
+    return {"command": "ontology-build", "records": len(records),
+            "malformed_lines": malformed, "steps": steps}
 
 
 def _load_article_map(cfg):
@@ -157,7 +160,6 @@ def _load_article_map(cfg):
 
 def cmd_corpus_compile(cfg, args):
     from . import corpus as corpus_mod
-    from .artifacts import write_text_atomic
     paths = cfg["paths"]
     amap = _load_article_map(cfg)
     ontology = None
@@ -173,18 +175,16 @@ def cmd_corpus_compile(cfg, args):
         log.warning("unbalanced templates on %d pages of %s: the text after "
                     "each unmatched '{{' was dropped", unbalanced, paths["dump"])
     full = corpus_mod.CorpusSlice(sentences=sentences, mentions=mentions)
-    write_text_atomic(paths["corpus"], corpus_mod.serialize_corpus(full))
-    write_text_atomic(paths["corpus_stats"], _json(vars(stats)) + "\n")
-    _summary({"command": "corpus-compile", "sentences": stats.sentences,
-              "mentions": stats.mentions, "map_entries": len(amap.entries),
-              "map_skipped": amap.skipped, "map_duplicates": amap.duplicates,
-              "unbalanced_templates": unbalanced})
-    return 0
+    _write(paths["corpus"], corpus_mod.serialize_corpus(full))
+    _write(paths["corpus_stats"], _json(vars(stats)) + "\n")
+    return {"command": "corpus-compile", "sentences": stats.sentences,
+            "mentions": stats.mentions, "map_entries": len(amap.entries),
+            "map_skipped": amap.skipped, "map_duplicates": amap.duplicates,
+            "unbalanced_templates": unbalanced}
 
 
 def cmd_corpus_subset(cfg, args):
     from . import corpus as corpus_mod
-    from .artifacts import write_text_atomic
     paths = cfg["paths"]
     with _open_input(paths["corpus"], "corpus") as f:
         full = corpus_mod.parse_corpus(f)
@@ -193,16 +193,13 @@ def cmd_corpus_subset(cfg, args):
         full.sentences, full.mentions, ontology,
         cfg["corpus"]["split_ratio"], cfg["seed"])
     for part, path in ((train, paths["train_corpus"]), (val, paths["val_corpus"])):
-        write_text_atomic(path, corpus_mod.serialize_corpus(part))
-    _summary({"command": "corpus-subset",
-              "train_mentions": len(train.mentions),
-              "val_mentions": len(val.mentions)})
-    return 0
+        _write(path, corpus_mod.serialize_corpus(part))
+    return {"command": "corpus-subset", "train_mentions": len(train.mentions),
+            "val_mentions": len(val.mentions)}
 
 
 def cmd_pairs(cfg, args):
     from . import training as train_mod
-    from .artifacts import write_text_atomic
     paths = cfg["paths"]
     ontology = _load_ontology(cfg)
     if args.stage == "pretrain":
@@ -216,9 +213,8 @@ def cmd_pairs(cfg, args):
             star, ontology, cfg["finetune"]["per_mention_cap"])
         out_path = paths["finetune_pairs"]
     lines = train_mod.serialize_pairs(pairs)
-    write_text_atomic(out_path, "".join(lines))
-    _summary({"command": "pairs", "stage": args.stage, "pairs": len(lines)})
-    return 0
+    _write(out_path, "".join(lines))
+    return {"command": "pairs", "stage": args.stage, "pairs": len(lines)}
 
 
 def _initial_params(cfg):
@@ -243,7 +239,6 @@ def cmd_train(cfg, args):
     pretrained params; finetune checkpoints go to a finetune/ subdirectory."""
     from . import encoder as enc
     from . import training as train_mod
-    from .artifacts import write_text_atomic
     paths, stage = cfg["paths"], args.command
     epochs = cfg[stage]["epochs"]
     checkpoint_dir = paths["checkpoint_dir"]
@@ -264,10 +259,9 @@ def cmd_train(cfg, args):
         params, pairs, cfg, epochs, checkpoint_dir,
         0 if params.epoch is None else params.epoch + 1)
     enc.save_params(paths[out_key], params)
-    write_text_atomic(paths[f"{prefix}_loss_log"], _json(loss_log) + "\n")
-    _summary({"command": stage, "epochs": epochs, "pairs": len(pairs),
-              "loss_log": loss_log})
-    return 0
+    _write(paths[f"{prefix}_loss_log"], _json(loss_log) + "\n")
+    return {"command": stage, "epochs": epochs, "pairs": len(pairs),
+            "loss_log": loss_log}
 
 
 def cmd_index_build(cfg, args):
@@ -301,9 +295,7 @@ def cmd_index_build(cfg, args):
         if used < icfg[key]:
             log.info("index.%s=%d cut to %d to fit %d terms of dim %d", key,
                      icfg[key], used, len(ids), embeddings.shape[1])
-    _summary({"command": "index-build", "terms": len(ids), "pca_k": k,
-              "nlist": nlist})
-    return 0
+    return {"command": "index-build", "terms": len(ids), "pca_k": k, "nlist": nlist}
 
 
 def _load_link_stack(cfg, args, verify=False):
@@ -358,7 +350,6 @@ def _link_payload(mention, result):
 
 def cmd_link(cfg, args):
     from . import index as index_mod
-    from .artifacts import write_text_atomic
     top_k = cfg["index"]["top_k"]
     if args.mention is None and not args.input:
         raise UsageError("link requires --mention or --input")
@@ -369,19 +360,16 @@ def cmd_link(cfg, args):
                                               index, top_k)
         if isinstance(result, DataError):
             raise result
-        _summary(_link_payload(args.mention, result))
-        return 0
+        return _link_payload(args.mention, result)
     with _open_input(args.input, "mention list") as f:
         mentions = [raw.rstrip("\n") for raw in f]
     results, rows_scored = index_mod.link_mentions(mentions, params, transform,
                                                    index, top_k)
     lines = [_json(_link_payload(m, r)) for m, r in zip(mentions, results)]
     errors = sum(isinstance(r, DataError) for r in results)
-    write_text_atomic(cfg["paths"]["link_output"],
-                      "\n".join(lines) + ("\n" if lines else ""))
-    _summary({"command": "link", "mentions": len(lines), "errors": errors,
-              "rows_scored": rows_scored})
-    return 0
+    _write(cfg["paths"]["link_output"], "\n".join(lines) + ("\n" if lines else ""))
+    return {"command": "link", "mentions": len(lines), "errors": errors,
+            "rows_scored": rows_scored}
 
 
 def cmd_evaluate(cfg, args):
@@ -393,7 +381,6 @@ def cmd_evaluate(cfg, args):
     from . import evaluation as eval_mod
     from . import index as index_mod
     from . import ontology as onto_mod
-    from .artifacts import write_text_atomic
     paths = cfg["paths"]
     # evaluate verifies every payload before it reports; link, kept fast for
     # single mentions, checks the headers only
@@ -410,11 +397,8 @@ def cmd_evaluate(cfg, args):
                              group=group_by_cui.get(m.cui, "OTHER"))
         for m in gold_slice.mentions
     ]
-    graph = {}
-    if paths["relations"]:
-        with _open_input(paths["relations"], "relations") as f:
-            rows, _ = onto_mod.parse_relations(f)
-        graph = eval_mod.build_relation_graph(rows)
+    graph = eval_mod.build_relation_graph(_optional_rows(
+        paths["relations"], "relations", onto_mod.parse_relations))
 
     mentions = list(dict.fromkeys(g.mention for g in gold))
     # the report reads only each mention's nearest neighbour
@@ -424,13 +408,12 @@ def cmd_evaluate(cfg, args):
                    if not isinstance(r, DataError)}
     report = eval_mod.evaluate(predictions, gold, graph,
                                metadata={"seed": cfg["seed"]})
-    write_text_atomic(paths["report"], _json(asdict(report)) + "\n")
+    _write(paths["report"], _json(asdict(report)) + "\n")
     if not args.quiet:
         sys.stderr.write(eval_mod.render_report(report))
-    _summary({"command": "evaluate", "mentions": report.total.count,
-              "accuracy": report.total.accuracy,
-              "one_dist_accuracy": report.total.one_dist_accuracy})
-    return 0
+    return {"command": "evaluate", "mentions": report.total.count,
+            "accuracy": report.total.accuracy,
+            "one_dist_accuracy": report.total.one_dist_accuracy}
 
 
 def cmd_stats(cfg, args):
@@ -439,10 +422,10 @@ def cmd_stats(cfg, args):
         path = cfg["paths"][key]
         if path and os.path.exists(path):
             payload[key] = _read_json(path, key.replace("_", " "))
-    _summary(payload)
-    return 0
+    return payload
 
 
+# each handler returns its summary, which run writes as the one stdout line
 _HANDLERS = {
     "ontology-build": cmd_ontology_build,
     "corpus-compile": cmd_corpus_compile,
@@ -470,7 +453,8 @@ def run(argv):
              "index.top_k": getattr(args, "top_k", None)}
     cfg = apply_overrides(load_config(args.config), args.set + [
         f"{key}={value}" for key, value in flags.items() if value is not None])
-    return _HANDLERS[args.command](cfg, args)
+    sys.stdout.write(_json(_HANDLERS[args.command](cfg, args)) + "\n")
+    return 0
 
 
 def main(argv=None):

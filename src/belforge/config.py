@@ -41,7 +41,7 @@ DEFAULTS = {
         "report": "out/report.json",
     },
     "ontology": {
-        "column_map": {"cui": 0, "language": 1, "vocab": 2, "source_code": 3, "text": 4},
+        "column_map": {"cui": 0, "vocab": 2, "source_code": 3, "text": 4},
         "drop_vocabs": [],
         # entries: {"pattern": "...", "vocabs": [...]}
         "descriptive_subterms": [],

@@ -147,7 +147,7 @@ def load_params(path, verify=False):
         n_min=meta.size("n_min"), n_max=meta.size("n_max"),
         buckets=meta.size("buckets"), hidden=meta.size("hidden"),
         dim=meta.size("dim"),
-        W1=arrays["W1"], b1=arrays["b1"], W2=arrays["W2"], b2=arrays["b2"],
+        **{k: arrays.typed(k, "float64") for k in ("W1", "b1", "W2", "b2")},
         lowercase=meta.flag("lowercase"), sha256=sha256,
         epoch=meta.size("epoch", least=0) if "epoch" in meta else None,
     )

@@ -345,8 +345,8 @@ def load_pca(path, verify=False):
     explained variance agree in dimensions; with ``verify`` its payload
     digest is recomputed and checked (artifacts.load_artifact)."""
     meta, arrays, sha256 = artifacts.load_artifact(path, "pca-transform", verify)
-    t = PcaTransform(mean=arrays["mean"], projection=arrays["projection"],
-                     explained_variance=arrays["explained_variance"],
+    t = PcaTransform(**{k: arrays.typed(k, "float64") for k in
+                        ("mean", "projection", "explained_variance")},
                      params_sha256=meta.get("params_sha256"), sha256=sha256)
     if t.mean.ndim != 1 or t.projection.ndim != 2 or \
        t.projection.shape[0] != t.mean.shape[0] or \
@@ -373,13 +373,13 @@ def load_ivf(path, verify=False):
     meta, arrays, _sha256 = artifacts.load_artifact(path, "ivf-index", verify)
     if "cuis" not in arrays or "groups" not in arrays:
         raise ArtifactError(f"{path}: index carries no term table; rerun index-build")
-    centroids, vectors, ids, cuis, groups, sizes = (
-        arrays[k] for k in ("centroids", "vectors", "ids", "cuis", "groups", "sizes"))
+    centroids, vectors = (arrays.typed(k, "float64") for k in ("centroids", "vectors"))
+    ids, sizes = (arrays.typed(k, "signed integer") for k in ("ids", "sizes"))
+    cuis, groups = (arrays.typed(k, "unicode") for k in ("cuis", "groups"))
     if centroids.ndim != 2 or vectors.ndim != 2 or ids.shape != vectors.shape[:1] or \
        cuis.shape != ids.shape or groups.shape != ids.shape or \
-       cuis.dtype.kind != "U" or groups.dtype.kind != "U" or \
-       sizes.dtype.kind != "i" or sizes.shape != centroids.shape[:1] or \
-       np.any(sizes < 0) or sizes.sum() != len(ids):
+       sizes.shape != centroids.shape[:1] or np.any(sizes < 0) or \
+       sizes.sum() != len(ids):
         raise ArtifactError(f"{path}: vectors, ids, cuis, groups, centroids and "
                             "sizes do not match")
     return IvfIndex(centroids=centroids, vectors=vectors, ids=ids, cuis=cuis,

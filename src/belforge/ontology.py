@@ -13,17 +13,15 @@ from .errors import DataError
 CUI_RE = re.compile(r"^C[0-9]{7}$")
 TUI_RE = re.compile(r"^T[0-9]{3}$")
 # crosswalk rows join the ontology through the bridge vocabulary's source
-# codes and enter it as Dutch terms of the target vocabulary
+# codes and enter it as terms of the target vocabulary
 SNOMEDCT_US = "SNOMEDCT_US"
 SNOMEDCT_NL = "SNOMEDCT_NL"
-DUT = "DUT"
 
 
 @dataclass
 class TermRecord:
     term_id: int
     cui: str
-    language: str
     vocab: str
     source_code: str
     text: str
@@ -83,12 +81,12 @@ def _parse_rows(stream, needed, make):
 def parse_concepts(stream, column_map):
     """Parse concept lines into TermRecords with sequential term_ids.
 
-    column_map names the field index for cui, language, vocab, source_code
-    and text. Malformed lines (too few fields, bad CUI, empty text) are
-    skipped and counted, not fatal. Returns (records, malformed_count).
+    column_map names the field index for cui, vocab, source_code and text.
+    Malformed lines (too few fields, bad CUI, empty text) are skipped and
+    counted, not fatal. Returns (records, malformed_count).
     """
-    c_cui, c_lang, c_vocab, c_code, c_text = (
-        column_map[k] for k in ("cui", "language", "vocab", "source_code", "text"))
+    c_cui, c_vocab, c_code, c_text = (
+        column_map[k] for k in ("cui", "vocab", "source_code", "text"))
     term_ids = itertools.count()
 
     def make(fields):
@@ -97,7 +95,6 @@ def parse_concepts(stream, column_map):
         if not CUI_RE.match(cui) or not text:
             return None
         return TermRecord(term_id=next(term_ids), cui=cui,
-                          language=fields[c_lang].strip(),
                           vocab=fields[c_vocab].strip(),
                           source_code=fields[c_code].strip(), text=text)
     return _parse_rows(stream, max(column_map.values()) + 1, make)
@@ -154,8 +151,8 @@ def crosswalk_terms(targets, bridge):
         cuis = by_sctid.get(str(row.sctid))
         if cuis and len(cuis) == 1:
             out.append(TermRecord(
-                term_id=len(out), cui=next(iter(cuis)), language=DUT,
-                vocab=SNOMEDCT_NL, source_code=str(row.sctid), text=row.text))
+                term_id=len(out), cui=next(iter(cuis)), vocab=SNOMEDCT_NL,
+                source_code=str(row.sctid), text=row.text))
     return out
 
 
@@ -205,8 +202,8 @@ def build_ontology(concepts, sty, groups, crosswalk, config):
                 text = " ".join(text.replace(pattern, " ").split())
         if text:
             if text != rec.text:
-                rec = TermRecord(rec.term_id, rec.cui, rec.language, rec.vocab,
-                                 rec.source_code, text)
+                rec = TermRecord(rec.term_id, rec.cui, rec.vocab, rec.source_code,
+                                 text)
             out.append(rec)
     kept = out
     steps.append(("strip_descriptive_subterms", len(kept)))

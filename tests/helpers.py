@@ -126,7 +126,7 @@ def mentions_as_slice(mention_pairs):
 
 def ontology_as_terms(records):
     """Re-wrap OntologyRecords as TermRecords (for pipeline idempotence)."""
-    return [TermRecord(term_id=r.term_id, cui=r.cui, language="", vocab=r.vocab,
+    return [TermRecord(term_id=r.term_id, cui=r.cui, vocab=r.vocab,
                        source_code="", text=r.text) for r in records]
 
 

@@ -350,8 +350,8 @@ def split_line(line):
 def parse_concepts(stream, column_map):
     """Parse concept lines into TermRecords.
 
-    column_map names the field index for cui, language, vocab, source_code
-    and text. Malformed lines (too few fields, bad CUI, empty text) are
+    column_map names the field index for cui, vocab, source_code and
+    text. Malformed lines (too few fields, bad CUI, empty text) are
     skipped and counted, not fatal. Returns (records, malformed_count).
     """
     needed = max(column_map.values()) + 1
@@ -372,7 +372,6 @@ def parse_concepts(stream, column_map):
         records.append(TermRecord(
             term_id=len(records),
             cui=cui,
-            language=fields[column_map["language"]].strip(),
             vocab=fields[column_map["vocab"]].strip(),
             source_code=fields[column_map["source_code"]].strip(),
             text=text,

@@ -25,8 +25,8 @@ from helpers import (config, encode, encode_backward, featurize_text,
 from oracles import Triplet, mine_hard_triplets, ms_loss
 
 
-def term(tid, cui, text, vocab="MDRDUT", lang="DUT", code="0"):
-    return onto.TermRecord(term_id=tid, cui=cui, language=lang, vocab=vocab,
+def term(tid, cui, text, vocab="MDRDUT", code="0"):
+    return onto.TermRecord(term_id=tid, cui=cui, vocab=vocab,
                            source_code=code, text=text)
 
 

@@ -1190,6 +1190,29 @@ class TestExitCodes:
         assert f"unknown config key '{key}'" in captured.err
         assert os.listdir(root / "out") == []
 
+    @pytest.mark.parametrize("in_file, overrides", [
+        ({"cui": 0, "language": 1, "vocab": 2, "source_code": 3, "text": 4}, []),
+        (None, ["ontology.column_map.language=1"]),
+    ])
+    def test_removed_column_map_language_key_usage(self, workspace, capsys,
+                                                   in_file, overrides):
+        """No record carries a concept's language: the column_map key that
+        named its field is unknown, whatever its value."""
+        root, config = workspace
+        cfg = json.loads((root / "config.json").read_text())
+        if in_file is not None:
+            cfg["ontology"] = {"column_map": in_file}
+        (root / "config.json").write_text(json.dumps(cfg))
+        argv = ["ontology-build", "--config", config, "--quiet"]
+        for item in overrides:
+            argv += ["--set", item]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1
+        assert "unknown config key 'ontology.column_map.language'" in captured.err
+        assert os.listdir(root / "out") == []
+
     @pytest.mark.parametrize("in_file, overrides, key", [
         ({"train": {"batch_size": "x"}}, [], "train.batch_size"),
         ({"train": {"epochs": 1.5}}, [], "train.epochs"),
@@ -1543,6 +1566,36 @@ class TestRefusals:
         enc.save_params(path, replace(params, W1=params.W1[:, :-1]))
         assert_refused(root, config, capsys, ["index-build"], 3,
                        "parameter shapes do not match declared dimensions")
+
+    @pytest.mark.parametrize("file, array, dtype", [
+        ("finetuned.params", "W1", "<i8"), ("finetuned.params", "b1", "<U2"),
+        ("finetuned.params", "W2", "<u8"), ("finetuned.params", "b2", "<i8"),
+        ("pca.bin", "mean", "<i8"), ("pca.bin", "projection", "<U2"),
+        ("pca.bin", "explained_variance", "<u8"),
+        ("flat.index", "vectors", "<i8"), ("flat.index", "ids", "<f8"),
+        ("ivf.index", "centroids", "<i8"), ("ivf.index", "vectors", "<U2"),
+        ("ivf.index", "ids", "<f8"), ("ivf.index", "sizes", "<u8"),
+    ])
+    def test_array_of_another_dtype_io(self, workspace, capsys, file, array,
+                                       dtype):
+        """The payload digest does not cover the dtypes the header declares:
+        an array declared of another dtype of the same width is refused by
+        every command that loads it, evaluate's digest check passing."""
+        root, config = workspace
+        run_pipeline(config, upto="index-build")
+        (root / "mentions.txt").write_text("griep\n")
+
+        def retype(header):
+            (spec,) = (s for s in header["arrays"] if s["name"] == array)
+            spec["dtype"] = dtype
+        edit_header(root / "out" / file, retype)
+        kind = ["--index", file.split(".")[0]] if file.endswith(".index") else []
+        calls = [["link", "--mention", "griep"], ["link", "--input", "mentions.txt"],
+                 ["evaluate"]]
+        calls = [argv + kind for argv in calls] + (
+            [["index-build"]] if file == "finetuned.params" else [])
+        for argv in calls:
+            assert_io_error(config, capsys, argv, file, f"array {array!r} must be of")
 
     @pytest.mark.parametrize("text, fragment", [
         ("<corpus><sentence", "corpus XML parse error"),
