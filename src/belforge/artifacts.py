@@ -160,6 +160,9 @@ def _read_artifact(f, path, kind, verify):
             raise TypeError("meta, arrays or sha256 of the wrong type")
     except (ValueError, KeyError, TypeError) as e:
         raise ArtifactError(f"{path}: corrupt artifact header: {e!r}") from e
+    if digest is None:
+        raise ArtifactError(f"{path}: artifact records no payload digest; "
+                            "rewrite it with the command that made it")
     if found != kind:
         raise ArtifactError(f"{path}: artifact kind {found!r}, expected {kind!r}")
     layout = [_array_layout(path, spec) for spec in specs]
@@ -187,9 +190,6 @@ def _read_artifact(f, path, kind, verify):
         if verify:
             payload.update(raw)
         arrays[name] = a.astype(dt.newbyteorder("="), copy=False)
-    if verify and digest is None:
-        raise ArtifactError(f"{path}: artifact records no payload digest to verify; "
-                            "rewrite it with the command that made it")
     if verify and payload.hexdigest() != digest:
         raise ArtifactError(f"{path}: payload does not match the sha256 its header "
                             "records; the file is corrupt")
@@ -201,12 +201,11 @@ def load_artifact(path, kind: str, verify=False):
     """Load an artifact, checking magic, version, header and kind.
 
     Returns (meta, arrays, sha256), where sha256 is the payload digest the
-    header records (None in artifacts written before headers carried one).
-    With ``verify`` the payload's sha256 is recomputed, and one that differs
-    from the recorded digest, or a header that records none, is an
-    ArtifactError. A missing meta entry or array is an ArtifactError when
-    looked up. The file is read once, each array straight into its own
-    buffer.
+    header records; a header that records none is an ArtifactError. With
+    ``verify`` the payload's sha256 is recomputed, and one that differs from
+    the recorded digest is an ArtifactError. A missing meta entry or array
+    is an ArtifactError when looked up. The file is read once, each array
+    straight into its own buffer.
     """
     try:
         with open(path, "rb") as f:

@@ -165,12 +165,10 @@ def cmd_corpus_compile(cfg, args):
     ontology = None
     if paths["ontology"] and os.path.exists(paths["ontology"]):
         ontology = _load_ontology(cfg)
-    abbreviations = cfg["corpus"]["abbreviations"]  # null: the built-in list
     with _open_input(paths["dump"], "wiki dump", mode="rb") as f:
         sentences, mentions, stats, unbalanced = corpus_mod.compile_corpus(
-            corpus_mod.parse_dump(f), amap, ontology=ontology,
-            abbreviations=(corpus_mod.DEFAULT_ABBREVIATIONS if abbreviations is None
-                           else abbreviations))
+            corpus_mod.parse_dump(f), amap, cfg["corpus"]["abbreviations"],
+            ontology=ontology)
     if unbalanced:
         log.warning("unbalanced templates on %d pages of %s: the text after "
                     "each unmatched '{{' was dropped", unbalanced, paths["dump"])
@@ -312,9 +310,6 @@ def _load_link_stack(cfg, args, verify=False):
     kind = getattr(args, "index_kind", None) or "flat"
     index_path = paths[f"{kind}_index"]
     index = index_mod.load_ivf(index_path, verify)
-    if index.pca_sha256 is None:
-        raise ArtifactError(f"{index_path}: index carries no provenance; "
-                            "rerun index-build")
     if index.pca_sha256 != transform.sha256:
         raise ArtifactError(f"{index_path} and {paths['pca']} were not built "
                             "together; rerun index-build")

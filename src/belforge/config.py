@@ -57,7 +57,10 @@ DEFAULTS = {
             "language": "nl",
             "cache_dir": None,   # null -> SPARQL responses are not cached
         },
-        "abbreviations": None,   # null -> built-in default list
+        # tokens ending in '.' after which split_sentences finds no boundary
+        "abbreviations": ["ca.", "bijv.", "bv.", "o.a.", "dr.", "prof.", "nr.",
+                          "e.g.", "i.e.", "etc.", "resp.", "afb.", "blz.", "jr.",
+                          "sr.", "st.", "vs."],
         "split_ratio": 0.8,
     },
     "encoder": {
@@ -120,8 +123,6 @@ def _positive(v):
 # optional string (a path, an endpoint), every other list a list of strings and
 # every other int a count of at least 0, or of at least 1 under _AT_LEAST_ONE
 _LEAF_TYPES = {
-    "corpus.abbreviations": ("list of str or null",
-                             lambda v: v is None or _strings(v)),
     "ontology.descriptive_subterms": (
         "list of {pattern: non-blank str, vocabs: list of str}",
         lambda v: isinstance(v, list) and all(_subterm(e) for e in v)),

@@ -16,7 +16,7 @@ import numpy as np
 
 from .artifacts import write_atomic
 from .errors import DataError, NetworkError
-from .wikitext import DEFAULT_ABBREVIATIONS, split_sentences, strip_wikitext
+from .wikitext import split_sentences, strip_wikitext
 
 QID_RE = re.compile(r"^Q[0-9]+$")
 
@@ -238,8 +238,7 @@ def parse_dump(stream):
         raise DataError(f"malformed dump XML at {e.position}: {e}") from e
 
 
-def compile_corpus(pages, article_map, abbreviations=DEFAULT_ABBREVIATIONS,
-                   ontology=None):
+def compile_corpus(pages, article_map, abbreviations, ontology=None):
     """Select sentences containing at least one mapped hyperlink.
 
     Returns (sentences, mentions, stats, unbalanced_templates), the last

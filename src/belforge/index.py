@@ -365,14 +365,11 @@ def save_ivf(path, index):
 
 
 def load_ivf(path, verify=False):
-    """The saved index, refused unless it carries a term table, its arrays
-    are row-aligned and its list sizes split the rows into one list per
-    centroid; with ``verify`` its payload digest is recomputed and checked
-    (artifacts.load_artifact). The nprobe entry of older files is ignored:
-    the caller sets the search's nprobe."""
+    """The saved index, refused unless its arrays are row-aligned and its
+    list sizes split the rows into one list per centroid; with ``verify``
+    its payload digest is recomputed and checked (artifacts.load_artifact).
+    The caller sets the search's nprobe."""
     meta, arrays, _sha256 = artifacts.load_artifact(path, "ivf-index", verify)
-    if "cuis" not in arrays or "groups" not in arrays:
-        raise ArtifactError(f"{path}: index carries no term table; rerun index-build")
     centroids, vectors = (arrays.typed(k, "float64") for k in ("centroids", "vectors"))
     ids, sizes = (arrays.typed(k, "signed integer") for k in ("ids", "sizes"))
     cuis, groups = (arrays.typed(k, "unicode") for k in ("cuis", "groups"))

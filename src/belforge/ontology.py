@@ -111,16 +111,15 @@ def parse_semantic_types(stream):
 
 
 def parse_relations(stream):
-    """Parse cui1|rel|cui2|vocab rows. Self-loops are dropped at parse and
-    are not malformed."""
+    """Parse cui1|rel|cui2|vocab rows. A self-loop is not malformed; the
+    relation graph drops it (evaluation.build_relation_graph)."""
     def make(fields):
         cui1, cui2 = fields[0].strip(), fields[2].strip()
         if not CUI_RE.match(cui1) or not CUI_RE.match(cui2):
             return None
         return RelationRow(cui1=cui1, rel=fields[1].strip(), cui2=cui2,
                            vocab=fields[3].strip())
-    rows, malformed = _parse_rows(stream, 4, make)
-    return [r for r in rows if r.cui1 != r.cui2], malformed
+    return _parse_rows(stream, 4, make)
 
 
 def parse_crosswalk(stream):

@@ -10,11 +10,6 @@ DEFAULT_DROP_PREFIXES = frozenset({
     "file", "image", "category", "bestand", "afbeelding", "categorie",
 })
 
-DEFAULT_ABBREVIATIONS = frozenset({
-    "ca.", "bijv.", "bv.", "o.a.", "dr.", "prof.", "nr.", "e.g.", "i.e.",
-    "etc.", "resp.", "afb.", "blz.", "jr.", "sr.", "st.", "vs.",
-})
-
 _COMMENT_RE = re.compile(r"<!--.*?-->", re.S)
 _REF_RE = re.compile(r"<ref\b[^>/]*/>|<ref\b[^>]*>.*?</ref>", re.S | re.I)
 _HEADING_RE = re.compile(r"^(={1,6})\s*(.*?)\s*\1\s*$", re.M)
@@ -122,13 +117,13 @@ def strip_wikitext(markup):
     return clean, links, warnings
 
 
-def split_sentences(text, abbreviations=DEFAULT_ABBREVIATIONS):
+def split_sentences(text, abbreviations):
     """Split plain text into (start, end) sentence spans.
 
     A boundary is a '.', '!' or '?' followed by whitespace and an uppercase
-    letter or digit, unless the token ending at the punctuation is a known
-    abbreviation. Spans are disjoint, ordered, and cover every
-    non-whitespace character.
+    letter or digit, unless it is a '.' ending a token that is one of
+    ``abbreviations``, compared lower-cased. Spans are disjoint, ordered,
+    and cover every non-whitespace character.
     """
     abbrevs = {a.lower() for a in abbreviations}
     spans = []

@@ -15,10 +15,13 @@ import numpy as np
 from belforge import encoder as enc
 from belforge import index
 from belforge import wikitext
+from belforge.config import DEFAULTS
 from belforge.corpus import MentionAnnotation, SentenceRecord, normalize_title
 from belforge.ontology import (CUI_RE, TUI_RE, CrosswalkRow, RelationRow,
                                SemanticTypeRow, TermRecord)
-from belforge.wikitext import DEFAULT_ABBREVIATIONS, DEFAULT_DROP_PREFIXES, LinkSpan
+from belforge.wikitext import DEFAULT_DROP_PREFIXES, LinkSpan
+
+ABBREVIATIONS = DEFAULTS["corpus"]["abbreviations"]
 
 
 @dataclass(frozen=True)
@@ -273,7 +276,7 @@ def strip_wikitext(markup, drop_prefixes=DEFAULT_DROP_PREFIXES):
     return clean, links, warnings
 
 
-def split_sentences(text, abbreviations=DEFAULT_ABBREVIATIONS):
+def split_sentences(text, abbreviations=ABBREVIATIONS):
     """Split plain text into (start, end) sentence spans, one character at a
     time."""
     abbrevs = {a.lower() for a in abbreviations}
@@ -311,7 +314,7 @@ def split_sentences(text, abbreviations=DEFAULT_ABBREVIATIONS):
     return spans
 
 
-def compile_corpus(pages, article_map, abbreviations=DEFAULT_ABBREVIATIONS,
+def compile_corpus(pages, article_map, abbreviations=ABBREVIATIONS,
                    drop_prefixes=DEFAULT_DROP_PREFIXES):
     """(sentences, mentions) of ``corpus.compile_corpus``, through the oracle
     cleanup and splitter, testing every link against every sentence span."""
@@ -403,7 +406,7 @@ def parse_semantic_types(stream, column_map=None):
 
 
 def parse_relations(stream, column_map=None):
-    """Parse cui1|rel|cui2|vocab rows. Self-loops are dropped at parse."""
+    """Parse cui1|rel|cui2|vocab rows; a self-loop is a row."""
     cm = column_map or {"cui1": 0, "rel": 1, "cui2": 2, "vocab": 3}
     needed = max(cm.values()) + 1
     rows = []
@@ -419,8 +422,6 @@ def parse_relations(stream, column_map=None):
         cui2 = fields[cm["cui2"]].strip()
         if not CUI_RE.match(cui1) or not CUI_RE.match(cui2):
             malformed += 1
-            continue
-        if cui1 == cui2:
             continue
         rows.append(RelationRow(cui1=cui1, rel=fields[cm["rel"]].strip(),
                                 cui2=cui2, vocab=fields[cm["vocab"]].strip()))

@@ -22,7 +22,7 @@ from helpers import (config, encode, encode_backward, featurize_text,
                      fresh_params, make_perturbed_mentions, make_synthetic_ontology,
                      mentions_as_slice, random_unit_rows, random_word,
                      reconstruct, search, term_table)
-from oracles import Triplet, mine_hard_triplets, ms_loss
+from oracles import ABBREVIATIONS, Triplet, mine_hard_triplets, ms_loss
 
 
 def term(tid, cui, text, vocab="MDRDUT", code="0"):
@@ -161,7 +161,8 @@ def test_criterion_02():
     amap = corpus_mod.load_article_map_tsv(io.StringIO(FIXTURE_MAP))
     assert len(amap.entries) == 6
     pages = corpus_mod.parse_dump(io.BytesIO(FIXTURE_DUMP.encode("utf-8")))
-    sentences, mentions, stats, _ = corpus_mod.compile_corpus(pages, amap)
+    sentences, mentions, stats, _ = corpus_mod.compile_corpus(pages, amap,
+                                                              ABBREVIATIONS)
 
     assert sentences == [
         corpus_mod.SentenceRecord(

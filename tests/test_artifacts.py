@@ -154,10 +154,15 @@ def test_digest_is_sha256_of_payload(artifact):
     assert load_artifact(artifact, "demo")[2] == header["sha256"]
 
 
-def test_header_without_digest_loads_as_none(artifact):
-    artifact.write_bytes(_edit_header(artifact.read_bytes(),
-                                      lambda h: h.pop("sha256")))
-    assert load_artifact(artifact, "demo")[2] is None
+@pytest.mark.parametrize("edit", [lambda h: h.pop("sha256"),
+                                  lambda h: h.update(sha256=None)],
+                         ids=["missing", "null"])
+@pytest.mark.parametrize("verify", [False, True])
+def test_header_without_digest_is_refused(artifact, edit, verify):
+    artifact.write_bytes(_edit_header(artifact.read_bytes(), edit))
+    with pytest.raises(ArtifactError, match="records no payload digest; rewrite it "
+                                            "with the command that made it"):
+        load_artifact(artifact, "demo", verify)
 
 
 @settings(max_examples=300, derandomize=True, database=None, deadline=None)

@@ -531,9 +531,9 @@ DIM_MISMATCHES = {
 class TestLinkStack:
     @pytest.mark.parametrize("stored", [None, 2])
     def test_nprobe_is_read_at_search(self, workspace, capsys, stored):
-        """link reads index.nprobe from the config, not from the index file
-        (older files record the nprobe they were built with): one built
-        index gives the search_ivf results of each nprobe."""
+        """link reads index.nprobe from the config, never from the index
+        file, whatever nprobe its meta records: one built index gives the
+        search_ivf results of each nprobe."""
         root, config = workspace
         run_pipeline(config, upto="index-build")
         out = root / "out"
@@ -562,7 +562,8 @@ class TestLinkStack:
     def test_ivf_links_equal_the_per_query_oracle(self, workspace, monkeypatch):
         """link --input --index ivf at nprobe 1, in mid-range and at nlist
         writes, byte for byte, the lines of the per-query search oracle on
-        the same stack, over two blocks with a blank mention among them."""
+        the same stack, over two blocks with a blank mention among them; at
+        nlist it writes the bytes of link --input --index flat."""
         root, config = workspace
         run_pipeline(config, upto="index-build")
         assert main(["index-build", "--config", config, "--quiet",
@@ -593,6 +594,13 @@ class TestLinkStack:
                            for n in r[1]]}, sort_keys=True, separators=(",", ":"))
                 for text, r in zip(mentions, results)]
             assert path.read_bytes() == ("\n".join(lines) + "\n").encode()
+        # the flat index is the one-list index: an exhaustive IVF search
+        # writes the same bytes
+        flat = out / "links_flat.jsonl"
+        assert main(["link", "--config", config, "--quiet", "--index", "flat",
+                     "--input", str(root / "mentions.txt"),
+                     "--set", f"paths.link_output={flat}"]) == 0
+        assert flat.read_bytes() == (out / "links_4.jsonl").read_bytes()
 
     def test_rows_scored(self, workspace, capsys):
         """link --input reports the stored rows it scored: every index row
@@ -685,8 +693,7 @@ class TestLinkStack:
             artifacts.save_artifact(path, "ivf-index", meta, arrays)
             for argv in (["link", "--mention", "griep", "--index", kind],
                          ["evaluate", "--index", kind]):
-                assert_io_error(config, capsys, argv, name, "no term table",
-                                "rerun index-build")
+                assert_io_error(config, capsys, argv, name, "no array 'cuis'")
 
     def test_index_without_provenance_is_refused(self, workspace, capsys):
         root, config = workspace
@@ -697,7 +704,7 @@ class TestLinkStack:
                                              params_sha256=None, pca_sha256=None))
             for argv in (["link", "--mention", "griep", "--index", kind],
                          ["evaluate", "--index", kind]):
-                assert_io_error(config, capsys, argv, name, "no provenance",
+                assert_io_error(config, capsys, argv, name, "built together",
                                 "rerun index-build")
 
     @pytest.mark.parametrize("name", sorted(DIM_MISMATCHES))
@@ -722,7 +729,8 @@ class TestLinkStack:
                                             ("ivf", "ivf.index")])
     def test_index_file_storing_rows_is_refused(self, workspace, capsys, kind,
                                                 name):
-        """An index file written before the row array was named vectors."""
+        """An index file whose row array is named rows, not vectors, is
+        refused naming the array it lacks."""
         root, config = workspace
         run_pipeline(config, upto="index-build")
         path = root / "out" / name
@@ -774,6 +782,26 @@ class TestLinkStack:
         assert_io_error(config, capsys, ["index-build"], "finetuned.params",
                         "no payload digest",
                         "rewrite it with the command that made it")
+
+    @pytest.mark.parametrize("name", ["finetuned.params", "pca.bin", "flat.index",
+                                      "ivf.index"])
+    def test_artifact_without_digest_is_refused_by_link_and_evaluate(
+            self, workspace, capsys, name):
+        """link, which reads headers without verifying payloads, and
+        evaluate exit 3 on a params, PCA or index file whose header records
+        no payload digest, and write nothing."""
+        root, config = workspace
+        run_pipeline(config, upto="index-build")
+        (root / "mentions.txt").write_text("griep\n", encoding="utf-8")
+        edit_header(root / "out" / name, lambda header: header.pop("sha256"))
+        before = out_files(root)
+        for argv in LINK_CALLS:
+            kind = "ivf" if "ivf" in argv else "flat"
+            if name.endswith(".index") and name != f"{kind}.index":
+                continue
+            assert_io_error(config, capsys, argv, name, "no payload digest",
+                            "rewrite it with the command that made it")
+            assert out_files(root) == before
 
     @pytest.mark.parametrize("name, value", [("W1", -np.inf), ("b1", np.nan),
                                              ("W2", np.inf), ("b2", np.nan)])
@@ -1244,6 +1272,7 @@ class TestExitCodes:
         ({}, ['ontology.descriptive_subterms=[{"pattern": " \\t", '
               '"vocabs": ["MDRDUT"]}]'], "ontology.descriptive_subterms"),
         ({}, ["corpus.sparql.cache_dir=5"], "corpus.sparql.cache_dir"),
+        ({"corpus": {"abbreviations": None}}, [], "corpus.abbreviations"),
     ])
     def test_wrong_leaf_type_usage(self, workspace, capsys, in_file,
                                    overrides, key):

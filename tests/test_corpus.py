@@ -15,6 +15,7 @@ from belforge import corpus
 from belforge.errors import DataError, NetworkError
 from belforge.ontology import OntologyRecord
 from helpers import config
+from oracles import ABBREVIATIONS
 from strategies import xml_chars
 
 DUMP_HEADER = '<mediawiki xmlns="http://www.mediawiki.org/xml/export-0.10/">'
@@ -277,7 +278,8 @@ class TestCompileCorpus:
         pages = [corpus.WikiPage(1, "Pagina", 0,
                                  "Eerste zin hier. Dit noemt [[Hartinfarct|MI]] nu.")]
         amap = simple_map([("Hartinfarct", "Q42", "C0000001")])
-        sentences, mentions, stats, _ = corpus.compile_corpus(iter(pages), amap)
+        sentences, mentions, stats, _ = corpus.compile_corpus(
+            iter(pages), amap, ABBREVIATIONS)
         assert len(sentences) == 1 and len(mentions) == 1
         s, m = sentences[0], mentions[0]
         assert s.text == "Dit noemt MI nu."
@@ -288,7 +290,8 @@ class TestCompileCorpus:
     def test_unmapped_target_not_selected(self):
         pages = [corpus.WikiPage(1, "P", 0, "Zie [[Onbekend artikel]] hier.")]
         sentences, mentions, _, _ = corpus.compile_corpus(
-            iter(pages), simple_map([("Iets anders", "Q1", "C0000001")]))
+            iter(pages), simple_map([("Iets anders", "Q1", "C0000001")]),
+            ABBREVIATIONS)
         assert sentences == [] and mentions == []
 
     def test_anchor_matches_span_everywhere(self):
@@ -300,7 +303,8 @@ class TestCompileCorpus:
         amap = simple_map([("Griep", "Q1", "C0000001"),
                            ("Koorts", "Q2", "C0000002"),
                            ("Diabetes", "Q3", "C0000003")])
-        sentences, mentions, stats, _ = corpus.compile_corpus(iter(pages), amap)
+        sentences, mentions, stats, _ = corpus.compile_corpus(
+            iter(pages), amap, ABBREVIATIONS)
         by_id = {s.sentence_id: s for s in sentences}
         for m in mentions:
             assert by_id[m.sentence_id].text[m.start:m.end] == m.anchor
@@ -313,7 +317,8 @@ class TestCompileCorpus:
         amap = simple_map([("Griep", "Q1", "C0000001"),
                            ("Koorts", "Q2", "C0000999")])
         ontology = [OntologyRecord(0, "C0000001", "Griep", "V", "DISO")]
-        _, _, stats, _ = corpus.compile_corpus(iter(pages), amap, ontology=ontology)
+        _, _, stats, _ = corpus.compile_corpus(iter(pages), amap, ABBREVIATIONS,
+                                               ontology=ontology)
         assert stats.unlinkable_cuis == 1  # C0000999 absent
         assert stats.unseen_mentions == 1  # "Koorts" not an ontology term
 
@@ -325,7 +330,8 @@ class TestCompileCorpus:
                  corpus.WikiPage(2, "B", 0, "Dit is [[Griep|griep ]]"),
                  corpus.WikiPage(3, "C", 0, "Wat. [[Griep| griep]] geeft koorts.")]
         amap = simple_map([("Griep", "Q1", "C0000001")])
-        sentences, mentions, stats, _ = corpus.compile_corpus(iter(pages), amap)
+        sentences, mentions, stats, _ = corpus.compile_corpus(
+            iter(pages), amap, ABBREVIATIONS)
         assert [s.text for s in sentences] == [
             "griep geeft koorts.", "Dit is griep", "Wat.  griep geeft koorts."]
         assert [(m.sentence_id, m.start, m.end, m.anchor) for m in mentions] == [
@@ -337,7 +343,8 @@ class TestCompileCorpus:
                  corpus.WikiPage(2, "B", 0, "[[Griep]] }} {{x}}."),
                  corpus.WikiPage(3, "C", 0, "{{")]
         amap = simple_map([("Griep", "Q1", "C0000001")])
-        sentences, _, _, unbalanced = corpus.compile_corpus(iter(pages), amap)
+        sentences, _, _, unbalanced = corpus.compile_corpus(
+            iter(pages), amap, ABBREVIATIONS)
         assert unbalanced == 2
         assert [s.text for s in sentences] == ["Griep }} ."]
 
@@ -356,7 +363,7 @@ PAGE_PIECES = ["Zin", "een", "5", " ", "\u00a0", ". ", "! ", "? ", "ca. ", ".",
 def test_compile_equals_oracle(texts):
     pages = [corpus.WikiPage(i, f"P{i}", 0, t) for i, t in enumerate(texts)]
     amap = simple_map([("Griep", "Q1", "C0000001"), ("Koorts", "Q2", "C0000002")])
-    sentences, mentions, _, _ = corpus.compile_corpus(iter(pages), amap)
+    sentences, mentions, _, _ = corpus.compile_corpus(iter(pages), amap, ABBREVIATIONS)
     assert (sentences, mentions) == oracles.compile_corpus(pages, amap)
 
 

@@ -736,8 +736,8 @@ class TestSerialization:
 
     @pytest.mark.parametrize("stored", [1, 4, 0, "x"])
     def test_stored_nprobe_of_older_files_is_ignored(self, tmp_path, stored):
-        """Files that record an nprobe, as older ones did, load; the search
-        probes the lists its caller sets, whatever the file says."""
+        """A file whose meta records an nprobe loads; the search probes the
+        lists its caller sets, whatever the file says."""
         rng = np.random.default_rng(16)
         ivf = ix.build_ivf(random_unit_rows(rng, 30, 4), np.arange(30),
                            *term_table(range(30)), nlist=3, seed=0)
@@ -762,7 +762,7 @@ class TestSerialization:
         meta, arrays, _sha256 = artifacts.load_artifact(tmp_path / "f.idx", "ivf-index")
         del arrays[missing]
         artifacts.save_artifact(tmp_path / "f.idx", "ivf-index", meta, arrays)
-        with pytest.raises(ArtifactError, match="no term table; rerun index-build"):
+        with pytest.raises(ArtifactError, match=f"has no array '{missing}'"):
             ix.load_ivf(tmp_path / "f.idx")
 
     def test_misaligned_term_table_is_data_error(self):

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 import oracles
 from belforge import ontology as onto
 from belforge.errors import DataError
+from belforge.evaluation import build_relation_graph
 from helpers import SEMANTIC_GROUPS, config, ontology_as_terms
 from strategies import xml_chars
 
@@ -267,10 +268,14 @@ class TestParseOtherFiles:
             io.StringIO("C0000001|T047|Disease\nbad\n"))
         assert len(rows) == 1 and rows[0].tui == "T047" and malformed == 1
 
-    def test_relations_drop_self_loops(self):
-        rows, _ = onto.parse_relations(
+    def test_relations_keep_self_loops(self):
+        """A self-loop parses as a row, not as malformed; the relation
+        graph is what drops it."""
+        rows, malformed = onto.parse_relations(
             io.StringIO("C0000001|RN|C0000002|V\nC0000001|RO|C0000001|V\n"))
-        assert len(rows) == 1 and rows[0].rel == "RN"
+        assert [r.rel for r in rows] == ["RN", "RO"] and malformed == 0
+        assert build_relation_graph(rows) == {"C0000001": {"C0000002"},
+                                              "C0000002": {"C0000001"}}
 
     def test_crosswalk_rows(self):
         rows, malformed = onto.parse_crosswalk(
@@ -305,7 +310,7 @@ LINES = st.one_of(
 def test_row_parsers_match_the_per_file_loops(lines, final_newline, columns):
     """Each parser gives the records and malformed count of its old
     stand-alone loop: blank, short and trailing-pipe lines, bad CUIs, TUIs
-    and ids, and relation self-loops dropped without counting as malformed."""
+    and ids, and relation self-loops kept as rows."""
     text = "\n".join(lines) + ("\n" if final_newline else "")
     column_map = dict(zip(("cui", "vocab", "source_code", "text"), columns))
     assert onto.parse_concepts(io.StringIO(text), column_map) == \
