@@ -97,12 +97,12 @@ def _write(path, text):
 
 
 def _optional_rows(path, what, parse):
-    """The records ``parse`` reads from the file at ``path``; none for an
-    unset path."""
+    """The (records, malformed count) ``parse`` reads from the file at
+    ``path``; none and 0 for an unset path."""
     if not path:
-        return []
+        return [], 0
     with _open_input(path, what) as f:
-        return parse(f)[0]
+        return parse(f)
 
 
 def _load_ontology(cfg):
@@ -126,10 +126,10 @@ def cmd_ontology_build(cfg, args):
     with _open_input(paths["concepts"], "concepts") as f:
         concepts, malformed = onto_mod.parse_concepts(
             f, cfg["ontology"]["column_map"])
-    sty = _optional_rows(paths["semantic_types"], "semantic types",
-                         onto_mod.parse_semantic_types)
-    crosswalk = _optional_rows(paths["crosswalk"], "crosswalk",
-                               onto_mod.parse_crosswalk)
+    sty, bad_sty = _optional_rows(paths["semantic_types"], "semantic types",
+                                  onto_mod.parse_semantic_types)
+    crosswalk, bad_crosswalk = _optional_rows(paths["crosswalk"], "crosswalk",
+                                              onto_mod.parse_crosswalk)
     groups = {}
     if paths["semantic_groups"]:
         groups = _read_json(paths["semantic_groups"], "semantic groups")
@@ -144,7 +144,8 @@ def cmd_ontology_build(cfg, args):
     _write(paths["ontology"], onto_mod.serialize_ontology(records))
     _write(paths["ontology_stats"], _json({"steps": steps}) + "\n")
     return {"command": "ontology-build", "records": len(records),
-            "malformed_lines": malformed, "steps": steps}
+            "malformed_lines": malformed, "malformed_semantic_types": bad_sty,
+            "malformed_crosswalk": bad_crosswalk, "steps": steps}
 
 
 def _load_article_map(cfg):
@@ -392,8 +393,9 @@ def cmd_evaluate(cfg, args):
                              group=group_by_cui.get(m.cui, "OTHER"))
         for m in gold_slice.mentions
     ]
-    graph = eval_mod.build_relation_graph(_optional_rows(
-        paths["relations"], "relations", onto_mod.parse_relations))
+    relations, bad_relations = _optional_rows(paths["relations"], "relations",
+                                              onto_mod.parse_relations)
+    graph = eval_mod.build_relation_graph(relations)
 
     mentions = list(dict.fromkeys(g.mention for g in gold))
     # the report reads only each mention's nearest neighbour
@@ -408,7 +410,8 @@ def cmd_evaluate(cfg, args):
         sys.stderr.write(eval_mod.render_report(report))
     return {"command": "evaluate", "mentions": report.total.count,
             "accuracy": report.total.accuracy,
-            "one_dist_accuracy": report.total.one_dist_accuracy}
+            "one_dist_accuracy": report.total.one_dist_accuracy,
+            "malformed_relations": bad_relations}
 
 
 def cmd_stats(cfg, args):

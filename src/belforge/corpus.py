@@ -54,9 +54,7 @@ class ArticleCuiMap:
 
 @dataclass
 class WikiPage:
-    page_id: int
     title: str
-    namespace: int
     wikitext: str
 
 
@@ -83,10 +81,11 @@ class CorpusStats:
     sentences: int = 0
     mentions: int = 0
     unique_mentions: int = 0
-    unseen_mentions: int = 0
+    # None unless counted against an ontology
+    unseen_mentions: int | None = None
     cuis: int = 0
     unique_cuis: int = 0
-    unlinkable_cuis: int = 0
+    unlinkable_cuis: int | None = None
     avg_tokens_per_sentence: float = 0.0
 
 
@@ -122,15 +121,16 @@ def build_sparql_query(site_url, property_id, language):
 
 
 def _default_fetcher(url):
-    import urllib.request  # with http, ssl and email: only a fetch needs it
+    # with http, ssl and email: only a fetch needs them
+    import urllib.error
+    import urllib.request
 
     try:
         with urllib.request.urlopen(url, timeout=60) as resp:
-            if resp.status >= 400:
-                raise NetworkError(f"SPARQL endpoint returned HTTP {resp.status}")
             return resp.read()
-    except NetworkError:
-        raise
+    except urllib.error.HTTPError as e:  # any status >= 400; an OSError too
+        e.close()
+        raise NetworkError(f"SPARQL endpoint returned HTTP {e.code}") from None
     except OSError as e:
         raise NetworkError(f"SPARQL endpoint unreachable: {e}") from e
     except ValueError as e:
@@ -228,10 +228,9 @@ def parse_dump(stream):
                     have_text = True
             title = title or ""
             ns = _page_number(ns, "ns", title)
-            page_id = _page_number(page_id, "id", title)
+            _page_number(page_id, "id", title)  # checked, not kept
             if ns == 0 and have_text:
-                yield WikiPage(page_id=page_id, title=title, namespace=0,
-                               wikitext=text)
+                yield WikiPage(title=title, wikitext=text)
             elem.clear()
             root.clear()
     except ET.ParseError as e:
@@ -244,7 +243,7 @@ def compile_corpus(pages, article_map, abbreviations, ontology=None):
     Returns (sentences, mentions, stats, unbalanced_templates), the last
     being the number of pages whose template region was left unbalanced.
     Stats fields that require an ontology (unseen mentions, unlinkable CUIs)
-    are computed only when one is supplied.
+    are counted only when one is supplied, and are None otherwise.
     """
     sentences = []
     mentions = []

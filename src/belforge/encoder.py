@@ -43,14 +43,6 @@ class EncoderParams:
                        b2=self.b2.copy(), sha256=None, epoch=None)
 
 
-@dataclass
-class EncoderGrads:
-    W1: np.ndarray
-    b1: np.ndarray
-    W2: np.ndarray
-    b2: np.ndarray
-
-
 def init_params(seed, n_min, n_max, buckets, hidden, dim, lowercase):
     """Seeded uniform init: weights in [-1/sqrt(fan_in), 1/sqrt(fan_in)], zero biases."""
     rng = np.random.default_rng(seed)
@@ -104,9 +96,9 @@ def encode_batch(params, texts):
 
 
 def backward_batch(params, cache, dE):
-    """Gradients of sum_i dE[i] . E[i] w.r.t. every parameter, given the
-    forward_batch cache (feats, H, E, norms) of a batch of rows; one GEMM
-    per weight matrix."""
+    """Gradients of sum_i dE[i] . E[i] w.r.t. every parameter, keyed by its
+    name, given the forward_batch cache (feats, H, E, norms) of a batch of
+    rows; one GEMM per weight matrix."""
     feats, H, E, norms = cache
     G = np.asarray(dE, dtype=float)
     # out = e/|e|; J^T u = (u - (u.out) out) / |e| on the normalized rows,
@@ -120,8 +112,8 @@ def backward_batch(params, cache, dE):
     X = np.zeros((len(feats), params.buckets))
     X[np.repeat(np.arange(len(feats)), [len(i) for i, _ in feats]),
       np.concatenate([i for i, _ in feats])] = np.concatenate([v for _, v in feats])
-    return EncoderGrads(W1=G_h.T @ X, b1=G_h.sum(axis=0),
-                        W2=G.T @ H, b2=G.sum(axis=0))
+    return {"W1": G_h.T @ X, "b1": G_h.sum(axis=0),
+            "W2": G.T @ H, "b2": G.sum(axis=0)}
 
 
 def save_params(path, params):

@@ -3,7 +3,6 @@ multi-step filter / crosswalk / enrichment pipeline down to a cleaned
 term list with per-step statistics.
 """
 
-import itertools
 import json
 import re
 from dataclasses import dataclass
@@ -20,7 +19,6 @@ SNOMEDCT_NL = "SNOMEDCT_NL"
 
 @dataclass
 class TermRecord:
-    term_id: int
     cui: str
     vocab: str
     source_code: str
@@ -31,15 +29,12 @@ class TermRecord:
 class SemanticTypeRow:
     cui: str
     tui: str
-    type_name: str
 
 
 @dataclass
 class RelationRow:
     cui1: str
-    rel: str
     cui2: str
-    vocab: str
 
 
 @dataclass
@@ -79,7 +74,7 @@ def _parse_rows(stream, needed, make):
 
 
 def parse_concepts(stream, column_map):
-    """Parse concept lines into TermRecords with sequential term_ids.
+    """Parse concept lines into TermRecords, in file order.
 
     column_map names the field index for cui, vocab, source_code and text.
     Malformed lines (too few fields, bad CUI, empty text) are skipped and
@@ -87,38 +82,37 @@ def parse_concepts(stream, column_map):
     """
     c_cui, c_vocab, c_code, c_text = (
         column_map[k] for k in ("cui", "vocab", "source_code", "text"))
-    term_ids = itertools.count()
 
     def make(fields):
         cui = fields[c_cui].strip()
         text = fields[c_text].strip()
         if not CUI_RE.match(cui) or not text:
             return None
-        return TermRecord(term_id=next(term_ids), cui=cui,
-                          vocab=fields[c_vocab].strip(),
+        return TermRecord(cui=cui, vocab=fields[c_vocab].strip(),
                           source_code=fields[c_code].strip(), text=text)
     return _parse_rows(stream, max(column_map.values()) + 1, make)
 
 
 def parse_semantic_types(stream):
-    """Parse cui|tui|type_name rows; malformed rows skipped and counted."""
+    """Parse cui|tui|type_name rows, keeping cui and tui; malformed rows
+    skipped and counted."""
     def make(fields):
         cui, tui = fields[0].strip(), fields[1].strip()
         if not CUI_RE.match(cui) or not TUI_RE.match(tui):
             return None
-        return SemanticTypeRow(cui=cui, tui=tui, type_name=fields[2].strip())
+        return SemanticTypeRow(cui=cui, tui=tui)
     return _parse_rows(stream, 3, make)
 
 
 def parse_relations(stream):
-    """Parse cui1|rel|cui2|vocab rows. A self-loop is not malformed; the
-    relation graph drops it (evaluation.build_relation_graph)."""
+    """Parse cui1|rel|cui2|vocab rows, keeping the two CUIs. A self-loop is
+    not malformed; the relation graph drops it
+    (evaluation.build_relation_graph)."""
     def make(fields):
         cui1, cui2 = fields[0].strip(), fields[2].strip()
         if not CUI_RE.match(cui1) or not CUI_RE.match(cui2):
             return None
-        return RelationRow(cui1=cui1, rel=fields[1].strip(), cui2=cui2,
-                           vocab=fields[3].strip())
+        return RelationRow(cui1=cui1, cui2=cui2)
     return _parse_rows(stream, 4, make)
 
 
@@ -139,8 +133,8 @@ def crosswalk_terms(targets, bridge):
     """Map external-terminology rows to CUIs through the bridge vocabulary.
 
     Bridge records carry the external id as their source_code. Rows whose
-    id matches exactly one distinct CUI yield a new TermRecord, numbered
-    from 0; ambiguous (>=2 CUIs) and unmatched ids are dropped.
+    id matches exactly one distinct CUI yield a new TermRecord; ambiguous
+    (>=2 CUIs) and unmatched ids are dropped.
     """
     by_sctid = {}
     for rec in bridge:
@@ -149,9 +143,8 @@ def crosswalk_terms(targets, bridge):
     for row in targets:
         cuis = by_sctid.get(str(row.sctid))
         if cuis and len(cuis) == 1:
-            out.append(TermRecord(
-                term_id=len(out), cui=next(iter(cuis)), vocab=SNOMEDCT_NL,
-                source_code=str(row.sctid), text=row.text))
+            out.append(TermRecord(cui=next(iter(cuis)), vocab=SNOMEDCT_NL,
+                                  source_code=str(row.sctid), text=row.text))
     return out
 
 
@@ -201,8 +194,7 @@ def build_ontology(concepts, sty, groups, crosswalk, config):
                 text = " ".join(text.replace(pattern, " ").split())
         if text:
             if text != rec.text:
-                rec = TermRecord(rec.term_id, rec.cui, rec.vocab, rec.source_code,
-                                 text)
+                rec = TermRecord(rec.cui, rec.vocab, rec.source_code, text)
             out.append(rec)
     kept = out
     steps.append(("strip_descriptive_subterms", len(kept)))
@@ -228,7 +220,8 @@ def build_ontology(concepts, sty, groups, crosswalk, config):
     kept += unseen(drug_pool)
     steps.append(("drug_vocab_add", len(kept)))
 
-    # 7. group resolution: first semantic-type row per cui in input order
+    # 7. group resolution: first semantic-type row per cui in input order;
+    # the term ids are assigned here, in kept order
     records = [
         OntologyRecord(term_id=i, cui=r.cui, text=r.text, vocab=r.vocab,
                        group=groups.get(cui_tuis.get(r.cui, ("",))[0], "OTHER"))

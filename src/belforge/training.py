@@ -264,7 +264,7 @@ def train_epoch(pairs, params, cfg, epoch_index, feature_cache=None):
         # a batch that mined nothing has zero gradients: a pure decay step
         for name in ("W1", "b1", "W2", "b2"):
             w = getattr(params, name)
-            w -= lr * (getattr(grads, name) + wd * w)
+            w -= lr * (grads[name] + wd * w)
 
     if not mined_any:
         log.warning("epoch %d: no batch produced any mined pairs", epoch_index)

@@ -126,8 +126,8 @@ def mentions_as_slice(mention_pairs):
 
 def ontology_as_terms(records):
     """Re-wrap OntologyRecords as TermRecords (for pipeline idempotence)."""
-    return [TermRecord(term_id=r.term_id, cui=r.cui, vocab=r.vocab,
-                       source_code="", text=r.text) for r in records]
+    return [TermRecord(cui=r.cui, vocab=r.vocab, source_code="", text=r.text)
+            for r in records]
 
 
 def random_unit_rows(rng, n, k):

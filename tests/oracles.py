@@ -124,7 +124,7 @@ def train_epoch(pairs, params, cfg, epoch_index, feature_cache=None):
             params, (feats, np.vstack(hidden), E, np.array(fwd_norms)), dE)
         for name in ("W1", "b1", "W2", "b2"):
             w = getattr(params, name)
-            w -= lr * (getattr(grads, name) + wd * w)
+            w -= lr * (grads[name] + wd * w)
     return params, float(np.mean(losses))
 
 
@@ -373,7 +373,6 @@ def parse_concepts(stream, column_map):
             malformed += 1
             continue
         records.append(TermRecord(
-            term_id=len(records),
             cui=cui,
             vocab=fields[column_map["vocab"]].strip(),
             source_code=fields[column_map["source_code"]].strip(),
@@ -400,8 +399,7 @@ def parse_semantic_types(stream, column_map=None):
         if not CUI_RE.match(cui) or not TUI_RE.match(tui):
             malformed += 1
             continue
-        rows.append(SemanticTypeRow(cui=cui, tui=tui,
-                                    type_name=fields[cm["type_name"]].strip()))
+        rows.append(SemanticTypeRow(cui=cui, tui=tui))
     return rows, malformed
 
 
@@ -423,8 +421,7 @@ def parse_relations(stream, column_map=None):
         if not CUI_RE.match(cui1) or not CUI_RE.match(cui2):
             malformed += 1
             continue
-        rows.append(RelationRow(cui1=cui1, rel=fields[cm["rel"]].strip(),
-                                cui2=cui2, vocab=fields[cm["vocab"]].strip()))
+        rows.append(RelationRow(cui1=cui1, cui2=cui2))
     return rows, malformed
 
 

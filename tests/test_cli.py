@@ -1,4 +1,5 @@
 import hashlib
+import io
 import json
 import logging
 import os
@@ -6,7 +7,9 @@ import shutil
 import struct
 import subprocess
 import sys
+import urllib.error
 import urllib.parse
+import urllib.request
 from dataclasses import replace
 
 import numpy as np
@@ -1702,6 +1705,81 @@ class TestSparqlCache:
         assert summary["mentions"] == 5 and summary["map_entries"] == 4
         assert summary["map_skipped"] == summary["map_duplicates"] == 0
         assert (root / "out" / "corpus.xml").read_bytes() == corpus_bytes
+
+
+class TestSparqlFetch:
+    ENDPOINT = "http://127.0.0.1:9/sparql"
+
+    @pytest.mark.parametrize("error, message", [
+        (lambda url, body: urllib.error.HTTPError(url, 503, "Service Unavailable",
+                                                  {}, body),
+         "SPARQL endpoint returned HTTP 503"),
+        (lambda url, body: urllib.error.URLError("connection refused"),
+         "SPARQL endpoint unreachable: <urlopen error connection refused>"),
+        (lambda url, body: ValueError(f"unknown url type: {url!r}"),
+         f"SPARQL endpoint {ENDPOINT!r} is not a URL"),
+    ], ids=["http-status", "unreachable", "not-a-url"])
+    def test_failed_fetch_is_a_data_error(self, workspace, capsys, monkeypatch,
+                                          error, message):
+        """corpus-compile reports each way urlopen fails as one stderr line
+        and exit 2: an HTTP status as itself, with the error's response
+        closed. urlopen is replaced, so nothing is sent."""
+        root, config = workspace
+        body = io.BytesIO(b"busy")
+
+        def urlopen(url, timeout):
+            assert url.startswith(self.ENDPOINT + "?")
+            raise error(url, body)
+
+        monkeypatch.setattr(urllib.request, "urlopen", urlopen)
+        assert main(["corpus-compile", "--config", config, "--quiet",
+                     "--set", "paths.article_map_tsv=null",
+                     "--set", f"corpus.sparql.endpoint=\"{self.ENDPOINT}\""]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"data error: {message}\n"
+        assert body.closed == message.endswith("HTTP 503")
+        assert not (root / "out" / "corpus.xml").exists()
+
+
+def test_corpus_stats_count_against_an_ontology_only(workspace):
+    """Without an ontology file corpus_stats.json writes null for the
+    unseen mentions and unlinkable CUIs it could not count; with one it
+    writes their counts."""
+    root, config = workspace
+    stats_path = root / "out" / "corpus_stats.json"
+    assert main(["corpus-compile", "--config", config, "--quiet"]) == 0
+    stats = json.loads(stats_path.read_text())
+    assert stats["unseen_mentions"] is None and stats["unlinkable_cuis"] is None
+    assert stats["mentions"] == 5
+    run_pipeline(config, upto="corpus-compile")
+    stats = json.loads(stats_path.read_text())
+    # the anchor "Griep" is no term: terms are "griep" and "influenza"
+    assert (stats["unseen_mentions"], stats["unlinkable_cuis"]) == (1, 0)
+
+
+def test_row_files_report_their_malformed_counts(workspace, capsys):
+    """ontology-build counts the malformed lines of the semantic-type and
+    crosswalk files, and evaluate those of the relations file, each 0 for
+    an unset path; malformed_lines counts the concept lines alone."""
+    root, config = workspace
+    (root / "sty.psv").write_text(SEMANTIC_TYPES + "C0000001|T047\n")
+    (root / "crosswalk.psv").write_text("386661006|koorts\nabc|geen id\n")
+    (root / "rel.psv").write_text(RELATIONS + "C0000001|RN|C0000003\n")
+    crosswalk = f"paths.crosswalk={json.dumps(str(root / 'crosswalk.psv'))}"
+
+    def summary(*argv):
+        assert main([*argv[:1], "--config", config, "--quiet", *argv[1:]]) == 0
+        return json.loads(capsys.readouterr().out.splitlines()[-1])
+
+    built = summary("ontology-build", "--set", crosswalk)
+    assert (built["malformed_lines"], built["malformed_semantic_types"],
+            built["malformed_crosswalk"]) == (0, 1, 1)
+    unset = summary("ontology-build", "--set", "paths.semantic_types=null")
+    assert (unset["malformed_semantic_types"], unset["malformed_crosswalk"]) == (0, 0)
+    run_pipeline(config, upto="index-build")
+    assert summary("evaluate")["malformed_relations"] == 1
+    assert summary("evaluate", "--set", "paths.relations=null")["malformed_relations"] == 0
 
 
 def test_corpus_compile_reports_the_article_map_counts(workspace, capsys):

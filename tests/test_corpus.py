@@ -232,7 +232,6 @@ class TestParseDump:
             (2, "Categorie:X", 14, "weg"),
         ])))
         assert [p.title for p in pages] == ["Artikel"]
-        assert pages[0].page_id == 1 and pages[0].namespace == 0
 
     def test_empty_text_kept(self):
         pages = list(corpus.parse_dump(make_dump([(1, "Leeg", 0, "")])))
@@ -275,8 +274,8 @@ class TestParseDump:
 
 class TestCompileCorpus:
     def test_link_in_second_sentence_only(self):
-        pages = [corpus.WikiPage(1, "Pagina", 0,
-                                 "Eerste zin hier. Dit noemt [[Hartinfarct|MI]] nu.")]
+        pages = [corpus.WikiPage(
+            "Pagina", "Eerste zin hier. Dit noemt [[Hartinfarct|MI]] nu.")]
         amap = simple_map([("Hartinfarct", "Q42", "C0000001")])
         sentences, mentions, stats, _ = corpus.compile_corpus(
             iter(pages), amap, ABBREVIATIONS)
@@ -288,7 +287,7 @@ class TestCompileCorpus:
         assert stats.sentences == 1 and stats.mentions == 1
 
     def test_unmapped_target_not_selected(self):
-        pages = [corpus.WikiPage(1, "P", 0, "Zie [[Onbekend artikel]] hier.")]
+        pages = [corpus.WikiPage("P", "Zie [[Onbekend artikel]] hier.")]
         sentences, mentions, _, _ = corpus.compile_corpus(
             iter(pages), simple_map([("Iets anders", "Q1", "C0000001")]),
             ABBREVIATIONS)
@@ -296,9 +295,9 @@ class TestCompileCorpus:
 
     def test_anchor_matches_span_everywhere(self):
         pages = [
-            corpus.WikiPage(1, "A", 0,
-                            "[[Griep]] en [[Koorts|koorts]] samen. Nog een [[Griep|griepje]]."),
-            corpus.WikiPage(2, "B", 0, "{{infobox}}Over [[Diabetes]]. Zonder link."),
+            corpus.WikiPage(
+                "A", "[[Griep]] en [[Koorts|koorts]] samen. Nog een [[Griep|griepje]]."),
+            corpus.WikiPage("B", "{{infobox}}Over [[Diabetes]]. Zonder link."),
         ]
         amap = simple_map([("Griep", "Q1", "C0000001"),
                            ("Koorts", "Q2", "C0000002"),
@@ -313,7 +312,7 @@ class TestCompileCorpus:
         assert stats.unique_cuis == 3
 
     def test_stats_against_ontology(self):
-        pages = [corpus.WikiPage(1, "A", 0, "Over [[Griep]] en [[Koorts]].")]
+        pages = [corpus.WikiPage("A", "Over [[Griep]] en [[Koorts]].")]
         amap = simple_map([("Griep", "Q1", "C0000001"),
                            ("Koorts", "Q2", "C0000999")])
         ontology = [OntologyRecord(0, "C0000001", "Griep", "V", "DISO")]
@@ -326,9 +325,9 @@ class TestCompileCorpus:
         """A space at an anchor's edge is text of the page, not of the
         mention, so a link that opens or closes a sentence still lies
         inside its span."""
-        pages = [corpus.WikiPage(1, "A", 0, "[[Griep| griep]] geeft koorts."),
-                 corpus.WikiPage(2, "B", 0, "Dit is [[Griep|griep ]]"),
-                 corpus.WikiPage(3, "C", 0, "Wat. [[Griep| griep]] geeft koorts.")]
+        pages = [corpus.WikiPage("A", "[[Griep| griep]] geeft koorts."),
+                 corpus.WikiPage("B", "Dit is [[Griep|griep ]]"),
+                 corpus.WikiPage("C", "Wat. [[Griep| griep]] geeft koorts.")]
         amap = simple_map([("Griep", "Q1", "C0000001")])
         sentences, mentions, stats, _ = corpus.compile_corpus(
             iter(pages), amap, ABBREVIATIONS)
@@ -339,9 +338,9 @@ class TestCompileCorpus:
         assert stats.mentions == 3 and stats.unique_mentions == 1
 
     def test_unbalanced_templates_counted_per_page(self):
-        pages = [corpus.WikiPage(1, "A", 0, "{{a {{b}} [[Griep]]. {{c"),
-                 corpus.WikiPage(2, "B", 0, "[[Griep]] }} {{x}}."),
-                 corpus.WikiPage(3, "C", 0, "{{")]
+        pages = [corpus.WikiPage("A", "{{a {{b}} [[Griep]]. {{c"),
+                 corpus.WikiPage("B", "[[Griep]] }} {{x}}."),
+                 corpus.WikiPage("C", "{{")]
         amap = simple_map([("Griep", "Q1", "C0000001")])
         sentences, _, _, unbalanced = corpus.compile_corpus(
             iter(pages), amap, ABBREVIATIONS)
@@ -361,7 +360,7 @@ PAGE_PIECES = ["Zin", "een", "5", " ", "\u00a0", ". ", "! ", "? ", "ca. ", ".",
 @given(st.lists(st.lists(st.sampled_from(PAGE_PIECES), max_size=30).map("".join),
                 max_size=4))
 def test_compile_equals_oracle(texts):
-    pages = [corpus.WikiPage(i, f"P{i}", 0, t) for i, t in enumerate(texts)]
+    pages = [corpus.WikiPage(f"P{i}", t) for i, t in enumerate(texts)]
     amap = simple_map([("Griep", "Q1", "C0000001"), ("Koorts", "Q2", "C0000002")])
     sentences, mentions, _, _ = corpus.compile_corpus(iter(pages), amap, ABBREVIATIONS)
     assert (sentences, mentions) == oracles.compile_corpus(pages, amap)

@@ -109,10 +109,8 @@ def test_gradcheck_random_draws():
         upstream = rng.normal(size=p.dim)
         g = encode_backward(p, text, upstream)
         num = numeric_grads(p, text, upstream)
-        assert_close_rel(g.W1, num["W1"])
-        assert_close_rel(g.b1, num["b1"])
-        assert_close_rel(g.W2, num["W2"])
-        assert_close_rel(g.b2, num["b2"])
+        for name in ("W1", "b1", "W2", "b2"):
+            assert_close_rel(g[name], num[name])
 
 
 def test_backward_batch_equals_sum_of_rows():
@@ -135,9 +133,8 @@ def test_backward_batch_equals_sum_of_rows():
     dE = rng.normal(size=(len(texts), p.dim))
     got = enc.backward_batch(p, cache, dE)
     for name in ("W1", "b1", "W2", "b2"):
-        want = sum(getattr(encode_backward(p, t, u), name)
-                   for t, u in zip(texts, dE))
-        assert np.allclose(getattr(got, name), want, rtol=1e-12, atol=1e-15)
+        want = sum(encode_backward(p, t, u)[name] for t, u in zip(texts, dE))
+        assert np.allclose(got[name], want, rtol=1e-12, atol=1e-15)
 
 
 @settings(max_examples=150, derandomize=True, database=None, deadline=None)
@@ -190,8 +187,7 @@ def test_rows_equal_the_per_row_oracle_in_any_batch(seed, fortran, dead, hidden,
 def test_zero_upstream_zero_grads():
     p = small_params(9)
     g = encode_backward(p, "koorts", np.zeros(p.dim))
-    assert np.all(g.W1 == 0) and np.all(g.b1 == 0)
-    assert np.all(g.W2 == 0) and np.all(g.b2 == 0)
+    assert all(np.all(w == 0) for w in g.values())
 
 
 def normalized_upstream(upstream, raw):
@@ -209,25 +205,25 @@ def test_linear_config_closed_form():
     # e = W2 h + b2 with h = 0 and b2 = 0 is a zero row: it passes through
     # the normalization, so dW2 = 0 and db2 = upstream
     g = encode_backward(p, text, upstream)
-    assert np.all(g.W2 == 0)
-    assert np.array_equal(g.b2, upstream)
+    assert np.all(g["W2"] == 0)
+    assert np.array_equal(g["b2"], upstream)
     # a dead hidden layer with e = b2 != 0: db2 = (u - (u.e)e)/|b2|
     p.b2 = np.array([3.0, 0.0, -4.0, 0.0])
     g = encode_backward(p, text, upstream)
-    assert np.all(g.W2 == 0) and np.all(g.W1 == 0) and np.all(g.b1 == 0)
-    assert np.array_equal(g.b2, normalized_upstream(upstream, p.b2))
+    assert np.all(g["W2"] == 0) and np.all(g["W1"] == 0) and np.all(g["b1"] == 0)
+    assert np.array_equal(g["b2"], normalized_upstream(upstream, p.b2))
     # now a pure-linear hidden path: positive z via bias, so h = 1
     p.b1[:] = 1.0
     idx, vals = featurize_text(p, text)
     g = encode_backward(p, text, upstream)
     ge = normalized_upstream(upstream, p.W2 @ np.ones(p.hidden) + p.b2)
     gh = p.W2.T @ ge
-    assert np.allclose(g.b2, ge)
-    assert np.allclose(g.W2, np.outer(ge, np.ones(p.hidden)))
-    assert np.allclose(g.b1, gh)
+    assert np.allclose(g["b2"], ge)
+    assert np.allclose(g["W2"], np.outer(ge, np.ones(p.hidden)))
+    assert np.allclose(g["b1"], gh)
     expected_W1 = np.zeros_like(p.W1)
     expected_W1[:, idx] = np.outer(gh, vals)
-    assert np.allclose(g.W1, expected_W1)
+    assert np.allclose(g["W1"], expected_W1)
 
 
 def test_unencodable_propagates():

@@ -12,13 +12,13 @@ def gm(mention, cui, group="DISO"):
     return ev.GoldMention(mention=mention, gold_cui=cui, group=group)
 
 
-def rel(a, b, rtype="RN"):
-    return RelationRow(cui1=a, rel=rtype, cui2=b, vocab="V")
+def rel(a, b):
+    return RelationRow(cui1=a, cui2=b)
 
 
 class TestRelationGraph:
     def test_undirected_collapse(self):
-        g = ev.build_relation_graph([rel("C1", "C2", "RN"), rel("C2", "C1", "RB")])
+        g = ev.build_relation_graph([rel("C1", "C2"), rel("C2", "C1")])
         assert g == {"C1": {"C2"}, "C2": {"C1"}}
         assert "C2" in g.get("C1", ()) and "C1" in g.get("C2", ())
 
@@ -35,7 +35,7 @@ class TestRelationGraph:
 class TestEvaluate:
     def test_narrower_prediction_counts_at_one_distance(self):
         # predicted a narrower concept one relation hop from the gold one
-        graph = ev.build_relation_graph([rel("C0150600", "C0010210", "RN")])
+        graph = ev.build_relation_graph([rel("C0150600", "C0010210")])
         report = ev.evaluate({"decubituswond": "C0010210"},
                              [gm("decubituswond", "C0150600")], graph)
         assert report.total.accuracy == 0.0

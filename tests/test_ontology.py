@@ -17,9 +17,8 @@ from strategies import xml_chars
 IDENTITY_MAP = {"cui": 0, "vocab": 2, "source_code": 3, "text": 4}
 
 
-def rec(cui, text, vocab="MDRDUT", code="0", tid=0):
-    return onto.TermRecord(term_id=tid, cui=cui, vocab=vocab,
-                           source_code=code, text=text)
+def rec(cui, text, vocab="MDRDUT", code="0"):
+    return onto.TermRecord(cui=cui, vocab=vocab, source_code=code, text=text)
 
 
 class TestParseConcepts:
@@ -28,8 +27,7 @@ class TestParseConcepts:
             io.StringIO("C0000001|DUT|MDRDUT|10001|koorts\n"), IDENTITY_MAP)
         assert malformed == 0
         r = records[0]
-        assert (r.term_id, r.cui, r.vocab, r.text) == (
-            0, "C0000001", "MDRDUT", "koorts")
+        assert (r.cui, r.vocab, r.text) == ("C0000001", "MDRDUT", "koorts")
 
     def test_empty_stream(self):
         records, malformed = onto.parse_concepts(io.StringIO(""), IDENTITY_MAP)
@@ -44,11 +42,6 @@ class TestParseConcepts:
         records, malformed = onto.parse_concepts(
             io.StringIO("X123|DUT|MDRDUT|1|koorts\n"), IDENTITY_MAP)
         assert records == [] and malformed == 1
-
-    def test_term_ids_sequential(self):
-        text = "C0000001|DUT|A|1|a\nC0000002|DUT|A|2|b\n"
-        records, _ = onto.parse_concepts(io.StringIO(text), IDENTITY_MAP)
-        assert [r.term_id for r in records] == [0, 1]
 
     def test_trailing_pipe_tolerated(self):
         records, malformed = onto.parse_concepts(
@@ -81,23 +74,23 @@ class TestCrosswalk:
 
 def pipeline_fixture():
     concepts = [
-        rec("C0000001", "koorts", tid=0),
-        rec("C0000001", "Koorts", tid=1),
-        rec("C0000001", "koorts x", vocab="BADVOC", tid=2),
-        rec("C0000002", "hartinfarct, niet gespecificeerd", tid=3),
-        rec("C0000002", "niet gespecificeerd", vocab="ICD10DUT", tid=4),
-        rec("C0000003", "influenza", vocab="SNOMEDCT_US", code="111", tid=5),
-        rec("C0000004", "diabetes", vocab="SNOMEDCT_US", code="222", tid=6),
-        rec("C0000005", "diabetes type", vocab="SNOMEDCT_US", code="222", tid=7),
-        rec("C0000006", "vogel", tid=8),
-        rec("C0000007", "paracetamol", vocab="ATC", tid=9),
+        rec("C0000001", "koorts"),
+        rec("C0000001", "Koorts"),
+        rec("C0000001", "koorts x", vocab="BADVOC"),
+        rec("C0000002", "hartinfarct, niet gespecificeerd"),
+        rec("C0000002", "niet gespecificeerd", vocab="ICD10DUT"),
+        rec("C0000003", "influenza", vocab="SNOMEDCT_US", code="111"),
+        rec("C0000004", "diabetes", vocab="SNOMEDCT_US", code="222"),
+        rec("C0000005", "diabetes type", vocab="SNOMEDCT_US", code="222"),
+        rec("C0000006", "vogel"),
+        rec("C0000007", "paracetamol", vocab="ATC"),
     ]
     sty = [
-        onto.SemanticTypeRow("C0000001", "T047", "Disease or Syndrome"),
-        onto.SemanticTypeRow("C0000002", "T047", "Disease or Syndrome"),
-        onto.SemanticTypeRow("C0000003", "T047", "Disease or Syndrome"),
-        onto.SemanticTypeRow("C0000006", "T012", "Bird"),
-        onto.SemanticTypeRow("C0000007", "T121", "Pharmacologic Substance"),
+        onto.SemanticTypeRow("C0000001", "T047"),
+        onto.SemanticTypeRow("C0000002", "T047"),
+        onto.SemanticTypeRow("C0000003", "T047"),
+        onto.SemanticTypeRow("C0000006", "T012"),
+        onto.SemanticTypeRow("C0000007", "T121"),
     ]
     groups = {"T047": "DISO", "T121": "CHEM"}
     crosswalk = [
@@ -151,14 +144,14 @@ class TestBuildOntology:
 
     def test_case_insensitive_dedupe(self):
         records, _ = onto.build_ontology(
-            [rec("C0000001", "Koorts", tid=0), rec("C0000001", "koorts", tid=1)],
+            [rec("C0000001", "Koorts"), rec("C0000001", "koorts")],
             [], {}, [], config()["ontology"])
         assert len(records) == 1 and records[0].text == "Koorts"
 
     def test_case_sensitive_dedupe_keeps_both(self):
         filters = config("ontology.dedupe_case_insensitive=false")["ontology"]
         records, _ = onto.build_ontology(
-            [rec("C0000001", "Koorts", tid=0), rec("C0000001", "koorts", tid=1)],
+            [rec("C0000001", "Koorts"), rec("C0000001", "koorts")],
             [], {}, [], filters)
         assert len(records) == 2
 
@@ -176,13 +169,13 @@ class TestBuildOntology:
             concepts = [
                 rec(f"C{int(rng.integers(1, 6)):07d}",
                     "t" + str(int(rng.integers(0, 8))),
-                    vocab=vocabs[int(rng.integers(0, 4))], tid=i)
-                for i in range(int(rng.integers(1, 30)))
+                    vocab=vocabs[int(rng.integers(0, 4))])
+                for _ in range(int(rng.integers(1, 30)))
             ]
             filters = config('ontology.drop_vocabs=["B"]',
                              'ontology.drug_vocabs=["ATC"]',
                              'ontology.drop_tuis=["T999"]')["ontology"]
-            sty = [onto.SemanticTypeRow("C0000001", "T999", "x")]
+            sty = [onto.SemanticTypeRow("C0000001", "T999")]
             _, steps = onto.build_ontology(concepts, sty, {}, [], filters)
             counts = [c for _, c in steps]
             filter_steps = {1, 2, 4}  # 0-based indexes of pure-filter steps
@@ -273,7 +266,8 @@ class TestParseOtherFiles:
         graph is what drops it."""
         rows, malformed = onto.parse_relations(
             io.StringIO("C0000001|RN|C0000002|V\nC0000001|RO|C0000001|V\n"))
-        assert [r.rel for r in rows] == ["RN", "RO"] and malformed == 0
+        assert [(r.cui1, r.cui2) for r in rows] == [
+            ("C0000001", "C0000002"), ("C0000001", "C0000001")] and malformed == 0
         assert build_relation_graph(rows) == {"C0000001": {"C0000002"},
                                               "C0000002": {"C0000001"}}
 
