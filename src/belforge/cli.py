@@ -294,6 +294,10 @@ def cmd_index_build(cfg, args):
         if used < icfg[key]:
             log.info("index.%s=%d cut to %d to fit %d terms of dim %d", key,
                      icfg[key], used, len(ids), embeddings.shape[1])
+    if len(ids) < index_mod.KMEANS_MIN_LIST * nlist:
+        log.info("index.nlist=%d leaves %.1f terms per list, fewer than the %d "
+                 "per centroid k-means wants", nlist, len(ids) / nlist,
+                 index_mod.KMEANS_MIN_LIST)
     return {"command": "index-build", "terms": len(ids), "pca_k": k, "nlist": nlist}
 
 

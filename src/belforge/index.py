@@ -18,6 +18,10 @@ from .errors import ArtifactError, DataError
 from .features import prepare, utf8
 
 KMEANS_ITERS = 10  # Lloyd passes after the k-means++ seeding
+# rows per centroid that FAISS's k-means asks for; index-build logs fewer
+KMEANS_MIN_LIST = 39
+# fit_pca's cross product runs on columns zero-padded to a multiple of this
+PCA_PAD = 64
 # mentions per projection and scoring block; the last block is zero-padded,
 # since a product's bits depend on its shape (a one-row product is a GEMV)
 LINK_BLOCK = 8
@@ -56,9 +60,14 @@ class Neighbor:
 
 
 def fit_pca(matrix, k):
-    """PCA via SVD of the mean-centered data.
+    """PCA from the eigendecomposition of the d x d sample covariance of the
+    mean-centered data (Golub and Van Loan): the n x d factor a thin SVD
+    would also compute is never formed.
 
-    Components are ordered by descending variance; the sign convention
+    The cross product runs on the centered rows zero-padded to a multiple of
+    PCA_PAD columns, so its bits do not depend on the BLAS thread count.
+    Components are ordered by descending variance, clamped at 0 where
+    rounding leaves a null direction slightly negative; the sign convention
     (largest-magnitude entry of each component positive) makes the
     transform deterministic.
     """
@@ -67,14 +76,15 @@ def fit_pca(matrix, k):
     if n < 2 or k < 1 or k > min(n - 1, d):
         raise DataError(f"pca: k={k} out of range for {n}x{d} data")
     mean = X.mean(axis=0)
-    _u, s, vt = np.linalg.svd(X - mean, full_matrices=False)
-    components = vt[:k]
-    variance = (s[:k] ** 2) / (n - 1)
+    centered = np.zeros((n, -(-d // PCA_PAD) * PCA_PAD))
+    np.subtract(X, mean, out=centered[:, :d])
+    variance, vectors = np.linalg.eigh((centered.T @ centered)[:d, :d] / (n - 1))
+    components = vectors[:, ::-1][:, :k].T
     # sign convention
     flip = components[np.arange(k), np.argmax(np.abs(components), axis=1)] < 0
     components[flip] *= -1.0
-    return PcaTransform(mean=mean, projection=components.T.copy(),
-                        explained_variance=variance)
+    return PcaTransform(mean=mean, projection=np.ascontiguousarray(components.T),
+                        explained_variance=np.maximum(variance[::-1][:k], 0.0))
 
 
 def apply_pca(transform, vectors):
@@ -138,8 +148,11 @@ def _rank(scores, ids, cuis, top_k, rows=None, counts=None):
 
 def _kmeans(rows, nlist, rng):
     """k-means++ seeds, then Lloyd passes until no row moves: the centroids
-    and each row's list, every squared distance |x|^2 + |c|^2 - 2x.c."""
+    and each row's list, every squared distance |x|^2 + |c|^2 - 2x.c. One
+    list is the mean of every row, the bytes its one Lloyd pass gives."""
     n = rows.shape[0]
+    if nlist == 1:
+        return rows.mean(axis=0)[None], np.zeros(n, dtype=np.intp)
     sq = np.sum(rows ** 2, axis=1)
     twice = 2.0 * rows
     centroids = np.empty((nlist, rows.shape[1]))

@@ -4,6 +4,7 @@ term list with per-step statistics.
 """
 
 import json
+import json.scanner
 import re
 from dataclasses import dataclass
 
@@ -241,13 +242,36 @@ def serialize_ontology(records):
         for rec in sorted(records, key=lambda r: r.term_id))
 
 
+# the C scanner json.loads runs, built once: called on a line it parses the
+# one value at its start and returns where the value ends
+_SCAN = json.scanner.make_scanner(json.JSONDecoder())
+
+
+def _loads(line):
+    """json.loads(line), through one call of the C scanner when the line
+    starts with a value and only JSON whitespace follows it. Any other line
+    (leading whitespace, a BOM, trailing data, a decode error) goes to
+    json.loads, so the lines accepted and every error message are
+    json.loads'."""
+    try:
+        obj, end = _SCAN(line, 0)
+    except (StopIteration, json.JSONDecodeError):
+        return json.loads(line)
+    return json.loads(line) if line[end:].strip(" \t\n\r") else obj
+
+
 def parse_ontology(stream):
+    """The ontology's records, refused (DataError naming the line) at a line
+    that is not one JSON object with an int term_id and string cui, text,
+    vocab and group, whose text is blank or whose term_id an earlier line
+    holds."""
     records = []
+    seen = {}
     for lineno, line in enumerate(stream, start=1):
         if not line.strip():
             continue
         try:
-            obj = json.loads(line)
+            obj = _loads(line)
             record = OntologyRecord(
                 term_id=obj["term_id"], cui=obj["cui"], text=obj["text"],
                 vocab=obj["vocab"], group=obj["group"])
@@ -260,5 +284,9 @@ def parse_ontology(stream):
                             "cui, text, vocab and group strings")
         if not record.text.strip():
             raise DataError(f"ontology line {lineno}: text is blank")
+        first = seen.setdefault(record.term_id, lineno)
+        if first != lineno:
+            raise DataError(f"ontology line {lineno}: term_id {record.term_id} "
+                            f"repeats line {first}")
         records.append(record)
     return records

@@ -130,6 +130,15 @@ def ontology_as_terms(records):
             for r in records]
 
 
+def term_embeddings(dim, seed=0, n_concepts=300):
+    """The rows index-build fits its PCA to: the terms of a synthetic
+    ontology, encoded by fresh params with criterion 06's buckets and hidden
+    width and an output of ``dim``."""
+    records, _ = make_synthetic_ontology(seed=seed, n_concepts=n_concepts)
+    params = fresh_params(seed, buckets=1024, hidden=192, dim=dim)
+    return enc.encode_batch(params, [r.text for r in records])
+
+
 def random_unit_rows(rng, n, k):
     M = rng.normal(size=(n, k))
     return M / np.linalg.norm(M, axis=1, keepdims=True)

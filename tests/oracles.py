@@ -4,10 +4,13 @@ dense mask miner and Multi-Similarity loss, the per-row encoder forward
 pass, and the training epoch composed from them with one forward per row;
 the character-at-a-time wikitext cleanup and sentence splitter, corpus
 compilation that filters every link against every sentence span, one
-parse loop per pipe-delimited ontology source file, the per-query ranking,
-the flat nearest-neighbour search, the IVF search one query at a time, and
-k-means with per-seed row differences and masked list means."""
+parse loop per pipe-delimited ontology source file, the ontology parse with
+one json.loads per line, the per-query ranking, the flat nearest-neighbour
+search, the IVF search one query at a time, k-means with per-seed row
+differences and masked list means, and k-means in index._kmeans' distance
+form with no one-list shortcut."""
 
+import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -16,9 +19,10 @@ from belforge import encoder as enc
 from belforge import index
 from belforge import wikitext
 from belforge.config import DEFAULTS
+from belforge.errors import DataError
 from belforge.corpus import MentionAnnotation, SentenceRecord, normalize_title
-from belforge.ontology import (CUI_RE, TUI_RE, CrosswalkRow, RelationRow,
-                               SemanticTypeRow, TermRecord)
+from belforge.ontology import (CUI_RE, TUI_RE, CrosswalkRow, OntologyRecord,
+                               RelationRow, SemanticTypeRow, TermRecord)
 from belforge.wikitext import DEFAULT_DROP_PREFIXES, LinkSpan
 
 ABBREVIATIONS = DEFAULTS["corpus"]["abbreviations"]
@@ -451,6 +455,35 @@ def parse_crosswalk(stream, column_map=None):
     return rows, malformed
 
 
+def parse_ontology(stream):
+    """ontology.parse_ontology with one json.loads per line: the same
+    records, or a DataError with the same message."""
+    records, seen = [], {}
+    for lineno, line in enumerate(stream, start=1):
+        if not line.strip():
+            continue
+        try:
+            obj = json.loads(line)
+            record = OntologyRecord(
+                term_id=obj["term_id"], cui=obj["cui"], text=obj["text"],
+                vocab=obj["vocab"], group=obj["group"])
+        except (ValueError, KeyError, TypeError) as e:
+            raise DataError(f"ontology line {lineno}: {e}") from e
+        if type(record.term_id) is not int or not all(
+                isinstance(v, str) for v in (record.cui, record.text,
+                                             record.vocab, record.group)):
+            raise DataError(f"ontology line {lineno}: term_id must be an int and "
+                            "cui, text, vocab and group strings")
+        if not record.text.strip():
+            raise DataError(f"ontology line {lineno}: text is blank")
+        if record.term_id in seen:
+            raise DataError(f"ontology line {lineno}: term_id {record.term_id} "
+                            f"repeats line {seen[record.term_id]}")
+        seen[record.term_id] = lineno
+        records.append(record)
+    return records
+
+
 def rank(scores, ids, cuis, top_k):
     """One query's top_k rows by score descending, ties by ascending id,
     each with the term id and CUI of its row; only the rows scoring at or
@@ -555,3 +588,39 @@ def kmeans(rows, nlist, rng):
             break
         assign = new_assign
     return centroids, assign
+
+
+def kmeans_expanded(rows, nlist, rng):
+    """k-means++ seeds, then Lloyd passes until no row moves, every squared
+    distance |x|^2 + |c|^2 - 2x.c and each list's mean over its rows sorted
+    by list, for every nlist: index._kmeans without its one-list shortcut,
+    whose one list must have these bytes."""
+    n = rows.shape[0]
+    sq = np.sum(rows ** 2, axis=1)
+    twice = 2.0 * rows
+    centroids = np.empty((nlist, rows.shape[1]))
+    d2 = np.full(n, np.inf)
+    idx = int(rng.integers(n))
+    for c in range(nlist):
+        centroids[c] = rows[idx]
+        np.minimum(d2, np.maximum(sq + sq[idx] - twice @ rows[idx], 0.0), out=d2)
+        total = d2.sum()
+        idx = (int(rng.integers(n)) if total <= 0 else
+               min(int(np.searchsorted(np.cumsum(d2 / total), rng.random())), n - 1))
+
+    def nearest():
+        return np.argmin(sq[:, None] + np.sum(centroids ** 2, axis=1)
+                         - twice @ centroids.T, axis=1)
+
+    labels = nearest()
+    for _ in range(index.KMEANS_ITERS):
+        ends = np.cumsum(np.bincount(labels, minlength=nlist)).tolist()
+        members = rows[np.argsort(labels, kind="stable")]
+        for c, (a, b) in enumerate(zip([0] + ends, ends)):
+            if b > a:
+                centroids[c] = members[a:b].mean(axis=0)
+        new_labels = nearest()
+        if np.array_equal(new_labels, labels):
+            break
+        labels = new_labels
+    return centroids, labels

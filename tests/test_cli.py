@@ -1510,6 +1510,27 @@ class TestExitCodes:
             "data error: ontology line 2: text is blank"]
         assert _files(root / "out") == before
 
+    @pytest.mark.parametrize("stage, upto", [("index-build", "train"),
+                                             ("pairs", "ontology-build")])
+    def test_ontology_repeated_term_id_data_error(self, workspace, capsys, stage,
+                                                  upto):
+        """A second line with an earlier line's term_id would store two index
+        rows under one id."""
+        root, config = workspace
+        run_pipeline(config, upto=upto)
+        ontology = root / "out" / "ontology.jsonl"
+        lines = ontology.read_text().splitlines()
+        lines[3] = json.dumps({**json.loads(lines[3]), "term_id": 1})
+        ontology.write_text("\n".join(lines) + "\n")
+        before = _files(root / "out")
+        capsys.readouterr()
+        assert main([stage, "--config", config, "--quiet"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            "data error: ontology line 4: term_id 1 repeats line 2"]
+        assert _files(root / "out") == before
+
     def test_semantic_group_of_another_type_data_error(self, workspace, capsys):
         root, config = workspace
         (root / "groups.json").write_text(json.dumps({"T047": ["DISO"]}))
@@ -1880,7 +1901,8 @@ def test_command_imports_only_what_it_runs(workspace, case):
 
 class TestIndexClamp:
     """index-build names a cut pca_k or nlist in one INFO line on stderr,
-    which --quiet suppresses. Logging is configured once per interpreter, and
+    followed here by the short-list line (TestShortLists); --quiet
+    suppresses both. Logging is configured once per interpreter, and
     pytest's own handlers keep --quiet from applying in process, so each
     case runs a fresh one."""
 
@@ -1908,8 +1930,31 @@ class TestIndexClamp:
         if quiet:
             assert proc.stderr == ""
         else:
-            assert proc.stderr.splitlines() == \
-                [f"INFO belforge: {line} to fit 7 terms of dim 8"]
+            assert proc.stderr.splitlines() == [
+                f"INFO belforge: {line} to fit 7 terms of dim 8",
+                f"INFO belforge: index.nlist={nlist} leaves {7 / nlist:.1f} terms "
+                "per list, fewer than the 39 per centroid k-means wants"]
+
+
+class TestShortLists:
+    """index-build logs one INFO line when its IVF lists hold fewer than 39
+    terms on average, the rows per centroid FAISS's k-means asks for; with
+    --quiet nothing (TestIndexClamp, in a fresh interpreter)."""
+
+    @pytest.mark.parametrize("terms, nlist", [(39, 1), (39, 2), (78, 2), (77, 2)])
+    def test_logged_below_39_terms_per_list(self, workspace, caplog, terms, nlist):
+        root, config = workspace
+        run_pipeline(config, upto="train")
+        (root / "out" / "ontology.jsonl").write_text("".join(json.dumps(
+            {"term_id": i, "cui": f"C{i:07d}", "text": f"term {i}", "vocab": "V",
+             "group": "DISO"}) + "\n" for i in range(terms)))
+        caplog.set_level(logging.INFO, logger="belforge")
+        assert main(["index-build", "--config", config,
+                     "--set", f"index.nlist={nlist}"]) == 0
+        want = ([f"index.nlist={nlist} leaves {terms / nlist:.1f} terms per list, "
+                 "fewer than the 39 per centroid k-means wants"]
+                if terms < 39 * nlist else [])
+        assert [r.getMessage() for r in caplog.records] == want
 
 
 # each stage setting: (another valid value, the command that reads it)

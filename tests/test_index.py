@@ -13,7 +13,7 @@ from belforge import index as ix
 from belforge.errors import ArtifactError, DataError
 from helpers import (encode, fresh_params, random_unit_rows, random_word,
                      reconstruct, search, term_table)
-from oracles import kmeans, rank, search_flat, search_ivf_per_query
+from oracles import kmeans, kmeans_expanded, rank, search_flat, search_ivf_per_query
 
 
 def eig_pca_oracle(X, k):
@@ -91,6 +91,46 @@ class TestPca:
         lhs = ix.apply_pca(t, (a + b) / 2)
         rhs = (ix.apply_pca(t, a) + ix.apply_pca(t, b)) / 2
         assert np.allclose(lhs, rhs)
+
+    def test_rank_deficient_variances_and_orthonormality(self):
+        """Fewer rows than dimensions, some of them repeated: the null
+        directions' variances, which rounding may leave below 0, are clamped
+        at 0, and the projection stays orthonormal."""
+        rng = np.random.default_rng(6)
+        for _ in range(20):
+            d = int(rng.integers(8, 40))
+            n = int(rng.integers(3, d))
+            distinct = rng.normal(size=(max(2, n // 2), d))
+            X = distinct[rng.integers(0, len(distinct), n)]
+            t = ix.fit_pca(X, n - 1)
+            assert np.all(t.explained_variance >= 0), (n, d)
+            assert np.all(np.diff(t.explained_variance) <= 0), (n, d)
+            P = t.projection
+            assert P.flags.c_contiguous
+            assert np.max(np.abs(P.T @ P - np.eye(n - 1))) < 1e-12, (n, d)
+
+    def test_bytes_do_not_depend_on_blas_threads(self):
+        """fit_pca in fresh interpreters whose BLAS thread count is set
+        before numpy loads gives the same mean, projection and variance bytes
+        under 1, 2 and 3 threads. The widths are the default encoder's,
+        criterion 06's, one at which the unpadded cross product varied with
+        the thread count, and 128: above it LAPACK's own eigh varied at some
+        widths (150 and 256 measured)."""
+        code = ("import hashlib\n"
+                "from belforge import index as ix\n"
+                "from helpers import term_embeddings\n"
+                "for dim in (32, 96, 100, 128):\n"
+                "    t = ix.fit_pca(term_embeddings(dim), dim)\n"
+                "    print(dim, hashlib.sha256(t.mean.tobytes() + t.projection.tobytes()"
+                " + t.explained_variance.tobytes()).hexdigest())\n")
+        runs = {}
+        for threads in (1, 2, 3):
+            proc = subprocess.run([sys.executable, "-c", code], env=blas_env(threads),
+                                  capture_output=True, text=True, timeout=600)
+            assert proc.returncode == 0, proc.stderr[-3000:]
+            runs[threads] = proc.stdout.splitlines()
+        assert len(runs[1]) == 4
+        assert runs[1] == runs[2] == runs[3]
 
     def test_dim_mismatch(self, tmp_path):
         """load_pca refuses a transform whose mean, projection and explained
@@ -511,6 +551,34 @@ class TestIvf:
                 assert getattr(got, name).dtype == value.dtype, (name, n, k, nlist)
                 assert getattr(got, name).tobytes() == value.tobytes(), (name, n, k, nlist)
 
+    @settings(max_examples=60, derandomize=True, database=None, deadline=None)
+    @given(st.integers(1, 400), st.integers(1, 97), st.integers(0, 2**32 - 1),
+           st.booleans(), st.booleans())
+    def test_one_list_equals_the_kmeans_oracle_bitwise(self, n, k, seed, zero_row,
+                                                        repeats):
+        """The one-list index, built without k-means, has the centroid, row,
+        id, CUI and group bytes of k-means++ seeding and Lloyd passes over
+        one list (oracles.kmeans_expanded), with a zero row or repeated rows
+        among the input."""
+        rng = np.random.default_rng(seed)
+        V = rng.normal(size=(n, k))
+        if repeats:
+            V = V[rng.integers(0, n, n)]
+        if zero_row:
+            V[rng.integers(n)] = 0.0
+        ids = rng.permutation(n).astype(np.int64)
+        cuis, groups = (np.asarray(a) for a in term_table(ids))
+        got = ix.build_ivf(V, ids, cuis, groups, 1, seed=seed)
+        rows = ix._unit_rows(V)
+        centroids, assign = kmeans_expanded(rows, 1, np.random.default_rng(seed))
+        order = np.argsort(assign, kind="stable")
+        want = {"centroids": centroids, "vectors": rows[order], "ids": ids[order],
+                "cuis": cuis[order], "groups": groups[order],
+                "offsets": np.array([0, n])}
+        for name, value in want.items():
+            assert getattr(got, name).dtype == value.dtype, (name, n, k)
+            assert getattr(got, name).tobytes() == value.tobytes(), (name, n, k)
+
     @pytest.mark.parametrize("seed", range(4))
     def test_fewer_distinct_rows_than_lists(self, seed):
         """15 rows, 9 of them distinct, in 14 lists: once every distinct row
@@ -656,18 +724,25 @@ class TestChunkInvariance:
             threads)
 
 
+def blas_env(threads):
+    """The environment of a fresh interpreter that imports the package and
+    the test helpers with the BLAS thread count set before numpy loads."""
+    src = os.path.dirname(os.path.dirname(ix.__file__))
+    tests = os.path.dirname(os.path.abspath(__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, tests])}
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        env[var] = str(threads)
+    return env
+
+
 def run_under_blas_threads(test, threads):
     """Run one test of this file in a fresh interpreter whose BLAS thread
     count is set before numpy loads."""
     root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-    src = os.path.dirname(os.path.dirname(ix.__file__))
-    env = {**os.environ, "PYTHONPATH": src}
-    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-        env[var] = str(threads)
     proc = subprocess.run(
         [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
          f"{os.path.abspath(__file__)}::{test}"],
-        cwd=root, env=env, capture_output=True, text=True, timeout=600)
+        cwd=root, env=blas_env(threads), capture_output=True, text=True, timeout=600)
     assert proc.returncode == 0, proc.stdout[-3000:]
     assert "1 passed" in proc.stdout
 

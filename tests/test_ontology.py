@@ -255,6 +255,77 @@ class TestSerialization:
                 json.dumps(record) + "\n" + json.dumps({**record, field: value})))
 
 
+    def test_repeated_term_id_names_both_lines(self):
+        record = {"term_id": 0, "cui": "C0000001", "text": "a", "vocab": "V",
+                  "group": "DISO"}
+        text = "".join(json.dumps({**record, **edit}) + "\n" for edit in (
+            {}, {"term_id": 1}, {"term_id": 2}, {"term_id": 1, "text": "b"}))
+        with pytest.raises(DataError, match="^ontology line 4: term_id 1 repeats "
+                                            "line 2$"):
+            onto.parse_ontology(io.StringIO(text))
+
+
+# a record line as ontology-build writes it, with each way the C scanner and
+# json.loads could part drawn often: a BOM, whitespace that JSON allows and
+# whitespace that it does not at either end, trailing data, NaN, a repeated
+# key, bad escapes, a raw control character and a cut line
+RECORD = st.fixed_dictionaries({
+    "term_id": st.integers(0, 40), "cui": st.sampled_from(["C0000001", "C1"]),
+    "text": st.sampled_from(["griep", "a b", " ", "café", "\u2028"]),
+    "vocab": st.just("V"), "group": st.just("DISO")})
+EDGE = st.sampled_from(["", "", "", "", " ", "\t", "\r", " \t\r ", "\x0c",
+                        "\u2028", "\u00a0", "\ufeff"])
+EDITS = st.sampled_from([
+    lambda s: s, lambda s: s, lambda s: s, lambda s: s,
+    lambda s: s + "x", lambda s: s + "{}", lambda s: s + ",", lambda s: s + " 1",
+    lambda s: s[:len(s) // 2],
+    lambda s: s.replace('"vocab":"V"', '"vocab":NaN'),
+    lambda s: s.replace('"term_id":', '"term_id":NaN,"term_id":'),
+    lambda s: s.replace('"term_id":', '"term_id":7,"term_id":'),
+    lambda s: s[:-1] + ',"text":"b"}',
+    lambda s: s.replace('"DISO"', '"DI\\xSO"'),
+    lambda s: s.replace('"DISO"', '"DI\\u12SO"'),
+    lambda s: s.replace('"DISO"', '"DI\\ud800SO"'),
+    lambda s: s.replace('"DISO"', '"DI\x01SO"'),
+    lambda s: s.replace('"DISO"', '"DI\\"SO"'),
+])
+RECORD_LINE = st.builds(
+    lambda lead, record, edit, tail: lead + edit(json.dumps(
+        record, ensure_ascii=False, sort_keys=True, separators=(",", ":"))) + tail,
+    EDGE, RECORD, EDITS, EDGE)
+ONTOLOGY_LINES = st.one_of(RECORD_LINE, RECORD_LINE, RECORD_LINE, st.text(max_size=12))
+
+
+@settings(max_examples=500, derandomize=True, database=None, deadline=None)
+@given(st.lists(ONTOLOGY_LINES, max_size=6))
+def test_parse_equals_the_per_line_json_loads_oracle(lines):
+    """The C scanner path accepts the lines json.loads accepts, with the same
+    records, and refuses the rest with the same message: each line as a file
+    of its own, and the lines as one file."""
+    def parsed(parse, text):
+        try:
+            return parse(io.StringIO(text))
+        except DataError as e:
+            return str(e)
+
+    for text in [line + "\n" for line in lines] + ["\n".join(lines) + "\n"]:
+        assert parsed(onto.parse_ontology, text) == parsed(oracles.parse_ontology, text)
+
+
+def test_lines_that_join_into_records_are_refused_one_by_one():
+    """Three lines that joined with commas make exactly three valid records:
+    line 1 leaves its text open, and line 2 closes it. Each line parsed on
+    its own, line 1 holds a raw newline inside a string."""
+    def record(i):
+        return json.dumps({"cui": f"C{i}", "group": "G", "term_id": i, "text": "t",
+                           "vocab": "V"}, separators=(",", ":"))
+    lines = ['{"cui":"C0","group":"G","term_id":0,"text":"a}', '{","vocab":"V"}',
+             record(1) + "," + record(2)]
+    assert len(json.loads("[" + ",".join(lines) + "]")) == 3
+    with pytest.raises(DataError, match="^ontology line 1: Invalid control character"):
+        onto.parse_ontology(io.StringIO("\n".join(lines) + "\n"))
+
+
 class TestParseOtherFiles:
     def test_semantic_types(self):
         rows, malformed = onto.parse_semantic_types(
