@@ -1,11 +1,15 @@
 """PCA projection and nearest-neighbor linking over an inverted-file index
 whose rows are unit-normalized once, at build, and stored with their term
-id, CUI and group; the exact (flat) index is the one-list case, probed
-exhaustively. Mentions are projected in zero-padded blocks of LINK_BLOCK
-rows and searched in chunks of LINK_CHUNK rows: the flat search scores and
-ranks each block on its own, the IVF search probes and ranks the chunk at
-once, with a GEMM screen whose doubtful rows fall back to the exact
-distance form, so a mention gets the same bits alone as in any chunk.
+id, CUI and group; the exact (flat) index is the one-list case, searched
+over every row. Mentions are projected in zero-padded blocks of LINK_BLOCK
+rows and searched in chunks of LINK_CHUNK rows. Both searches screen with
+one GEMM whose rounding error is bounded, and leave to an exact form,
+whose bits for a pair do not depend on the other pairs, what the bound
+leaves in doubt: the flat search rescores by np.sum(v * q) only the rows
+that can reach a mention's top-k, and the IVF search sends a mention whose
+nearest lists the screen cannot tell apart to the exact distance form over
+every list. So a mention gets the same bits alone as in any chunk, and
+from the flat search under any BLAS thread count.
 """
 
 from dataclasses import dataclass
@@ -25,9 +29,21 @@ PCA_PAD = 64
 # mentions per projection and scoring block; the last block is zero-padded,
 # since a product's bits depend on its shape (a one-row product is a GEMV)
 LINK_BLOCK = 8
-# mentions per IVF search: the probe screen, the probed-row positions and the
-# ranking each run once per chunk of LINK_BLOCK-row blocks
+# mentions per search: the screen, the candidate positions and the ranking
+# each run once per chunk of LINK_BLOCK-row blocks
 LINK_CHUNK = 16 * LINK_BLOCK
+# cells (query rows x stored rows) of the flat search's screen buffers, which
+# are allocated once per link_mentions call: a chunk is screened in pieces
+# of as many query rows as fit
+SCREEN_CELLS = 1 << 20
+# the flat search's threshold is taken over the maxima of at least this many
+# disjoint sets of each query's screened scores, not over all of them
+SCREEN_SETS = 256
+# stored rows per block of a call's first flat screen, which takes their
+# norms while the block is in the cache
+NORM_ROWS = 1024
+# (query, stored row) pairs per piece of the flat search's exact rescoring
+RESCORE_PAIRS = 512
 
 
 @dataclass
@@ -110,14 +126,11 @@ def _rank(scores, ids, cuis, top_k, rows=None, counts=None):
     their index row's term id and CUI. Candidate j of row q is index row
     rows[q, j] (row j when rows is None). With counts, row q holds only its
     first counts[q] candidates and the rest is padding, never ranked
-    whatever it scores. ids are read only at the kept candidates and cuis
-    only at the ranked ones.
+    whatever it scores.
 
     One partition finds each row's k-th score; only the candidates scoring
-    at or above it go through one lexsort keyed by (row, score, id).
+    at or above it go to _top.
     """
-    if top_k < 1:
-        raise ValueError(f"top_k={top_k} must be at least 1")
     neg = np.negative(scores, order="C")  # rows contiguous for the partition
     nq, m = neg.shape
     keep = np.ones((nq, m), dtype=bool)
@@ -126,22 +139,32 @@ def _rank(scores, ids, cuis, top_k, rows=None, counts=None):
         # padding sorts after every score but NaN, so a row's k-th can only
         # rise: every candidate the row alone would keep is kept
         neg[~keep] = np.inf
-    if top_k < m:
+    if 0 < top_k < m:
         kth = np.partition(neg, top_k - 1, axis=1)[:, top_k - 1:top_k]
         # a NaN kth keeps the whole row, as a full lexsort would rank it
         keep &= ~(neg > kth)
     keep = np.flatnonzero(keep)
-    neg = neg.reshape(-1)
     q, at = np.divmod(keep, m)
     if rows is not None:
         at = rows.reshape(-1)[keep]
-    order = np.lexsort((ids[at], neg[keep], q))
+    return _top(q, at, neg.reshape(-1)[keep], ids, cuis, top_k, nq)
+
+
+def _top(q, at, neg, ids, cuis, top_k, nq):
+    """The top_k of each query row 0..nq-1 over its candidates, by score
+    descending, ties by ascending term id, as Neighbors carrying their index
+    row's term id and CUI: candidate i is index row at[i], scoring -neg[i],
+    of query row q[i]. One lexsort keyed by (row, score, id); ids are read
+    only at the candidates and cuis only at the ranked ones."""
+    if top_k < 1:
+        raise ValueError(f"top_k={top_k} must be at least 1")
+    order = np.lexsort((ids[at], neg, q))
     q = q[order]
     # q is sorted: an entry's place in its row is its distance to the row start
     order = order[np.arange(len(q)) - np.searchsorted(q, q) < top_k]
     at = at[order]
     neighbors = list(map(Neighbor, ids[at].tolist(), cuis[at].tolist(),
-                         (-neg[keep[order]]).tolist()))
+                         (-neg[order]).tolist()))
     bounds = np.searchsorted(q[order], np.arange(nq + 1)).tolist()
     return [neighbors[a:b] for a, b in zip(bounds, bounds[1:])]
 
@@ -271,7 +294,123 @@ def _probe(centroids, Q, nprobe):
     return probes
 
 
-def search_ivf(index, chunk, top_k, real):
+@dataclass
+class FlatScreen:
+    """The flat search's screen, kept across the chunks of one call."""
+    vectors: np.ndarray     # the stored rows in the screen's dtype
+    screen: np.ndarray      # query rows x stored rows: the screened scores,
+    part: np.ndarray        # the maxima of sets of them, partitioned,
+    mask: np.ndarray        # and the candidates
+    vmax: float | None = None  # a bound on the largest row norm, from the first screen
+
+
+def flat_screen(vectors, rows):
+    """The screen of a flat search over the stored ``vectors`` in chunks of
+    up to ``rows`` query rows: the rows cast to float32 once when a chunk
+    holds more than one block, else the float64 rows themselves, and
+    buffers of as many query rows as SCREEN_CELLS allows."""
+    n = len(vectors)
+    shape = (max(1, min(rows, SCREEN_CELLS // max(n, 1))), n)
+    if rows > LINK_BLOCK:
+        # a row beyond float32's range casts to inf, and its norm is inf
+        with np.errstate(over="ignore"):
+            vectors = vectors.astype(np.float32)
+    return FlatScreen(vectors, np.empty(shape, vectors.dtype), np.empty(shape, vectors.dtype),
+                      np.empty(shape, dtype=bool))
+
+
+def _screen(screen, q, S):
+    """S = q V^T over the screen's rows V. The first call also bounds their
+    largest norm, from the same pass over V: in blocks of NORM_ROWS rows,
+    each block's squared norms are taken while the product has it in the
+    cache. Each of a row's k squared entries loses less than the smallest
+    normal number to underflow, so k times it is added back: the bound
+    holds for rows too short for their squares too."""
+    V = screen.vectors
+    if screen.vmax is not None:
+        np.matmul(q, V.T, out=S)
+        return
+    squares = np.empty((len(V), 1, 1), V.dtype)
+    for a in range(0, len(V), NORM_ROWS):
+        block = V[a:a + NORM_ROWS]
+        np.matmul(q, block.T, out=S[:, a:a + NORM_ROWS])
+        np.matmul(block[:, None, :], block[:, :, None], out=squares[a:a + NORM_ROWS])
+    tiny = np.finfo(V.dtype).tiny
+    screen.vmax = float(np.sqrt(np.max(squares, initial=0.0) + V.shape[1] * tiny))
+
+
+def search_flat(index, Q, top_k, screen=None):
+    """Top-k neighbors of each query row of Q, unit or shorter, over every
+    stored row, by the exact form np.sum(v * q), whose bits for a (query,
+    row) pair do not depend on the other pairs or on the BLAS; ranked by
+    _top.
+
+    A screen g = Q V^T (_screen), one product per piece of query rows in
+    the dtype of ``screen`` (flat_screen), picks the rows to rescore. Let f
+    be the exact form's value, s = v.q in real arithmetic, gamma_n = n u /
+    (1 - n u) and u = eps / 2 of the screen's dtype. With any summation
+    order, FMA or not, and the float32 cast of q and v counted as two more
+    roundings:
+      |f - s| <= gamma_k |q| |v|,  |g - s| <= gamma_(k+2) |q| |v|
+    so they differ by at most 2 gamma_(k+2) |q| |v|, which is below
+    B = 2 (k + 3) eps max |v|, as |q| <= 1, with max |v| the bound _screen
+    takes in the screen's dtype (a factor of about 2 to spare, which also
+    holds the rounding of B and of the threshold), plus k times the
+    smallest normal number for the absolute error of gradual underflow.
+
+    Let t be the kk-th largest, kk = min(top_k, n), of the maxima of a
+    query's screened scores over at least kk disjoint sets of rows: at
+    least kk rows are screened at t or above, so they score at least t - B,
+    and so does the kk-th row by exact score. Every row scoring that much
+    is screened at t - 2B or above: ranking only those by the exact form
+    gives the ranking over every row. The maxima of SCREEN_SETS sets take
+    less time than a partition of every score, and their t is rarely more
+    than a row or two below the kk-th largest screened score. Where t - 2B
+    is NaN or -inf every row is a candidate: for a NaN query, and for every
+    query when a row holds NaN or its squared norm overflows the screen's
+    dtype (a norm of 1e30 in float32), which leaves B infinite or NaN. A
+    squared norm that does not overflow keeps |q| |v|, and the screen, far
+    from overflow. The candidates are rescored in pieces of RESCORE_PAIRS
+    pairs."""
+    V = index.vectors
+    n, k = V.shape
+    if screen is None:
+        screen = flat_screen(V, len(Q))
+    kk = min(top_k, n)
+    # t is taken over the maxima of disjoint sets of width rows: with 16 sets
+    # or more for each of the top kk rows, two rarely share one
+    width = max(1, n // max(SCREEN_SETS, 16 * kk))
+    sets = n // width
+    info = np.finfo(screen.screen.dtype)
+    step = len(screen.mask)
+    found = [np.empty(0, dtype=np.intp)]
+    # a corrupt index's rows may overflow or be NaN: they score as such
+    with np.errstate(over="ignore", invalid="ignore"):
+        for a in range(0, len(Q), step):
+            q = Q[a:a + step]
+            nq = len(q)
+            S, P, M = screen.screen[:nq], screen.part[:nq, :sets], screen.mask[:nq]
+            if kk < 1:
+                # no row, or top_k < 1, which _top refuses
+                M[...] = False
+            else:
+                _screen(screen, q.astype(info.dtype, copy=False), S)
+                np.max(S[:, :width * sets].reshape(nq, width, sets), axis=1, out=P)
+                P.partition(sets - kk, axis=1)
+                twice_b = 4 * (k + 3) * info.eps * screen.vmax + 2 * k * info.tiny
+                # not below t - 2B; NaN keeps the whole row
+                np.less(S, (P[:, sets - kk] - twice_b)[:, None], out=M)
+                np.logical_not(M, out=M)
+            found.append(np.flatnonzero(M) + a * n)
+        qi, ri = np.divmod(np.concatenate(found), n)
+        neg = np.empty(len(qi))
+        for a in range(0, len(qi), RESCORE_PAIRS):
+            b = a + RESCORE_PAIRS
+            np.sum(V[ri[a:b]] * Q[qi[a:b]], axis=1, out=neg[a:b])
+    return _top(qi, ri, np.negative(neg, out=neg), index.ids, index.cuis, top_k, len(Q))
+
+
+def search_ivf(index, chunk, top_k, real, screen=None):
     """Top-k neighbors of each of the first ``real`` rows of a chunk of
     LINK_BLOCK-row blocks of query rows, by inner product with the
     unit-normalized row over the index.nprobe nearest centroids' lists,
@@ -279,22 +418,18 @@ def search_ivf(index, chunk, top_k, real):
     stored row's term id and CUI. Returns the neighbor lists and the number
     of stored rows scored for them.
 
-    When nprobe is at least nlist each block is scored against every stored
-    row in one product, vectors @ Q.T, whose bits for a row do not depend on
-    the others, and ranked on its own, so a one-list index is an exact
-    (flat) search. Otherwise the whole chunk is probed at once (_probe),
-    each query scores its probed rows, found by one repeat over the list
-    offsets for the chunk, in a product of its own, and the chunk is ranked
-    once, each row over its own candidate count: a query whose probed lists
-    are all empty gets no neighbors."""
-    Q = _unit_rows(chunk)
+    When nprobe is at least nlist the chunk goes to search_flat, which
+    ranks every stored row by the exact form, rescoring only the rows its
+    screen leaves in reach of the top-k, so a one-list index is an exact
+    (flat) search; ``screen`` is the flat_screen a caller keeps across its
+    chunks (link_mentions makes one a call). Otherwise the whole chunk is
+    probed at once (_probe), each query scores its probed rows, found by
+    one repeat over the list offsets for the chunk, in a product of its
+    own, and the chunk is ranked once, each row over its own candidate
+    count: a query whose probed lists are all empty gets no neighbors."""
+    Q = _unit_rows(chunk)[:real]
     if index.nprobe >= index.centroids.shape[0]:
-        found = []
-        for start in range(0, real, LINK_BLOCK):
-            scores = index.vectors @ Q[start:start + LINK_BLOCK].T
-            found += _rank(scores.T[:real - start], index.ids, index.cuis, top_k)
-        return found, real * len(index.ids)
-    Q = Q[:real]
+        return search_flat(index, Q, top_k, screen), real * len(index.ids)
     probes = _probe(index.centroids, Q, index.nprobe)
     # positions of each probed list's rows, in probe order, queries end to end
     starts = index.offsets[probes].ravel()
@@ -316,10 +451,13 @@ def link_mentions(texts, params, transform, index, top_k):
     The texts are featurized together, then projected in blocks of
     LINK_BLOCK rows, the last one zero-padded, so every block runs the same
     product, and searched in chunks of LINK_CHUNK rows, so a mention gets
-    the same result alone as in any batch. Returns, per text,
-    (predicted_cui, neighbors) or a DataError: the mention is blank or not
-    encodable as UTF-8, or it has no candidates because the index or the
-    lists probed for it are empty; and the number of stored rows scored.
+    the same result alone as in any batch. A flat search makes its screen
+    once for all chunks: float32 rows when a chunk holds more than one
+    block, the float64 rows themselves for a single block. Returns, per
+    text, (predicted_cui, neighbors) or a DataError: the mention is blank
+    or not encodable as UTF-8, or it has no candidates because the index or
+    the lists probed for it are empty; and the number of stored rows
+    scored.
     """
     results = [None] * len(texts)
     todo = []
@@ -332,12 +470,14 @@ def link_mentions(texts, params, transform, index, top_k):
     padded = np.zeros((-(-len(todo) // LINK_BLOCK) * LINK_BLOCK, params.dim))
     padded[:len(todo)] = encode_batch(params, [texts[i] for i in todo])
     scored = 0
+    screen = (flat_screen(index.vectors, min(len(todo), LINK_CHUNK))
+              if index.nprobe >= index.centroids.shape[0] else None)
     for start in range(0, len(todo), LINK_CHUNK):
         blocks = range(start, min(start + LINK_CHUNK, len(padded)), LINK_BLOCK)
         chunk = np.concatenate([apply_pca(transform, padded[b:b + LINK_BLOCK])
                                 for b in blocks])
         found, n = search_ivf(index, chunk, top_k,
-                              real=min(LINK_CHUNK, len(todo) - start))
+                              real=min(LINK_CHUNK, len(todo) - start), screen=screen)
         scored += n
         for i, neighbors in zip(todo[start:], found):
             results[i] = ((neighbors[0].cui, neighbors) if neighbors else DataError(

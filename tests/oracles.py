@@ -502,36 +502,42 @@ def rank(scores, ids, cuis, top_k):
             for i in order]
 
 
+def exact_scores(vectors, query):
+    """Every stored row's score, one row at a time, by the per-pair form
+    ``np.sum(v * q)``: the brute-force scan the flat search must reproduce
+    bit for bit, whichever rows its screen rescores. A corrupt row may
+    overflow or be NaN: it scores as such."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return np.array([np.sum(v * query) for v in vectors], dtype=float)
+
+
 def search_flat(vectors, ids, cuis, query, top_k):
-    """Exact top-k of one query over every row: the query zero-padded to a
-    LINK_BLOCK block, unit-normalized, scored as ``vectors @ Q.T`` and its
-    column ranked by ``rank``: the search a one-list index must reproduce
-    bit for bit."""
+    """Exact top-k of one query over every row, with no screen: the query
+    zero-padded to a LINK_BLOCK block and unit-normalized, every row scored
+    by ``exact_scores`` and ranked by ``rank``: the search a one-list index
+    must reproduce bit for bit."""
     block = np.zeros((index.LINK_BLOCK, len(query)))
     block[0] = query
-    Q = index._unit_rows(block)
-    return rank((vectors @ Q.T)[:, 0], ids, cuis, top_k)
+    return rank(exact_scores(vectors, index._unit_rows(block)[0]), ids, cuis, top_k)
 
 
-def search_ivf_per_query(ivf, chunk, top_k, real):
-    """The search of ``index.search_ivf`` one query at a time: each
-    LINK_BLOCK block of the chunk scored against every stored row in one
-    product when nprobe is at least nlist; otherwise each query's distance
-    to every centroid summed as ``np.sum((c - q) ** 2)``, its nprobe nearest
-    lists taken by a stable argsort and concatenated as positions, one
-    ``np.arange`` per list, its rows gathered and scored in a product of its
-    own, and each query ranked by ``rank``. Returns the neighbor lists and
-    the number of stored rows scored. ``index.search_ivf`` must give the
-    same neighbours and score bits for every real row at every nprobe,
-    whichever rows its probe screen hands to the exact form."""
+def search_ivf_per_query(ivf, chunk, top_k, real, screen=None):
+    """The search of ``index.search_ivf`` one query at a time: when nprobe
+    is at least nlist, every stored row scored by ``exact_scores``, with no
+    screen (``screen``, the flat search's state, is not read); otherwise
+    each query's distance to every centroid summed as
+    ``np.sum((c - q) ** 2)``, its nprobe nearest lists taken by a stable
+    argsort and concatenated as positions, one ``np.arange`` per list, its
+    rows gathered and scored in a product of its own. Each query is ranked
+    by ``rank``. Returns the neighbor lists and the number of stored rows
+    scored. ``index.search_ivf`` must give the same neighbours and score
+    bits for every real row at every nprobe, whichever rows its screens
+    hand to the exact forms."""
     Q = index._unit_rows(chunk)
     nlist = ivf.centroids.shape[0]
     if ivf.nprobe >= nlist:
-        found = []
-        for start in range(0, real, index.LINK_BLOCK):
-            scores = (ivf.vectors @ Q[start:start + index.LINK_BLOCK].T).T
-            found += [rank(s, ivf.ids, ivf.cuis, top_k) for s in scores[:real - start]]
-        return found, real * len(ivf.ids)
+        return ([rank(exact_scores(ivf.vectors, q), ivf.ids, ivf.cuis, top_k)
+                 for q in Q[:real]], real * len(ivf.ids))
     found, scored = [], 0
     for q in Q[:real]:
         # stable: of equal distances the lower list is probed first

@@ -212,6 +212,186 @@ class TestFlat:
         assert same_neighbors(got, want)
 
 
+def flat_world(rng, n, k, near=4):
+    """A flat index of n rows of k columns: the first quarter repeats the
+    second (score ties), and rows 1..near are row 0 with each entry moved a
+    few ulps (scores a few ulps apart for any query). The rows are the
+    index's own, so a test may corrupt them in place."""
+    V = rng.normal(size=(n, k))
+    V[: n // 4] = V[n // 4: 2 * (n // 4)]
+    ids = rng.permutation(n).astype(np.int64)
+    flat = ix.build_ivf(V, ids, *term_table(ids), 1, seed=0)
+    for r in range(1, min(near, n - 1) + 1):
+        flat.vectors[r] = flat.vectors[0] * (
+            1 + rng.integers(-4, 5, size=k) * np.finfo(float).eps)
+    return flat
+
+
+def flat_chunk(rng, flat, real):
+    """A chunk of LINK_BLOCK-row blocks for ``real`` queries: the first is
+    stored row 0, so the near ties lead its ranking, then stored rows
+    (ties) and random rows."""
+    n, k = flat.vectors.shape
+    chunk = rng.normal(size=(-(-real // ix.LINK_BLOCK) * ix.LINK_BLOCK, k))
+    chunk[: real // 2] = flat.vectors[rng.integers(0, n, real // 2)]
+    chunk[0] = flat.vectors[0]
+    return chunk
+
+
+# chunks of one row, of one block and of one row more (the float64 and the
+# float32 screen), and a full chunk
+CHUNK_SIZES = [1, ix.LINK_BLOCK, ix.LINK_BLOCK + 1, ix.LINK_CHUNK]
+# a corrupt row of the index: an entry set to the value, or the row scaled
+# to norm 1e30, whose square overflows float32, or 1e200, which overflows
+# float64 too; or every row scaled by 1e-25 or 1e-170, whose squares
+# underflow float32 or float64
+CORRUPT = {"nan": ("entry", np.nan), "inf": ("entry", np.inf),
+           "-inf": ("entry", -np.inf), "1e30": ("norm", 1e30),
+           "1e200": ("norm", 1e200), "1e-25": ("scale", 1e-25),
+           "1e-170": ("scale", 1e-170)}
+
+
+class TestFlatScreen:
+    """search_flat screens every stored row with one product and rescores
+    by np.sum(v * q) only the rows that can reach the top-k: each query
+    gets the neighbours and score bits of the brute-force scan, which
+    scores every row by that form (oracles.search_flat)."""
+
+    @settings(max_examples=200, derandomize=True, database=None, deadline=None)
+    @given(n=st.integers(1, 60) | st.integers(500, 700),
+           k=st.sampled_from([1, 2, 3, 8, 9, 17, 96]), real=st.sampled_from(CHUNK_SIZES),
+           corrupt=st.one_of(st.none(), st.sampled_from(sorted(CORRUPT))),
+           seed=st.integers(0, 2 ** 32 - 1), data=st.data())
+    def test_equals_the_brute_force_oracle(self, n, k, real, corrupt, seed, data):
+        """Over ties and near ties at the k-th score, top_k at or above n, a
+        zero and a NaN query, a corrupt stored row (a NaN or infinite
+        entry, or a norm whose square overflows, which leaves every row a
+        candidate) and rows too short for their squares, in chunks of every
+        size."""
+        rng = np.random.default_rng(seed)
+        flat = flat_world(rng, n, k)
+        chunk = flat_chunk(rng, flat, real)
+        if real > 2:
+            chunk[1] = 0.0
+            chunk[2] = np.nan
+        if corrupt is not None:
+            how, value = CORRUPT[corrupt]
+            row = data.draw(st.integers(0, n - 1))
+            if how == "entry":
+                flat.vectors[row, data.draw(st.integers(0, k - 1))] = value
+            elif how == "norm":
+                flat.vectors[row] *= value / np.linalg.norm(flat.vectors[row])
+            else:
+                flat.vectors *= value
+        top_k = data.draw(st.sampled_from([1, 2, 3, 5, 10, 12, n, n + 3]))
+        got, scored = ix.search_ivf(flat, chunk, top_k, real)
+        want, want_scored = search_ivf_per_query(flat, chunk, top_k, real)
+        assert len(got) == real and scored == want_scored == real * n
+        assert all(same_neighbors(g, w) for g, w in zip(got, want))
+
+    @settings(max_examples=80, derandomize=True, database=None, deadline=None)
+    @given(n=st.one_of(st.integers(2, 60), st.integers(500, 700)),
+           k=st.sampled_from([1, 2, 5, 8, 17, 96]),
+           real=st.sampled_from([1, ix.LINK_BLOCK + 1]),
+           seed=st.integers(0, 2 ** 32 - 1), data=st.data())
+    def test_a_screen_within_the_bound_gives_the_exact_search(self, n, k, real, seed,
+                                                               data):
+        """The screen may differ from the exact form by up to B =
+        2 (k + 3) eps max|v| + k tiny (search_flat). A screen whose rows are
+        moved along the first query by 3/4 B, lowering the scores of the
+        rows the scan ranks in that query's top-k and raising all others,
+        still gives every query the scan's neighbours and score bits. At a
+        near tie a rescoring margin of B instead of 2B would drop a top-k
+        row. The rows may be scaled so short that their squared norms
+        underflow, which must not shrink B."""
+        rng = np.random.default_rng(seed)
+        flat = flat_world(rng, n, k, near=8)
+        chunk = flat_chunk(rng, flat, real)
+        flat.vectors *= data.draw(st.sampled_from([1.0, 1e-25, 1e-170]))
+        top_k = data.draw(st.integers(1, min(n, 9)))
+        want, _ = search_ivf_per_query(flat, chunk, top_k, real)
+        info = np.finfo(np.float32 if real > ix.LINK_BLOCK else np.float64)
+        bound = (2 * (k + 3) * float(info.eps) * np.linalg.norm(flat.vectors, axis=1).max()
+                 + k * float(info.tiny))
+        down = np.isin(flat.ids, [nb.term_id for nb in want[0]])
+        q = ix._unit_rows(chunk[:1])[0]
+        moved = flat.vectors + np.where(down, -0.75, 0.75)[:, None] * bound * q
+        got, _ = ix.search_ivf(flat, chunk, top_k, real, ix.flat_screen(moved, real))
+        assert all(same_neighbors(g, w) for g, w in zip(got, want))
+
+    @settings(max_examples=40, derandomize=True, database=None, deadline=None)
+    @given(n=st.integers(1, 300), k=st.sampled_from([1, 7, 96, 130]),
+           real=st.sampled_from(CHUNK_SIZES), seed=st.integers(0, 2 ** 32 - 1))
+    def test_a_pairs_score_has_the_same_bits_among_any_candidates(self, n, k, real, seed):
+        """Each query of a chunk ranks every row (top_k = n), so its pairs
+        are rescored among all the chunk's, split into pieces of
+        RESCORE_PAIRS pairs at other places; searched alone, with another
+        top_k, among far fewer. Every score it gets either way has the
+        bits of np.sum(v * q) for its pair alone."""
+        rng = np.random.default_rng(seed)
+        flat = flat_world(rng, n, k)
+        chunk = flat_chunk(rng, flat, real)
+        Q = ix._unit_rows(chunk)
+        got, _ = ix.search_ivf(flat, chunk, n, real)
+        for i in rng.choice(real, size=min(real, 3), replace=False):
+            alone = np.zeros((ix.LINK_BLOCK, k))
+            alone[0] = chunk[i]
+            [one], _ = ix.search_ivf(flat, alone, int(rng.integers(1, n + 1)), 1)
+            want = {t: np.sum(v * Q[i]).hex() for t, v in zip(flat.ids.tolist(), flat.vectors)}
+            assert len(got[i]) == n
+            assert all(nb.score.hex() == want[nb.term_id] for nb in got[i] + one)
+
+    def test_link_bytes_do_not_depend_on_blas_threads(self):
+        """Flat link_mentions in fresh interpreters whose BLAS thread count
+        is set before numpy loads gives the same neighbours and score bits
+        under 1, 2 and 3 threads, and each of the last 20 mentions gets
+        them alone (a float64 screen) as in its chunk (a float32 screen): a
+        ranking read from either screen's bits would differ."""
+        runs = {}
+        for threads in (1, 2, 3):
+            proc = subprocess.run([sys.executable, "-c", FLAT_LINK_CHILD],
+                                  env=blas_env(threads), capture_output=True, text=True,
+                                  timeout=600)
+            assert proc.returncode == 0, proc.stderr[-3000:]
+            runs[threads] = proc.stdout.splitlines()
+        assert len(runs[1]) == 320
+        assert runs[1] == runs[2] == runs[3]
+        assert runs[1][280:300] == runs[1][300:]
+
+
+# a child interpreter's flat link of 300 mentions, in chunks of the float32
+# screen, and of its last 20 alone, under the float64 screen: one line per
+# result, each score's bits in hex. The 1,504 terms are projected in blocks
+# of LINK_BLOCK rows, as link projects mentions, so the stored rows do not
+# depend on the thread count. The last 20 mentions are the first 20 terms,
+# and each has 16 more rows about a point 5% of its length off it, spread
+# by 3e-7 of that length: they score within a few float32 ulps of each
+# other around its 10th score, which a float32 screen cannot order
+FLAT_LINK_CHILD = """
+import numpy as np
+from belforge import index as ix
+from belforge.encoder import encode_batch
+from helpers import fresh_params, random_word, term_table
+rng = np.random.default_rng(7)
+params = fresh_params(0, buckets=1024, hidden=64, dim=96)
+terms = [random_word(rng) for _ in range(1504)]
+E = encode_batch(params, terms)
+t = ix.fit_pca(E, 64)
+P = np.concatenate([ix.apply_pca(t, E[b:b + ix.LINK_BLOCK])
+                    for b in range(0, len(E), ix.LINK_BLOCK)])
+size = np.linalg.norm(P[:20], axis=1)[:, None, None] / 8
+centre = P[:20, None, :] + 0.05 * size * rng.normal(size=(20, 1, 64))
+P = np.vstack([P, (centre + 3e-7 * size * rng.normal(size=(20, 16, 64))).reshape(-1, 64)])
+ids = rng.permutation(len(P))
+flat = ix.build_ivf(P, ids, *term_table(ids), 1, seed=0)
+mentions = [random_word(rng) for _ in range(280)] + terms[:20]
+batch, _ = ix.link_mentions(mentions, params, t, flat, 10)
+alone = [ix.link_mentions([m], params, t, flat, 10)[0][0] for m in mentions[280:]]
+for cui, neighbors in batch + alone:
+    print(cui, *(f"{nb.term_id}:{nb.cui}:{nb.score.hex()}" for nb in neighbors))
+"""
+
+
 def lexsort_rank_oracle(scores, ids, top_k):
     """The ranking contract on every row: score descending, then term_id
     ascending (NaN scores last)."""
@@ -691,8 +871,11 @@ class TestBlockInvariance:
 
 class TestChunkInvariance:
     """A mention gets the same probes, neighbors and score bits linked alone
-    as at any position of a full chunk: the probe screen's bits may change
-    with the chunk and the BLAS thread count, the probes may not."""
+    as at any position of a full chunk: the probe screen's bits, and at
+    nprobe = nlist the flat screen's (float64 alone, float32 in a chunk),
+    may change with the chunk and the BLAS thread count, the results may
+    not. A zero query among the companions leaves every row a candidate of
+    the flat search."""
 
     def test_mention_alone_equals_at_every_chunk_position(self):
         rng = np.random.default_rng(21)
@@ -704,11 +887,12 @@ class TestChunkInvariance:
         mention = rng.normal(size=d)
         alone = np.zeros((ix.LINK_BLOCK, d))
         alone[0] = mention
-        for nprobe in (1, nlist // 2, nlist - 1):
+        for nprobe in (1, nlist // 2, nlist - 1, nlist):
             index = replace(ivf, nprobe=nprobe)
             [want] = block_search(index, transform, alone, 10, 1)
             for pos in range(ix.LINK_CHUNK):
                 rows = rng.normal(size=(ix.LINK_CHUNK, d))
+                rows[(pos + 1) % ix.LINK_CHUNK] = transform.mean  # a zero query
                 rows[pos] = mention
                 chunk = np.concatenate([ix.apply_pca(transform, rows[b:b + ix.LINK_BLOCK])
                                         for b in range(0, ix.LINK_CHUNK, ix.LINK_BLOCK)])
